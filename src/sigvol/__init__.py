@@ -22,7 +22,6 @@ from .hedging import (
     DegenerateGram,
     GKWResult,
     HedgeBasis,
-    build_design,
     depth_scan,
     gkw_project,
     kappa_tail,

@@ -24,8 +24,8 @@ import numpy as np
 from scipy.special import zeta
 
 from .algebra import Weight, Word, format_word
-from .sde import PriceBatch, PricePath, SigVolParams
-from .signature import BatchSignature, SignatureStream, all_words, iter_brownian_blocks
+from .sde import PriceBatch, PricePath, SigVolParams, stream_paths
+from .signature import all_words
 
 DROP_TOL = 1e-6
 RIDGE_SCALE = 1e-8
@@ -91,24 +91,25 @@ PAYOFF_KINDS = ("call", "digital", "variance_swap", "asian")
 
 def payoff(kind: str, params: dict, prices: PriceBatch | PricePath):
     """Deterministic payoff per path; Asian uses the trapezoid average."""
-    single = isinstance(prices, PricePath)
-    s = prices.price[None, :] if single else prices.price
-    times = prices.times
+    s, xi, times = np.atleast_2d(prices.price), np.atleast_2d(prices.xi), prices.times
+    dt = np.diff(times)
+    out = _settle(kind, params, s[:, -1], (xi[:, :-1] ** 2 * dt).sum(axis=1),
+                  ((s[:, :-1] + s[:, 1:]) * 0.5 * dt).sum(axis=1) / (times[-1] - times[0]))
+    return float(out[0]) if isinstance(prices, PricePath) else out
+
+
+def _settle(kind: str, params: dict, terminal: np.ndarray, qv: np.ndarray,
+            average: np.ndarray) -> np.ndarray:
+    """Payoff from the terminal price, the bracket and the time-average price."""
     if kind == "call":
-        out = np.maximum(s[:, -1] - params["strike"], 0.0)
-    elif kind == "digital":
-        out = (s[:, -1] >= params["strike"]).astype(float)
-    elif kind == "variance_swap":
-        xi = prices.xi[None, :] if single else prices.xi
-        dt = np.diff(times)
-        out = (xi[:, :-1] ** 2 * dt[None, :]).sum(axis=1)
-    elif kind == "asian":
-        dt = np.diff(times)
-        avg = ((s[:, :-1] + s[:, 1:]) * 0.5 * dt[None, :]).sum(axis=1) / (times[-1] - times[0])
-        out = np.maximum(avg - params["strike"], 0.0)
-    else:
-        raise ValueError(f"unknown payoff kind {kind!r}; choose from {PAYOFF_KINDS}")
-    return float(out[0]) if single else out
+        return np.maximum(terminal - params["strike"], 0.0)
+    if kind == "digital":
+        return (terminal >= params["strike"]).astype(float)
+    if kind == "variance_swap":
+        return qv.copy()
+    if kind == "asian":
+        return np.maximum(average - params["strike"], 0.0)
+    raise ValueError(f"unknown payoff kind {kind!r}; choose from {PAYOFF_KINDS}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,40 +170,6 @@ def _static_block(terminal: np.ndarray, strikes) -> tuple[np.ndarray, list]:
     return block, labels
 
 
-def build_design(dataset, basis: HedgeBasis) -> HedgeDesign:
-    """Assemble the regression columns from (PricePath, SignatureStream) pairs.
-
-    Dynamic gain columns are left-point sums G_K = sum_k <e_K, W_{t_k}> dS_k;
-    residual columns are terminal coordinates in the residual window.
-    """
-    dataset = list(dataset)
-    if not dataset:
-        raise ValueError("empty dataset")
-    n_low, m = basis.residual_window
-    first_stream: SignatureStream = dataset[0][1]
-    d = first_stream.tensors[0].dim
-    if first_stream.tensors[0].trunc < m:
-        raise ValueError(f"signature truncation {first_stream.tensors[0].trunc} < residual window top {m}")
-    dyn_words = all_words(d, basis.integrand_depth)
-    res_words = _window_words(d, n_low, m)
-    n = len(dataset)
-    dynamic = np.zeros((n, len(dyn_words)))
-    residual = np.zeros((n, len(res_words)))
-    terminal = np.zeros(n)
-    s0 = float(dataset[0][0].price[0])
-    for i, (path, stream) in enumerate(dataset):
-        ds = np.diff(path.price)
-        for c, word in enumerate(dyn_words):
-            feats = np.array([t[word] for t in stream.tensors[:-1]])
-            dynamic[i, c] = float(feats @ ds)
-        for c, word in enumerate(res_words):
-            residual[i, c] = stream.terminal[word]
-        terminal[i] = path.price[-1]
-    strikes = basis.static_strikes if basis.static_strikes is not None else default_strikes(terminal)
-    static, labels = _static_block(terminal, strikes)
-    return HedgeDesign(s0, dyn_words, labels, res_words, dynamic, static, residual, terminal)
-
-
 @dataclass
 class HedgeDataset:
     """Streaming-accumulated design plus payoff ingredients."""
@@ -218,63 +185,41 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
                            block: int = 16384) -> HedgeDataset:
     """Simulate paths in blocks and accumulate the design without storing grids.
 
-    Produces bit-identical columns to build_design on the same driver paths
-    (the per-path reference route is the oracle for this one in the tests).
+    Produces the columns of the per-path reference route (build_design in
+    the tests' oracles) on the same driver paths.
     """
     n_low, m = basis.residual_window
-    d = params.dim
-    trunc = max(m, basis.integrand_depth, params.ell.support_degree)
-    dyn_words = all_words(d, basis.integrand_depth)
-    res_words = _window_words(d, n_low, m)
+    dyn_words = all_words(params.dim, basis.integrand_depth)
+    res_words = _window_words(params.dim, n_low, m)
     dynamic = np.zeros((n_paths, len(dyn_words)))
     residual = np.zeros((n_paths, len(res_words)))
     terminal = np.zeros(n_paths)
     bracket = np.zeros(n_paths)
     asian = np.zeros(n_paths)
-    offset = 0
-    for paths in iter_brownian_blocks(d, params.horizon, params.steps, n_paths, seed, block):
-        nb = len(paths)
-        inc = paths.increments()
-        dt = np.diff(paths.times)
-        sig = BatchSignature(nb, d, trunc)
-        xi = sig.pair(params.ell)
-        log_s = np.zeros(nb)
+    for paths in stream_paths(params, n_paths, seed, dyn_words + res_words, block):
+        nb = paths.size
         s_prev = np.full(nb, params.s0)
         qv = np.zeros(nb)
         avg = np.zeros(nb)
         gains = np.zeros((nb, len(dyn_words)))
-        for k in range(paths.steps):
-            feats = sig.coords(dyn_words)
-            db = inc[:, k, 1:] @ params.eta
-            log_s += xi * db - 0.5 * xi**2 * dt[k]
-            qv += xi**2 * dt[k]
-            s_new = params.s0 * np.exp(log_s)
+        for k, _ in paths.steps():
+            feats = paths.sig.coords(dyn_words)
+            qv += paths.xi**2 * paths.dt[k]
+            s_new = params.s0 * np.exp(paths.log_s)
             gains += feats * (s_new - s_prev)[:, None]
-            avg += 0.5 * (s_prev + s_new) * dt[k]
+            avg += 0.5 * (s_prev + s_new) * paths.dt[k]
             s_prev = s_new
-            sig.chen_step(inc[:, k, :])
-            xi = sig.pair(params.ell)
-        sl = slice(offset, offset + nb)
+        sl = slice(paths.offset, paths.offset + nb)
         dynamic[sl] = gains
-        residual[sl] = sig.coords(res_words)
+        residual[sl] = paths.sig.coords(res_words)
         terminal[sl] = s_prev
         bracket[sl] = qv
         asian[sl] = avg / params.horizon
-        offset += nb
     strikes = basis.static_strikes if basis.static_strikes is not None else default_strikes(terminal)
     static, labels = _static_block(terminal, strikes)
     design = HedgeDesign(params.s0, dyn_words, labels, res_words, dynamic, static,
                          residual, terminal)
-    if payoff_kind == "call":
-        x = np.maximum(terminal - payoff_params["strike"], 0.0)
-    elif payoff_kind == "digital":
-        x = (terminal >= payoff_params["strike"]).astype(float)
-    elif payoff_kind == "variance_swap":
-        x = bracket.copy()
-    elif payoff_kind == "asian":
-        x = np.maximum(asian - payoff_params["strike"], 0.0)
-    else:
-        raise ValueError(f"unknown payoff kind {payoff_kind!r}")
+    x = _settle(payoff_kind, payoff_params, terminal, bracket, asian)
     return HedgeDataset(design, x, bracket, asian)
 
 

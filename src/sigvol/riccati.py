@@ -37,7 +37,8 @@ from .algebra import (
     shuffle_words,
     word_sort_key,
 )
-from .signature import BatchSignature, all_words, iter_brownian_blocks
+from .sde import SigVolParams, stream_paths
+from .signature import all_words
 
 X_LABEL = "X"
 
@@ -416,50 +417,61 @@ class TransformMC:
     n_paths: int
 
 
+class _Moments:
+    """Mean and M2 of a sample stream, merged over fixed chunks of the stream.
+
+    Chunks are combined with the pairwise rule of Chan, Golub and LeVeque,
+    which stays accurate when the mean is large against the spread; fixed
+    chunks make the result independent of how the stream is batched.
+    """
+
+    chunk = 4096
+
+    def __init__(self):
+        self.count, self.mean, self.m2 = 0, 0.0, 0.0
+        self._held = np.zeros(0)
+
+    def add(self, samples: np.ndarray) -> None:
+        self._held = np.concatenate([self._held, samples])
+        self._merge(self._held.size - self._held.size % self.chunk)
+
+    def finish(self) -> None:
+        self._merge(self._held.size)
+
+    def _merge(self, cut: int) -> None:
+        for start in range(0, cut, self.chunk):
+            part = self._held[start : min(start + self.chunk, cut)]
+            n, mean = part.size, float(part.mean())
+            delta, self.count = mean - self.mean, self.count + n
+            self.mean += delta * n / self.count
+            self.m2 += float(((part - mean) ** 2).sum()) + delta**2 * (self.count - n) * n / self.count
+        self._held = self._held[cut:]
+
+
 def mc_transform(u0: RiccatiState, table: GeneratorTable, horizon: float, steps: int,
                  n_paths: int, seed: int, s0: float = 1.0,
                  block: int = 16384) -> TransformMC:
     """MC estimate of E exp(<u0, W_T> + u_x log S_T) on simulated paths.
 
-    Uses the same counter-based driver as the price engine, so transform
-    checks and price checks share path sets for a given seed.
+    Uses the same counter-based driver and path stepper as the price engine,
+    so transform checks and price checks share path sets for a given seed.
     """
-    d = table.dim
-    sig_words = list(u0.sig.coeffs.items())
-    trunc = u0.support_degree
-    if u0.u_x not in (None, 0.0) and not table.extended:
+    use_price = u0.u_x not in (None, 0.0)
+    if use_price and not table.extended:
         raise ValueError("u_x requires a price-extended table")
-    use_price = table.extended and u0.u_x not in (None, 0.0)
-    if use_price:
-        trunc = max(trunc, table.ell.support_degree)
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    for paths in iter_brownian_blocks(d, horizon, steps, n_paths, seed, block):
-        nb = len(paths)
-        inc = paths.increments()
-        dt = np.diff(paths.times)
-        sig = BatchSignature(nb, d, trunc)
+    # without the price, a zero ell leaves the stepper only the words of u0
+    ell, eta = (table.ell, table.eta) if use_price else (GradedTensor.zero(table.dim, 0), np.eye(table.dim)[0])
+    params = SigVolParams(ell, Weight.constant(), s0, eta, horizon, steps)
+    moments = _Moments()
+    for paths in stream_paths(params, n_paths, seed, u0.sig.coeffs, block):
+        for _ in paths.steps():
+            pass
+        expo = np.zeros(paths.size)
+        for w, c in u0.sig.coeffs.items():
+            expo += c * paths.sig.coord(w)
         if use_price:
-            xi_prev = sig.pair(table.ell)
-            log_s = np.full(nb, math.log(s0))
-            for k in range(paths.steps):
-                db = inc[:, k, 1:] @ table.eta
-                log_s += xi_prev * db - 0.5 * xi_prev**2 * dt[k]
-                sig.chen_step(inc[:, k, :])
-                xi_prev = sig.pair(table.ell)
-        else:
-            for k in range(paths.steps):
-                sig.chen_step(inc[:, k, :])
-        expo = np.zeros(nb)
-        for w, c in sig_words:
-            expo += c * sig.coord(w)
-        if use_price:
-            expo += u0.u_x * log_s
-        samples = np.exp(expo)
-        total += float(samples.sum())
-        total_sq += float((samples**2).sum())
-        count += nb
-    mean = total / count
-    var = max(total_sq / count - mean**2, 0.0) * count / max(count - 1, 1)
-    return TransformMC(mean, math.sqrt(var / count), count)
+            expo += u0.u_x * (math.log(s0) + paths.log_s)
+        moments.add(np.exp(expo))
+    moments.finish()
+    var = moments.m2 / max(moments.count - 1, 1)
+    return TransformMC(moments.mean, math.sqrt(var / moments.count), moments.count)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -104,50 +104,69 @@ def volatility_path(params: SigVolParams, sig: SignatureStream) -> np.ndarray:
     return np.array([dual_pairing(params.ell, s) for s in sig.tensors])
 
 
-def _evolve_batch(params: SigVolParams, paths: BrownianBatch,
-                  drift_injection: float = 0.0) -> PriceBatch:
-    if paths.dim != params.dim:
-        raise ValueError("path dimension does not match ell")
-    n, m = len(paths), paths.steps
-    dt = np.diff(paths.times)
-    inc = paths.increments()
-    sig = BatchSignature(n, params.dim, params.ell.support_degree)
-    xi = np.empty((n, m + 1))
-    xi[:, 0] = sig.pair(params.ell)
-    for k in range(m):
-        sig.chen_step(inc[:, k, :])
-        xi[:, k + 1] = sig.pair(params.ell)
-    db = inc[:, :, 1:] @ params.eta
-    driver = np.concatenate([np.zeros((n, 1)), np.cumsum(db, axis=1)], axis=1)
-    mart = np.concatenate([np.zeros((n, 1)), np.cumsum(xi[:, :-1] * db, axis=1)], axis=1)
-    bracket = np.concatenate([np.zeros((n, 1)), np.cumsum(xi[:, :-1] ** 2 * dt[None, :], axis=1)], axis=1)
-    log_s = mart - 0.5 * bracket
-    if drift_injection != 0.0:
-        log_s = log_s + drift_injection * paths.times[None, :]
-    price = params.s0 * np.exp(log_s)
-    return PriceBatch(paths.times, xi, driver, mart, bracket, price, params.s0)
+class PathBlock:
+    """One driver block of paths, advanced by the model one grid step at a time.
 
-
-def simulate_price(params: SigVolParams, paths: BrownianBatch,
-                   drift_injection: float = 0.0) -> PriceBatch:
-    """Exact Doleans-Dade exponential on the grid with left-point sums.
-
-    drift_injection is a diagnostic-only hook that adds a deterministic
-    drift to log S; it exists so negative-control tests can verify that
-    martingale_check flags a biased simulator.
+    Carries the words ell reads plus `words`, xi = <ell, W_t> and the
+    left-point Ito log-price log(S_t / s0).  steps() yields (k, dB_k) with sig
+    and xi still at t_k and log_s already at t_{k+1}.
     """
-    return _evolve_batch(params, paths, drift_injection)
+
+    def __init__(self, params: SigVolParams, paths: BrownianBatch, words=()):
+        if paths.dim != params.dim:
+            raise ValueError("path dimension does not match ell")
+        words = list(params.ell.coeffs) + [tuple(w) for w in words]
+        self.params = params
+        self.offset = paths.path_offset
+        self.size = len(paths)
+        self.dt = np.diff(paths.times)
+        self._inc = paths.increments()
+        self.sig = BatchSignature(self.size, params.dim, max(map(len, words), default=0), words)
+        self.xi = self.sig.pair(params.ell)
+        self.log_s = np.zeros(self.size)
+
+    def steps(self) -> Iterator[tuple[int, np.ndarray]]:
+        for k, dt in enumerate(self.dt):
+            db = self._inc[:, k, 1:] @ self.params.eta
+            self.log_s += self.xi * db - 0.5 * self.xi**2 * dt
+            yield k, db
+            self.sig.chen_step(self._inc[:, k, :])
+            self.xi = self.sig.pair(self.params.ell)
+
+
+def stream_paths(params: SigVolParams, n_paths: int, seed: int, words=(),
+                 block: int = 16384) -> Iterator[PathBlock]:
+    """The driver's path set for (seed, n_paths) as PathBlocks, in path order."""
+    for paths in iter_brownian_blocks(params.dim, params.horizon, params.steps,
+                                      n_paths, seed, block):
+        yield PathBlock(params, paths, words)
+
+
+def simulate_price(params: SigVolParams, paths: BrownianBatch) -> PriceBatch:
+    """Exact Doleans-Dade exponential on the grid with left-point sums."""
+    block = PathBlock(params, paths)
+    n, m = block.size, len(block.dt)
+    xi = np.empty((n, m + 1))
+    db = np.empty((n, m))
+    for k, db_k in block.steps():
+        xi[:, k] = block.xi
+        db[:, k] = db_k
+    xi[:, m] = block.xi
+    zero = np.zeros((n, 1))
+    driver = np.concatenate([zero, np.cumsum(db, axis=1)], axis=1)
+    mart = np.concatenate([zero, np.cumsum(xi[:, :-1] * db, axis=1)], axis=1)
+    bracket = np.concatenate([zero, np.cumsum(xi[:, :-1] ** 2 * block.dt[None, :], axis=1)], axis=1)
+    price = params.s0 * np.exp(mart - 0.5 * bracket)
+    return PriceBatch(paths.times, xi, driver, mart, bracket, price, params.s0)
 
 
 def simulate_price_streaming(params: SigVolParams, n_paths: int, seed: int,
                              consume: Callable[[PriceBatch, int], None],
                              block: int = 16384) -> None:
     """Run simulate_price over path blocks, calling consume(batch, offset)."""
-    offset = 0
     for paths in iter_brownian_blocks(params.dim, params.horizon, params.steps,
                                       n_paths, seed, block):
-        consume(_evolve_batch(params, paths), offset)
-        offset += len(paths)
+        consume(simulate_price(params, paths), paths.path_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +271,9 @@ def martingale_check(prices: PriceBatch | Sequence[PricePath]) -> MartingaleRepo
 def write_price_csv(prices: PriceBatch, fh) -> None:
     """CSV export, one row per (path, time): path_id,t,xi,B,M,qv,S."""
     fh.write("path_id,t,xi,B,M,qv,S\n")
+    times = prices.times.tolist()
     for i in range(len(prices)):
-        for k, t in enumerate(prices.times):
-            fh.write(f"{i},{t:.17g},{prices.xi[i, k]:.17g},{prices.driver[i, k]:.17g},"
-                     f"{prices.martingale[i, k]:.17g},{prices.bracket[i, k]:.17g},"
-                     f"{prices.price[i, k]:.17g}\n")
+        row = f"{i},%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+        fh.write("".join([row % values for values in zip(
+            times, prices.xi[i].tolist(), prices.driver[i].tolist(),
+            prices.martingale[i].tolist(), prices.bracket[i].tolist(), prices.price[i].tolist())]))

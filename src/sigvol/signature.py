@@ -5,8 +5,9 @@ Chen identity.  Two engines are provided with identical semantics:
 
 * a sparse per-path stream of GradedTensor values (reference implementation,
   used for exact algebra checks), and
-* a dense batch engine holding one flat coefficient array per tensor level
-  across many paths (used by the Monte Carlo drivers).
+* a batch engine holding one coefficient array per tensor level across many
+  paths, carrying only the prefix closure of the words its caller reads (used
+  by the Monte Carlo drivers).
 
 Brownian increments come from a counter-based generator: Philox keyed by the
 run seed, with the increment for (path, step, coordinate) read at a fixed
@@ -158,14 +159,6 @@ def signature_of_function(f: Callable[[np.ndarray], np.ndarray], d: int, horizon
 # ---------------------------------------------------------------------------
 
 
-def word_index(word: Word, n_letters: int) -> int:
-    """Row-major index of a word inside its own tensor level."""
-    idx = 0
-    for letter in word:
-        idx = idx * n_letters + letter
-    return idx
-
-
 def all_words(d: int, max_len: int) -> list[Word]:
     """Every word over {0..d} with length <= max_len, in canonical order."""
     words: list[Word] = [EMPTY_WORD]
@@ -176,41 +169,76 @@ def all_words(d: int, max_len: int) -> list[Word]:
     return words
 
 
-class BatchSignature:
-    """Truncated signatures of a batch of paths, one dense array per level.
+def _by_level(words) -> list[list[Word]]:
+    """Prefix closure of words, in canonical order per level; level 0 is the empty word."""
+    closed = sorted({tuple(w[:k]) for w in words for k in range(len(w) + 1)} | {EMPTY_WORD})
+    return [[w for w in closed if len(w) == n] for n in range(max(map(len, closed)) + 1)]
 
-    levels[n] has shape (n_paths, (d+1)**n); chen_step applies one linear
-    segment per path in place.
+
+def _gather(index: list[int], rows: int) -> np.ndarray | None:
+    """Row index array for a gather, or None when it selects every row in order."""
+    idx = np.asarray(index, dtype=np.intp)
+    return None if idx.size == rows and np.array_equal(idx, np.arange(rows)) else idx
+
+
+def _take(a: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+    return a if idx is None else a[idx]
+
+
+class BatchSignature:
+    """Truncated signatures of a batch of paths over a prefix-closed word set.
+
+    By Chen's identity a word's coordinate needs only its prefixes' coordinates
+    and the segment exponential on its suffixes, so the engine carries the
+    prefix closure of `words` (default: every word up to trunc).  Each Chen
+    split is a gather with precomputed indices, summed in a fixed order, so a
+    coordinate is bit-identical whichever other words are carried.  levels[n]
+    is (n_paths, carried words of length n) in canonical, i.e. row-major, order.
     """
 
-    def __init__(self, n_paths: int, d: int, trunc: int):
-        self.d = d
-        self.trunc = trunc
-        self.n_letters = d + 1
-        self.levels = [np.zeros((n_paths, self.n_letters**n)) for n in range(trunc + 1)]
-        self.levels[0][:, 0] = 1.0
+    def __init__(self, n_paths: int, d: int, trunc: int, words=None):
+        self.d, self.trunc, self.n_letters, self.n_paths = d, trunc, d + 1, n_paths
+        words = all_words(d, trunc) if words is None else [tuple(w) for w in words]
+        if any(len(w) > trunc or not all(0 <= a <= d for a in w) for w in words):
+            raise ValueError(f"words must be over {{0..{d}}} with length <= {trunc}")
+        carried = _by_level(words)
+        seg_words = _by_level([w[k:] for lvl in carried for w in lvl for k in range(len(w))])
+        self._pos = {w: i for lvl in carried for i, w in enumerate(lvl)}
+        seg_pos = [{w: i for i, w in enumerate(lvl)} for lvl in seg_words]
+        # segment level j: seg_j[u] = seg_{j-1}[u[:-1]] * dx[u[-1]] / j
+        self._seg = [(_gather([seg_pos[j - 1][u[:-1]] for u in seg_words[j]], len(seg_words[j - 1])),
+                      _gather([u[-1] for u in seg_words[j]], self.n_letters))
+                     for j in range(1, len(seg_words))]
+        # Chen split of level m at k: prefix w[:k] from level k, suffix w[k:] from segment level m-k
+        self._split = [[(_gather([self._pos[w[:k]] for w in carried[m]], len(carried[k])),
+                         _gather([seg_pos[m - k][w[k:]] for w in carried[m]], len(seg_words[m - k])))
+                        for k in range(m)] for m in range(len(carried))]
+        self._lv = [np.ones((1, n_paths))] + [np.zeros((len(lvl), n_paths)) for lvl in carried[1:]]
 
     @property
-    def n_paths(self) -> int:
-        return self.levels[0].shape[0]
+    def levels(self) -> list[np.ndarray]:
+        return [a.T for a in self._lv]
 
     def chen_step(self, dx: np.ndarray) -> None:
         """Concatenate the segment exponential of dx (n_paths, d+1) on the right."""
-        n = self.n_paths
-        seg = [np.ones((n, 1))]
-        for k in range(1, self.trunc + 1):
-            nxt = (seg[-1][:, :, None] * dx[:, None, :]).reshape(n, -1) / k
-            seg.append(nxt)
-        for m in range(self.trunc, 0, -1):
-            acc = self.levels[m] + self.levels[0][:, :1] * seg[m]
+        dxt = np.ascontiguousarray(dx.T)
+        seg = [None]
+        for j, (parent, last) in enumerate(self._seg, start=1):
+            # level 1 is dx itself, exactly as 1.0 * dx / 1
+            seg.append(_take(dxt, last) if j == 1 else _take(seg[-1], parent) * _take(dxt, last) / j)
+        # levels descend so that every split reads the prefixes before this step
+        for m in range(len(self._lv) - 1, 0, -1):
+            splits = self._split[m]
+            acc = self._lv[m] + _take(seg[m], splits[0][1])
             for k in range(1, m):
-                acc = acc + (self.levels[k][:, :, None] * seg[m - k][:, None, :]).reshape(n, -1)
-            self.levels[m] = acc
+                acc += _take(self._lv[k], splits[k][0]) * _take(seg[m - k], splits[k][1])
+            self._lv[m] = acc
 
     def coord(self, word: Word) -> np.ndarray:
-        if len(word) > self.trunc:
-            raise ValueError(f"word {word} beyond truncation {self.trunc}")
-        return self.levels[len(word)][:, word_index(word, self.n_letters)]
+        pos = self._pos.get(tuple(word))
+        if pos is None:
+            raise ValueError(f"word {word} is not carried (truncation {self.trunc})")
+        return self._lv[len(word)][pos]
 
     def coords(self, words: list[Word]) -> np.ndarray:
         return np.column_stack([self.coord(w) for w in words]) if words else np.zeros((self.n_paths, 0))
@@ -223,14 +251,9 @@ class BatchSignature:
         return out
 
     def to_tensor(self, path: int) -> GradedTensor:
-        """Sparse view of one path's signature (zeros pruned)."""
-        coeffs: dict[Word, float] = {}
-        idx_words = all_words(self.d, self.trunc)
-        for w in idx_words:
-            v = self.levels[len(w)][path, word_index(w, self.n_letters)]
-            if v != 0.0:
-                coeffs[w] = float(v)
-        return GradedTensor(self.d, self.trunc, coeffs)
+        """Sparse view of one path's carried coordinates (zeros pruned)."""
+        coeffs = {w: float(self._lv[len(w)][i, path]) for w, i in self._pos.items()}
+        return GradedTensor(self.d, self.trunc, {w: c for w, c in coeffs.items() if c != 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +317,8 @@ def simulate_brownian_grid(d: int, horizon: float, steps: int, n_paths: int,
         raise ValueError("horizon must be positive")
     if steps < 1 or n_paths < 1:
         raise ValueError("steps and n_paths must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be an integer in [0, 2**64)")
     dt = horizon / steps
     normals = _normals_for_paths(seed, path_offset, n_paths, steps, d)
     times = np.linspace(0.0, horizon, steps + 1)

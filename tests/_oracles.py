@@ -8,6 +8,9 @@ in dt for words of length <= 2, so a three-grid Richardson extrapolation
 estimates of the continuous-time constants with only O(dt^3) dust.  Group
 replication supplies the standard errors.  None of this reuses the
 generator-table code paths.
+
+build_design is the per-path reference route for the streamed hedging
+design: it reads sparse signature streams, not the batch engine.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import math
 import numpy as np
 from scipy.stats import norm
 
-from sigvol.signature import BatchSignature, all_words, simulate_brownian_grid
+from sigvol.hedging import HedgeBasis, HedgeDesign, _static_block, _window_words, default_strikes
+from sigvol.signature import BatchSignature, SignatureStream, all_words, simulate_brownian_grid
 
 
 def _accumulate_group(d, steps, n_paths, seed, horizon, design_words, target_words,
@@ -172,3 +176,37 @@ def brute_force_interlacings(u, v):
         t = tuple(word)
         out[t] = out.get(t, 0) + 1
     return out
+
+
+def build_design(dataset, basis: HedgeBasis) -> HedgeDesign:
+    """Per-path reference route for the hedging design, from (PricePath, SignatureStream) pairs.
+
+    Dynamic gain columns are left-point sums G_K = sum_k <e_K, W_{t_k}> dS_k;
+    residual columns are terminal coordinates in the residual window.
+    """
+    dataset = list(dataset)
+    if not dataset:
+        raise ValueError("empty dataset")
+    n_low, m = basis.residual_window
+    first_stream: SignatureStream = dataset[0][1]
+    d = first_stream.tensors[0].dim
+    if first_stream.tensors[0].trunc < m:
+        raise ValueError(f"signature truncation {first_stream.tensors[0].trunc} < residual window top {m}")
+    dyn_words = all_words(d, basis.integrand_depth)
+    res_words = _window_words(d, n_low, m)
+    n = len(dataset)
+    dynamic = np.zeros((n, len(dyn_words)))
+    residual = np.zeros((n, len(res_words)))
+    terminal = np.zeros(n)
+    s0 = float(dataset[0][0].price[0])
+    for i, (path, stream) in enumerate(dataset):
+        ds = np.diff(path.price)
+        for c, word in enumerate(dyn_words):
+            feats = np.array([t[word] for t in stream.tensors[:-1]])
+            dynamic[i, c] = float(feats @ ds)
+        for c, word in enumerate(res_words):
+            residual[i, c] = stream.terminal[word]
+        terminal[i] = path.price[-1]
+    strikes = basis.static_strikes if basis.static_strikes is not None else default_strikes(terminal)
+    static, labels = _static_block(terminal, strikes)
+    return HedgeDesign(s0, dyn_words, labels, res_words, dynamic, static, residual, terminal)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -23,6 +24,16 @@ class TestSelftest:
         assert status_line(out) == "status=ok"
         assert (tmp_path / "selftest.csv").exists()
 
+    def test_failed_check_is_invalid(self, tmp_path, capsys, monkeypatch):
+        # a wrong shuffle product must end as status=invalid, also under python -O
+        from sigvol import cli
+        from sigvol.algebra import GradedTensor
+
+        monkeypatch.setattr(cli, "shuffle_product", lambda a, b, trunc: GradedTensor.zero(a.dim, trunc))
+        code, out = run(capsys, "selftest", "--out", str(tmp_path))
+        assert code == 1
+        assert status_line(out) == "status=invalid"
+
 
 class TestValidation:
     def test_missing_seed(self, tmp_path, capsys):
@@ -46,6 +57,15 @@ class TestValidation:
                         "--model", "first_order", "--uX", "0.5", "--trunc", "0")
         assert code == 1
         assert status_line(out) == "status=invalid"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range(self, tmp_path, capsys, seed):
+        for argv in (["simulate", "--paths", "4", "--steps", "4"],
+                     ["transform", "--model", "first_order", "--u", "1:0.4", "--mc-check",
+                      "--paths", "4", "--steps", "4"]):
+            code, out = run(capsys, *argv, "--out", str(tmp_path), "--seed", seed)
+            assert code == 1
+            assert status_line(out) == "status=invalid"
 
     def test_bad_payoff(self, tmp_path, capsys):
         code, out = run(capsys, "hedge", "--out", str(tmp_path), "--seed", "1",
@@ -137,7 +157,32 @@ class TestDepthReport:
         assert "depth_0.residual_norm" in text
 
 
+# sha256 of CSVs written at small fixed configs, taken before the prefix-closed
+# engine and the shared path stepper replaced the dense per-consumer loops;
+# a change of the driver's stream has to update them explicitly.
+PINNED_CSVS = [
+    (["simulate", "--model", "rough_bergomi_approx", "--paths", "16", "--steps", "32",
+      "--seed", "11"],
+     "paths.csv", "ef241b8da9f99e079b66267900944896d0b87a132246045e8f4fca6f9d678a1d"),
+    (["hedge", "--model", "first_order", "--payoff", "asian:K=1", "--paths", "400",
+      "--steps", "8", "--seed", "7", "--integrand-depth", "1", "--window", "1,2"],
+     "hedge.csv", "7d6be1918f82aba6d2989a2de2d6dcb182eff39d731eeb3171fb1a288e218154"),
+    (["depth-report", "--model", "first_order", "--payoff", "asian:K=1", "--depths", "0,1",
+      "--paths", "400", "--steps", "8", "--seed", "11"],
+     "depth_report.csv", "81ecec343926d25447d138715c97a2eea606509e94a892870afbfb6d7076720c"),
+    (["transform", "--model", "first_order", "--u", "1:0.4", "--uX", "0.25"],
+     "transform.csv", "7b40fd59d2d7841d1975168e129957bbd71406e281bb6a64e4344ba6c917380b"),
+]
+
+
 class TestReproducibility:
+    @pytest.mark.parametrize("argv, name, digest", PINNED_CSVS,
+                             ids=[name for _, name, _ in PINNED_CSVS])
+    def test_pinned_csv_digest(self, tmp_path, capsys, argv, name, digest):
+        code, _ = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -7,7 +7,6 @@ from sigvol.algebra import GradedTensor, Weight, shuffle_product
 from sigvol.hedging import (
     DegenerateGram,
     HedgeBasis,
-    build_design,
     default_strikes,
     depth_scan,
     gkw_project,
@@ -23,6 +22,8 @@ from sigvol.signature import (
     signature_piecewise_linear,
     simulate_brownian_grid,
 )
+
+from _oracles import build_design
 
 
 def make_params(name="black_scholes", steps=64, **kw):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sigvol.sde import (
     estimate_H3,
     martingale_check,
     simulate_price,
+    simulate_price_streaming,
     volatility_path,
     write_price_csv,
 )
@@ -215,10 +217,46 @@ class TestMartingaleCheck:
         assert rep.mean_terminal == 1.0 and rep.se == 0.0 and rep.z_score == 0.0
 
     def test_drift_injection_detected(self):
+        # negative control: a deterministic drift exp(0.05 t) on the price
         params = make_params(sigma=0.2, steps=16)
         paths = simulate_brownian_grid(1, 1.0, 16, 50_000, seed=18)
-        rep = martingale_check(simulate_price(params, paths, drift_injection=0.05))
+        prices = simulate_price(params, paths)
+        biased = replace(prices, price=prices.price * np.exp(0.05 * prices.times[None, :]))
+        rep = martingale_check(biased)
         assert rep.z_score > 3.0
+
+
+class TestBlockSize:
+    """Results of the block-streaming consumers do not depend on the block size."""
+
+    def test_streaming_consumers_block_invariant(self):
+        from sigvol.hedging import HedgeBasis, simulate_hedge_dataset
+        from sigvol.riccati import RiccatiState, build_generator, mc_transform
+
+        params = make_params("first_order", steps=8)
+        runs = {}
+        for block in (7, 16384):
+            batches = []
+            simulate_price_streaming(params, 40, 21, lambda b, off: batches.append((off, b)),
+                                     block=block)
+            table = build_generator(2, 1, (params.ell, params.eta))
+            state = RiccatiState(GradedTensor(1, 2, {(1,): 0.3, (1, 0): 0.1}), 0.25)
+            # more paths than one moment chunk, so chunks straddle blocks of 7
+            mc = mc_transform(state, table, 1.0, 8, 4100, seed=22, block=block)
+            data = simulate_hedge_dataset(params, HedgeBasis(1, (1, 2), static_strikes=(1.0,)),
+                                          "asian", {"strike": 1.0}, 40, seed=23, block=block)
+            runs[block] = (batches, mc, data)
+        (small, mc_small, data_small), (large, mc_large, data_large) = runs[7], runs[16384]
+        assert [off for off, _ in small] == list(range(0, 40, 7)) and len(large) == 1
+        for field in ("xi", "driver", "martingale", "bracket", "price"):
+            stacked = np.vstack([getattr(b, field) for _, b in small])
+            assert np.array_equal(stacked, getattr(large[0][1], field))
+        assert mc_small == mc_large
+        for field in ("dynamic", "static", "residual", "terminal_price"):
+            assert np.array_equal(getattr(data_small.design, field),
+                                  getattr(data_large.design, field))
+        assert np.array_equal(data_small.payoffs, data_large.payoffs)
+        assert np.array_equal(data_small.asian_average, data_large.asian_average)
 
 
 class TestCsvExport:

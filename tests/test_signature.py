@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigvol.algebra import GradedTensor, Weight, concat_product, dual_pairing, shuffle_product
 from sigvol.signature import (
@@ -15,7 +17,6 @@ from sigvol.signature import (
     signature_of_function,
     signature_piecewise_linear,
     simulate_brownian_grid,
-    word_index,
 )
 
 
@@ -114,11 +115,13 @@ class TestBatchEngine:
         words = set(ref.coeffs) | set(got.coeffs)
         assert all(abs(ref[w] - got[w]) < 1e-13 for w in words)
 
-    def test_word_index_roundtrip(self):
-        words = all_words(2, 3)
-        for w in words:
-            level_words = [x for x in words if len(x) == len(w)]
-            assert level_words[word_index(w, 3)] == w
+    def test_levels_are_row_major(self):
+        # with every word carried, column i of level n is the word of row-major index i
+        sig = BatchSignature(4, 2, 3)
+        sig.chen_step(np.random.default_rng(3).normal(size=(4, 3)))
+        for w in all_words(2, 3):
+            index = sum(a * 3 ** (len(w) - 1 - j) for j, a in enumerate(w))
+            assert np.array_equal(sig.levels[len(w)][:, index], sig.coord(w))
 
     def test_coords_column_order(self):
         batch = BatchSignature(2, 1, 2)
@@ -126,6 +129,39 @@ class TestBatchEngine:
         out = batch.coords([(1,), (0,)])
         assert out[:, 0] == pytest.approx(batch.coord((1,)))
         assert out[:, 1] == pytest.approx(batch.coord((0,)))
+
+
+@st.composite
+def word_sets(draw):
+    d = draw(st.integers(1, 3))
+    trunc = draw(st.integers(0, 5))
+    word = st.lists(st.integers(0, d), max_size=trunc).map(tuple)
+    return d, trunc, draw(st.lists(word, max_size=6))
+
+
+class TestCarriedWords:
+    @settings(max_examples=60, deadline=None)
+    @given(word_sets(), st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_all_words(self, case, seed):
+        d, trunc, words = case
+        rng = np.random.default_rng(seed)
+        full = BatchSignature(5, d, trunc)
+        part = BatchSignature(5, d, trunc, words)
+        for _ in range(4):
+            dx = rng.normal(size=(5, d + 1)) * rng.uniform(0.1, 2.0)
+            full.chen_step(dx)
+            part.chen_step(dx)
+        for w in words:
+            for k in range(len(w) + 1):
+                assert np.array_equal(part.coord(w[:k]), full.coord(w[:k]))
+
+    def test_only_prefix_closure_carried(self):
+        sig = BatchSignature(3, 1, 4, [(1, 0, 0)])
+        assert [lv.shape for lv in sig.levels] == [(3, 1), (3, 1), (3, 1), (3, 1)]
+        with pytest.raises(ValueError):
+            sig.coord((0,))
+        with pytest.raises(ValueError):
+            BatchSignature(3, 1, 2, [(2,)])
 
 
 class TestBrownianDriver:
@@ -151,6 +187,9 @@ class TestBrownianDriver:
         assert abs(var - 2.0) < 3 * se_var
 
     def test_validation(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError):
+                simulate_brownian_grid(1, 1.0, 4, 4, seed=seed)
         with pytest.raises(ValueError):
             simulate_brownian_grid(1, -1.0, 4, 4, seed=0)
         with pytest.raises(ValueError):
