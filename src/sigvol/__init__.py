@@ -2,7 +2,6 @@
 stochastic-exponential simulation, Riccati transform flows and GKW hedging."""
 
 from .algebra import (
-    DualElement,
     GradedTensor,
     Weight,
     Word,
@@ -38,7 +37,6 @@ from .riccati import (
     integrate_flow,
     mc_transform,
     projection_compatibility,
-    riccati_rhs,
     scalar_explosion_bound,
     transform_value,
 )
@@ -50,18 +48,13 @@ from .sde import (
     estimate_H3,
     martingale_check,
     simulate_price,
-    volatility_path,
 )
 from .signature import (
     BatchSignature,
     BrownianBatch,
     PathGrid,
     SignatureStream,
-    load_paths,
-    moment_bound,
-    save_paths,
     segment_exponential,
-    signature_of_function,
     signature_piecewise_linear,
     simulate_brownian_grid,
 )

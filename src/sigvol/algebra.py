@@ -107,13 +107,6 @@ class Weight:
             return 2.0**self.param
         return 1.0
 
-    def describe(self) -> str:
-        if self.kind == "geometric":
-            return f"geometric(r={self.param:g})"
-        if self.kind == "polynomial":
-            return f"polynomial(alpha={self.param:g})"
-        return "constant"
-
 
 @dataclass(frozen=True)
 class WeightCheckReport:
@@ -246,9 +239,6 @@ class GradedTensor:
     def __repr__(self):
         terms = ", ".join(f"{format_word(w)}: {c:g}" for w, c in self.items())
         return f"GradedTensor(d={self.dim}, N={self.trunc}, {{{terms}}})"
-
-
-DualElement = GradedTensor
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,8 @@ def _cmd_transform(cfg: dict, out: str) -> int:
     d = ell.dim
     state = _parse_direction(cfg, d)
     extended = state.u_x is not None and state.u_x != 0.0
-    window = 2 * state.support_degree + (ell.support_degree if extended else 0)
+    window = riccati.required_window(state, ell if extended else None)
+    # the price-extended table also has to represent ell shuffle ell
     window = max(window, 2 * ell.support_degree if extended else 0)
     trunc = int(cfg["trunc"]) if cfg.get("trunc") is not None else max(window, state.support_degree, 2)
     if trunc < window:

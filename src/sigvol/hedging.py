@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .algebra import Weight, Word, format_word
 from .sde import PriceBatch, PricePath, SigVolParams, stream_paths
@@ -176,7 +175,6 @@ class HedgeDataset:
 
     design: HedgeDesign
     payoffs: np.ndarray
-    bracket_terminal: np.ndarray
     asian_average: np.ndarray
 
 
@@ -220,7 +218,7 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
     design = HedgeDesign(params.s0, dyn_words, labels, res_words, dynamic, static,
                          residual, terminal)
     x = _settle(payoff_kind, payoff_params, terminal, bracket, asian)
-    return HedgeDataset(design, x, bracket, asian)
+    return HedgeDataset(design, x, asian)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +358,8 @@ def kappa_tail(w: Weight, level: int) -> float:
     if w.kind == "polynomial":
         if w.param <= 0.5:
             raise ValueError("polynomial tail requires alpha > 1/2")
+        from scipy.special import zeta  # the only scipy use; kept off the import path
+
         return math.sqrt(float(zeta(2.0 * w.param, level + 2)))
     raise ValueError("constant weight has a non-summable tail")
 

@@ -14,6 +14,11 @@ letter.  Adjoining the log-price coordinate X = log S adds a drift
 Gamma(X, Y_{I.j}) = eta_j * (ell shuffle e_I).  These rules are validated
 against Monte Carlo drift/covariation regressions in the test suite.
 
+Both parts compile to one sparse form: index arrays for the output and the
+inputs of every term plus a coefficient array, in canonical label order.  The
+vector field multiplies each coefficient by its inputs and sums the products
+per output with np.bincount, the drift first and the quadratic part second.
+
 The flow d(psi)/dtau = R(psi) is integrated with an explicit embedded 4/5
 pair with adaptive steps; finite-time blow-up is the object of study, so the
 integrator detects explosion (weighted norm above a threshold, or step
@@ -26,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import (
     EMPTY_WORD,
@@ -35,7 +39,6 @@ from .algebra import (
     Word,
     shuffle_product,
     shuffle_words,
-    word_sort_key,
 )
 from .sde import SigVolParams, stream_paths
 from .signature import all_words
@@ -61,6 +64,22 @@ def _label_key(label):
     return (0, (len(label),), label)
 
 
+def _sparse_form(terms: dict, index: dict, arity: int) -> tuple[np.ndarray, ...]:
+    """(output, inputs..., coefficients) arrays of label-keyed terms, in canonical order."""
+    keys = sorted(terms, key=lambda key: tuple(map(_label_key, key)))
+    idx = np.array([[index[label] for label in key] for key in keys], dtype=np.intp)
+    return (*idx.reshape(len(keys), arity).T, np.array([terms[key] for key in keys], dtype=float))
+
+
+def _contract(form: tuple[np.ndarray, ...], u: np.ndarray, n: int) -> np.ndarray:
+    """sum over terms of c * u[in1] * u[in2] ..., accumulated per output in term order."""
+    out, *inputs, weights = form
+    for idx in inputs:
+        weights = weights * u[idx]
+    # bincount returns int64 for an empty form
+    return np.bincount(out, weights=weights, minlength=n).astype(float, copy=False)
+
+
 @dataclass
 class GeneratorTable:
     """Sparse drift b^I_J and carre-du-champ Gamma^I_{J,K} at truncation N.
@@ -81,12 +100,9 @@ class GeneratorTable:
     b: dict = field(default_factory=dict)
     gamma: dict = field(default_factory=dict)
 
-    # compiled form, set by _compile
-    lin: sp.csr_matrix = None
-    quad_out: np.ndarray = None
-    quad_j: np.ndarray = None
-    quad_k: np.ndarray = None
-    quad_c: np.ndarray = None
+    # compiled sparse forms (see _sparse_form), set by _compile
+    drift: tuple = None
+    quad: tuple = None
     level_slices: list = None
 
     @property
@@ -104,25 +120,10 @@ class GeneratorTable:
         return len(self.words)
 
     def _compile(self) -> None:
-        rows, cols, vals = [], [], []
-        for (out, src), c in sorted(self.b.items(), key=lambda kv: (word_sort_key(kv[0][0]), _label_key(kv[0][1]))):
-            rows.append(self.index[out])
-            cols.append(self.index[src])
-            vals.append(c)
-        n = self.state_dim
-        self.lin = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        out_idx, j_idx, k_idx, coeffs = [], [], [], []
-        for (out, j, k), c in sorted(self.gamma.items(),
-                                     key=lambda kv: (word_sort_key(kv[0][0]), _label_key(kv[0][1]), _label_key(kv[0][2]))):
-            out_idx.append(self.index[out])
-            j_idx.append(self.index[j])
-            k_idx.append(self.index[k])
-            # fold the 1/2 sum over ordered pairs into unordered storage
-            coeffs.append(0.5 * c if j == k else c)
-        self.quad_out = np.array(out_idx, dtype=np.intp)
-        self.quad_j = np.array(j_idx, dtype=np.intp)
-        self.quad_k = np.array(k_idx, dtype=np.intp)
-        self.quad_c = np.array(coeffs, dtype=float)
+        self.drift = _sparse_form(self.b, self.index, 2)
+        # fold the 1/2 sum over ordered pairs into unordered storage
+        self.quad = _sparse_form({key: 0.5 * c if key[1] == key[2] else c
+                                  for key, c in self.gamma.items()}, self.index, 3)
         self.level_slices = []
         start = 0
         for lvl in range(self.trunc + 1):
@@ -249,19 +250,10 @@ class RiccatiState:
 
 
 def _rhs_vector(u: np.ndarray, table: GeneratorTable) -> np.ndarray:
-    out = table.lin @ u
-    if table.quad_out.size:
-        out += np.bincount(table.quad_out,
-                           weights=table.quad_c * u[table.quad_j] * u[table.quad_k],
-                           minlength=table.state_dim)
-    return out
-
-
-def riccati_rhs(state: RiccatiState, table: GeneratorTable) -> RiccatiState:
     """Linear drift part plus half the quadratic carre-du-champ contraction."""
-    u = table.vector(state.sig, state.u_x)
-    sig, u_x = table.tensor(_rhs_vector(u, table))
-    return RiccatiState(sig, u_x, state.tau)
+    out = _contract(table.drift, u, table.state_dim)
+    out += _contract(table.quad, u, table.state_dim)
+    return out
 
 
 @dataclass(frozen=True)

@@ -18,17 +18,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import GradedTensor, Weight, dual_pairing
-from .signature import (
-    BatchSignature,
-    BrownianBatch,
-    SignatureStream,
-    iter_brownian_blocks,
-)
-
-
-class TruncationTooLow(ValueError):
-    """Signature truncation below the support degree of ell."""
+from .algebra import GradedTensor, Weight
+from .signature import BatchSignature, BrownianBatch, iter_brownian_blocks
 
 
 @dataclass(frozen=True)
@@ -95,15 +86,6 @@ class PriceBatch:
         return self.price[:, -1]
 
 
-def volatility_path(params: SigVolParams, sig: SignatureStream) -> np.ndarray:
-    """xi_t = <ell, W_t> along a sparse signature stream."""
-    if sig.tensors[0].trunc < params.ell.support_degree:
-        raise TruncationTooLow(
-            f"stream truncation {sig.tensors[0].trunc} < ell support "
-            f"{params.ell.support_degree}")
-    return np.array([dual_pairing(params.ell, s) for s in sig.tensors])
-
-
 class PathBlock:
     """One driver block of paths, advanced by the model one grid step at a time.
 
@@ -158,15 +140,6 @@ def simulate_price(params: SigVolParams, paths: BrownianBatch) -> PriceBatch:
     bracket = np.concatenate([zero, np.cumsum(xi[:, :-1] ** 2 * block.dt[None, :], axis=1)], axis=1)
     price = params.s0 * np.exp(mart - 0.5 * bracket)
     return PriceBatch(paths.times, xi, driver, mart, bracket, price, params.s0)
-
-
-def simulate_price_streaming(params: SigVolParams, n_paths: int, seed: int,
-                             consume: Callable[[PriceBatch, int], None],
-                             block: int = 16384) -> None:
-    """Run simulate_price over path blocks, calling consume(batch, offset)."""
-    for paths in iter_brownian_blocks(params.dim, params.horizon, params.steps,
-                                      n_paths, seed, block):
-        consume(simulate_price(params, paths), paths.path_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +204,11 @@ def estimate_H3(params: SigVolParams, lam: float, n_paths: int, seed: int) -> H3
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     samples = np.empty(n_paths)
-
-    def consume(batch: PriceBatch, offset: int) -> None:
-        samples[offset : offset + len(batch)] = np.exp(lam * batch.bracket[:, -1])
-
-    simulate_price_streaming(params, n_paths, seed, consume)
+    for paths in stream_paths(params, n_paths, seed):
+        qv = np.zeros(paths.size)
+        for k, _ in paths.steps():
+            qv += paths.xi**2 * paths.dt[k]
+        samples[paths.offset : paths.offset + paths.size] = np.exp(lam * qv)
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     k = max(1, int(math.ceil(0.001 * n_paths)))

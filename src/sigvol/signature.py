@@ -18,20 +18,12 @@ counter offset, so path sets are order-independent and reproducible from
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .algebra import (
-    EMPTY_WORD,
-    GradedTensor,
-    Weight,
-    Word,
-    concat_product,
-    weighted_norms,
-)
+from .algebra import EMPTY_WORD, GradedTensor, Word, concat_product
 
 
 # ---------------------------------------------------------------------------
@@ -129,29 +121,6 @@ def signature_piecewise_linear(path: PathGrid, trunc: int) -> SignatureStream:
         seg = segment_exponential(dx, trunc)
         tensors.append(concat_product(tensors[-1], seg, trunc))
     return SignatureStream(path.times, tuple(tensors))
-
-
-def signature_of_function(f: Callable[[np.ndarray], np.ndarray], d: int, horizon: float,
-                          trunc: int, weight: Weight, tol: float = 1e-4,
-                          k_start: int = 4, k_max: int = 14) -> GradedTensor:
-    """Signature of a smooth path via piecewise-linear (Wong-Zakai) limits.
-
-    Doubles a uniform 2^k grid until two successive truncated signatures
-    differ by less than tol in the weighted norm.
-    """
-    prev = None
-    for k in range(k_start, k_max + 1):
-        times = np.linspace(0.0, horizon, 2**k + 1)
-        vals = np.asarray(f(times), dtype=float)
-        if vals.shape != (times.size, d):
-            raise ValueError("path function must return (len(times), d) values")
-        sig = signature_piecewise_linear(PathGrid.from_brownian(times, vals), trunc).terminal
-        if prev is not None:
-            delta = weighted_norms(sig - prev, weight)[0]
-            if delta < tol:
-                return sig
-        prev = sig
-    raise RuntimeError(f"no Wong-Zakai convergence below tol={tol} within 2^{k_max} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -332,56 +301,10 @@ def simulate_brownian_grid(d: int, horizon: float, steps: int, n_paths: int,
 def iter_brownian_blocks(d: int, horizon: float, steps: int, n_paths: int, seed: int,
                          block: int = 16384) -> Iterator[BrownianBatch]:
     """Stream the same path set as simulate_brownian_grid in path blocks."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     start = 0
     while start < n_paths:
         n = min(block, n_paths - start)
         yield simulate_brownian_grid(d, horizon, steps, n, seed, path_offset=start)
         start += n
-
-
-# ---------------------------------------------------------------------------
-# Moment bound and binary path cache
-# ---------------------------------------------------------------------------
-
-
-def moment_bound(level: int, span: float, p: float, c_p: float | None = None) -> float:
-    """Reference decay shape C_p * span^(p n / 2) / (n!)^(p/2).
-
-    The constant is not pinned by theory; default C_p = 2**p.  Use only as a
-    decay-shape reference for diagnostics.
-    """
-    if level < 0 or span <= 0.0:
-        raise ValueError("level >= 0 and span > 0 required")
-    if c_p is None:
-        c_p = 2.0**p
-    return c_p * span ** (p * level / 2.0) / math.factorial(level) ** (p / 2.0)
-
-
-_CACHE_MAGIC = b"SVPATHS1"
-
-
-def save_paths(filename: str, batch: BrownianBatch) -> None:
-    """Binary cache: header (d, T, steps, n_paths, seed), then row-major
-    increments of the Brownian coordinates as little-endian float64."""
-    inc = batch.increments()[:, :, 1:]
-    with open(filename, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<qdqqq", batch.dim, float(batch.times[-1]),
-                             batch.steps, len(batch), batch.seed))
-        fh.write(np.ascontiguousarray(inc, dtype="<f8").tobytes())
-
-
-def load_paths(filename: str) -> BrownianBatch:
-    with open(filename, "rb") as fh:
-        magic = fh.read(len(_CACHE_MAGIC))
-        if magic != _CACHE_MAGIC:
-            raise ValueError("not a path cache file")
-        d, horizon, steps, n_paths, seed = struct.unpack("<qdqqq", fh.read(8 * 5))
-        data = np.frombuffer(fh.read(8 * n_paths * steps * d), dtype="<f8")
-    inc = data.reshape(n_paths, steps, d)
-    times = np.linspace(0.0, horizon, steps + 1)
-    values = np.empty((n_paths, steps + 1, d + 1))
-    values[:, :, 0] = times[None, :]
-    values[:, 0, 1:] = 0.0
-    np.cumsum(inc, axis=1, out=values[:, 1:, 1:])
-    return BrownianBatch(times, values, seed)

@@ -10,7 +10,9 @@ replication supplies the standard errors.  None of this reuses the
 generator-table code paths.
 
 build_design is the per-path reference route for the streamed hedging
-design: it reads sparse signature streams, not the batch engine.
+design, and volatility_path the one for xi = <ell, W_t>: both read sparse
+signature streams, not the batch engine.  riccati_rhs evaluates the compiled
+vector field on a RiccatiState.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import math
 import numpy as np
 from scipy.stats import norm
 
+from sigvol.algebra import dual_pairing
 from sigvol.hedging import HedgeBasis, HedgeDesign, _static_block, _window_words, default_strikes
+from sigvol.riccati import RiccatiState, _rhs_vector
 from sigvol.signature import BatchSignature, SignatureStream, all_words, simulate_brownian_grid
 
 
@@ -210,3 +214,23 @@ def build_design(dataset, basis: HedgeBasis) -> HedgeDesign:
     strikes = basis.static_strikes if basis.static_strikes is not None else default_strikes(terminal)
     static, labels = _static_block(terminal, strikes)
     return HedgeDesign(s0, dyn_words, labels, res_words, dynamic, static, residual, terminal)
+
+
+class TruncationTooLow(ValueError):
+    """Signature truncation below the support degree of ell."""
+
+
+def volatility_path(params, sig: SignatureStream) -> np.ndarray:
+    """xi_t = <ell, W_t> along a sparse signature stream."""
+    if sig.tensors[0].trunc < params.ell.support_degree:
+        raise TruncationTooLow(
+            f"stream truncation {sig.tensors[0].trunc} < ell support "
+            f"{params.ell.support_degree}")
+    return np.array([dual_pairing(params.ell, s) for s in sig.tensors])
+
+
+def riccati_rhs(state: RiccatiState, table) -> RiccatiState:
+    """Linear drift part plus half the quadratic carre-du-champ contraction."""
+    u = table.vector(state.sig, state.u_x)
+    sig, u_x = table.tensor(_rhs_vector(u, table))
+    return RiccatiState(sig, u_x, state.tau)

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -66,6 +69,16 @@ class TestValidation:
             code, out = run(capsys, *argv, "--out", str(tmp_path), "--seed", seed)
             assert code == 1
             assert status_line(out) == "status=invalid"
+
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--model", "first_order", "--u", "1:0.4", "--mc-check"],
+        ["hedge", "--model", "first_order", "--payoff", "call:K=1"],
+        ["depth-report", "--model", "first_order", "--payoff", "asian:K=1"],
+    ], ids=["transform", "hedge", "depth-report"])
+    def test_zero_paths(self, tmp_path, capsys, argv):
+        code, out = run(capsys, *argv, "--paths", "0", "--seed", "1", "--out", str(tmp_path))
+        assert code == 1
+        assert status_line(out) == "status=invalid"
 
     def test_bad_payoff(self, tmp_path, capsys):
         code, out = run(capsys, "hedge", "--out", str(tmp_path), "--seed", "1",
@@ -157,30 +170,49 @@ class TestDepthReport:
         assert "depth_0.residual_norm" in text
 
 
-# sha256 of CSVs written at small fixed configs, taken before the prefix-closed
-# engine and the shared path stepper replaced the dense per-consumer loops;
-# a change of the driver's stream has to update them explicitly.
+# sha256 of CSVs written at small fixed configs, with the expected exit code
+# (2: the flow blows up, status=degenerate).  The first four were taken
+# before the prefix-closed engine and the shared path stepper replaced the dense
+# per-consumer loops, the last two (two driver blocks of H3 samples, a Riccati
+# flow to blow-up) before the generator table moved to one sparse term form; a
+# change of the driver's stream has to update them explicitly.
 PINNED_CSVS = [
-    (["simulate", "--model", "rough_bergomi_approx", "--paths", "16", "--steps", "32",
-      "--seed", "11"],
-     "paths.csv", "ef241b8da9f99e079b66267900944896d0b87a132246045e8f4fca6f9d678a1d"),
-    (["hedge", "--model", "first_order", "--payoff", "asian:K=1", "--paths", "400",
-      "--steps", "8", "--seed", "7", "--integrand-depth", "1", "--window", "1,2"],
-     "hedge.csv", "7d6be1918f82aba6d2989a2de2d6dcb182eff39d731eeb3171fb1a288e218154"),
-    (["depth-report", "--model", "first_order", "--payoff", "asian:K=1", "--depths", "0,1",
-      "--paths", "400", "--steps", "8", "--seed", "11"],
-     "depth_report.csv", "81ecec343926d25447d138715c97a2eea606509e94a892870afbfb6d7076720c"),
-    (["transform", "--model", "first_order", "--u", "1:0.4", "--uX", "0.25"],
-     "transform.csv", "7b40fd59d2d7841d1975168e129957bbd71406e281bb6a64e4344ba6c917380b"),
+    pytest.param(
+        ["simulate", "--model", "rough_bergomi_approx", "--paths", "16", "--steps", "32",
+         "--seed", "11"],
+        "paths.csv", "ef241b8da9f99e079b66267900944896d0b87a132246045e8f4fca6f9d678a1d",
+        0, id="paths.csv"),
+    pytest.param(
+        ["hedge", "--model", "first_order", "--payoff", "asian:K=1", "--paths", "400",
+         "--steps", "8", "--seed", "7", "--integrand-depth", "1", "--window", "1,2"],
+        "hedge.csv", "7d6be1918f82aba6d2989a2de2d6dcb182eff39d731eeb3171fb1a288e218154",
+        0, id="hedge.csv"),
+    pytest.param(
+        ["depth-report", "--model", "first_order", "--payoff", "asian:K=1", "--depths", "0,1",
+         "--paths", "400", "--steps", "8", "--seed", "11"],
+        "depth_report.csv", "81ecec343926d25447d138715c97a2eea606509e94a892870afbfb6d7076720c",
+        0, id="depth_report.csv"),
+    pytest.param(
+        ["transform", "--model", "first_order", "--u", "1:0.4", "--uX", "0.25"],
+        "transform.csv", "7b40fd59d2d7841d1975168e129957bbd71406e281bb6a64e4344ba6c917380b",
+        0, id="transform.csv"),
+    pytest.param(
+        ["hypotheses", "--model", "first_order", "--paths", "16500", "--steps", "8",
+         "--seed", "3"],
+        "hypotheses.csv", "2298935caf21326303e782faebcfe82bd91337528face786d38fd364c8bbaf4a",
+        0, id="hypotheses.csv"),
+    pytest.param(
+        ["transform", "--model", "first_order", "--u", "1.1:2.0", "--trunc", "7"],
+        "transform.csv", "7718fb15dce3adacf4a162dbe070c631cd1444961783a30d67726bc4aafaf68f",
+        2, id="transform_blowup.csv"),
 ]
 
 
 class TestReproducibility:
-    @pytest.mark.parametrize("argv, name, digest", PINNED_CSVS,
-                             ids=[name for _, name, _ in PINNED_CSVS])
-    def test_pinned_csv_digest(self, tmp_path, capsys, argv, name, digest):
+    @pytest.mark.parametrize("argv, name, digest, exit_code", PINNED_CSVS)
+    def test_pinned_csv_digest(self, tmp_path, capsys, argv, name, digest, exit_code):
         code, _ = run(capsys, *argv, "--out", str(tmp_path))
-        assert code == 0
+        assert code == exit_code
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -204,3 +236,13 @@ class TestReproducibility:
         code, out = run(capsys, "simulate", "--config", str(cfg_path),
                         "--out", str(tmp_path))
         assert code == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only by polynomial-weight kappa_tail, never at CLI start-up
+    code = "import sys, sigvol.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

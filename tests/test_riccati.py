@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 from sigvol.algebra import EMPTY_WORD, GradedTensor
 from sigvol.models import preset
@@ -17,7 +16,6 @@ from sigvol.riccati import (
     integrate_flow,
     mc_transform,
     projection_compatibility,
-    riccati_rhs,
     scalar_explosion_bound,
     transform_value,
 )
@@ -25,6 +23,7 @@ from sigvol.riccati import (
 from _oracles import (
     generator_regression,
     lognormal_mgf,
+    riccati_rhs,
     true_cov_matrix,
     true_drift_matrix,
 )
@@ -158,10 +157,10 @@ class TestIntegrateFlow:
         table = build_generator(2, 1)
         n = table.state_dim
         mat = rng.normal(size=(n, n)) * 0.4
-        table.b = {}
+        table.b = {(out, src): mat[i, j] for i, out in enumerate(table.words)
+                   for j, src in enumerate(table.words)}
         table.gamma = {}
         table._compile()
-        table.lin = sp.csr_matrix(mat)
         u0 = rng.normal(size=n)
         coeffs = {w: u0[i] for i, w in enumerate(table.words)}
         out = integrate_flow(RiccatiState(GradedTensor(1, 2, coeffs)), 1.0, table,

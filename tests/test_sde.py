@@ -8,16 +8,16 @@ from sigvol.algebra import GradedTensor, Weight
 from sigvol.models import preset
 from sigvol.sde import (
     SigVolParams,
-    TruncationTooLow,
     check_H1,
     estimate_H3,
     martingale_check,
     simulate_price,
-    simulate_price_streaming,
-    volatility_path,
+    stream_paths,
     write_price_csv,
 )
 from sigvol.signature import signature_piecewise_linear, simulate_brownian_grid
+
+from _oracles import TruncationTooLow, volatility_path
 
 
 def make_params(name="black_scholes", steps=32, horizon=1.0, s0=1.0, **kw):
@@ -234,11 +234,14 @@ class TestBlockSize:
         from sigvol.riccati import RiccatiState, build_generator, mc_transform
 
         params = make_params("first_order", steps=8)
+        words = [(1, 0), (0, 1, 1)]
         runs = {}
         for block in (7, 16384):
             batches = []
-            simulate_price_streaming(params, 40, 21, lambda b, off: batches.append((off, b)),
-                                     block=block)
+            for paths in stream_paths(params, 40, 21, words, block=block):
+                for _ in paths.steps():
+                    pass
+                batches.append((paths.offset, (paths.xi, paths.log_s, paths.sig.coords(words))))
             table = build_generator(2, 1, (params.ell, params.eta))
             state = RiccatiState(GradedTensor(1, 2, {(1,): 0.3, (1, 0): 0.1}), 0.25)
             # more paths than one moment chunk, so chunks straddle blocks of 7
@@ -248,9 +251,9 @@ class TestBlockSize:
             runs[block] = (batches, mc, data)
         (small, mc_small, data_small), (large, mc_large, data_large) = runs[7], runs[16384]
         assert [off for off, _ in small] == list(range(0, 40, 7)) and len(large) == 1
-        for field in ("xi", "driver", "martingale", "bracket", "price"):
-            stacked = np.vstack([getattr(b, field) for _, b in small])
-            assert np.array_equal(stacked, getattr(large[0][1], field))
+        for i in range(3):  # final xi, log_s and carried coordinates
+            stacked = np.concatenate([final[i] for _, final in small])
+            assert np.array_equal(stacked, large[0][1][i])
         assert mc_small == mc_large
         for field in ("dynamic", "static", "residual", "terminal_price"):
             assert np.array_equal(getattr(data_small.design, field),

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigvol.algebra import GradedTensor, Weight, concat_product, dual_pairing, shuffle_product
+from sigvol.algebra import GradedTensor, concat_product, dual_pairing, shuffle_product
 from sigvol.signature import (
     BatchSignature,
     PathGrid,
     all_words,
-    load_paths,
-    moment_bound,
-    save_paths,
+    iter_brownian_blocks,
     segment_exponential,
-    signature_of_function,
     signature_piecewise_linear,
     simulate_brownian_grid,
 )
@@ -194,19 +191,10 @@ class TestBrownianDriver:
             simulate_brownian_grid(1, -1.0, 4, 4, seed=0)
         with pytest.raises(ValueError):
             simulate_brownian_grid(1, 1.0, 0, 4, seed=0)
+        # an empty path set is rejected before any block is drawn
+        with pytest.raises(ValueError):
+            next(iter_brownian_blocks(1, 1.0, 4, 0, seed=0))
 
-
-class TestStratonovichRefinement:
-    def test_smooth_path_converges(self):
-        w = Weight.geometric(2.0)
-        sig = signature_of_function(
-            lambda t: np.column_stack([np.sin(t), np.cos(t) - 1.0]), 2, 1.0, 3, w, tol=1e-6)
-        # level-1 coordinates are the increments
-        assert sig[(1,)] == pytest.approx(math.sin(1.0), abs=1e-7)
-        assert sig[(2,)] == pytest.approx(math.cos(1.0) - 1.0, abs=1e-7)
-
-
-class TestMomentBound:
     def test_level1_ito_isometry(self):
         batch = simulate_brownian_grid(1, 0.7, 16, 60_000, seed=77)
         w_t = batch.values[:, -1, 1]
@@ -221,41 +209,3 @@ class TestMomentBound:
         stat = (w_t**2 / 2.0) ** 2
         se = stat.std(ddof=1) / math.sqrt(len(stat))
         assert abs(stat.mean() - 3.0 * 0.5**2 / 4.0) < 3 * se
-
-    def test_bound_decreasing_in_level(self):
-        vals = [moment_bound(n, 0.5, 2.0) for n in range(8)]
-        assert all(vals[i + 1] <= vals[i] for i in range(7))
-
-    def test_empirical_second_moments_below_reference(self):
-        # statistical 3-SE band against the default-constant decay shape
-        horizon = 0.6
-        batch = simulate_brownian_grid(1, horizon, 64, 4000, seed=79)
-        sig = BatchSignature(4000, 1, 5)
-        for k in range(64):
-            sig.chen_step(batch.increments()[:, k, :])
-        for n in range(1, 6):
-            coord = sig.coord((1,) * n) ** 2
-            se = coord.std(ddof=1) / math.sqrt(len(coord))
-            assert coord.mean() <= moment_bound(n, horizon, 2.0) + 3 * se
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            moment_bound(-1, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            moment_bound(1, 0.0, 2.0)
-
-
-class TestPathCache:
-    def test_roundtrip(self, tmp_path):
-        batch = simulate_brownian_grid(3, 1.5, 12, 9, seed=5)
-        fn = tmp_path / "paths.bin"
-        save_paths(str(fn), batch)
-        back = load_paths(str(fn))
-        assert back.seed == 5
-        assert np.allclose(back.values, batch.values, atol=1e-15)
-
-    def test_magic_guard(self, tmp_path):
-        fn = tmp_path / "junk.bin"
-        fn.write_bytes(b"not a cache")
-        with pytest.raises(ValueError):
-            load_paths(str(fn))
