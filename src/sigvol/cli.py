@@ -243,7 +243,7 @@ def _cmd_simulate(cfg: dict, out: str) -> int:
     prices = sde.simulate_price(params, paths)
     with open(os.path.join(out, "paths.csv"), "w", encoding="utf-8", newline="\n") as fh:
         sde.write_price_csv(prices, fh)
-    report = sde.martingale_check(prices)
+    report = sde.martingale_check(prices.terminal_price, prices.s0)
     print(f"mean_ST={report.mean_terminal:.17g} se={report.se:.17g} z={report.z_score:.17g}")
     print("status=ok")
     return 0
@@ -256,9 +256,7 @@ def _cmd_hypotheses(cfg: dict, out: str) -> int:
     h1 = sde.check_H1(ell, weight)
     lam = float(cfg.get("lambda", 1.0))
     h3 = sde.estimate_H3(params, lam, int(cfg["paths"]), seed)
-    paths = simulate_brownian_grid(params.dim, params.horizon, params.steps,
-                                   min(int(cfg["paths"]), 20000), seed)
-    mart = sde.martingale_check(sde.simulate_price(params, paths))
+    mart = sde.martingale_check(h3.terminal_price[:20000], params.s0)
     with open(os.path.join(out, "ell.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_tensor(ell))
     rows = [
@@ -297,11 +295,11 @@ def _cmd_transform(cfg: dict, out: str) -> int:
                                      explosion_threshold=threshold, weight=weight,
                                      record=True)
     lines = ["tau,component_word,psi_value"]
+    words = [label if label == riccati.X_LABEL else format_word(label) for label in table.labels]
     for tau, vec in outcome.trace:
-        for i, label in enumerate(table.labels):
-            if vec[i] != 0.0:
-                word = label if label == riccati.X_LABEL else format_word(label)
-                lines.append(f"{tau:.17g},{word},{vec[i]:.17g}")
+        nonzero = np.flatnonzero(vec)
+        lines += [f"{tau:.17g},{words[i]},{value:.17g}"
+                  for i, value in zip(nonzero.tolist(), vec[nonzero].tolist())]
     if outcome.solved:
         psi0 = outcome.state.sig[EMPTY_WORD]
         lam0 = math.exp(psi0 + (outcome.state.u_x * math.log(float(cfg["s0"])) if extended else 0.0))

@@ -15,14 +15,22 @@ Gamma(X, Y_{I.j}) = eta_j * (ell shuffle e_I).  These rules are validated
 against Monte Carlo drift/covariation regressions in the test suite.
 
 Both parts compile to one sparse form: index arrays for the output and the
-inputs of every term plus a coefficient array, in canonical label order.  The
-vector field multiplies each coefficient by its inputs and sums the products
-per output with np.bincount, the drift first and the quadratic part second.
+inputs of every term plus a coefficient array, in canonical label order.
+Coordinates are numbered in that order, so the compile sorts the integer
+index tuples (np.lexsort) rather than the labels.  The vector field
+multiplies each coefficient by its inputs and sums the products per output
+with np.bincount, the drift first and the quadratic part second.
 
 The flow d(psi)/dtau = R(psi) is integrated with an explicit embedded 4/5
 pair with adaptive steps; finite-time blow-up is the object of study, so the
 integrator detects explosion (weighted norm above a threshold, or step
-underflow) instead of trying to continue through it.
+underflow) instead of trying to continue through it.  It steps only the
+closure of the initial support under the terms (a drift term reaches its
+output from a live input, a Gamma term from two): every other coordinate
+stays exactly 0.0, and each dropped term adds +-0 to a sum that starts at
+0.0, so the carried flow is bit for bit the full-state flow.  Accepted
+states are expanded to the full state for the trace, the weighted norm and
+the result.
 """
 
 from __future__ import annotations
@@ -57,18 +65,18 @@ class RiccatiExplosion(RuntimeError):
         self.norm = norm
 
 
-def _label_key(label):
-    # words first in canonical order, the log-price coordinate last
-    if label == X_LABEL:
-        return (1, (0,), ())
-    return (0, (len(label),), label)
-
-
 def _sparse_form(terms: dict, index: dict, arity: int) -> tuple[np.ndarray, ...]:
-    """(output, inputs..., coefficients) arrays of label-keyed terms, in canonical order."""
-    keys = sorted(terms, key=lambda key: tuple(map(_label_key, key)))
-    idx = np.array([[index[label] for label in key] for key in keys], dtype=np.intp)
-    return (*idx.reshape(len(keys), arity).T, np.array([terms[key] for key in keys], dtype=float))
+    """(output, inputs..., coefficients) arrays of label-keyed terms, in canonical order.
+
+    index numbers the labels in canonical order (words by length, then
+    lexicographically, X last) and keys are unique, so sorting the index
+    tuples sorts the labels.
+    """
+    idx = np.fromiter((index[label] for key in terms for label in key), dtype=np.intp,
+                      count=len(terms) * arity).reshape(len(terms), arity)
+    order = np.lexsort(idx.T[::-1])
+    coeffs = np.fromiter(terms.values(), dtype=float, count=len(terms))
+    return (*idx[order].T.copy(), coeffs[order])
 
 
 def _contract(form: tuple[np.ndarray, ...], u: np.ndarray, n: int) -> np.ndarray:
@@ -78,6 +86,41 @@ def _contract(form: tuple[np.ndarray, ...], u: np.ndarray, n: int) -> np.ndarray
         weights = weights * u[idx]
     # bincount returns int64 for an empty form
     return np.bincount(out, weights=weights, minlength=n).astype(float, copy=False)
+
+
+@dataclass(frozen=True)
+class VectorField:
+    """R(psi), the drift plus the quadratic part, on the live coordinates of a table.
+
+    Position i of a carried vector holds coordinate live[i] of the full state.
+    The forms keep, in compiled order, the terms whose inputs are all live.
+    A dropped term that reads a live coordinate adds +-0 to the full field,
+    or NaN once that value is non-finite or overflows the product; such terms
+    read and write one trailing slot, which stays 0.0 until such a NaN turns
+    up, so a step is rejected exactly when the full-state step is.
+    """
+
+    live: np.ndarray
+    drift: tuple
+    quad: tuple
+    size: int
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        out = _contract(self.drift, v, self.size)
+        out += _contract(self.quad, v, self.size)
+        return out
+
+    def carry(self, u: np.ndarray) -> np.ndarray:
+        """The carried vector of a full state."""
+        v = np.zeros(self.size)
+        v[: len(self.live)] = u[self.live]
+        return v
+
+    def expand(self, v: np.ndarray, n: int) -> np.ndarray:
+        """The full state of a carried vector; unreached coordinates read +0.0."""
+        u = np.zeros(n)
+        u[self.live] = v[: len(self.live)]
+        return u
 
 
 @dataclass
@@ -121,9 +164,9 @@ class GeneratorTable:
 
     def _compile(self) -> None:
         self.drift = _sparse_form(self.b, self.index, 2)
+        out, in1, in2, coeffs = _sparse_form(self.gamma, self.index, 3)
         # fold the 1/2 sum over ordered pairs into unordered storage
-        self.quad = _sparse_form({key: 0.5 * c if key[1] == key[2] else c
-                                  for key, c in self.gamma.items()}, self.index, 3)
+        self.quad = (out, in1, in2, np.where(in1 == in2, 0.5 * coeffs, coeffs))
         self.level_slices = []
         start = 0
         for lvl in range(self.trunc + 1):
@@ -160,6 +203,36 @@ class GeneratorTable:
         if self.extended:
             total += abs(float(u[self.x_index]))
         return total
+
+    def vector_field(self, support: np.ndarray) -> VectorField:
+        """The vector field on the closure of a boolean support under the terms.
+
+        A drift term reaches its output when its input is live, a Gamma term
+        when both inputs are; outside the closure the flow stays exactly 0.0.
+        """
+        live = np.asarray(support, dtype=bool)
+        forms = (self.drift, self.quad)
+        while True:
+            reached = live.copy()
+            for out, *inputs, _ in forms:
+                reached[out[np.logical_and.reduce([live[i] for i in inputs])]] = True
+            if np.array_equal(reached, live):
+                break
+            live = reached
+        carried = np.flatnonzero(live)
+        slot = len(carried)
+        pos = np.full(live.size, slot, dtype=np.intp)
+        pos[carried] = np.arange(slot)
+        restricted, leaks = [], False
+        for out, *inputs, coeffs in forms:
+            read = [live[i] for i in inputs]
+            kept = np.logical_and.reduce(read)
+            leak = ~kept & (np.logical_or.reduce(read) | ~np.isfinite(coeffs))
+            leaks |= bool(leak.any())
+            take = kept | leak
+            restricted.append((np.where(kept, pos[out], slot)[take],
+                               *(pos[i][take] for i in inputs), coeffs[take]))
+        return VectorField(carried, *restricted, slot + int(leaks))
 
 
 def build_generator(trunc: int, d: int,
@@ -249,15 +322,15 @@ class RiccatiState:
         return self.sig.support_degree
 
 
-def _rhs_vector(u: np.ndarray, table: GeneratorTable) -> np.ndarray:
-    """Linear drift part plus half the quadratic carre-du-champ contraction."""
-    out = _contract(table.drift, u, table.state_dim)
-    out += _contract(table.quad, u, table.state_dim)
-    return out
-
-
 @dataclass(frozen=True)
 class FlowOutcome:
+    """Result and integrator statistics of one flow.
+
+    steps and rejected count accepted and rejected steps, min_step and
+    max_step bound the accepted step sizes (None before the first), and
+    carried is the number of coordinates the flow integrated.
+    """
+
     solved: bool
     state: RiccatiState | None
     steps: int
@@ -265,6 +338,10 @@ class FlowOutcome:
     norm_at_detection: float | None = None
     detail: str = ""
     trace: list | None = None
+    rejected: int = 0
+    min_step: float | None = None
+    max_step: float | None = None
+    carried: int = 0
 
 
 # Dormand-Prince 5(4) tableau
@@ -288,47 +365,59 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
 
     Declares Exploded once the weighted norm of the state passes the
     threshold, or when step halving pushes the step below step_floor.
+    Only the coordinates reachable from the support of u0 are integrated;
+    every accepted state is expanded to the full state for the trace, the
+    norm and the result, which are those of the full-state integration.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    u = table.vector(u0.sig, u0.u_x)
+    full = table.vector(u0.sig, u0.u_x)
+    rhs = table.vector_field(full != 0.0)
+    u = rhs.carry(full)
     t = 0.0
     h = horizon / 64.0
-    steps = 0
-    trace = [(0.0, u.copy())] if record else None
-    k1 = _rhs_vector(u, table)
+    accepted, rejected = [], 0  # accepted step sizes, count of rejected steps
+    trace = [(0.0, full.copy())] if record else None
+
+    def outcome(state=None, **failure) -> FlowOutcome:
+        return FlowOutcome(state is not None, state, len(accepted), trace=trace,
+                           rejected=rejected, min_step=min(accepted, default=None),
+                           max_step=max(accepted, default=None), carried=len(rhs.live),
+                           **failure)
+
+    k1 = rhs(u)
     while t < horizon:
         h = min(h, horizon - t)
         ks = [k1]
         for row in _DP_A[1:]:
             stage = u + h * sum(a * k for a, k in zip(row, ks))
-            ks.append(_rhs_vector(stage, table))
+            ks.append(rhs(stage))
         u5 = u + h * sum(b * k for b, k in zip(_DP_B5, ks))
-        k7 = _rhs_vector(u5, table)
+        k7 = rhs(u5)
         u4 = u + h * sum(b * k for b, k in zip(_DP_B4, ks + [k7]))
         err_vec = u5 - u4
-        finite = np.all(np.isfinite(u5)) and np.all(np.isfinite(err_vec))
-        err = float(np.max(np.abs(err_vec))) if finite else math.inf
+        finite = np.isfinite(u5).all() and np.isfinite(err_vec).all()
+        err = float(np.abs(err_vec).max(initial=0.0)) if finite else math.inf
         if err <= tol:
             t += h
             u = u5
             k1 = k7  # FSAL
-            steps += 1
+            accepted.append(h)
+            full = rhs.expand(u, table.state_dim)
             if record:
-                trace.append((t, u.copy()))
-            norm = table.weighted_norm(u, weight)
+                trace.append((t, full))
+            norm = table.weighted_norm(full, weight)
             if norm > explosion_threshold:
-                return FlowOutcome(False, None, steps, t_star=t, norm_at_detection=norm,
-                                   detail="norm threshold crossed", trace=trace)
+                return outcome(t_star=t, norm_at_detection=norm, detail="norm threshold crossed")
             h = h * min(2.0, 0.9 * (tol / err) ** 0.2 if err > 0.0 else 2.0)
         else:
+            rejected += 1
             h *= 0.5
             if h < step_floor:
-                norm = table.weighted_norm(u, weight)
-                return FlowOutcome(False, None, steps, t_star=t, norm_at_detection=norm,
-                                   detail="step underflow below floor", trace=trace)
-    sig, u_x = table.tensor(u)
-    return FlowOutcome(True, RiccatiState(sig, u_x, horizon), steps, trace=trace)
+                return outcome(t_star=t, norm_at_detection=table.weighted_norm(full, weight),
+                               detail="step underflow below floor")
+    sig, u_x = table.tensor(full)
+    return outcome(RiccatiState(sig, u_x, horizon))
 
 
 def transform_value(u0: RiccatiState, horizon: float, table: GeneratorTable,
@@ -388,8 +477,8 @@ def projection_compatibility(u0: RiccatiState, table_n: GeneratorTable,
         raise ShuffleWindowError(f"window violated: need M >= {window}, got {m}")
     u_n = table_n.vector(u0.sig, u0.u_x)
     u_m = table_m.vector(u0.sig, u0.u_x)
-    r_n = _rhs_vector(u_n, table_n)
-    r_m = _rhs_vector(u_m, table_m)
+    r_n = table_n.vector_field(np.ones(table_n.state_dim, dtype=bool))(u_n)
+    r_m = table_m.vector_field(np.ones(table_m.state_dim, dtype=bool))(u_m)
     n_words_m = len(table_m.words)
     proj = r_n[:n_words_m].copy()
     if table_m.extended:

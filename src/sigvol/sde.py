@@ -13,8 +13,8 @@ decidable from samples, so the report carries a heavy-tail flag instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -191,6 +191,8 @@ class H3Report:
     suspicious_heavy_tail: bool
     lam: float
     n_paths: int
+    # s0 exp(M_T - <M>_T / 2) per path, summed as in simulate_price
+    terminal_price: np.ndarray = field(repr=False, compare=False)
     note: str = ("Monte Carlo cannot certify finiteness of an exponential "
                  "moment; this is a diagnostic, not a proof.")
 
@@ -199,22 +201,29 @@ def estimate_H3(params: SigVolParams, lam: float, n_paths: int, seed: int) -> H3
     """MC estimate of E exp(lam * int_0^T xi^2 ds) with a 95% normal CI.
 
     The heavy-tail flag trips when the largest 0.1% of the samples carry
-    more than half of the estimate.
+    more than half of the estimate.  The same pass gives the terminal prices
+    of the paths, equal to those of simulate_price on the same path set.
     """
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     samples = np.empty(n_paths)
+    terminal = np.empty(n_paths)
     for paths in stream_paths(params, n_paths, seed):
+        mart = np.zeros(paths.size)
         qv = np.zeros(paths.size)
-        for k, _ in paths.steps():
+        # step by step, the order of simulate_price's cumulative sums
+        for k, db in paths.steps():
+            mart += paths.xi * db
             qv += paths.xi**2 * paths.dt[k]
-        samples[paths.offset : paths.offset + paths.size] = np.exp(lam * qv)
+        block = slice(paths.offset, paths.offset + paths.size)
+        samples[block] = np.exp(lam * qv)
+        terminal[block] = params.s0 * np.exp(mart - 0.5 * qv)
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     k = max(1, int(math.ceil(0.001 * n_paths)))
     top = np.sort(samples)[-k:].sum()
     heavy = bool(top > 0.5 * samples.sum())
-    return H3Report(mean, 1.96 * se, heavy, lam, n_paths)
+    return H3Report(mean, 1.96 * se, heavy, lam, n_paths, terminal)
 
 
 @dataclass(frozen=True)
@@ -225,14 +234,8 @@ class MartingaleReport:
     n_paths: int
 
 
-def martingale_check(prices: PriceBatch | Sequence[PricePath]) -> MartingaleReport:
-    """z-score of the terminal mean against S_0 (true-martingale check)."""
-    if isinstance(prices, PriceBatch):
-        terminal = prices.terminal_price
-        s0 = prices.s0
-    else:
-        terminal = np.array([p.price[-1] for p in prices])
-        s0 = float(prices[0].price[0])
+def martingale_check(terminal: np.ndarray, s0: float) -> MartingaleReport:
+    """z-score of the mean terminal price against S_0 (true-martingale check)."""
     if terminal.size < 2:
         raise ValueError("need at least 2 paths")
     mean = float(terminal.mean())

@@ -12,7 +12,10 @@ generator-table code paths.
 build_design is the per-path reference route for the streamed hedging
 design, and volatility_path the one for xi = <ell, W_t>: both read sparse
 signature streams, not the batch engine.  riccati_rhs evaluates the compiled
-vector field on a RiccatiState.
+vector field on a RiccatiState.  compile_by_label sorts a table's terms by
+their labels, and integrate_flow_full steps every coordinate of the state:
+the reference routes for the integer-sorted compile and the reachable-set
+flow.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from scipy.stats import norm
 
 from sigvol.algebra import dual_pairing
 from sigvol.hedging import HedgeBasis, HedgeDesign, _static_block, _window_words, default_strikes
-from sigvol.riccati import RiccatiState, _rhs_vector
+from sigvol.riccati import _DP_A, _DP_B4, _DP_B5, X_LABEL, FlowOutcome, RiccatiState
 from sigvol.signature import BatchSignature, SignatureStream, all_words, simulate_brownian_grid
 
 
@@ -232,5 +235,83 @@ def volatility_path(params, sig: SignatureStream) -> np.ndarray:
 def riccati_rhs(state: RiccatiState, table) -> RiccatiState:
     """Linear drift part plus half the quadratic carre-du-champ contraction."""
     u = table.vector(state.sig, state.u_x)
-    sig, u_x = table.tensor(_rhs_vector(u, table))
+    sig, u_x = table.tensor(table.vector_field(np.ones(table.state_dim, dtype=bool))(u))
     return RiccatiState(sig, u_x, state.tau)
+
+
+def _label_key(label):
+    # words first in canonical order, the log-price coordinate last
+    if label == X_LABEL:
+        return (1, (0,), ())
+    return (0, (len(label),), label)
+
+
+def _form_by_label(terms: dict, index: dict, arity: int) -> tuple[np.ndarray, ...]:
+    keys = sorted(terms, key=lambda key: tuple(map(_label_key, key)))
+    idx = np.array([[index[label] for label in key] for key in keys], dtype=np.intp)
+    return (*idx.reshape(len(keys), arity).T, np.array([terms[key] for key in keys], dtype=float))
+
+
+def compile_by_label(table) -> tuple[tuple, tuple]:
+    """(drift, quad) forms of a table with its terms sorted by their labels."""
+    quad = {key: 0.5 * c if key[1] == key[2] else c for key, c in table.gamma.items()}
+    return _form_by_label(table.b, table.index, 2), _form_by_label(quad, table.index, 3)
+
+
+def _full_rhs(u, table):
+    """Drift contraction plus quadratic contraction, over every term of the table."""
+    parts = []
+    for dest, *inputs, weights in (table.drift, table.quad):
+        for idx in inputs:
+            weights = weights * u[idx]
+        parts.append(np.bincount(dest, weights=weights, minlength=table.state_dim))
+    return parts[0] + parts[1].astype(float)
+
+
+def integrate_flow_full(u0: RiccatiState, horizon: float, table, tol: float = 1e-8,
+                        explosion_threshold: float = 1e6, weight=None,
+                        step_floor: float = 1e-12) -> FlowOutcome:
+    """The embedded 4/5 flow stepping every coordinate of the state, trace recorded."""
+    u = table.vector(u0.sig, u0.u_x)
+    t = 0.0
+    h = horizon / 64.0
+    accepted, rejected = [], 0
+    trace = [(0.0, u.copy())]
+
+    def outcome(state=None, **failure):
+        return FlowOutcome(state is not None, state, len(accepted), trace=trace,
+                           rejected=rejected, min_step=min(accepted, default=None),
+                           max_step=max(accepted, default=None),
+                           carried=table.state_dim, **failure)
+
+    k1 = _full_rhs(u, table)
+    while t < horizon:
+        h = min(h, horizon - t)
+        ks = [k1]
+        for row in _DP_A[1:]:
+            stage = u + h * sum(a * k for a, k in zip(row, ks))
+            ks.append(_full_rhs(stage, table))
+        u5 = u + h * sum(b * k for b, k in zip(_DP_B5, ks))
+        k7 = _full_rhs(u5, table)
+        u4 = u + h * sum(b * k for b, k in zip(_DP_B4, ks + [k7]))
+        err_vec = u5 - u4
+        finite = np.all(np.isfinite(u5)) and np.all(np.isfinite(err_vec))
+        err = float(np.max(np.abs(err_vec))) if finite else math.inf
+        if err <= tol:
+            t += h
+            u = u5
+            k1 = k7
+            accepted.append(h)
+            trace.append((t, u.copy()))
+            norm = table.weighted_norm(u, weight)
+            if norm > explosion_threshold:
+                return outcome(t_star=t, norm_at_detection=norm, detail="norm threshold crossed")
+            h = h * min(2.0, 0.9 * (tol / err) ** 0.2 if err > 0.0 else 2.0)
+        else:
+            rejected += 1
+            h *= 0.5
+            if h < step_floor:
+                return outcome(t_star=t, norm_at_detection=table.weighted_norm(u, weight),
+                               detail="step underflow below floor")
+    sig, u_x = table.tensor(u)
+    return outcome(RiccatiState(sig, u_x, horizon))

@@ -136,7 +136,7 @@ def test_criterion_3_black_scholes_exactness():
     prices = simulate_price(params, paths)
     closed = s0 * np.exp(sigma * prices.driver - 0.5 * sigma**2 * prices.times[None, :])
     err = float(np.max(np.abs(prices.price - closed)))
-    mart = martingale_check(prices)
+    mart = martingale_check(prices.terminal_price, prices.s0)
     ok = err <= 1e-12 and abs(mart.z_score) < 3.0
     report(3, "Black-Scholes closed form to 1e-12; E[S_T] within 3 SE at 1e5 paths",
            ok, f"max err {err:.2e}, z {mart.z_score:.2f}")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigvol.algebra import (
     DimensionMismatch,
@@ -33,6 +35,13 @@ def random_tensor(rng, d=2, max_len=3, n_terms=6):
     return GradedTensor(d, max_len, coeffs)
 
 
+def tensors(d=2, max_len=3, n_terms=6):
+    """Up to n_terms words over {0..d} of length <= max_len, coefficients in [-3, 3]."""
+    words = st.lists(st.integers(0, d), max_size=max_len).map(tuple)
+    coeffs = st.dictionaries(words, st.floats(-3.0, 3.0), max_size=n_terms)
+    return coeffs.map(lambda c: GradedTensor(d, max_len, c))
+
+
 class TestShuffle:
     def test_e1_shuffle_e1_is_2_e11(self):
         e1 = GradedTensor.basis(2, 1, (1,))
@@ -56,15 +65,14 @@ class TestShuffle:
         got = dict(shuffle_words(u, v))
         assert got == expected
 
-    def test_commutative_and_associative(self):
-        rng = np.random.default_rng(1)
-        for _ in range(25):
-            a, b, c = (random_tensor(rng, max_len=2) for _ in range(3))
-            ab = shuffle_product(a, b, 4)
-            assert ab.allclose(shuffle_product(b, a, 4), 1e-12)
-            lhs = shuffle_product(ab, c, 4)
-            rhs = shuffle_product(a, shuffle_product(b, c, 4), 4)
-            assert lhs.allclose(rhs, 1e-12)
+    @settings(max_examples=25)
+    @given(tensors(max_len=2), tensors(max_len=2), tensors(max_len=2))
+    def test_commutative_and_associative(self, a, b, c):
+        ab = shuffle_product(a, b, 4)
+        assert ab.allclose(shuffle_product(b, a, 4), 1e-12)
+        lhs = shuffle_product(ab, c, 4)
+        rhs = shuffle_product(a, shuffle_product(b, c, 4), 4)
+        assert lhs.allclose(rhs, 1e-12)
 
     def test_interlacing_count_is_binomial(self):
         # Hopf smoke test: |shuffle| of level-m and level-n words counted
@@ -97,13 +105,12 @@ class TestConcat:
         got = concat_product(e1 + e2, e1, 2)
         assert got.coeffs == {(1, 1): 1.0, (2, 1): 1.0}
 
-    def test_associative_exact(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            a, b, c = (random_tensor(rng, max_len=2) for _ in range(3))
-            lhs = concat_product(concat_product(a, b, 4), c, 4)
-            rhs = concat_product(a, concat_product(b, c, 4), 4)
-            assert lhs.allclose(rhs, 1e-12)
+    @settings(max_examples=25)
+    @given(tensors(max_len=2), tensors(max_len=2), tensors(max_len=2))
+    def test_associative_exact(self, a, b, c):
+        lhs = concat_product(concat_product(a, b, 4), c, 4)
+        rhs = concat_product(a, concat_product(b, c, 4), 4)
+        assert lhs.allclose(rhs, 1e-12)
 
     def test_level_convolution_structure(self):
         # level n of a (x) b is sum_k a_k (x) b_{n-k}
@@ -118,11 +125,10 @@ class TestAntipode:
         assert antipode(GradedTensor.basis(2, 2, (1, 2))).coeffs == {(2, 1): 1.0}
         assert antipode(GradedTensor.basis(2, 1, (1,))).coeffs == {(1,): -1.0}
 
-    def test_involution(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            a = random_tensor(rng)
-            assert antipode(antipode(a)).allclose(a)
+    @settings(max_examples=20)
+    @given(tensors())
+    def test_involution(self, a):
+        assert antipode(antipode(a)).allclose(a)
 
 
 class TestNormsAndPairing:
@@ -137,13 +143,12 @@ class TestNormsAndPairing:
         z = GradedTensor.zero(2, 3)
         assert weighted_norms(z, Weight.geometric(2.0)) == (0.0, 0.0, 0.0)
 
-    def test_banach_algebra_inequality(self):
-        rng = np.random.default_rng(5)
+    @settings(max_examples=100)
+    @given(tensors(), tensors())
+    def test_banach_algebra_inequality(self, a, b):
         w = Weight.geometric(2.0)
-        for _ in range(100):
-            a, b = random_tensor(rng), random_tensor(rng)
-            prod_norm = weighted_norms(concat_product(a, b, 6), w)[0]
-            assert prod_norm <= w.c_w * weighted_norms(a, w)[0] * weighted_norms(b, w)[0] + 1e-9
+        prod_norm = weighted_norms(concat_product(a, b, 6), w)[0]
+        assert prod_norm <= w.c_w * weighted_norms(a, w)[0] * weighted_norms(b, w)[0] + 1e-9
 
     def test_pairing_examples(self):
         a = GradedTensor(2, 2, {(): 1.0, (1, 2): 4.0})
@@ -152,20 +157,18 @@ class TestNormsAndPairing:
         orth = GradedTensor(2, 1, {(2,): 9.0})
         assert dual_pairing(orth, a) == 0.0
 
-    def test_pairing_is_dense_dot_product(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            ell, a = random_tensor(rng), random_tensor(rng)
-            dense = sum(ell[w] * a[w] for w in set(ell.coeffs) | set(a.coeffs))
-            assert dual_pairing(ell, a) == pytest.approx(dense, abs=1e-12)
+    @settings(max_examples=20)
+    @given(tensors(), tensors())
+    def test_pairing_is_dense_dot_product(self, ell, a):
+        dense = sum(ell[w] * a[w] for w in set(ell.coeffs) | set(a.coeffs))
+        assert dual_pairing(ell, a) == pytest.approx(dense, abs=1e-12)
 
-    def test_cauchy_schwarz(self):
-        rng = np.random.default_rng(7)
+    @settings(max_examples=100)
+    @given(tensors(), tensors())
+    def test_cauchy_schwarz(self, ell, a):
         w = Weight.geometric(1.5)
-        for _ in range(100):
-            ell, a = random_tensor(rng), random_tensor(rng)
-            bound = weighted_norms(ell, w)[1] * weighted_norms(a, w)[2]
-            assert abs(dual_pairing(ell, a)) <= bound + 1e-9
+        bound = weighted_norms(ell, w)[1] * weighted_norms(a, w)[2]
+        assert abs(dual_pairing(ell, a)) <= bound + 1e-9
 
 
 class TestProjection:

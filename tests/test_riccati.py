@@ -1,8 +1,11 @@
 import math
+from functools import cache
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigvol.algebra import EMPTY_WORD, GradedTensor
 from sigvol.models import preset
@@ -21,7 +24,9 @@ from sigvol.riccati import (
 )
 
 from _oracles import (
+    compile_by_label,
     generator_regression,
+    integrate_flow_full,
     lognormal_mgf,
     riccati_rhs,
     true_cov_matrix,
@@ -97,6 +102,19 @@ class TestBuildGenerator:
         ell = GradedTensor(1, 1, {(1,): 0.1})
         with pytest.raises(ShuffleWindowError):
             build_generator(1, 1, (ell, np.array([1.0])))
+
+
+class TestCompileOrder:
+    @pytest.mark.parametrize("d, trunc, extended", [
+        (1, 6, False), (2, 4, False), (3, 3, False), (1, 6, True), (2, 4, True), (3, 2, True)])
+    def test_integer_sort_is_label_sort(self, d, trunc, extended):
+        ell = GradedTensor(d, 1, {(): 0.2, (1,): 0.1, (d,): -0.05})
+        eta = np.eye(d)[d - 1]
+        table = build_generator(trunc, d, (ell, eta) if extended else None)
+        for got, want in zip((table.drift, table.quad), compile_by_label(table)):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestMCGeneratorOracle:
@@ -213,6 +231,93 @@ class TestIntegrateFlow:
         assert not out.solved
         assert "underflow" in out.detail
         assert out.t_star == pytest.approx(1.0, abs=1e-3)
+
+
+@cache
+def flow_table(d: int, trunc: int, extended: bool) -> GeneratorTable:
+    if not extended:
+        return build_generator(trunc, d)
+    ell = GradedTensor(d, 1, {(): 0.2, (d,): 0.3}) if trunc >= 2 else GradedTensor(d, 0, {(): 0.2})
+    return build_generator(trunc, d, (ell, np.eye(d)[0]))
+
+
+def assert_same_flow(got, want):
+    """Bit-identical outcome, trace and statistics; carried is the only field allowed to differ."""
+    assert (got.solved, got.steps, got.t_star, got.norm_at_detection, got.detail) == (
+        want.solved, want.steps, want.t_star, want.norm_at_detection, want.detail)
+    assert (got.rejected, got.min_step, got.max_step) == (want.rejected, want.min_step, want.max_step)
+    assert len(got.trace) == len(want.trace)
+    for (t_got, u_got), (t_want, u_want) in zip(got.trace, want.trace):
+        assert t_got == t_want and u_got.tobytes() == u_want.tobytes()
+    if want.solved:
+        assert got.state.sig.coeffs == want.state.sig.coeffs
+        assert repr(got.state.u_x) == repr(want.state.u_x)
+
+
+@st.composite
+def flow_cases(draw):
+    d = draw(st.sampled_from([1, 2]))
+    trunc = draw(st.integers(0, 5 if d == 1 else 4))
+    extended = draw(st.booleans())
+    words = st.lists(st.integers(0, d), max_size=trunc).map(tuple)
+    nonzero = st.floats(-4.0, 4.0).filter(bool)
+    coeffs = draw(st.dictionaries(words, nonzero, min_size=1, max_size=3))
+    u_x = draw(nonzero) if extended else None
+    horizon = draw(st.floats(0.05, 2.0))
+    threshold = draw(st.sampled_from([1e6, 10.0]))
+    state = RiccatiState(GradedTensor(d, trunc, coeffs), u_x)
+    return flow_table(d, trunc, extended), state, horizon, threshold
+
+
+class TestFlowMatchesFullState:
+    """integrate_flow carries the reachable coordinates only and must not differ by a bit."""
+
+    @settings(max_examples=80)
+    @given(flow_cases())
+    def test_random_sparse_directions(self, case):
+        table, state, horizon, threshold = case
+        got = integrate_flow(state, horizon, table, explosion_threshold=threshold, record=True)
+        assert_same_flow(got, integrate_flow_full(state, horizon, table, explosion_threshold=threshold))
+
+    def test_zero_direction(self):
+        table = flow_table(2, 4, True)
+        # -0.0 is outside the support, yet the trace starts from it
+        state = RiccatiState(GradedTensor.zero(2, 0), u_x=-0.0)
+        got = integrate_flow(state, 1.0, table, record=True)
+        assert got.solved and got.carried == 0 and got.rejected == 0
+        assert_same_flow(got, integrate_flow_full(state, 1.0, table))
+
+    @pytest.mark.parametrize("gamma, t_star", [
+        # u_(1) = 1 + t times the coefficient overflows once u_(1) > 1.5
+        ({((), (1,), ()): np.finfo(float).max / 1.5}, 0.5),
+        # a non-finite coefficient turns every step NaN
+        ({((), (), ()): math.inf}, 0.0),
+    ])
+    def test_step_rejected_through_leaky_term(self, gamma, t_star):
+        # the Gamma term reads the unreached empty word, so the full-state
+        # field gets inf * 0 = NaN while the carried one stays finite: the
+        # carried flow must reject those steps too
+        table = build_generator(1, 1)
+        table.b = {((1,), (0,)): 1.0}
+        table.gamma = gamma
+        table._compile()
+        state = RiccatiState(GradedTensor(1, 1, {(0,): 1.0, (1,): 1.0}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = integrate_flow(state, 2.0, table, record=True, explosion_threshold=math.inf)
+            want = integrate_flow_full(state, 2.0, table, explosion_threshold=math.inf)
+        assert got.carried == 2 and not got.solved and got.rejected > 0
+        assert got.t_star == pytest.approx(t_star, abs=1e-6)
+        assert_same_flow(got, want)
+
+    def test_riccati_flows_blowup_config(self):
+        pre = preset("first_order")
+        table = build_generator(7, 1)
+        state = RiccatiState(GradedTensor(1, 2, {(1, 1): 2.0}))
+        kwargs = dict(tol=1e-10, explosion_threshold=1e6, weight=pre.weight)
+        got = integrate_flow(state, 1.0, table, record=True, **kwargs)
+        assert not got.solved and got.carried == 2
+        assert got.min_step <= got.max_step
+        assert_same_flow(got, integrate_flow_full(state, 1.0, table, **kwargs))
 
 
 class TestTransformValue:

@@ -206,14 +206,16 @@ class TestMartingaleCheck:
     def test_constant_sigma_unbiased(self):
         params = make_params(sigma=0.2, steps=16)
         paths = simulate_brownian_grid(1, 1.0, 16, 50_000, seed=16)
-        rep = martingale_check(simulate_price(params, paths))
+        prices = simulate_price(params, paths)
+        rep = martingale_check(prices.terminal_price, prices.s0)
         assert abs(rep.z_score) < 3.0
 
     def test_zero_ell_exact(self):
         ell = GradedTensor.zero(1, 0)
         params = SigVolParams(ell, Weight.geometric(2.0), 1.0, np.array([1.0]), 1.0, 8)
         paths = simulate_brownian_grid(1, 1.0, 8, 100, seed=17)
-        rep = martingale_check(simulate_price(params, paths))
+        prices = simulate_price(params, paths)
+        rep = martingale_check(prices.terminal_price, prices.s0)
         assert rep.mean_terminal == 1.0 and rep.se == 0.0 and rep.z_score == 0.0
 
     def test_drift_injection_detected(self):
@@ -222,7 +224,7 @@ class TestMartingaleCheck:
         paths = simulate_brownian_grid(1, 1.0, 16, 50_000, seed=18)
         prices = simulate_price(params, paths)
         biased = replace(prices, price=prices.price * np.exp(0.05 * prices.times[None, :]))
-        rep = martingale_check(biased)
+        rep = martingale_check(biased.terminal_price, biased.s0)
         assert rep.z_score > 3.0
 
 
