@@ -278,8 +278,9 @@ def build_generator(trunc: int, d: int,
     for j, tails in brownian_tails.items():
         for a, J in enumerate(tails):
             for K in tails[a:]:
+                # tails are in canonical order, so no later K is short enough
                 if len(J) + len(K) - 2 > trunc:
-                    continue
+                    break
                 for w, m in shuffle_words(J[:-1], K[:-1]):
                     key = (w, J, K)
                     table.gamma[key] = table.gamma.get(key, 0.0) + float(m)

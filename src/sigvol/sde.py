@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -102,26 +103,33 @@ class PathBlock:
         self.offset = paths.path_offset
         self.size = len(paths)
         self.dt = np.diff(paths.times)
-        self._inc = paths.increments()
+        self._inc = np.diff(paths.grid, axis=0)  # (steps, d+1, n_paths)
         self.sig = BatchSignature(self.size, params.dim, max(map(len, words), default=0), words)
         self.xi = self.sig.pair(params.ell)
         self.log_s = np.zeros(self.size)
 
     def steps(self) -> Iterator[tuple[int, np.ndarray]]:
+        # the block steps once; its increments are freed when it is done
+        increments, self._inc = self._inc, None
         for k, dt in enumerate(self.dt):
-            db = self._inc[:, k, 1:] @ self.params.eta
+            inc = increments[k].T
+            # a C-ordered (paths, d) operand keeps the product's summation order
+            db = np.ascontiguousarray(inc[:, 1:]) @ self.params.eta
             self.log_s += self.xi * db - 0.5 * self.xi**2 * dt
             yield k, db
-            self.sig.chen_step(self._inc[:, k, :])
+            self.sig.chen_step(inc)
             self.xi = self.sig.pair(self.params.ell)
 
 
 def stream_paths(params: SigVolParams, n_paths: int, seed: int, words=(),
                  block: int = 16384) -> Iterator[PathBlock]:
-    """The driver's path set for (seed, n_paths) as PathBlocks, in path order."""
-    for paths in iter_brownian_blocks(params.dim, params.horizon, params.steps,
-                                      n_paths, seed, block):
-        yield PathBlock(params, paths, words)
+    """The driver's path set for (seed, n_paths) as PathBlocks, in path order.
+
+    Each block's grid is dropped once its increments are taken, so it is not
+    held while the block steps.
+    """
+    return map(partial(PathBlock, params, words=words),
+               iter_brownian_blocks(params.dim, params.horizon, params.steps, n_paths, seed, block))
 
 
 def simulate_price(params: SigVolParams, paths: BrownianBatch) -> PriceBatch:

@@ -15,7 +15,10 @@ signature streams, not the batch engine.  riccati_rhs evaluates the compiled
 vector field on a RiccatiState.  compile_by_label sorts a table's terms by
 their labels, and integrate_flow_full steps every coordinate of the state:
 the reference routes for the integer-sorted compile and the reachable-set
-flow.
+flow.  brownian_values is the path-major Brownian driver (one Philox draw
+per block, Box-Muller on all of it, a cumulative sum over steps), and
+path_major_steps steps the batch engine on its increments: the reference
+routes for the chunked, step-major driver and the stepper's feed.
 """
 
 from __future__ import annotations
@@ -315,3 +318,44 @@ def integrate_flow_full(u0: RiccatiState, horizon: float, table, tol: float = 1e
                                detail="step underflow below floor")
     sig, u_x = table.tensor(u)
     return outcome(RiccatiState(sig, u_x, horizon))
+
+
+def brownian_values(d, horizon, steps, n_paths, seed, path_offset=0) -> np.ndarray:
+    """The driver's paths as (n_paths, steps+1, d+1), coordinate 0 is time."""
+    per_path = 2 * steps * d
+    per_path += (-per_path) % 4
+    bitgen = np.random.Philox(key=np.uint64(seed))
+    bitgen.advance((path_offset * per_path) // 4)
+    raw = bitgen.random_raw(n_paths * per_path).reshape(n_paths, per_path)
+    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    u1 = u[:, 0 : 2 * steps * d : 2]
+    u2 = u[:, 1 : 2 * steps * d : 2]
+    normals = (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)).reshape(n_paths, steps, d)
+    times = np.linspace(0.0, horizon, steps + 1)
+    values = np.empty((n_paths, steps + 1, d + 1))
+    values[:, :, 0] = times[None, :]
+    values[:, 0, 1:] = 0.0
+    np.cumsum(normals * math.sqrt(horizon / steps), axis=1, out=values[:, 1:, 1:])
+    return values
+
+
+def path_major_steps(params, values: np.ndarray, words=()):
+    """The stepper fed (paths, steps, d+1) increments: dB and log_s per step,
+    carried coordinates of words at every grid time."""
+    words = [tuple(w) for w in words]
+    carried = list(params.ell.coeffs) + words
+    inc = np.diff(values, axis=1)
+    dt = np.diff(values[0, :, 0])
+    sig = BatchSignature(len(values), params.dim, max(map(len, carried), default=0), carried)
+    xi = sig.pair(params.ell)
+    log_s = np.zeros(len(values))
+    dbs, log_ss, coords = [], [], [sig.coords(words)]
+    for k in range(inc.shape[1]):
+        db = inc[:, k, 1:] @ params.eta
+        log_s += xi * db - 0.5 * xi**2 * dt[k]
+        sig.chen_step(inc[:, k, :])
+        xi = sig.pair(params.ell)
+        dbs.append(db)
+        log_ss.append(log_s.copy())
+        coords.append(sig.coords(words))
+    return np.array(dbs), np.array(log_ss), np.array(coords)

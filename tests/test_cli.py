@@ -215,6 +215,25 @@ class TestReproducibility:
         assert code == exit_code
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
+    # inline models whose eta mixes every letter, digests taken before the
+    # step-major driver feed; only d = 3 tells the summation orders of eta . dW
+    # apart (at d = 2 both orders add the same two products)
+    @pytest.mark.parametrize("d, ell, eta, digest", [
+        (2, "word=∅ coeff=0.2\nword=1 coeff=0.1\nword=2 coeff=-0.05\nword=1.2 coeff=0.03\n"
+            "word=0.2 coeff=0.02\n", [0.6, 0.8],
+         "ae8db9a9f67b60eaae40f2142b4381874bf8f6e0519373cbb21e35c2f5376334"),
+        (3, "word=∅ coeff=0.2\nword=1 coeff=0.1\nword=3 coeff=-0.05\nword=2.3 coeff=0.03\n"
+            "word=0.2 coeff=0.02\n", [0.48, 0.6, 0.64],
+         "4f0a4449081fa5ed32e42c5a695ee1337c998c7e334ed265b670d2cd726fe314"),
+    ], ids=["d2", "d3"])
+    def test_pinned_csv_digest_inline(self, tmp_path, capsys, d, ell, eta, digest):
+        cfg = {"model": {"ell": ell, "d": d, "eta": eta}, "seed": 5, "paths": 24, "steps": 16}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _ = run(capsys, "simulate", "--config", str(cfg_path), "--out", str(tmp_path))
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "paths.csv").read_bytes()).hexdigest() == digest
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

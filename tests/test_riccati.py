@@ -421,31 +421,30 @@ class TestTransformVsGaussianClosedForm:
         assert _gauss_exact_transform(15.0, 0.2, 0.1, 1.0, 512) == math.inf
 
 
+@cache
+def first_order_tables() -> tuple[GeneratorTable, GeneratorTable]:
+    """first_order's price-extended tables at truncations 5 and 3."""
+    pre = preset("first_order")
+    return build_generator(5, 1, (pre.ell, pre.eta)), build_generator(3, 1, (pre.ell, pre.eta))
+
+
 class TestProjectionCompatibility:
     def test_zero_state(self):
         t5 = build_generator(5, 2)
         t3 = build_generator(3, 2)
         assert projection_compatibility(RiccatiState(GradedTensor.zero(2, 0)), t5, t3)
 
-    def test_random_admissible_states_exact(self):
-        rng = np.random.default_rng(23)
-        t5 = build_generator(5, 2)
-        t3 = build_generator(3, 2)
-        for _ in range(25):
-            coeffs = {(): rng.normal(), (1,): rng.normal(), (2,): rng.normal(),
-                      (0,): rng.normal()}
-            state = RiccatiState(GradedTensor(2, 1, coeffs))
-            assert projection_compatibility(state, t5, t3)
+    @settings(max_examples=25)
+    @given(st.fixed_dictionaries({w: st.floats(-3.0, 3.0) for w in [(), (1,), (2,), (0,)]}))
+    def test_random_admissible_states_exact(self, coeffs):
+        state = RiccatiState(GradedTensor(2, 1, coeffs))
+        assert projection_compatibility(state, flow_table(2, 5, False), flow_table(2, 3, False))
 
-    def test_extended_random_states_exact(self):
-        pre = preset("first_order")
-        t5 = build_generator(5, 1, (pre.ell, pre.eta))
-        t3 = build_generator(3, 1, (pre.ell, pre.eta))
-        rng = np.random.default_rng(24)
-        for _ in range(25):
-            state = RiccatiState(GradedTensor(1, 1, {(): rng.normal(), (1,): rng.normal()}),
-                                 u_x=float(rng.normal()))
-            assert projection_compatibility(state, t5, t3)
+    @settings(max_examples=25)
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    def test_extended_random_states_exact(self, c0, c1, u_x):
+        state = RiccatiState(GradedTensor(1, 1, {(): c0, (1,): c1}), u_x=u_x)
+        assert projection_compatibility(state, *first_order_tables())
 
     def test_window_violation_raises(self):
         t5 = build_generator(5, 2)

@@ -17,7 +17,7 @@ from sigvol.sde import (
 )
 from sigvol.signature import signature_piecewise_linear, simulate_brownian_grid
 
-from _oracles import TruncationTooLow, volatility_path
+from _oracles import TruncationTooLow, brownian_values, path_major_steps, volatility_path
 
 
 def make_params(name="black_scholes", steps=32, horizon=1.0, s0=1.0, **kw):
@@ -262,6 +262,29 @@ class TestBlockSize:
                                   getattr(data_large.design, field))
         assert np.array_equal(data_small.payoffs, data_large.payoffs)
         assert np.array_equal(data_small.asian_average, data_large.asian_average)
+
+
+class TestStepMajorFeed:
+    def test_stream_paths_matches_path_major_feed(self):
+        # d = 3 and eta mixes every letter, so each dB sums three coordinates
+        ell = GradedTensor(3, 2, {(): 0.2, (1,): 0.1, (2, 3): -0.05, (3,): 0.07, (0, 2): 0.02})
+        params = SigVolParams(ell, Weight.constant(), s0=1.0, eta=np.array([0.48, 0.6, 0.64]),
+                              horizon=1.0, steps=9)
+        words = [(1, 3, 2), (2, 0)]
+        blocks = 0
+        for block in stream_paths(params, 300, 2**64 - 1, words, block=128):
+            values = brownian_values(3, 1.0, 9, block.size, 2**64 - 1, path_offset=block.offset)
+            db_ref, log_s_ref, coords_ref = path_major_steps(params, values, words)
+            dbs, log_ss, coords = [], [], []
+            for _, db in block.steps():
+                dbs.append(db)
+                log_ss.append(block.log_s.copy())
+                coords.append(block.sig.coords(words))
+            coords.append(block.sig.coords(words))
+            for got, ref in ((dbs, db_ref), (log_ss, log_s_ref), (coords, coords_ref)):
+                assert np.array_equal(np.array(got).view(np.uint64), ref.view(np.uint64))
+            blocks += 1
+        assert blocks == 3
 
 
 class TestCsvExport:

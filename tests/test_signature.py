@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sigvol.algebra import GradedTensor, concat_product, dual_pairing, shuffle_product
 from sigvol.signature import (
+    _CHUNK_OUTPUTS,
     BatchSignature,
     PathGrid,
     all_words,
@@ -15,6 +16,8 @@ from sigvol.signature import (
     signature_piecewise_linear,
     simulate_brownian_grid,
 )
+
+from _oracles import brownian_values
 
 
 def random_path(rng, d=2, steps=6, horizon=1.0, scale=0.5):
@@ -48,9 +51,12 @@ class TestPiecewiseLinearSignature:
         seg = segment_exponential(path.increments()[0], 3)
         assert stream.terminal.allclose(seg, 1e-15)
 
-    def test_chen_identity_exact_at_every_split(self):
-        rng = np.random.default_rng(11)
-        path = random_path(rng, d=2, steps=7)
+    @settings(max_examples=6)
+    @given(st.lists(st.floats(0.05, 0.3), min_size=7, max_size=7),
+           st.lists(st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2), min_size=7, max_size=7))
+    def test_chen_identity_exact_at_every_split(self, dts, dws):
+        times = np.concatenate([[0.0], np.cumsum(dts)])
+        path = PathGrid.from_brownian(times, np.vstack([np.zeros(2), np.cumsum(dws, axis=0)]))
         stream = signature_piecewise_linear(path, 4)
         for mid in range(1, len(path.times) - 1):
             left = stream[mid]
@@ -191,6 +197,8 @@ class TestBrownianDriver:
             simulate_brownian_grid(1, -1.0, 4, 4, seed=0)
         with pytest.raises(ValueError):
             simulate_brownian_grid(1, 1.0, 0, 4, seed=0)
+        with pytest.raises(ValueError):
+            simulate_brownian_grid(0, 1.0, 4, 4, seed=0)
         # an empty path set is rejected before any block is drawn
         with pytest.raises(ValueError):
             next(iter_brownian_blocks(1, 1.0, 4, 0, seed=0))
@@ -209,3 +217,25 @@ class TestBrownianDriver:
         stat = (w_t**2 / 2.0) ** 2
         se = stat.std(ddof=1) / math.sqrt(len(stat))
         assert abs(stat.mean() - 3.0 * 0.5**2 / 4.0) < 3 * se
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestDriverMatchesPathMajor:
+    """The chunked, step-major driver reproduces the path-major driver bit for bit."""
+
+    # steps * d odd for (1, 7) and (3, 5): each path's draws are padded to the counter block
+    @pytest.mark.parametrize("d, steps", [(1, 7), (2, 16), (3, 5)])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_values_and_increments(self, d, steps, seed):
+        per_path = 2 * steps * d + (-2 * steps * d) % 4
+        chunk = _CHUNK_OUTPUTS // per_path
+        # fewer paths than a chunk, exactly one, and a ragged last chunk, at path offsets
+        for n_paths, offset in ((chunk - 3, 0), (chunk, 5), (2 * chunk + 7, 0), (2 * chunk + 7, 3)):
+            batch = simulate_brownian_grid(d, 0.8, steps, n_paths, seed, path_offset=offset)
+            values = brownian_values(d, 0.8, steps, n_paths, seed, path_offset=offset)
+            assert batch.values.shape == values.shape
+            assert np.array_equal(_bits(batch.values), _bits(values))
+            assert np.array_equal(_bits(batch.increments()), _bits(np.diff(values, axis=1)))
