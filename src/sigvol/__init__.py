@@ -31,14 +31,11 @@ from .models import ModelPreset, kernel_expansion, preset
 from .riccati import (
     FlowOutcome,
     GeneratorTable,
-    RiccatiExplosion,
     RiccatiState,
     build_generator,
     integrate_flow,
     mc_transform,
     projection_compatibility,
-    scalar_explosion_bound,
-    transform_value,
 )
 from .sde import (
     PriceBatch,

@@ -493,7 +493,7 @@ def execute(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print("status=invalid")
         return 1
-    except (hedging.DegenerateGram, riccati.RiccatiExplosion) as exc:
+    except hedging.DegenerateGram as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
         print("status=degenerate")
         return 2

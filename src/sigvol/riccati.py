@@ -1,4 +1,4 @@
-"""Truncated generator tables, Riccati flows and transform evaluation.
+"""Truncated generator tables, Riccati flows and Monte Carlo transform checks.
 
 The prolonged-signature coordinates Y_I = <e_I, W_t> form a triangular
 Stratonovich system; converting to Ito form gives the sparse drift and
@@ -14,12 +14,17 @@ letter.  Adjoining the log-price coordinate X = log S adds a drift
 Gamma(X, Y_{I.j}) = eta_j * (ell shuffle e_I).  These rules are validated
 against Monte Carlo drift/covariation regressions in the test suite.
 
-Both parts compile to one sparse form: index arrays for the output and the
-inputs of every term plus a coefficient array, in canonical label order.
-Coordinates are numbered in that order, so the compile sorts the integer
-index tuples (np.lexsort) rather than the labels.  The vector field
-multiplies each coefficient by its inputs and sums the products per output
-with np.bincount, the drift first and the quadratic part second.
+A word a_1..a_n over {0..d} is coordinate ((d+1)^n - 1)/d + sum_i a_i
+(d+1)^(n-i), its canonical position (by length, then lexicographic); X
+comes last.  The drift is integer arithmetic on these codes; the pure Gamma
+is read off a table of shuffle triples (u, v, w, multiplicity) grown level
+by level with (u.x shuffle v.y) = (u shuffle v.y).x + (u.x shuffle v).y
+(Reutenauer, Free Lie Algebras, 1993), whose integer multiplicities no
+generation order can change.  The price-extended block, whose float sums
+depend on order, stays on shuffle_product.  Both parts compile to a sparse
+form each (output and input index arrays plus coefficients, put in
+canonical order by np.lexsort), which the vector field contracts with one
+np.bincount over 2*size bins, the quadratic outputs shifted by size.
 
 The flow d(psi)/dtau = R(psi) is integrated with an explicit embedded 4/5
 pair with adaptive steps; finite-time blow-up is the object of study, so the
@@ -29,25 +34,20 @@ closure of the initial support under the terms (a drift term reaches its
 output from a live input, a Gamma term from two): every other coordinate
 stays exactly 0.0, and each dropped term adds +-0 to a sum that starts at
 0.0, so the carried flow is bit for bit the full-state flow.  Accepted
-states are expanded to the full state for the trace, the weighted norm and
-the result.
+states are expanded to the full state for the trace and the result; the
+weighted norm reads only the levels that hold a carried coordinate, since
+every other level adds exactly +0.0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    EMPTY_WORD,
-    GradedTensor,
-    Weight,
-    Word,
-    shuffle_product,
-    shuffle_words,
-)
+# perfbench/tracing.py wraps the shuffle functions where riccati binds them
+from .algebra import GradedTensor, Weight, Word, shuffle_product, shuffle_words  # noqa: F401
 from .sde import SigVolParams, stream_paths
 from .signature import all_words
 
@@ -58,34 +58,65 @@ class ShuffleWindowError(ValueError):
     """Truncation too small for the shuffle degrees involved."""
 
 
-class RiccatiExplosion(RuntimeError):
-    def __init__(self, t_star: float, norm: float, detail: str = ""):
-        super().__init__(f"Riccati flow exploded at t*={t_star:.6g} (norm {norm:.3g}) {detail}")
-        self.t_star = t_star
-        self.norm = norm
+def _offset(length: int, d: int) -> int:
+    """Coordinate of the first word of a length: the number of shorter words."""
+    return ((d + 1) ** length - 1) // d
 
 
-def _sparse_form(terms: dict, index: dict, arity: int) -> tuple[np.ndarray, ...]:
-    """(output, inputs..., coefficients) arrays of label-keyed terms, in canonical order.
+def _word_index(word: Word, d: int) -> int:
+    """Coordinate of a word: the offset of its length plus its base-(d+1) code."""
+    code = 0
+    for letter in word:
+        code = code * (d + 1) + letter
+    return _offset(len(word), d) + code
 
-    index numbers the labels in canonical order (words by length, then
-    lexicographically, X last) and keys are unique, so sorting the index
+
+def _form(blocks: list[tuple], arity: int) -> tuple[np.ndarray, ...]:
+    """(output, inputs..., coefficients) of blocks of unique terms, in canonical order.
+
+    Coordinates are numbered in canonical label order, so sorting the index
     tuples sorts the labels.
     """
-    idx = np.fromiter((index[label] for key in terms for label in key), dtype=np.intp,
-                      count=len(terms) * arity).reshape(len(terms), arity)
-    order = np.lexsort(idx.T[::-1])
-    coeffs = np.fromiter(terms.values(), dtype=float, count=len(terms))
-    return (*idx[order].T.copy(), coeffs[order])
+    empty = (np.zeros(0, dtype=np.intp),) * arity + (np.zeros(0),)
+    cols = [np.concatenate(col) for col in zip(empty, *blocks)]
+    order = np.lexsort(cols[-2::-1])
+    return tuple(col[order] for col in cols)
 
 
-def _contract(form: tuple[np.ndarray, ...], u: np.ndarray, n: int) -> np.ndarray:
-    """sum over terms of c * u[in1] * u[in2] ..., accumulated per output in term order."""
-    out, *inputs, weights = form
-    for idx in inputs:
-        weights = weights * u[idx]
-    # bincount returns int64 for an empty form
-    return np.bincount(out, weights=weights, minlength=n).astype(float, copy=False)
+def _shuffle_triples(d: int, trunc: int):
+    """Yield (a, b, (u, v, w, m)) for a <= b, a + b <= trunc and b < trunc.
+
+    The rows list, over word codes u of length a and v of length b, every
+    word w of u shuffle v with its multiplicity m.  S[a, b] appends a letter
+    to u and w in the rows of S[a-1, b], and to v and w in those of
+    S[a, b-1], which is kept as S[b-1, a] with u and v swapped; rows that
+    meet twice are merged.  Keys stay below n**(2*trunc) < 2**63 as long as
+    the rows fit in memory.
+    """
+    n = d + 1
+    letters = np.arange(n)
+
+    def append(word, other, w, m):
+        # each letter appended to word and to w
+        return ((word[:, None] * n + letters).ravel(), np.repeat(other, n),
+                (w[:, None] * n + letters).ravel(), np.repeat(m, n))
+
+    table = {}
+    for b in range(trunc):
+        v = np.arange(n**b, dtype=np.intp)
+        table[0, b] = (np.zeros_like(v), v, v, np.ones(v.size))
+        yield 0, b, table[0, b]
+    for total in range(2, trunc + 1):
+        for a in range(1, total // 2 + 1):
+            b = total - a
+            u1, v1, w1, m1 = append(*table[a - 1, b])
+            v2, u2, w2, m2 = append(*table[b - 1, a])
+            keys = (np.concatenate([u1, u2]) * n**b + np.concatenate([v1, v2])) * n**total
+            keys, inverse = np.unique(keys + np.concatenate([w1, w2]), return_inverse=True)
+            (u, v), w = np.divmod(keys // n**total, n**b), keys % n**total
+            table[a, b] = (u, v, w, np.bincount(inverse, weights=np.concatenate([m1, m2])))
+            table[b, a] = (v, u, w, table[a, b][3])
+            yield a, b, table[a, b]
 
 
 @dataclass(frozen=True)
@@ -93,22 +124,28 @@ class VectorField:
     """R(psi), the drift plus the quadratic part, on the live coordinates of a table.
 
     Position i of a carried vector holds coordinate live[i] of the full state.
-    The forms keep, in compiled order, the terms whose inputs are all live.
-    A dropped term that reads a live coordinate adds +-0 to the full field,
-    or NaN once that value is non-finite or overflows the product; such terms
-    read and write one trailing slot, which stays 0.0 until such a NaN turns
-    up, so a step is rejected exactly when the full-state step is.
+    The terms are the table's, in compiled order, whose inputs are all live:
+    the drift terms first, then the quadratic ones, whose outputs are shifted
+    by size and whose second inputs are in2.  A dropped term that reads a
+    live coordinate adds +-0 to the full field, or NaN once that value is
+    non-finite or overflows the product; such terms read and write one
+    trailing slot, which stays 0.0 until such a NaN turns up, so a step is
+    rejected exactly when the full-state step is.
     """
 
     live: np.ndarray
-    drift: tuple
-    quad: tuple
+    out: np.ndarray
+    in1: np.ndarray
+    in2: np.ndarray
+    coeffs: np.ndarray
     size: int
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        out = _contract(self.drift, v, self.size)
-        out += _contract(self.quad, v, self.size)
-        return out
+        weights = self.coeffs * v[self.in1]
+        weights[weights.size - self.in2.size :] *= v[self.in2]
+        # each half sums its terms in compiled order; dtype: bincount of no terms is int
+        r = np.bincount(self.out, weights=weights, minlength=2 * self.size)
+        return np.add(r[: self.size], r[self.size :], dtype=float)
 
     def carry(self, u: np.ndarray) -> np.ndarray:
         """The carried vector of a full state."""
@@ -127,9 +164,11 @@ class VectorField:
 class GeneratorTable:
     """Sparse drift b^I_J and carre-du-champ Gamma^I_{J,K} at truncation N.
 
-    Keys are (output, input) resp. (output, in1, in2) with in1 <= in2 in
-    canonical order; inputs may be the log-price label "X" when extended,
-    outputs are always words.  The pure-signature block never depends on
+    drift holds (output, input, b) and quad (output, in1, in2, c) with
+    in1 <= in2 and c = Gamma, halved when in1 == in2 (the 1/2 sum over
+    ordered pairs folded into unordered storage), both in canonical order of
+    the coordinates: words, then the log-price coordinate X when extended.
+    Outputs are always words.  The pure-signature block never depends on
     ell; ell and eta enter only through the extended block.
     """
 
@@ -139,14 +178,8 @@ class GeneratorTable:
     ell: GradedTensor | None
     eta: np.ndarray | None
     words: list[Word]
-    index: dict
-    b: dict = field(default_factory=dict)
-    gamma: dict = field(default_factory=dict)
-
-    # compiled sparse forms (see _sparse_form), set by _compile
-    drift: tuple = None
-    quad: tuple = None
-    level_slices: list = None
+    drift: tuple
+    quad: tuple
 
     @property
     def state_dim(self) -> int:
@@ -162,17 +195,10 @@ class GeneratorTable:
             raise ValueError("table has no log-price coordinate")
         return len(self.words)
 
-    def _compile(self) -> None:
-        self.drift = _sparse_form(self.b, self.index, 2)
-        out, in1, in2, coeffs = _sparse_form(self.gamma, self.index, 3)
-        # fold the 1/2 sum over ordered pairs into unordered storage
-        self.quad = (out, in1, in2, np.where(in1 == in2, 0.5 * coeffs, coeffs))
-        self.level_slices = []
-        start = 0
-        for lvl in range(self.trunc + 1):
-            count = (self.dim + 1) ** lvl
-            self.level_slices.append(slice(start, start + count))
-            start += count
+    @property
+    def gamma(self) -> np.ndarray:
+        """Gamma^I_{J,K} of every quad term (quad halves it when J = K); perfbench counts its terms."""
+        return np.where(self.quad[1] == self.quad[2], 2.0 * self.quad[3], self.quad[3])
 
     # -- state/vector conversions ------------------------------------------
 
@@ -183,7 +209,7 @@ class GeneratorTable:
             raise ValueError("state support exceeds table truncation")
         u = np.zeros(self.state_dim)
         for w, c in sig.coeffs.items():
-            u[self.index[w]] = c
+            u[_word_index(w, self.dim)] = c
         if self.extended:
             u[self.x_index] = 0.0 if u_x is None else float(u_x)
         elif u_x not in (None, 0.0):
@@ -195,10 +221,16 @@ class GeneratorTable:
         sig = GradedTensor(self.dim, self.trunc, coeffs)
         return sig, (float(u[self.x_index]) if self.extended else None)
 
-    def weighted_norm(self, u: np.ndarray, weight: Weight | None) -> float:
+    def weighted_norm(self, u: np.ndarray, weight: Weight | None, levels=None) -> float:
+        """sum_n w(n) |u_n|_2 over the levels, plus |u_X| when extended.
+
+        levels, when given, holds every level where u can be non-zero; with
+        finite weights each other level would add exactly +0.0.
+        """
         total = 0.0
-        for lvl, sl in enumerate(self.level_slices):
-            ln = math.sqrt(float(np.dot(u[sl], u[sl])))
+        for lvl in range(self.trunc + 1) if levels is None else levels:
+            level = u[_offset(lvl, self.dim) : _offset(lvl + 1, self.dim)]
+            ln = math.sqrt(float(np.dot(level, level)))
             total += (weight(lvl) if weight is not None else 1.0) * ln
         if self.extended:
             total += abs(float(u[self.x_index]))
@@ -232,7 +264,10 @@ class GeneratorTable:
             take = kept | leak
             restricted.append((np.where(kept, pos[out], slot)[take],
                                *(pos[i][take] for i in inputs), coeffs[take]))
-        return VectorField(carried, *restricted, slot + int(leaks))
+        size = slot + int(leaks)
+        (d_out, d_in, d_c), (q_out, q_in1, q_in2, q_c) = restricted
+        return VectorField(carried, np.concatenate([d_out, q_out + size]), np.concatenate([d_in, q_in1]),
+                           q_in2, np.concatenate([d_c, q_c]), size)
 
 
 def build_generator(trunc: int, d: int,
@@ -245,8 +280,6 @@ def build_generator(trunc: int, d: int,
     """
     if trunc < 0 or d < 1:
         raise ValueError("need trunc >= 0 and d >= 1")
-    words = all_words(d, trunc)
-    index: dict = {w: i for i, w in enumerate(words)}
     ell = eta = None
     if extended is not None:
         ell, eta = extended
@@ -256,53 +289,43 @@ def build_generator(trunc: int, d: int,
         if trunc < 2 * ell.support_degree:
             raise ShuffleWindowError(
                 f"extended table needs trunc >= 2*deg(ell) = {2 * ell.support_degree}, got {trunc}")
-    table = GeneratorTable(trunc, d, extended is not None, ell, eta, words, index)
-    if table.extended:
-        index[X_LABEL] = len(words)
+    n = d + 1
+    offset = [_offset(k, d) for k in range(trunc + 2)]
+    drift, quad = [], []
 
-    # pure-signature drift
-    for J in words:
-        if not J:
-            continue
-        if J[-1] == 0:
-            table.b[(J[:-1], J)] = table.b.get((J[:-1], J), 0.0) + 1.0
-        elif len(J) >= 2 and J[-2] == J[-1]:
-            out = J[:-2]
-            table.b[(out, J)] = table.b.get((out, J), 0.0) + 0.5
+    # pure-signature drift: J.0 feeds J with 1, J.j.j feeds J with 1/2
+    for k in range(trunc):
+        prefix = np.arange(n**k, dtype=np.intp)
+        drift.append((offset[k] + prefix, offset[k + 1] + prefix * n, np.ones(n**k)))
+        for j in range(1, d + 1) if k + 2 <= trunc else ():
+            drift.append((offset[k] + prefix, offset[k + 2] + (prefix * n + j) * n + j,
+                          np.full(n**k, 0.5)))
 
-    # pure-signature carre-du-champ
-    brownian_tails: dict[int, list[Word]] = {j: [] for j in range(1, d + 1)}
-    for J in words:
-        if J and J[-1] >= 1:
-            brownian_tails[J[-1]].append(J)
-    for j, tails in brownian_tails.items():
-        for a, J in enumerate(tails):
-            for K in tails[a:]:
-                # tails are in canonical order, so no later K is short enough
-                if len(J) + len(K) - 2 > trunc:
-                    break
-                for w, m in shuffle_words(J[:-1], K[:-1]):
-                    key = (w, J, K)
-                    table.gamma[key] = table.gamma.get(key, 0.0) + float(m)
+    # pure-signature carre-du-champ: Gamma(J'.j, K'.j) = e_J' shuffle e_K', J' <= K'
+    for a, b, (u, v, w, m) in _shuffle_triples(d, trunc):
+        keep = u <= v if a == b else slice(None)
+        u, v, w, m = u[keep], v[keep], w[keep], m[keep]
+        for j in range(1, d + 1):
+            quad.append((offset[a + b] + w, offset[a + 1] + u * n + j, offset[b + 1] + v * n + j, m))
 
-    # price-extended block
-    if table.extended:
-        ell_sq = shuffle_product(ell, ell, trunc)
-        for w, c in ell_sq.coeffs.items():
-            table.b[(w, X_LABEL)] = -0.5 * c
-            table.gamma[(w, X_LABEL, X_LABEL)] = c
-        for J in words:
-            if not J or J[-1] == 0:
-                continue
-            scale = eta[J[-1] - 1]
-            if scale == 0.0:
-                continue
-            mixed = shuffle_product(ell, GradedTensor.basis(d, trunc, J[:-1]), trunc)
-            for w, c in mixed.coeffs.items():
-                table.gamma[(w, J, X_LABEL)] = table.gamma.get((w, J, X_LABEL), 0.0) + scale * c
+    # price-extended block: (output, input, Gamma(input, X)) terms, ell shuffle ell first
+    words = all_words(d, trunc)
+    if extended is not None:
+        x = len(words)
+        sq = shuffle_product(ell, ell, trunc).coeffs
+        terms = [(_word_index(w, d), x, c) for w, c in sq.items()]
+        for i, J in enumerate(words):
+            if J and J[-1] != 0 and eta[J[-1] - 1] != 0.0:
+                mixed = shuffle_product(ell, GradedTensor.basis(d, trunc, J[:-1]), trunc).coeffs
+                terms += [(_word_index(w, d), i, eta[J[-1] - 1] * c) for w, c in mixed.items()]
+        terms = np.array(terms, dtype=[("out", np.intp), ("in", np.intp), ("c", float)])
+        at_x = np.full(len(terms), x, dtype=np.intp)
+        drift.append((terms["out"][: len(sq)], at_x[: len(sq)], -0.5 * terms["c"][: len(sq)]))
+        quad.append((terms["out"], terms["in"], at_x, terms["c"]))
 
-    table._compile()
-    return table
+    out, in1, in2, coeffs = _form(quad, 3)
+    return GeneratorTable(trunc, d, extended is not None, ell, eta, words, _form(drift, 2),
+                          (out, in1, in2, np.where(in1 == in2, 0.5 * coeffs, coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +379,9 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# the rows as columns, to weigh the stacked stages k_1..k_i at once
+_DP_ROWS = [np.array(row)[:, None] for row in _DP_A[1:]]
+_DP_W5, _DP_W4 = np.array(_DP_B5)[:, None], np.array(_DP_B4)[:, None]
 
 
 def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
@@ -369,12 +395,15 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
     Only the coordinates reachable from the support of u0 are integrated;
     every accepted state is expanded to the full state for the trace, the
     norm and the result, which are those of the full-state integration.
+    Each stage sums the weighted earlier stages in order with np.add.reduce
+    over the stacked rows, as a left-to-right sum does.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     full = table.vector(u0.sig, u0.u_x)
     rhs = table.vector_field(full != 0.0)
     u = rhs.carry(full)
+    levels = sorted({len(table.words[i]) for i in rhs.live.tolist() if i < len(table.words)})
     t = 0.0
     h = horizon / 64.0
     accepted, rejected = [], 0  # accepted step sizes, count of rejected steps
@@ -386,28 +415,27 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
                            max_step=max(accepted, default=None), carried=len(rhs.live),
                            **failure)
 
-    k1 = rhs(u)
+    ks = np.empty((7, rhs.size))  # the stages; row 0 is the FSAL slope
+    ks[0] = rhs(u)
     while t < horizon:
         h = min(h, horizon - t)
-        ks = [k1]
-        for row in _DP_A[1:]:
-            stage = u + h * sum(a * k for a, k in zip(row, ks))
-            ks.append(rhs(stage))
-        u5 = u + h * sum(b * k for b, k in zip(_DP_B5, ks))
-        k7 = rhs(u5)
-        u4 = u + h * sum(b * k for b, k in zip(_DP_B4, ks + [k7]))
+        for i, row in enumerate(_DP_ROWS, start=1):
+            ks[i] = rhs(u + h * np.add.reduce(row * ks[:i], axis=0))
+        u5 = u + h * np.add.reduce(_DP_W5 * ks[:6], axis=0)
+        ks[6] = rhs(u5)
+        u4 = u + h * np.add.reduce(_DP_W4 * ks, axis=0)
         err_vec = u5 - u4
         finite = np.isfinite(u5).all() and np.isfinite(err_vec).all()
         err = float(np.abs(err_vec).max(initial=0.0)) if finite else math.inf
         if err <= tol:
             t += h
             u = u5
-            k1 = k7  # FSAL
+            ks[0] = ks[6]  # FSAL
             accepted.append(h)
             full = rhs.expand(u, table.state_dim)
             if record:
                 trace.append((t, full))
-            norm = table.weighted_norm(full, weight)
+            norm = table.weighted_norm(full, weight, levels)
             if norm > explosion_threshold:
                 return outcome(t_star=t, norm_at_detection=norm, detail="norm threshold crossed")
             h = h * min(2.0, 0.9 * (tol / err) ** 0.2 if err > 0.0 else 2.0)
@@ -415,35 +443,10 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
             rejected += 1
             h *= 0.5
             if h < step_floor:
-                return outcome(t_star=t, norm_at_detection=table.weighted_norm(full, weight),
+                return outcome(t_star=t, norm_at_detection=table.weighted_norm(full, weight, levels),
                                detail="step underflow below floor")
     sig, u_x = table.tensor(full)
     return outcome(RiccatiState(sig, u_x, horizon))
-
-
-def transform_value(u0: RiccatiState, horizon: float, table: GeneratorTable,
-                    x0: float = 0.0, tol: float = 1e-10,
-                    explosion_threshold: float = 1e6) -> float:
-    """Lambda_0 = exp(psi_empty(T) + u_x * x0): at t=0 the signature is e_0.
-
-    Raises RiccatiExplosion when the flow blows up before the horizon.
-    """
-    outcome = integrate_flow(u0, horizon, table, tol=tol,
-                             explosion_threshold=explosion_threshold)
-    if not outcome.solved:
-        raise RiccatiExplosion(outcome.t_star, outcome.norm_at_detection, outcome.detail)
-    psi0 = outcome.state.sig[EMPTY_WORD]
-    exponent = psi0
-    if table.extended:
-        exponent += outcome.state.u_x * x0
-    return math.exp(exponent)
-
-
-def scalar_explosion_bound(a: float, y0: float) -> float:
-    """Comparison deadline 2/(a y0): 1/y_t <= 1/y0 - (a/2) t forces blow-up."""
-    if a <= 0.0 or y0 <= 0.0:
-        raise ValueError("a and y0 must be positive")
-    return 2.0 / (a * y0)
 
 
 # ---------------------------------------------------------------------------

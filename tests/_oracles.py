@@ -12,9 +12,13 @@ generator-table code paths.
 build_design is the per-path reference route for the streamed hedging
 design, and volatility_path the one for xi = <ell, W_t>: both read sparse
 signature streams, not the batch engine.  riccati_rhs evaluates the compiled
-vector field on a RiccatiState.  compile_by_label sorts a table's terms by
-their labels, and integrate_flow_full steps every coordinate of the state:
-the reference routes for the integer-sorted compile and the reachable-set
+vector field on a RiccatiState.  build_generator_by_label builds the table
+word by word into label-keyed dicts, and with_terms puts such terms into a
+table; transform_value, RiccatiExplosion and scalar_explosion_bound read a
+flow as a transform value and bound a scalar blow-up.  compile_by_label
+sorts label-keyed terms by their labels, and integrate_flow_full steps every
+coordinate of the state: with build_generator_by_label, the reference
+routes for the integer-coded table and the reachable-set
 flow.  brownian_values is the path-major Brownian driver (one Philox draw
 per block, Box-Muller on all of it, a cumulative sum over steps), and
 path_major_steps steps the batch engine on its increments: the reference
@@ -24,13 +28,22 @@ routes for the chunked, step-major driver and the stepper's feed.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import norm
 
-from sigvol.algebra import dual_pairing
+from sigvol.algebra import EMPTY_WORD, GradedTensor, dual_pairing, shuffle_product, shuffle_words
 from sigvol.hedging import HedgeBasis, HedgeDesign, _static_block, _window_words, default_strikes
-from sigvol.riccati import _DP_A, _DP_B4, _DP_B5, X_LABEL, FlowOutcome, RiccatiState
+from sigvol.riccati import (
+    _DP_A,
+    _DP_B4,
+    _DP_B5,
+    X_LABEL,
+    FlowOutcome,
+    RiccatiState,
+    integrate_flow,
+)
 from sigvol.signature import BatchSignature, SignatureStream, all_words, simulate_brownian_grid
 
 
@@ -127,7 +140,7 @@ def generator_regression(d, design_depth, steps, n_paths_per_group, n_groups, se
 
 
 def true_drift_matrix(table, design_words, target_words=None, extended=False):
-    """b^I_J read from a generator table into regression layout."""
+    """b^I_J read from a label table into regression layout."""
     n = len(design_words)
     targets = list(target_words if target_words is not None else design_words)
     targets += ["X"] if extended else []
@@ -139,7 +152,7 @@ def true_drift_matrix(table, design_words, target_words=None, extended=False):
 
 
 def true_cov_matrix(table, design_words, cov_pairs):
-    """Gamma^I_{J,K} read from a generator table into regression layout."""
+    """Gamma^I_{J,K} read from a label table into regression layout."""
     lookup: dict = {}
     for (out_w, j, k), c in table.gamma.items():
         lookup[(j, k)] = lookup.get((j, k), {})
@@ -255,10 +268,111 @@ def _form_by_label(terms: dict, index: dict, arity: int) -> tuple[np.ndarray, ..
     return (*idx.reshape(len(keys), arity).T, np.array([terms[key] for key in keys], dtype=float))
 
 
-def compile_by_label(table) -> tuple[tuple, tuple]:
-    """(drift, quad) forms of a table with its terms sorted by their labels."""
+@dataclass
+class LabelTable:
+    """A generator table as label-keyed dicts: b[(output, input)] and
+    gamma[(output, in1, in2)] with in1 <= in2 in canonical order."""
+
+    words: list
+    index: dict
+    b: dict = field(default_factory=dict)
+    gamma: dict = field(default_factory=dict)
+
+
+def build_generator_by_label(trunc, d, extended=None) -> LabelTable:
+    """The generator table built word by word, Gamma from shuffle_words."""
+    words = all_words(d, trunc)
+    table = LabelTable(words, {w: i for i, w in enumerate(words)})
+    if extended is not None:
+        ell, eta = extended
+        table.index[X_LABEL] = len(words)
+
+    # pure-signature drift
+    for J in words:
+        if not J:
+            continue
+        if J[-1] == 0:
+            table.b[(J[:-1], J)] = table.b.get((J[:-1], J), 0.0) + 1.0
+        elif len(J) >= 2 and J[-2] == J[-1]:
+            out = J[:-2]
+            table.b[(out, J)] = table.b.get((out, J), 0.0) + 0.5
+
+    # pure-signature carre-du-champ
+    brownian_tails: dict = {j: [] for j in range(1, d + 1)}
+    for J in words:
+        if J and J[-1] >= 1:
+            brownian_tails[J[-1]].append(J)
+    for j, tails in brownian_tails.items():
+        for a, J in enumerate(tails):
+            for K in tails[a:]:
+                # tails are in canonical order, so no later K is short enough
+                if len(J) + len(K) - 2 > trunc:
+                    break
+                for w, m in shuffle_words(J[:-1], K[:-1]):
+                    key = (w, J, K)
+                    table.gamma[key] = table.gamma.get(key, 0.0) + float(m)
+
+    # price-extended block
+    if extended is not None:
+        ell_sq = shuffle_product(ell, ell, trunc)
+        for w, c in ell_sq.coeffs.items():
+            table.b[(w, X_LABEL)] = -0.5 * c
+            table.gamma[(w, X_LABEL, X_LABEL)] = c
+        for J in words:
+            if not J or J[-1] == 0:
+                continue
+            scale = eta[J[-1] - 1]
+            if scale == 0.0:
+                continue
+            mixed = shuffle_product(ell, GradedTensor.basis(d, trunc, J[:-1]), trunc)
+            for w, c in mixed.coeffs.items():
+                table.gamma[(w, J, X_LABEL)] = table.gamma.get((w, J, X_LABEL), 0.0) + scale * c
+    return table
+
+
+def compile_by_label(table: LabelTable) -> tuple[tuple, tuple]:
+    """(drift, quad) forms of a label table with its terms sorted by their labels."""
     quad = {key: 0.5 * c if key[1] == key[2] else c for key, c in table.gamma.items()}
     return _form_by_label(table.b, table.index, 2), _form_by_label(quad, table.index, 3)
+
+
+def with_terms(table, b: dict, gamma: dict):
+    """table with its compiled forms replaced by the label-keyed terms b and gamma."""
+    index = {label: i for i, label in enumerate(table.labels)}
+    table.drift, table.quad = compile_by_label(LabelTable(table.words, index, b, gamma))
+    return table
+
+
+class RiccatiExplosion(RuntimeError):
+    def __init__(self, t_star: float, norm: float, detail: str = ""):
+        super().__init__(f"Riccati flow exploded at t*={t_star:.6g} (norm {norm:.3g}) {detail}")
+        self.t_star = t_star
+        self.norm = norm
+
+
+def transform_value(u0: RiccatiState, horizon: float, table,
+                    x0: float = 0.0, tol: float = 1e-10,
+                    explosion_threshold: float = 1e6) -> float:
+    """Lambda_0 = exp(psi_empty(T) + u_x * x0): at t=0 the signature is e_0.
+
+    Raises RiccatiExplosion when the flow blows up before the horizon.
+    """
+    outcome = integrate_flow(u0, horizon, table, tol=tol,
+                             explosion_threshold=explosion_threshold)
+    if not outcome.solved:
+        raise RiccatiExplosion(outcome.t_star, outcome.norm_at_detection, outcome.detail)
+    psi0 = outcome.state.sig[EMPTY_WORD]
+    exponent = psi0
+    if table.extended:
+        exponent += outcome.state.u_x * x0
+    return math.exp(exponent)
+
+
+def scalar_explosion_bound(a: float, y0: float) -> float:
+    """Comparison deadline 2/(a y0): 1/y_t <= 1/y0 - (a/2) t forces blow-up."""
+    if a <= 0.0 or y0 <= 0.0:
+        raise ValueError("a and y0 must be positive")
+    return 2.0 / (a * y0)
 
 
 def _full_rhs(u, table):

@@ -24,15 +24,16 @@ from sigvol.riccati import (
     integrate_flow,
     mc_transform,
     projection_compatibility,
-    scalar_explosion_bound,
-    transform_value,
 )
 from sigvol.sde import SigVolParams, check_H1, martingale_check, simulate_price
 from sigvol.signature import BatchSignature, all_words, simulate_brownian_grid
 
 from _oracles import (
+    build_generator_by_label,
     generator_regression,
     lognormal_mgf,
+    scalar_explosion_bound,
+    transform_value,
     true_cov_matrix,
     true_drift_matrix,
 )
@@ -166,7 +167,7 @@ def test_criterion_5_generator_oracles():
     words, targets, pairs, dm, dse, cm, cse = generator_regression(
         d=2, design_depth=2, steps=48, n_paths_per_group=2500, n_groups=16,
         seed=202)
-    table = build_generator(2, 2)
+    table = build_generator_by_label(2, 2)
     bt, _ = true_drift_matrix(table, words, targets)
     ct = true_cov_matrix(table, words, pairs)
     drift_ok = bool(np.all(np.abs(dm - bt) <= 3.0 * dse + 0.02))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from functools import cache
 
@@ -11,7 +12,6 @@ from sigvol.algebra import EMPTY_WORD, GradedTensor
 from sigvol.models import preset
 from sigvol.riccati import (
     GeneratorTable,
-    RiccatiExplosion,
     RiccatiState,
     ShuffleWindowError,
     X_LABEL,
@@ -19,32 +19,35 @@ from sigvol.riccati import (
     integrate_flow,
     mc_transform,
     projection_compatibility,
-    scalar_explosion_bound,
-    transform_value,
 )
 
 from _oracles import (
+    RiccatiExplosion,
+    build_generator_by_label,
     compile_by_label,
     generator_regression,
     integrate_flow_full,
     lognormal_mgf,
     riccati_rhs,
+    scalar_explosion_bound,
+    transform_value,
     true_cov_matrix,
     true_drift_matrix,
+    with_terms,
 )
 
 
 def scalar_quadratic_table(a: float) -> GeneratorTable:
     """Synthetic one-coordinate table encoding y' = a y^2 on the empty word."""
-    table = build_generator(0, 1)
-    table.gamma = {(EMPTY_WORD, EMPTY_WORD, EMPTY_WORD): 2.0 * a}
-    table._compile()
-    return table
+    return with_terms(build_generator(0, 1), {}, {(EMPTY_WORD, EMPTY_WORD, EMPTY_WORD): 2.0 * a})
 
 
 class TestBuildGenerator:
+    """Entries of the label-keyed oracle table, which TestCompiledForms ties
+    build_generator to bit for bit, and build_generator's window guard."""
+
     def test_drift_examples(self):
-        table = build_generator(2, 2)
+        table = build_generator_by_label(2, 2)
         assert table.b[((), (0,))] == 1.0
         assert table.b[((), (1, 1))] == 0.5
         assert table.b[((), (2, 2))] == 0.5
@@ -52,7 +55,7 @@ class TestBuildGenerator:
         assert ((), (1, 2)) not in table.b
 
     def test_gamma_examples(self):
-        table = build_generator(2, 2)
+        table = build_generator_by_label(2, 2)
         assert table.gamma[((), (1,), (1,))] == 1.0
         # mixed last letters never bracket
         assert ((), (1,), (2,)) not in table.gamma
@@ -66,21 +69,21 @@ class TestBuildGenerator:
                 assert k[-1] >= 1
 
     def test_drift_lowers_length(self):
-        table = build_generator(3, 2)
+        table = build_generator_by_label(3, 2)
         for (out, src) in table.b:
             if src != X_LABEL:
                 assert len(out) < len(src)
 
     def test_gamma_symmetric_storage(self):
-        table = build_generator(3, 1)
+        table = build_generator_by_label(3, 1)
         for (_, j, k) in table.gamma:
             if j != X_LABEL and k != X_LABEL:
                 assert (len(j), j) <= (len(k), k)
 
     def test_pure_block_independent_of_ell(self):
-        plain = build_generator(2, 1)
-        ext = build_generator(2, 1, (GradedTensor(1, 1, {(): 0.2, (1,): 0.1}),
-                                     np.array([1.0])))
+        plain = build_generator_by_label(2, 1)
+        ext = build_generator_by_label(2, 1, (GradedTensor(1, 1, {(): 0.2, (1,): 0.1}),
+                                              np.array([1.0])))
         for key, val in plain.b.items():
             assert ext.b[key] == val
         for key, val in plain.gamma.items():
@@ -88,7 +91,7 @@ class TestBuildGenerator:
 
     def test_extended_block_values(self):
         ell = GradedTensor(1, 1, {(): 0.2, (1,): 0.1})
-        table = build_generator(2, 1, (ell, np.array([1.0])))
+        table = build_generator_by_label(2, 1, (ell, np.array([1.0])))
         # ell shuffle ell = 0.04 e + 0.04 e1 + 0.02 e11
         assert table.b[((), X_LABEL)] == pytest.approx(-0.5 * 0.04)
         assert table.gamma[((), X_LABEL, X_LABEL)] == pytest.approx(0.04)
@@ -111,10 +114,58 @@ class TestCompileOrder:
         ell = GradedTensor(d, 1, {(): 0.2, (1,): 0.1, (d,): -0.05})
         eta = np.eye(d)[d - 1]
         table = build_generator(trunc, d, (ell, eta) if extended else None)
-        for got, want in zip((table.drift, table.quad), compile_by_label(table)):
+        oracle = build_generator_by_label(trunc, d, (ell, eta) if extended else None)
+        for got, want in zip((table.drift, table.quad), compile_by_label(oracle)):
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def form_bytes(forms) -> list:
+    return [[(a.dtype, a.tobytes()) for a in form] for form in forms]
+
+
+@cache
+def oracle_forms(trunc: int, d: int) -> list:
+    return form_bytes(compile_by_label(build_generator_by_label(trunc, d)))
+
+
+@st.composite
+def generator_cases(draw):
+    d, trunc = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    if not draw(st.booleans()):
+        return trunc, d, None
+    deg = draw(st.integers(0, trunc // 2))
+    words = st.lists(st.integers(0, d), max_size=deg).map(tuple)
+    coeffs = draw(st.dictionaries(words, st.floats(-2.0, 2.0).filter(bool), max_size=3))
+    eta = draw(st.lists(st.sampled_from([0.0, 1.0, -0.5, 0.3]), min_size=d, max_size=d))
+    return trunc, d, (GradedTensor(d, deg, coeffs), np.array(eta))
+
+
+class TestCompiledForms:
+    """build_generator's compiled forms, arrays and dtypes, are the label oracle's bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(generator_cases())
+    def test_bit_identical_to_label_oracle(self, case):
+        trunc, d, extended = case
+        table = build_generator(trunc, d, extended)
+        if extended is None:
+            want = oracle_forms(trunc, d)
+        else:
+            want = form_bytes(compile_by_label(build_generator_by_label(trunc, d, extended)))
+        assert form_bytes((table.drift, table.quad)) == want
+
+    def test_trunc12_digest(self):
+        # taken from the word-by-word construction (1760761 Gamma terms)
+        table = build_generator(12, 1)
+        digest = hashlib.sha256()
+        for a in (*table.drift, *table.quad):
+            digest.update(str(a.dtype).encode())
+            digest.update(a.tobytes())
+        assert len(table.quad[0]) == 1760761
+        assert digest.hexdigest() == (
+            "60816c1d3332e0a2c8dd52b52d2c80281404e10a050c890417c454fc5d764de5")
 
 
 class TestMCGeneratorOracle:
@@ -129,7 +180,7 @@ class TestMCGeneratorOracle:
         words, targets, pairs, dm, dse, cm, cse = generator_regression(
             d=2, design_depth=2, steps=32, n_paths_per_group=1200, n_groups=12,
             seed=45, target_depth=3)
-        table = build_generator(3, 2)
+        table = build_generator_by_label(3, 2)
         bt, _ = true_drift_matrix(table, words, targets)
         ct = true_cov_matrix(table, words, pairs)
         assert np.all(np.abs(dm - bt) <= 3.0 * dse + 0.1)
@@ -137,7 +188,7 @@ class TestMCGeneratorOracle:
 
     def test_extended_block(self):
         pre = preset("first_order", sigma0=0.25, sigma1=0.15)
-        table = build_generator(2, 1, (pre.ell, pre.eta))
+        table = build_generator_by_label(2, 1, (pre.ell, pre.eta))
         words, targets, pairs, dm, dse, cm, cse = generator_regression(
             d=1, design_depth=2, steps=32, n_paths_per_group=1500, n_groups=12,
             seed=84, extended=(pre.ell, pre.eta, 1.0))
@@ -175,10 +226,8 @@ class TestIntegrateFlow:
         table = build_generator(2, 1)
         n = table.state_dim
         mat = rng.normal(size=(n, n)) * 0.4
-        table.b = {(out, src): mat[i, j] for i, out in enumerate(table.words)
-                   for j, src in enumerate(table.words)}
-        table.gamma = {}
-        table._compile()
+        with_terms(table, {(out, src): mat[i, j] for i, out in enumerate(table.words)
+                           for j, src in enumerate(table.words)}, {})
         u0 = rng.normal(size=n)
         coeffs = {w: u0[i] for i, w in enumerate(table.words)}
         out = integrate_flow(RiccatiState(GradedTensor(1, 2, coeffs)), 1.0, table,
@@ -297,10 +346,7 @@ class TestFlowMatchesFullState:
         # the Gamma term reads the unreached empty word, so the full-state
         # field gets inf * 0 = NaN while the carried one stays finite: the
         # carried flow must reject those steps too
-        table = build_generator(1, 1)
-        table.b = {((1,), (0,)): 1.0}
-        table.gamma = gamma
-        table._compile()
+        table = with_terms(build_generator(1, 1), {((1,), (0,)): 1.0}, gamma)
         state = RiccatiState(GradedTensor(1, 1, {(0,): 1.0, (1,): 1.0}))
         with np.errstate(over="ignore", invalid="ignore"):
             got = integrate_flow(state, 2.0, table, record=True, explosion_threshold=math.inf)
