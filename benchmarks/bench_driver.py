@@ -1,20 +1,19 @@
-"""Per-layer timings of the Brownian driver and the Chen step (pytest-benchmark).
+"""Per-layer timing of the Brownian driver (pytest-benchmark).
 
 Run from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks -o python_files='bench_*.py'
 
-The Tier-1 suite collects only test_*.py, so it never runs these.  Each case
+The Tier-1 suite collects only test_*.py, so it never runs these.  The case
 stores its throughput and the minor page faults (ru_minflt) of one call,
 taken after a warm-up call, in the benchmark's extra_info; add
---benchmark-json=FILE to keep them.
+--benchmark-json=FILE to keep them.  The Chen step and the block stepper are
+timed in bench_stepper.py.
 """
 
 import resource
 
-import numpy as np
-
-from sigvol.signature import BatchSignature, simulate_brownian_grid
+from sigvol.signature import simulate_brownian_grid
 
 
 def _faults(fn) -> int:
@@ -36,19 +35,3 @@ def test_driver_block(benchmark):
     median = benchmark.stats.stats.median
     benchmark.extra_info.update(paths=n_paths, steps=steps, d=d, minflt=faults,
                                 normals_per_s=n_paths * steps * d / median)
-
-
-def test_chen_step(benchmark):
-    n_paths, d, depth = 20000, 1, 4
-    inc = np.diff(simulate_brownian_grid(d, 1.0, 16, n_paths, seed=2).grid, axis=0)
-    sig = BatchSignature(n_paths, d, depth)
-    dx = inc[0].T  # what PathBlock passes: the transpose of a contiguous step
-
-    def step():
-        sig.chen_step(dx)
-
-    faults = _faults(step)
-    benchmark.pedantic(step, rounds=30, warmup_rounds=2)
-    median = benchmark.stats.stats.median
-    benchmark.extra_info.update(paths=n_paths, d=d, depth=depth, minflt=faults,
-                                path_steps_per_s=n_paths / median)

@@ -1,0 +1,72 @@
+"""Per-layer cost of the batch Chen step and the block stepper (pytest-benchmark).
+
+Run from the repository root:
+
+    PYTHONPATH=src python -m pytest benchmarks -o python_files='bench_*.py'
+
+The Tier-1 suite collects only test_*.py, so it never runs these.  Each case
+stores in the benchmark's extra_info the median time of one call, the minor
+page faults (ru_minflt) of one call and the tracemalloc peak of one call,
+both taken after a warm-up call; add --benchmark-json=FILE to keep them.
+"""
+
+import resource
+import tracemalloc
+
+import numpy as np
+
+from sigvol.models import preset
+from sigvol.sde import SigVolParams, stream_paths
+from sigvol.signature import BatchSignature
+
+
+def _record(benchmark, fn, rounds: int, **params) -> None:
+    """Time fn, then store its median, page faults and traced peak with params."""
+    fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fn()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.pedantic(fn, rounds=rounds, warmup_rounds=1)
+    benchmark.extra_info.update(params, median_s=benchmark.stats.stats.median,
+                                minflt=faults, traced_peak_bytes=peak)
+
+
+def _step(sig: BatchSignature, seed: int):
+    # what PathBlock passes: the transpose of one contiguous (d+1, paths) row
+    dx = (np.random.default_rng(seed).normal(size=(sig.n_letters, sig.n_paths)) * 0.1).T
+    return lambda: sig.chen_step(dx)
+
+
+def test_chen_step_all_words(benchmark):
+    # the hedge_depth_scan engine: every word up to depth 4 is read
+    n_paths, d, depth = 20000, 1, 4
+    _record(benchmark, _step(BatchSignature(n_paths, d, depth), 2), 30,
+            paths=n_paths, d=d, depth=depth, words=2**(depth + 1) - 1)
+
+
+def test_chen_step_carried_words(benchmark):
+    # the price_paths_deep engine: a depth-6 symbol that reads 7 words
+    ell = preset("rough_bergomi_approx").ell
+    n_paths, depth = 1024, max(map(len, ell.coeffs))
+    sig = BatchSignature(n_paths, 1, depth, list(ell.coeffs))
+    _record(benchmark, _step(sig, 3), 200, paths=n_paths, d=1, depth=depth,
+            words=len(ell.coeffs))
+
+
+def test_stream_paths_block(benchmark):
+    # one 16384 x 128 block of the transform_mc stepper: draw, then step to the end
+    pre = preset("first_order")
+    params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 128)
+
+    def one_pass():
+        for block in stream_paths(params, 16384, 1):
+            for _ in block.steps():
+                pass
+
+    _record(benchmark, one_pass, 7, paths=16384, steps=128, d=1)

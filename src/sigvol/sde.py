@@ -5,6 +5,9 @@ xi dB, xi_t = <ell, W_t> and B = eta . W.  Exponentiating the Doleans-Dade
 form once per step keeps every path strictly positive and reproduces the
 Black-Scholes closed form exactly on shared grids.
 
+Monte Carlo consumers step paths through PathBlock, one driver block at a
+time; stream_paths reuses one block grid for a whole run.
+
 H3 (exponential integrability of the integrated variance) is reported via
 Monte Carlo, never asserted: finiteness of an exponential moment is not
 decidable from samples, so the report carries a heavy-tail flag instead.
@@ -14,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .algebra import GradedTensor, Weight
-from .signature import BatchSignature, BrownianBatch, iter_brownian_blocks
+from . import signature
+from .signature import BatchSignature, BrownianBatch
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,10 @@ class PathBlock:
 
     Carries the words ell reads plus `words`, xi = <ell, W_t> and the
     left-point Ito log-price log(S_t / s0).  steps() yields (k, dB_k) with sig
-    and xi still at t_k and log_s already at t_{k+1}.
+    and xi still at t_k and log_s already at t_{k+1}.  The block reads its
+    driver grid in place: each step's increments are differenced into one
+    reused (d+1, n_paths) buffer, and the grid is handed back when the block
+    has stepped to the end.
     """
 
     def __init__(self, params: SigVolParams, paths: BrownianBatch, words=()):
@@ -103,33 +109,45 @@ class PathBlock:
         self.offset = paths.path_offset
         self.size = len(paths)
         self.dt = np.diff(paths.times)
-        self._inc = np.diff(paths.grid, axis=0)  # (steps, d+1, n_paths)
+        self._grid = paths.grid  # (steps+1, d, n_paths)
+        self._spent = None
         self.sig = BatchSignature(self.size, params.dim, max(map(len, words), default=0), words)
         self.xi = self.sig.pair(params.ell)
         self.log_s = np.zeros(self.size)
 
     def steps(self) -> Iterator[tuple[int, np.ndarray]]:
-        # the block steps once; its increments are freed when it is done
-        increments, self._inc = self._inc, None
+        # the block steps once, and hands its grid back only after the last step
+        grid, self._grid = self._grid, None
+        inc = np.empty((self.params.dim + 1, self.size))
         for k, dt in enumerate(self.dt):
-            inc = increments[k].T
+            # bit for bit the row k of the time-augmented increments, as np.diff takes them
+            inc[0] = dt
+            np.subtract(grid[k + 1], grid[k], out=inc[1:])
             # a C-ordered (paths, d) operand keeps the product's summation order
-            db = np.ascontiguousarray(inc[:, 1:]) @ self.params.eta
+            db = np.ascontiguousarray(inc[1:].T) @ self.params.eta
             self.log_s += self.xi * db - 0.5 * self.xi**2 * dt
             yield k, db
-            self.sig.chen_step(inc)
+            self.sig.chen_step(inc.T)
             self.xi = self.sig.pair(self.params.ell)
+        self._spent = grid
 
 
 def stream_paths(params: SigVolParams, n_paths: int, seed: int, words=(),
                  block: int = 16384) -> Iterator[PathBlock]:
     """The driver's path set for (seed, n_paths) as PathBlocks, in path order.
 
-    Each block's grid is dropped once its increments are taken, so it is not
-    held while the block steps.
+    A block that has stepped to the end hands its grid back, and the next
+    block of the same shape is drawn into it, so a run holds one block grid.
     """
-    return map(partial(PathBlock, params, words=words),
-               iter_brownian_blocks(params.dim, params.horizon, params.steps, n_paths, seed, block))
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    spare = None
+    for start in range(0, n_paths, block):
+        current = PathBlock(params, signature.simulate_brownian_grid(
+            params.dim, params.horizon, params.steps, min(block, n_paths - start), seed, start,
+            _into=spare), words)
+        yield current
+        spare, current._spent = current._spent, None
 
 
 def simulate_price(params: SigVolParams, paths: BrownianBatch) -> PriceBatch:

@@ -7,15 +7,18 @@ Chen identity.  Two engines are provided with identical semantics:
   used for exact algebra checks), and
 * a batch engine holding one coefficient array per tensor level across many
   paths, carrying only the prefix closure of the words its caller reads (used
-  by the Monte Carlo drivers).
+  by the Monte Carlo drivers).  Its levels are updated in place, and each
+  step's segment levels and split products go to work buffers the engine
+  owns, so a Chen step allocates no array.
 
 Brownian increments come from a counter-based generator: Philox keyed by the
 run seed, with the increment for (path, step, coordinate) read at a fixed
 counter offset, so path sets are order-independent and reproducible from
 (seed, path_index) alone regardless of batching.  The driver works through a
-block in cache-sized chunks of paths and stores the block step-major,
-(steps+1, d+1, n_paths), so the stepper hands each step's increments to the
-batch engine as one contiguous row.
+block in cache-sized chunks of paths and stores only the Brownian coordinates,
+step-major, (steps+1, d, n_paths); time stays the shared `times` vector.  One
+grid time of every path is a contiguous row, which the stepper differences
+into the batch engine's increments.
 """
 
 from __future__ import annotations
@@ -153,8 +156,10 @@ def _gather(index: list[int], rows: int) -> np.ndarray | None:
     return None if idx.size == rows and np.array_equal(idx, np.arange(rows)) else idx
 
 
-def _take(a: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
-    return a if idx is None else a[idx]
+def _take(a: np.ndarray, idx: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """The rows idx of a, written to the leading rows of out; a itself when idx is None."""
+    # mode='raise' gathers through a temporary; the indices are in range by construction
+    return a if idx is None else np.take(a, idx, axis=0, mode="clip", out=out[: idx.size])
 
 
 class BatchSignature:
@@ -164,8 +169,10 @@ class BatchSignature:
     and the segment exponential on its suffixes, so the engine carries the
     prefix closure of `words` (default: every word up to trunc).  Each Chen
     split is a gather with precomputed indices, summed in a fixed order, so a
-    coordinate is bit-identical whichever other words are carried.  levels[n]
-    is (n_paths, carried words of length n) in canonical, i.e. row-major, order.
+    coordinate is bit-identical whichever other words are carried.  Level n is
+    stored as (carried words of length n, n_paths), words in canonical, i.e.
+    row-major, order, and is updated in place: coord() is a read-only view
+    that is valid until the next chen_step, while coords() and pair() copy.
     """
 
     def __init__(self, n_paths: int, d: int, trunc: int, words=None):
@@ -186,31 +193,41 @@ class BatchSignature:
                          _gather([seg_pos[m - k][w[k:]] for w in carried[m]], len(seg_words[m - k])))
                         for k in range(m)] for m in range(len(carried))]
         self._lv = [np.ones((1, n_paths))] + [np.zeros((len(lvl), n_paths)) for lvl in carried[1:]]
-
-    @property
-    def levels(self) -> list[np.ndarray]:
-        return [a.T for a in self._lv]
+        # work buffers of this engine: the segment levels, and two gathers per split
+        self._seg_lv = [None] + [np.empty((len(lvl), n_paths)) for lvl in seg_words[1:]]
+        self._work = np.empty((2, max(map(len, carried + seg_words)), n_paths))
 
     def chen_step(self, dx: np.ndarray) -> None:
         """Concatenate the segment exponential of dx (n_paths, d+1) on the right."""
         dxt = np.ascontiguousarray(dx.T)
+        if dxt.shape != (self.n_letters, self.n_paths):
+            raise ValueError(f"dx must be (n_paths, d+1) = ({self.n_paths}, {self.n_letters})")
+        scratch, other = self._work
         seg = [None]
         for j, (parent, last) in enumerate(self._seg, start=1):
-            # level 1 is dx itself, exactly as 1.0 * dx / 1
-            seg.append(_take(dxt, last) if j == 1 else _take(seg[-1], parent) * _take(dxt, last) / j)
+            out = self._seg_lv[j]
+            if j == 1:  # level 1 is dx itself, exactly as 1.0 * dx / 1
+                seg.append(_take(dxt, last, out))
+            else:
+                np.multiply(_take(seg[-1], parent, out), _take(dxt, last, scratch), out=out)
+                out /= j
+                seg.append(out)
         # levels descend so that every split reads the prefixes before this step
         for m in range(len(self._lv) - 1, 0, -1):
-            splits = self._split[m]
-            acc = self._lv[m] + _take(seg[m], splits[0][1])
+            splits, level = self._split[m], self._lv[m]
+            level += _take(seg[m], splits[0][1], scratch)
             for k in range(1, m):
-                acc += _take(self._lv[k], splits[k][0]) * _take(seg[m - k], splits[k][1])
-            self._lv[m] = acc
+                level += np.multiply(_take(self._lv[k], splits[k][0], scratch),
+                                     _take(seg[m - k], splits[k][1], other), out=scratch[: len(level)])
 
     def coord(self, word: Word) -> np.ndarray:
+        """One carried coordinate per path: a read-only view, valid until the next chen_step."""
         pos = self._pos.get(tuple(word))
         if pos is None:
             raise ValueError(f"word {word} is not carried (truncation {self.trunc})")
-        return self._lv[len(word)][pos]
+        view = self._lv[len(word)][pos]
+        view.flags.writeable = False
+        return view
 
     def coords(self, words: list[Word]) -> np.ndarray:
         return np.column_stack([self.coord(w) for w in words]) if words else np.zeros((self.n_paths, 0))
@@ -221,11 +238,6 @@ class BatchSignature:
         for w, c in ell.coeffs.items():
             out += c * self.coord(w)
         return out
-
-    def to_tensor(self, path: int) -> GradedTensor:
-        """Sparse view of one path's carried coordinates (zeros pruned)."""
-        coeffs = {w: float(self._lv[len(w)][i, path]) for w, i in self._pos.items()}
-        return GradedTensor(self.d, self.trunc, {w: c for w, c in coeffs.items() if c != 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +253,11 @@ _CHUNK_OUTPUTS = 2**14
 
 @dataclass(frozen=True)
 class BrownianBatch:
-    """A set of time-augmented Brownian paths on a shared uniform grid.
+    """A set of Brownian paths on a shared uniform grid.
 
-    grid is step-major, (steps+1, d+1, n_paths), coordinate 0 is time, so one
-    grid time of every path is a contiguous row.
+    grid holds the d Brownian coordinates step-major, (steps+1, d, n_paths),
+    so one grid time of every path is a contiguous row; time is `times`.
+    values, increments() and paths by index add the time coordinate.
     """
 
     times: np.ndarray
@@ -256,28 +269,37 @@ class BrownianBatch:
         return self.grid.shape[2]
 
     def __getitem__(self, i: int) -> PathGrid:
-        return PathGrid(self.times, self.values[i])
+        return PathGrid.from_brownian(self.times, self.grid[:, :, i])
 
     @property
     def values(self) -> np.ndarray:
-        """(n_paths, steps+1, d+1) view of the grid."""
-        return self.grid.transpose(2, 0, 1)
+        """(n_paths, steps+1, d+1) time-augmented paths, coordinate 0 is time."""
+        return _with_time(self.times, self.grid)
 
     @property
     def dim(self) -> int:
-        return self.grid.shape[1] - 1
+        return self.grid.shape[1]
 
     @property
     def steps(self) -> int:
         return self.grid.shape[0] - 1
 
     def increments(self) -> np.ndarray:
-        """(n_paths, steps, d+1) view of the step-major increments."""
-        return np.diff(self.grid, axis=0).transpose(2, 0, 1)
+        """(n_paths, steps, d+1) increments of the time-augmented paths."""
+        return _with_time(np.diff(self.times), np.diff(self.grid, axis=0))
+
+
+def _with_time(times: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Path-major (n_paths, len(times), d+1) array: times, then the step-major grid."""
+    out = np.empty((grid.shape[2], grid.shape[0], grid.shape[1] + 1))
+    out[:, :, 0] = times
+    out[:, :, 1:] = grid.transpose(2, 0, 1)
+    return out
 
 
 def simulate_brownian_grid(d: int, horizon: float, steps: int, n_paths: int,
-                           seed: int, path_offset: int = 0) -> BrownianBatch:
+                           seed: int, path_offset: int = 0, *,
+                           _into: np.ndarray | None = None) -> BrownianBatch:
     """Independent N(0, dt) increments per coordinate on a uniform grid.
 
     The normal for (path, step, coordinate) is Box-Muller's cos output on a
@@ -285,7 +307,9 @@ def simulate_brownian_grid(d: int, horizon: float, steps: int, n_paths: int,
     Philox counter blocks (4 outputs), so path p starts at counter
     p * per_path / 4 and the stream does not depend on how paths are batched.
     Paths are generated in chunks whose draws fit in cache and written
-    step-major; the grid is then summed over steps one row at a time.
+    step-major; the grid is then summed over steps one row at a time.  The
+    grid is a fresh array unless `_into`, a grid of the same shape that no
+    one reads any more, is passed to be overwritten (sde.stream_paths does).
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -294,9 +318,9 @@ def simulate_brownian_grid(d: int, horizon: float, steps: int, n_paths: int,
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be an integer in [0, 2**64)")
     times = np.linspace(0.0, horizon, steps + 1)
-    grid = np.empty((steps + 1, d + 1, n_paths))
-    grid[:, 0, :] = times[:, None]
-    grid[0, 1:, :] = 0.0
+    shape = (steps + 1, d, n_paths)
+    grid = _into if _into is not None and _into.shape == shape else np.empty(shape)
+    grid[0] = 0.0
     used = 2 * steps * d
     per_path = used + (-used) % 4
     chunk = max(1, _CHUNK_OUTPUTS // per_path)
@@ -317,10 +341,10 @@ def simulate_brownian_grid(d: int, horizon: float, steps: int, n_paths: int,
         np.sqrt(w, out=w)
         angle = np.multiply(2.0 * np.pi, u[:, 1:used:2])
         w *= np.cos(angle, out=angle)
-        np.multiply(w.reshape(n, steps, d).transpose(1, 2, 0), scale, out=grid[1:, 1:, lo : lo + n])
+        np.multiply(w.reshape(n, steps, d).transpose(1, 2, 0), scale, out=grid[1:, :, lo : lo + n])
     # the cumulative sum over steps, in its order, on contiguous rows
     for k in range(2, steps + 1):
-        grid[k, 1:] += grid[k - 1, 1:]
+        grid[k] += grid[k - 1]
     return BrownianBatch(times, grid, seed, path_offset)
 
 

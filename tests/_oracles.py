@@ -23,6 +23,9 @@ flow.  brownian_values is the path-major Brownian driver (one Philox draw
 per block, Box-Muller on all of it, a cumulative sum over steps), and
 path_major_steps steps the batch engine on its increments: the reference
 routes for the chunked, step-major driver and the stepper's feed.
+reference_chen_step is the batch engine's Chen step as a fresh array per
+gather, product and level, the reference for its in-place, buffered step;
+levels and to_tensor copy out an engine's carried coordinates.
 """
 
 from __future__ import annotations
@@ -473,3 +476,32 @@ def path_major_steps(params, values: np.ndarray, words=()):
         log_ss.append(log_s.copy())
         coords.append(sig.coords(words))
     return np.array(dbs), np.array(log_ss), np.array(coords)
+
+
+def _rows(a: np.ndarray, idx) -> np.ndarray:
+    return a if idx is None else a[idx]
+
+
+def reference_chen_step(sig: BatchSignature, dx: np.ndarray) -> None:
+    """sig.chen_step(dx) with a fresh array per gather, product and level."""
+    dxt = np.ascontiguousarray(dx.T)
+    seg = [None]
+    for j, (parent, last) in enumerate(sig._seg, start=1):
+        seg.append(_rows(dxt, last) if j == 1 else _rows(seg[-1], parent) * _rows(dxt, last) / j)
+    for m in range(len(sig._lv) - 1, 0, -1):
+        splits = sig._split[m]
+        acc = sig._lv[m] + _rows(seg[m], splits[0][1])
+        for k in range(1, m):
+            acc += _rows(sig._lv[k], splits[k][0]) * _rows(seg[m - k], splits[k][1])
+        sig._lv[m] = acc
+
+
+def levels(sig: BatchSignature) -> list[np.ndarray]:
+    """Copies of the carried levels, level n as (n_paths, carried words of length n)."""
+    return [a.T.copy() for a in sig._lv]
+
+
+def to_tensor(sig: BatchSignature, path: int) -> GradedTensor:
+    """One path's carried coordinates as a sparse tensor (zeros pruned)."""
+    coeffs = {w: float(sig._lv[len(w)][i, path]) for w, i in sig._pos.items()}
+    return GradedTensor(sig.d, sig.trunc, {w: c for w, c in coeffs.items() if c != 0.0})

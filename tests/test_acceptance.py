@@ -31,6 +31,7 @@ from sigvol.signature import BatchSignature, all_words, simulate_brownian_grid
 from _oracles import (
     build_generator_by_label,
     generator_regression,
+    levels,
     lognormal_mgf,
     scalar_explosion_bound,
     transform_value,
@@ -88,14 +89,15 @@ def test_criterion_1_algebraic_identity_suite():
             prefix.chen_step(np.where(before, dx[:, k, :], 0.0))
             suffix.chen_step(np.where(before, 0.0, dx[:, k, :]))
         # Chen: prefix (x) suffix == full, level by level
+        full_lv, prefix_lv, suffix_lv = levels(full), levels(prefix), levels(suffix)
         for m in range(trunc + 1):
-            acc = np.zeros_like(full.levels[m])
+            acc = np.zeros_like(full_lv[m])
             for a in range(m + 1):
-                acc += (prefix.levels[a][:, :, None]
-                        * suffix.levels[m - a][:, None, :]).reshape(acc.shape)
-            worst_chen = max(worst_chen, float(np.max(np.abs(acc - full.levels[m]))))
+                acc += (prefix_lv[a][:, :, None]
+                        * suffix_lv[m - a][:, None, :]).reshape(acc.shape)
+            worst_chen = max(worst_chen, float(np.max(np.abs(acc - full_lv[m]))))
         # shuffle identity over all pairs with 1 <= |I|, |J|, |I| + |J| <= 5
-        coords = np.hstack(full.levels)
+        coords = np.hstack(full_lv)
         offsets = np.cumsum([0] + [(d + 1) ** n for n in range(trunc + 1)])
         nonempty = [w for w in all_words(d, trunc - 1) if w]
         for iw in nonempty:

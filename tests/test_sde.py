@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -285,6 +286,30 @@ class TestStepMajorFeed:
                 assert np.array_equal(np.array(got).view(np.uint64), ref.view(np.uint64))
             blocks += 1
         assert blocks == 3
+
+
+class TestStepperMemory:
+    """Stepping holds one block grid, however many blocks a run has."""
+
+    @staticmethod
+    def _stepping_peak(n_paths: int) -> int:
+        params = make_params("first_order", steps=128)
+        tracemalloc.start()
+        try:
+            for block in stream_paths(params, n_paths, 31, [(1,), (1, 1)]):
+                for _ in block.steps():
+                    pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_bounded_by_one_block(self):
+        # bytes of a time-augmented (steps+1, d+1, paths) grid of one 16384 x 128 block, d = 1
+        augmented_grid = 129 * 2 * 16384 * 8
+        one, four = self._stepping_peak(16384), self._stepping_peak(4 * 16384)
+        assert one < 0.7 * augmented_grid
+        assert four < 0.7 * augmented_grid
+        assert abs(four - one) < 2**20
 
 
 class TestCsvExport:

@@ -17,7 +17,7 @@ from sigvol.signature import (
     simulate_brownian_grid,
 )
 
-from _oracles import brownian_values
+from _oracles import brownian_values, levels, reference_chen_step, to_tensor
 
 
 def random_path(rng, d=2, steps=6, horizon=1.0, scale=0.5):
@@ -114,7 +114,7 @@ class TestBatchEngine:
         for dx in grid.increments():
             batch.chen_step(dx[None, :])
         ref = signature_piecewise_linear(grid, 4).terminal
-        got = batch.to_tensor(0)
+        got = to_tensor(batch, 0)
         words = set(ref.coeffs) | set(got.coeffs)
         assert all(abs(ref[w] - got[w]) < 1e-13 for w in words)
 
@@ -124,7 +124,7 @@ class TestBatchEngine:
         sig.chen_step(np.random.default_rng(3).normal(size=(4, 3)))
         for w in all_words(2, 3):
             index = sum(a * 3 ** (len(w) - 1 - j) for j, a in enumerate(w))
-            assert np.array_equal(sig.levels[len(w)][:, index], sig.coord(w))
+            assert np.array_equal(levels(sig)[len(w)][:, index], sig.coord(w))
 
     def test_coords_column_order(self):
         batch = BatchSignature(2, 1, 2)
@@ -160,11 +160,78 @@ class TestCarriedWords:
 
     def test_only_prefix_closure_carried(self):
         sig = BatchSignature(3, 1, 4, [(1, 0, 0)])
-        assert [lv.shape for lv in sig.levels] == [(3, 1), (3, 1), (3, 1), (3, 1)]
+        assert [lv.shape for lv in levels(sig)] == [(3, 1), (3, 1), (3, 1), (3, 1)]
         with pytest.raises(ValueError):
             sig.coord((0,))
         with pytest.raises(ValueError):
             BatchSignature(3, 1, 2, [(2,)])
+
+
+@st.composite
+def chained_steps(draw):
+    """An engine's (d, trunc, words) and >= 4 steps of increments with exact +-0.0 entries."""
+    d = draw(st.integers(1, 3))
+    trunc = draw(st.integers(0, 5))
+    word = st.lists(st.integers(0, d), max_size=trunc).map(tuple)
+    words = draw(st.one_of(st.none(), st.lists(word, max_size=6)))
+    n_paths = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dx = rng.normal(size=(draw(st.integers(4, 6)), n_paths, d + 1))
+    zeros = rng.random(dx.shape) < 0.3
+    dx[zeros] = np.copysign(0.0, rng.normal(size=dx.shape))[zeros]
+    return d, trunc, words, dx
+
+
+def _array_attrs(sig: BatchSignature) -> list[np.ndarray]:
+    found = []
+    for value in vars(sig).values():
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, np.ndarray):
+                found.append(item)
+    return found
+
+
+class TestBufferedChenStep:
+    """The in-place, buffered Chen step against the allocate-per-step reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(chained_steps())
+    def test_bit_identical_to_reference(self, case):
+        d, trunc, words, dx = case
+        got = BatchSignature(dx.shape[1], d, trunc, words)
+        ref = BatchSignature(dx.shape[1], d, trunc, words)
+        for step in dx:
+            got.chen_step(step)
+            reference_chen_step(ref, step)
+        for a, b in zip(levels(got), levels(ref)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_coords_survive_a_step_and_coord_is_read_only(self):
+        rng = np.random.default_rng(5)
+        words = [(1,), (2, 1), (1, 0, 2)]
+        sig = BatchSignature(4, 2, 3, words)
+        sig.chen_step(rng.normal(size=(4, 3)))
+        before = sig.coords(words)
+        kept = before.copy()
+        sig.chen_step(rng.normal(size=(4, 3)))
+        assert np.array_equal(before, kept)
+        assert not np.array_equal(sig.coords(words), kept)
+        with pytest.raises(ValueError):
+            sig.coord((2, 1))[0] = 1.0
+
+    def test_engines_share_no_buffer(self):
+        rng = np.random.default_rng(6)
+        dx_a, dx_b = rng.normal(size=(2, 4, 3, 3))
+        a, b = BatchSignature(3, 2, 4), BatchSignature(3, 2, 4)
+        for step_a, step_b in zip(dx_a, dx_b):
+            a.chen_step(step_a)
+            b.chen_step(step_b)
+        for mine, theirs in ((a, dx_a), (b, dx_b)):
+            alone = BatchSignature(3, 2, 4)
+            for step in theirs:
+                alone.chen_step(step)
+            assert all(np.array_equal(x, y) for x, y in zip(levels(mine), levels(alone)))
+        assert not any(np.shares_memory(x, y) for x in _array_attrs(a) for y in _array_attrs(b))
 
 
 class TestBrownianDriver:
