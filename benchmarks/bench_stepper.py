@@ -1,4 +1,4 @@
-"""Per-layer cost of the batch Chen step and the block stepper (pytest-benchmark).
+"""Per-layer cost of the Chen step, the block stepper and streamed `simulate` (pytest-benchmark).
 
 Run from the repository root:
 
@@ -10,13 +10,15 @@ page faults (ru_minflt) of one call and the tracemalloc peak of one call,
 both taken after a warm-up call; add --benchmark-json=FILE to keep them.
 """
 
+import os
 import resource
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from sigvol.models import preset
-from sigvol.sde import SigVolParams, stream_paths
+from sigvol.sde import SigVolParams, simulate_price, stream_paths, write_price_csv
 from sigvol.signature import BatchSignature
 
 
@@ -70,3 +72,19 @@ def test_stream_paths_block(benchmark):
                 pass
 
     _record(benchmark, one_pass, 7, paths=16384, steps=128, d=1)
+
+
+@pytest.mark.parametrize("blocks", [1, 4])
+def test_simulate_streamed(benchmark, blocks):
+    # what `simulate` does per block at the price_paths_deep size: price it, write its rows;
+    # the traced peak should not grow with the number of blocks
+    pre = preset("rough_bergomi_approx")
+    params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 128)
+    block = 1024
+
+    def one_run():
+        with open(os.devnull, "w", encoding="utf-8", newline="\n") as fh:
+            for paths in stream_paths(params, blocks * block, 1, block=block):
+                write_price_csv(simulate_price(paths), fh)
+
+    _record(benchmark, one_run, 3, paths=blocks * block, block=block, steps=128, d=1)

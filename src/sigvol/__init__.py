@@ -24,7 +24,6 @@ from .hedging import (
     depth_scan,
     gkw_project,
     kappa_tail,
-    payoff,
     simulate_hedge_dataset,
 )
 from .models import ModelPreset, kernel_expansion, preset
@@ -39,7 +38,6 @@ from .riccati import (
 )
 from .sde import (
     PriceBatch,
-    PricePath,
     SigVolParams,
     check_H1,
     estimate_H3,

@@ -33,7 +33,7 @@ from .algebra import (
     weight_check,
     weighted_norms,
 )
-from .signature import PathGrid, signature_piecewise_linear, simulate_brownian_grid
+from .signature import PathGrid, signature_piecewise_linear
 
 
 def _fmt(value) -> str:
@@ -147,6 +147,8 @@ def _params(cfg: dict, ell: GradedTensor, eta, weight) -> sde.SigVolParams:
 
 def _parse_payoff(text) -> tuple[str, dict]:
     if isinstance(text, dict):
+        if "kind" not in text:
+            raise CliError(f"payoff object needs a kind: {text!r}")
         return text["kind"], {k: float(v) for k, v in text.items() if k != "kind"}
     kind, _, rest = str(text).partition(":")
     kind = kind.strip()
@@ -238,12 +240,16 @@ def _cmd_simulate(cfg: dict, out: str) -> int:
     seed = _require_seed(cfg)
     ell, eta, weight, _ = resolve_model(cfg)
     params = _params(cfg, ell, eta, weight)
-    paths = simulate_brownian_grid(params.dim, params.horizon, params.steps,
-                                   int(cfg["paths"]), seed)
-    prices = sde.simulate_price(params, paths)
+    n_paths = int(cfg["paths"])
+    blocks = sde.stream_paths(params, n_paths, seed)  # rejects a bad run before paths.csv exists
+    terminal = np.empty(n_paths)
     with open(os.path.join(out, "paths.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        sde.write_price_csv(prices, fh)
-    report = sde.martingale_check(prices.terminal_price, prices.s0)
+        for block in blocks:
+            prices = sde.simulate_price(block)
+            sde.write_price_csv(prices, fh)
+            terminal[block.offset : block.offset + block.size] = prices.terminal_price
+            del prices  # one block's price paths at a time: free them before the next is drawn
+    report = sde.martingale_check(terminal, params.s0)
     print(f"mean_ST={report.mean_terminal:.17g} se={report.se:.17g} z={report.z_score:.17g}")
     print("status=ok")
     return 0
@@ -489,7 +495,8 @@ def execute(argv: list[str]) -> int:
         out = cfg.get("out") or "."
         os.makedirs(out, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, TypeError) as exc:
+        # TypeError: a config value of the wrong JSON type, e.g. "paths": null
         print(f"error: {exc}", file=sys.stderr)
         print("status=invalid")
         return 1

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Weight, Word, format_word
-from .sde import PriceBatch, PricePath, SigVolParams, stream_paths
+from .sde import SigVolParams, stream_paths
 from .signature import all_words
 
 DROP_TOL = 1e-6
@@ -88,18 +88,9 @@ class GKWResult:
 PAYOFF_KINDS = ("call", "digital", "variance_swap", "asian")
 
 
-def payoff(kind: str, params: dict, prices: PriceBatch | PricePath):
-    """Deterministic payoff per path; Asian uses the trapezoid average."""
-    s, xi, times = np.atleast_2d(prices.price), np.atleast_2d(prices.xi), prices.times
-    dt = np.diff(times)
-    out = _settle(kind, params, s[:, -1], (xi[:, :-1] ** 2 * dt).sum(axis=1),
-                  ((s[:, :-1] + s[:, 1:]) * 0.5 * dt).sum(axis=1) / (times[-1] - times[0]))
-    return float(out[0]) if isinstance(prices, PricePath) else out
-
-
 def _settle(kind: str, params: dict, terminal: np.ndarray, qv: np.ndarray,
             average: np.ndarray) -> np.ndarray:
-    """Payoff from the terminal price, the bracket and the time-average price."""
+    """Payoff per path from the terminal price, the bracket and the trapezoid time-average price."""
     if kind == "call":
         return np.maximum(terminal - params["strike"], 0.0)
     if kind == "digital":
@@ -175,7 +166,6 @@ class HedgeDataset:
 
     design: HedgeDesign
     payoffs: np.ndarray
-    asian_average: np.ndarray
 
 
 def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind: str,
@@ -218,7 +208,7 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
     design = HedgeDesign(params.s0, dyn_words, labels, res_words, dynamic, static,
                          residual, terminal)
     x = _settle(payoff_kind, payoff_params, terminal, bracket, asian)
-    return HedgeDataset(design, x, asian)
+    return HedgeDataset(design, x)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ xi dB, xi_t = <ell, W_t> and B = eta . W.  Exponentiating the Doleans-Dade
 form once per step keeps every path strictly positive and reproduces the
 Black-Scholes closed form exactly on shared grids.
 
-Monte Carlo consumers step paths through PathBlock, one driver block at a
-time; stream_paths reuses one block grid for a whole run.
+Every Monte Carlo consumer, the price paths of `simulate` included, steps
+paths through PathBlock, one driver block at a time, as stream_paths hands
+them out; it reuses one block grid for a whole run.  simulate_price and
+write_price_csv price and write one block, so memory is bounded by one
+block whatever the number of paths.
 
 H3 (exponential integrability of the integrated variance) is reported via
 Monte Carlo, never asserted: finiteness of an exponential moment is not
@@ -55,20 +58,8 @@ class SigVolParams:
 
 
 @dataclass(frozen=True)
-class PricePath:
-    """One simulated path: volatility, driver, martingale, bracket, price."""
-
-    times: np.ndarray
-    xi: np.ndarray
-    driver: np.ndarray
-    martingale: np.ndarray
-    bracket: np.ndarray
-    price: np.ndarray
-
-
-@dataclass(frozen=True)
 class PriceBatch:
-    """Column-stacked PricePath collection on a shared grid."""
+    """Price paths of one driver block on the shared grid, rows offset.. of the run."""
 
     times: np.ndarray
     xi: np.ndarray
@@ -77,13 +68,10 @@ class PriceBatch:
     bracket: np.ndarray
     price: np.ndarray
     s0: float
+    offset: int
 
     def __len__(self) -> int:
         return self.price.shape[0]
-
-    def __getitem__(self, i: int) -> PricePath:
-        return PricePath(self.times, self.xi[i], self.driver[i],
-                         self.martingale[i], self.bracket[i], self.price[i])
 
     @property
     def terminal_price(self) -> np.ndarray:
@@ -108,6 +96,7 @@ class PathBlock:
         self.params = params
         self.offset = paths.path_offset
         self.size = len(paths)
+        self.times = paths.times
         self.dt = np.diff(paths.times)
         self._grid = paths.grid  # (steps+1, d, n_paths)
         self._spent = None
@@ -136,11 +125,17 @@ def stream_paths(params: SigVolParams, n_paths: int, seed: int, words=(),
                  block: int = 16384) -> Iterator[PathBlock]:
     """The driver's path set for (seed, n_paths) as PathBlocks, in path order.
 
-    A block that has stepped to the end hands its grid back, and the next
+    The driver's arguments are checked on the call, before any block is
+    drawn, so a caller can reject a run before it opens its outputs.  A
+    block that has stepped to the end hands its grid back, and the next
     block of the same shape is drawn into it, so a run holds one block grid.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    signature.check_driver_args(params.dim, params.horizon, params.steps, n_paths, seed)
+    return _blocks(params, n_paths, seed, words, block)
+
+
+def _blocks(params: SigVolParams, n_paths: int, seed: int, words,
+            block: int) -> Iterator[PathBlock]:
     spare = None
     for start in range(0, n_paths, block):
         current = PathBlock(params, signature.simulate_brownian_grid(
@@ -150,9 +145,11 @@ def stream_paths(params: SigVolParams, n_paths: int, seed: int, words=(),
         spare, current._spent = current._spent, None
 
 
-def simulate_price(params: SigVolParams, paths: BrownianBatch) -> PriceBatch:
-    """Exact Doleans-Dade exponential on the grid with left-point sums."""
-    block = PathBlock(params, paths)
+def simulate_price(block: PathBlock) -> PriceBatch:
+    """Exact Doleans-Dade exponential of one block on the grid, with left-point sums.
+
+    Steps the block to the end.
+    """
     n, m = block.size, len(block.dt)
     xi = np.empty((n, m + 1))
     db = np.empty((n, m))
@@ -164,8 +161,9 @@ def simulate_price(params: SigVolParams, paths: BrownianBatch) -> PriceBatch:
     driver = np.concatenate([zero, np.cumsum(db, axis=1)], axis=1)
     mart = np.concatenate([zero, np.cumsum(xi[:, :-1] * db, axis=1)], axis=1)
     bracket = np.concatenate([zero, np.cumsum(xi[:, :-1] ** 2 * block.dt[None, :], axis=1)], axis=1)
-    price = params.s0 * np.exp(mart - 0.5 * bracket)
-    return PriceBatch(paths.times, xi, driver, mart, bracket, price, params.s0)
+    s0 = block.params.s0
+    price = s0 * np.exp(mart - 0.5 * bracket)
+    return PriceBatch(block.times, xi, driver, mart, bracket, price, s0, block.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +269,16 @@ def martingale_check(terminal: np.ndarray, s0: float) -> MartingaleReport:
 
 
 def write_price_csv(prices: PriceBatch, fh) -> None:
-    """CSV export, one row per (path, time): path_id,t,xi,B,M,qv,S."""
-    fh.write("path_id,t,xi,B,M,qv,S\n")
+    """One block's CSV rows, one per (path, time): path_id,t,xi,B,M,qv,S.
+
+    Path ids count from the block's offset, and the block at offset 0 writes
+    the header first, so a run's blocks written in order make one file.
+    """
+    if prices.offset == 0:
+        fh.write("path_id,t,xi,B,M,qv,S\n")
     times = prices.times.tolist()
     for i in range(len(prices)):
-        row = f"{i},%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+        row = f"{prices.offset + i},%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
         fh.write("".join([row % values for values in zip(
             times, prices.xi[i].tolist(), prices.driver[i].tolist(),
             prices.martingale[i].tolist(), prices.bracket[i].tolist(), prices.price[i].tolist())]))

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -297,6 +296,16 @@ def _with_time(times: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_driver_args(d: int, horizon: float, steps: int, n_paths: int, seed: int) -> None:
+    """Raise ValueError on arguments simulate_brownian_grid would reject."""
+    if horizon <= 0.0:
+        raise ValueError("horizon must be positive")
+    if d < 1 or steps < 1 or n_paths < 1:
+        raise ValueError("d, steps and n_paths must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be an integer in [0, 2**64)")
+
+
 def simulate_brownian_grid(d: int, horizon: float, steps: int, n_paths: int,
                            seed: int, path_offset: int = 0, *,
                            _into: np.ndarray | None = None) -> BrownianBatch:
@@ -311,12 +320,7 @@ def simulate_brownian_grid(d: int, horizon: float, steps: int, n_paths: int,
     grid is a fresh array unless `_into`, a grid of the same shape that no
     one reads any more, is passed to be overwritten (sde.stream_paths does).
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    if d < 1 or steps < 1 or n_paths < 1:
-        raise ValueError("d, steps and n_paths must be >= 1")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must be an integer in [0, 2**64)")
+    check_driver_args(d, horizon, steps, n_paths, seed)
     times = np.linspace(0.0, horizon, steps + 1)
     shape = (steps + 1, d, n_paths)
     grid = _into if _into is not None and _into.shape == shape else np.empty(shape)
@@ -346,15 +350,3 @@ def simulate_brownian_grid(d: int, horizon: float, steps: int, n_paths: int,
     for k in range(2, steps + 1):
         grid[k] += grid[k - 1]
     return BrownianBatch(times, grid, seed, path_offset)
-
-
-def iter_brownian_blocks(d: int, horizon: float, steps: int, n_paths: int, seed: int,
-                         block: int = 16384) -> Iterator[BrownianBatch]:
-    """Stream the same path set as simulate_brownian_grid in path blocks."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    start = 0
-    while start < n_paths:
-        n = min(block, n_paths - start)
-        yield simulate_brownian_grid(d, horizon, steps, n, seed, path_offset=start)
-        start += n

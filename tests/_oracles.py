@@ -205,7 +205,7 @@ def brute_force_interlacings(u, v):
 
 
 def build_design(dataset, basis: HedgeBasis) -> HedgeDesign:
-    """Per-path reference route for the hedging design, from (PricePath, SignatureStream) pairs.
+    """Per-path reference route for the hedging design, from (price row, SignatureStream) pairs.
 
     Dynamic gain columns are left-point sums G_K = sum_k <e_K, W_{t_k}> dS_k;
     residual columns are terminal coordinates in the residual window.
@@ -224,15 +224,15 @@ def build_design(dataset, basis: HedgeBasis) -> HedgeDesign:
     dynamic = np.zeros((n, len(dyn_words)))
     residual = np.zeros((n, len(res_words)))
     terminal = np.zeros(n)
-    s0 = float(dataset[0][0].price[0])
-    for i, (path, stream) in enumerate(dataset):
-        ds = np.diff(path.price)
+    s0 = float(dataset[0][0][0])
+    for i, (price, stream) in enumerate(dataset):
+        ds = np.diff(price)
         for c, word in enumerate(dyn_words):
             feats = np.array([t[word] for t in stream.tensors[:-1]])
             dynamic[i, c] = float(feats @ ds)
         for c, word in enumerate(res_words):
             residual[i, c] = stream.terminal[word]
-        terminal[i] = path.price[-1]
+        terminal[i] = price[-1]
     strikes = basis.static_strikes if basis.static_strikes is not None else default_strikes(terminal)
     static, labels = _static_block(terminal, strikes)
     return HedgeDesign(s0, dyn_words, labels, res_words, dynamic, static, residual, terminal)

@@ -25,7 +25,7 @@ from sigvol.riccati import (
     mc_transform,
     projection_compatibility,
 )
-from sigvol.sde import SigVolParams, check_H1, martingale_check, simulate_price
+from sigvol.sde import PathBlock, SigVolParams, check_H1, martingale_check, simulate_price
 from sigvol.signature import BatchSignature, all_words, simulate_brownian_grid
 
 from _oracles import (
@@ -136,7 +136,7 @@ def test_criterion_3_black_scholes_exactness():
     pre = preset("black_scholes", sigma=sigma)
     params = SigVolParams(pre.ell, pre.weight, s0, pre.eta, 1.0, steps)
     paths = simulate_brownian_grid(1, 1.0, steps, 100_000, seed=2027)
-    prices = simulate_price(params, paths)
+    prices = simulate_price(PathBlock(params, paths))
     closed = s0 * np.exp(sigma * prices.driver - 0.5 * sigma**2 * prices.times[None, :])
     err = float(np.max(np.abs(prices.price - closed)))
     mart = martingale_check(prices.terminal_price, prices.s0)

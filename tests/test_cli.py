@@ -3,10 +3,13 @@ import json
 import math
 import os
 import subprocess
+import functools
 import sys
+import tracemalloc
 
 import pytest
 
+from sigvol import sde
 from sigvol.cli import execute
 
 
@@ -66,17 +69,38 @@ class TestValidation:
         for argv in (["simulate", "--paths", "4", "--steps", "4"],
                      ["transform", "--model", "first_order", "--u", "1:0.4", "--mc-check",
                       "--paths", "4", "--steps", "4"]):
-            code, out = run(capsys, *argv, "--out", str(tmp_path), "--seed", seed)
+            code = execute([*argv, "--out", str(tmp_path), "--seed", seed])
+            out, err = capsys.readouterr()
             assert code == 1
             assert status_line(out) == "status=invalid"
+            assert err == "error: seed must be an integer in [0, 2**64)\n"
+            assert not (tmp_path / "paths.csv").exists()
 
     @pytest.mark.parametrize("argv", [
+        ["simulate"],
         ["transform", "--model", "first_order", "--u", "1:0.4", "--mc-check"],
         ["hedge", "--model", "first_order", "--payoff", "call:K=1"],
         ["depth-report", "--model", "first_order", "--payoff", "asian:K=1"],
-    ], ids=["transform", "hedge", "depth-report"])
+    ], ids=["simulate", "transform", "hedge", "depth-report"])
     def test_zero_paths(self, tmp_path, capsys, argv):
-        code, out = run(capsys, *argv, "--paths", "0", "--seed", "1", "--out", str(tmp_path))
+        code = execute([*argv, "--paths", "0", "--seed", "1", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert status_line(out) == "status=invalid"
+        assert err == "error: d, steps and n_paths must be >= 1\n"
+        assert not (tmp_path / "paths.csv").exists()
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("simulate", {"paths": None}),
+        ("depth-report", {"depths": 5}),
+        ("hedge", {"payoff": {"strike": 1}}),
+        ("transform", {"u": 5}),
+        ("hedge", {"hedge": [1, 2]}),
+    ], ids=["paths-null", "depths-int", "payoff-no-kind", "u-int", "hedge-list"])
+    def test_malformed_config_value(self, tmp_path, capsys, command, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(cfg, model="first_order", seed=1)))
+        code, out = run(capsys, command, "--config", str(cfg_path), "--out", str(tmp_path))
         assert code == 1
         assert status_line(out) == "status=invalid"
 
@@ -94,6 +118,25 @@ class TestSimulate:
         lines = (tmp_path / "paths.csv").read_text().splitlines()
         assert lines[0] == "path_id,t,xi,B,M,qv,S"
         assert len(lines) == 1 + 10 * 9
+
+    def test_peak_memory_bounded_by_one_block(self, tmp_path, capsys, monkeypatch):
+        # 128-path blocks: one block against four, after a warm-up run
+        monkeypatch.setattr(sde, "stream_paths", functools.partial(sde.stream_paths, block=128))
+
+        def peak(n_paths: int) -> int:
+            tracemalloc.start()
+            try:
+                code, _ = run(capsys, "simulate", "--model", "rough_bergomi_approx",
+                              "--steps", "32", "--paths", str(n_paths), "--seed", "2",
+                              "--out", str(tmp_path))
+                assert code == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(128)
+        one, four = peak(128), peak(512)
+        assert four < 1.25 * one, (one, four)
 
 
 class TestHypotheses:

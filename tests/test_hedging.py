@@ -11,11 +11,10 @@ from sigvol.hedging import (
     depth_scan,
     gkw_project,
     kappa_tail,
-    payoff,
     simulate_hedge_dataset,
 )
 from sigvol.models import preset
-from sigvol.sde import SigVolParams, simulate_price
+from sigvol.sde import PathBlock, SigVolParams, simulate_price
 from sigvol.signature import (
     BatchSignature,
     all_words,
@@ -41,37 +40,28 @@ def bs_dataset():
 
 
 class TestPayoff:
+    @staticmethod
+    def dataset(kind, pay, n_paths, seed, **kw):
+        _, params = make_params(steps=16, **kw)
+        return simulate_hedge_dataset(params, HedgeBasis(0, (0, 1), static_strikes=()), kind, pay,
+                                      n_paths, seed)
+
     def test_digital_sure_event(self):
-        _, params = make_params()
-        paths = simulate_brownian_grid(1, 1.0, 16, 50, seed=41)
-        prices = simulate_price(params, paths)
-        assert np.all(payoff("digital", {"strike": prices.price.min() * 0.5}, prices) == 1.0)
+        terminal = self.dataset("call", {"strike": 0.0}, 50, 41).design.terminal_price
+        data = self.dataset("digital", {"strike": terminal.min() * 0.5}, 50, 41)
+        assert np.all(data.payoffs == 1.0)
 
     def test_variance_swap_constant_sigma(self):
-        _, params = make_params(sigma=0.3)
-        paths = simulate_brownian_grid(1, 1.0, 16, 10, seed=42)
-        prices = simulate_price(params, paths)
-        assert payoff("variance_swap", {}, prices) == pytest.approx([0.09] * 10)
+        data = self.dataset("variance_swap", {}, 10, 42, sigma=0.3)
+        assert data.payoffs == pytest.approx([0.09] * 10)
 
     def test_call_at_zero_strike_is_terminal_price(self):
-        _, params = make_params()
-        paths = simulate_brownian_grid(1, 1.0, 16, 10, seed=43)
-        prices = simulate_price(params, paths)
-        assert payoff("call", {"strike": 0.0}, prices) == pytest.approx(prices.price[:, -1])
+        data = self.dataset("call", {"strike": 0.0}, 10, 43)
+        assert data.payoffs == pytest.approx(data.design.terminal_price)
 
     def test_unknown_kind(self):
-        _, params = make_params()
-        paths = simulate_brownian_grid(1, 1.0, 4, 2, seed=44)
         with pytest.raises(ValueError):
-            payoff("lookback", {}, simulate_price(params, paths))
-
-    def test_single_path_matches_batch(self):
-        _, params = make_params("first_order")
-        paths = simulate_brownian_grid(1, 1.0, 16, 5, seed=45)
-        prices = simulate_price(params, paths)
-        batch_vals = payoff("asian", {"strike": 0.9}, prices)
-        for i in range(5):
-            assert payoff("asian", {"strike": 0.9}, prices[i]) == pytest.approx(batch_vals[i])
+            self.dataset("lookback", {}, 2, 44)
 
 
 class TestBuildDesign:
@@ -82,16 +72,16 @@ class TestBuildDesign:
     def test_truncation_too_low(self):
         _, params = make_params()
         paths = simulate_brownian_grid(1, 1.0, 8, 3, seed=46)
-        prices = simulate_price(params, paths)
-        dataset = [(prices[i], signature_piecewise_linear(paths[i], 1)) for i in range(3)]
+        prices = simulate_price(PathBlock(params, paths))
+        dataset = [(prices.price[i], signature_piecewise_linear(paths[i], 1)) for i in range(3)]
         with pytest.raises(ValueError):
             build_design(dataset, HedgeBasis(1, (0, 3)))
 
     def test_constant_feature_telescopes(self):
         _, params = make_params("first_order")
         paths = simulate_brownian_grid(1, 1.0, 16, 6, seed=47)
-        prices = simulate_price(params, paths)
-        dataset = [(prices[i], signature_piecewise_linear(paths[i], 2)) for i in range(6)]
+        prices = simulate_price(PathBlock(params, paths))
+        dataset = [(prices.price[i], signature_piecewise_linear(paths[i], 2)) for i in range(6)]
         design = build_design(dataset, HedgeBasis(1, (1, 2), static_strikes=(1.0,)))
         idx = design.dyn_words.index(())
         assert design.dynamic[:, idx] == pytest.approx(prices.price[:, -1] - 1.0, abs=1e-12)
@@ -100,8 +90,8 @@ class TestBuildDesign:
         ell = GradedTensor.zero(1, 1)
         params = SigVolParams(ell, Weight.geometric(2.0), 1.0, np.array([1.0]), 1.0, 8)
         paths = simulate_brownian_grid(1, 1.0, 8, 4, seed=48)
-        prices = simulate_price(params, paths)
-        dataset = [(prices[i], signature_piecewise_linear(paths[i], 2)) for i in range(4)]
+        prices = simulate_price(PathBlock(params, paths))
+        dataset = [(prices.price[i], signature_piecewise_linear(paths[i], 2)) for i in range(4)]
         design = build_design(dataset, HedgeBasis(1, (1, 2), static_strikes=(0.9,)))
         assert np.all(design.dynamic == 0.0)
 
@@ -110,8 +100,8 @@ class TestBuildDesign:
         basis = HedgeBasis(2, (1, 3), static_strikes=(0.9, 1.1))
         data = simulate_hedge_dataset(params, basis, "call", {"strike": 1.0}, 40, seed=49)
         paths = simulate_brownian_grid(1, 1.0, 16, 40, seed=49)
-        prices = simulate_price(params, paths)
-        dataset = [(prices[i], signature_piecewise_linear(paths[i], 3)) for i in range(40)]
+        prices = simulate_price(PathBlock(params, paths))
+        dataset = [(prices.price[i], signature_piecewise_linear(paths[i], 3)) for i in range(40)]
         ref = build_design(dataset, basis)
         assert np.max(np.abs(ref.dynamic - data.design.dynamic)) < 1e-10
         assert np.max(np.abs(ref.residual - data.design.residual)) < 1e-10

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 from dataclasses import replace
@@ -8,6 +9,7 @@ import pytest
 from sigvol.algebra import GradedTensor, Weight
 from sigvol.models import preset
 from sigvol.sde import (
+    PathBlock,
     SigVolParams,
     check_H1,
     estimate_H3,
@@ -72,7 +74,7 @@ class TestSimulatePrice:
     def test_black_scholes_bit_exact(self):
         params = make_params(sigma=0.25, s0=1.4, steps=64)
         paths = simulate_brownian_grid(1, 1.0, 64, 200, seed=5)
-        prices = simulate_price(params, paths)
+        prices = simulate_price(PathBlock(params, paths))
         closed = 1.4 * np.exp(0.25 * prices.driver - 0.5 * 0.25**2 * prices.times[None, :])
         assert np.max(np.abs(prices.price - closed)) < 1e-12
 
@@ -80,19 +82,19 @@ class TestSimulatePrice:
         ell = GradedTensor.zero(1, 0)
         params = SigVolParams(ell, Weight.geometric(2.0), 2.5, np.array([1.0]), 1.0, 16)
         paths = simulate_brownian_grid(1, 1.0, 16, 50, seed=6)
-        prices = simulate_price(params, paths)
+        prices = simulate_price(PathBlock(params, paths))
         assert np.all(prices.price == 2.5)
 
     def test_positivity(self):
         params = make_params("first_order", steps=64)
         paths = simulate_brownian_grid(1, 1.0, 64, 500, seed=7)
-        prices = simulate_price(params, paths)
+        prices = simulate_price(PathBlock(params, paths))
         assert prices.price.min() > 0.0
 
     def test_bracket_nondecreasing(self):
         params = make_params("first_order", steps=32)
         paths = simulate_brownian_grid(1, 1.0, 32, 100, seed=8)
-        prices = simulate_price(params, paths)
+        prices = simulate_price(PathBlock(params, paths))
         assert np.all(np.diff(prices.bracket, axis=1) >= -1e-15)
 
     def test_finite_support_truncation_is_exact(self):
@@ -100,8 +102,10 @@ class TestSimulatePrice:
         pre = preset("first_order")
         padded = GradedTensor(1, 4, dict(pre.ell.coeffs))
         paths = simulate_brownian_grid(1, 1.0, 16, 40, seed=9)
-        base = simulate_price(SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 16), paths)
-        pad = simulate_price(SigVolParams(padded, pre.weight, 1.0, pre.eta, 1.0, 16), paths)
+        base = simulate_price(PathBlock(SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 16),
+                                        paths))
+        pad = simulate_price(PathBlock(SigVolParams(padded, pre.weight, 1.0, pre.eta, 1.0, 16),
+                                       paths))
         assert np.array_equal(base.price, pad.price)
 
     def test_projected_ell_identical_beyond_support(self):
@@ -116,7 +120,7 @@ class TestSimulatePrice:
         reference = None
         for level in (3, 4, 6):
             cut = GradedTensor(1, level, dict(project_leq(ell, level).coeffs))
-            prices = simulate_price(SigVolParams(cut, w, 1.0, eta, 1.0, 16), paths)
+            prices = simulate_price(PathBlock(SigVolParams(cut, w, 1.0, eta, 1.0, 16), paths))
             if reference is None:
                 reference = prices.price
             else:
@@ -128,7 +132,7 @@ class TestSimulatePrice:
         for steps in (32, 64, 128):
             params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, steps)
             paths = simulate_brownian_grid(1, 1.0, steps, 4000, seed=10)
-            means.append(simulate_price(params, paths).bracket[:, -1].mean())
+            means.append(simulate_price(PathBlock(params, paths)).bracket[:, -1].mean())
         assert abs(means[-1] - means[-2]) < 0.05 * abs(means[-1])
 
     def test_midpoint_vs_leftpoint_consistency(self):
@@ -140,7 +144,7 @@ class TestSimulatePrice:
         for steps in (16, 64):
             paths = simulate_brownian_grid(1, 1.0, steps, 30_000, seed=11)
             params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, steps)
-            prices = simulate_price(params, paths)
+            prices = simulate_price(PathBlock(params, paths))
             xi_mid_sq = (0.5 * (prices.xi[:, :-1] + prices.xi[:, 1:])) ** 2
             db = np.diff(prices.driver, axis=1)
             dt = np.diff(prices.times)
@@ -207,7 +211,7 @@ class TestMartingaleCheck:
     def test_constant_sigma_unbiased(self):
         params = make_params(sigma=0.2, steps=16)
         paths = simulate_brownian_grid(1, 1.0, 16, 50_000, seed=16)
-        prices = simulate_price(params, paths)
+        prices = simulate_price(PathBlock(params, paths))
         rep = martingale_check(prices.terminal_price, prices.s0)
         assert abs(rep.z_score) < 3.0
 
@@ -215,7 +219,7 @@ class TestMartingaleCheck:
         ell = GradedTensor.zero(1, 0)
         params = SigVolParams(ell, Weight.geometric(2.0), 1.0, np.array([1.0]), 1.0, 8)
         paths = simulate_brownian_grid(1, 1.0, 8, 100, seed=17)
-        prices = simulate_price(params, paths)
+        prices = simulate_price(PathBlock(params, paths))
         rep = martingale_check(prices.terminal_price, prices.s0)
         assert rep.mean_terminal == 1.0 and rep.se == 0.0 and rep.z_score == 0.0
 
@@ -223,7 +227,7 @@ class TestMartingaleCheck:
         # negative control: a deterministic drift exp(0.05 t) on the price
         params = make_params(sigma=0.2, steps=16)
         paths = simulate_brownian_grid(1, 1.0, 16, 50_000, seed=18)
-        prices = simulate_price(params, paths)
+        prices = simulate_price(PathBlock(params, paths))
         biased = replace(prices, price=prices.price * np.exp(0.05 * prices.times[None, :]))
         rep = martingale_check(biased.terminal_price, biased.s0)
         assert rep.z_score > 3.0
@@ -250,7 +254,7 @@ class TestBlockSize:
             # more paths than one moment chunk, so chunks straddle blocks of 7
             mc = mc_transform(state, table, 1.0, 8, 4100, seed=22, block=block)
             data = simulate_hedge_dataset(params, HedgeBasis(1, (1, 2), static_strikes=(1.0,)),
-                                          "asian", {"strike": 1.0}, 40, seed=23, block=block)
+                                          "asian", {"strike": 0.0}, 40, seed=23, block=block)
             runs[block] = (batches, mc, data)
         (small, mc_small, data_small), (large, mc_large, data_large) = runs[7], runs[16384]
         assert [off for off, _ in small] == list(range(0, 40, 7)) and len(large) == 1
@@ -261,8 +265,8 @@ class TestBlockSize:
         for field in ("dynamic", "static", "residual", "terminal_price"):
             assert np.array_equal(getattr(data_small.design, field),
                                   getattr(data_large.design, field))
+        # asian:K=0 pays the time-average price itself
         assert np.array_equal(data_small.payoffs, data_large.payoffs)
-        assert np.array_equal(data_small.asian_average, data_large.asian_average)
 
 
 class TestStepMajorFeed:
@@ -316,10 +320,22 @@ class TestCsvExport:
     def test_header_and_shape(self, tmp_path):
         params = make_params(steps=4)
         paths = simulate_brownian_grid(1, 1.0, 4, 3, seed=19)
-        prices = simulate_price(params, paths)
+        prices = simulate_price(PathBlock(params, paths))
         fn = tmp_path / "prices.csv"
         with open(fn, "w", newline="\n") as fh:
             write_price_csv(prices, fh)
         lines = fn.read_text().splitlines()
         assert lines[0] == "path_id,t,xi,B,M,qv,S"
         assert len(lines) == 1 + 3 * 5
+
+    def test_blocks_make_one_file(self):
+        # the header once, then path ids counting on across blocks
+        params = make_params("first_order", steps=4)
+
+        def csv(block: int) -> str:
+            fh = io.StringIO()
+            for paths in stream_paths(params, 20, 19, block=block):
+                write_price_csv(simulate_price(paths), fh)
+            return fh.getvalue()
+
+        assert csv(7) == csv(16384)

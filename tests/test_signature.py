@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigvol.algebra import GradedTensor, concat_product, dual_pairing, shuffle_product
+from sigvol.algebra import GradedTensor, Weight, concat_product, dual_pairing, shuffle_product
+from sigvol.sde import SigVolParams, stream_paths
 from sigvol.signature import (
     _CHUNK_OUTPUTS,
     BatchSignature,
     PathGrid,
     all_words,
-    iter_brownian_blocks,
     segment_exponential,
     signature_piecewise_linear,
     simulate_brownian_grid,
@@ -267,8 +267,10 @@ class TestBrownianDriver:
         with pytest.raises(ValueError):
             simulate_brownian_grid(0, 1.0, 4, 4, seed=0)
         # an empty path set is rejected before any block is drawn
+        params = SigVolParams(GradedTensor(1, 0, {(): 0.2}), Weight.constant(), 1.0,
+                              np.array([1.0]), 1.0, 4)
         with pytest.raises(ValueError):
-            next(iter_brownian_blocks(1, 1.0, 4, 0, seed=0))
+            next(stream_paths(params, 0, seed=0))
 
     def test_level1_ito_isometry(self):
         batch = simulate_brownian_grid(1, 0.7, 16, 60_000, seed=77)
