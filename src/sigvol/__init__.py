@@ -47,10 +47,6 @@ from .sde import (
 from .signature import (
     BatchSignature,
     BrownianBatch,
-    PathGrid,
-    SignatureStream,
-    segment_exponential,
-    signature_piecewise_linear,
     simulate_brownian_grid,
 )
 

@@ -10,6 +10,7 @@ after construction and all operations are pure functions.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
@@ -271,14 +272,25 @@ def _check_dims(a: GradedTensor, b: GradedTensor) -> None:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _by_length(b: GradedTensor) -> tuple[list, list[int]]:
+    """b's terms stably sorted by word length, and their lengths for bisection."""
+    terms = sorted(b.coeffs.items(), key=lambda kv: len(kv[0]))
+    return terms, [len(v) for v, _ in terms]
+
+
 def shuffle_product(a: GradedTensor, b: GradedTensor, trunc: int) -> GradedTensor:
-    """Commutative shuffle product, truncated to words of length <= trunc."""
+    """Commutative shuffle product, truncated to words of length <= trunc.
+
+    Each left word walks only the right words short enough to keep; the
+    right words of one length, the only ones that reach a given output word
+    from it, stay in b's order, so every sum is taken in the order of the
+    untruncated double loop.
+    """
     _check_dims(a, b)
+    terms, lengths = _by_length(b)
     out: dict[Word, float] = {}
     for u, cu in a.coeffs.items():
-        for v, cv in b.coeffs.items():
-            if len(u) + len(v) > trunc:
-                continue
+        for v, cv in terms[: bisect_right(lengths, trunc - len(u))]:
             cuv = cu * cv
             for w, m in shuffle_words(u, v):
                 out[w] = out.get(w, 0.0) + m * cuv
@@ -286,13 +298,16 @@ def shuffle_product(a: GradedTensor, b: GradedTensor, trunc: int) -> GradedTenso
 
 
 def concat_product(a: GradedTensor, b: GradedTensor, trunc: int) -> GradedTensor:
-    """Concatenation (tensor) product, truncated to length <= trunc."""
+    """Concatenation (tensor) product, truncated to length <= trunc.
+
+    Each left word walks only the right words short enough to keep, and
+    reaches an output word at most once, so sums are those of the double loop.
+    """
     _check_dims(a, b)
+    terms, lengths = _by_length(b)
     out: dict[Word, float] = {}
     for u, cu in a.coeffs.items():
-        for v, cv in b.coeffs.items():
-            if len(u) + len(v) > trunc:
-                continue
+        for v, cv in terms[: bisect_right(lengths, trunc - len(u))]:
             w = u + v
             out[w] = out.get(w, 0.0) + cu * cv
     return GradedTensor(a.dim, trunc, out)

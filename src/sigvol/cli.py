@@ -33,7 +33,7 @@ from .algebra import (
     weight_check,
     weighted_norms,
 )
-from .signature import PathGrid, signature_piecewise_linear
+from .signature import BatchSignature, all_words
 
 
 def _fmt(value) -> str:
@@ -215,16 +215,18 @@ def _cmd_selftest(cfg: dict, out: str) -> int:
             print("status=invalid")
             return 1
     checks.append(("shuffle_concat_antipode_norms", True))
-    times = np.linspace(0.0, 1.0, 9)
-    vals = rng.normal(size=(9, d)) * 0.3
-    vals[0] = 0.0
-    path = PathGrid.from_brownian(times, np.cumsum(vals, axis=0) - vals[0])
-    stream = signature_piecewise_linear(path, 4)
-    mid = 4
-    left = signature_piecewise_linear(PathGrid(times[: mid + 1], path.values[: mid + 1]), 4)
-    right = signature_piecewise_linear(PathGrid(times[mid:], path.values[mid:]), 4)
-    chen = concat_product(left.terminal, right.terminal, 4)
-    checks.append(("chen_identity", chen.allclose(stream.terminal, 1e-12)))
+    # Chen's identity on the engine the commands use: a path against its two halves
+    inc = np.column_stack([np.full(8, 0.125), rng.normal(size=(8, d)) * 0.3])
+
+    def signature(steps):
+        sig = BatchSignature(1, d, trunc)
+        for dx in steps:
+            sig.chen_step(dx[None, :])
+        words = all_words(d, trunc)
+        return GradedTensor(d, trunc, dict(zip(words, sig.coords(words)[0].tolist())))
+
+    chen = concat_product(signature(inc[:4]), signature(inc[4:]), trunc)
+    checks.append(("chen_identity", chen.allclose(signature(inc), 1e-12)))
     rep = weight_check(Weight.geometric(2.0), 10)
     checks.append(("weight_check", rep.monotone and rep.w0_is_one))
     rows = [(name, "1" if ok else "0") for name, ok in checks]
@@ -287,6 +289,8 @@ def _cmd_transform(cfg: dict, out: str) -> int:
     d = ell.dim
     state = _parse_direction(cfg, d)
     extended = state.u_x is not None and state.u_x != 0.0
+    if extended and not 0.0 < float(cfg["s0"]) < math.inf:
+        raise CliError("s0 must be finite and positive")
     window = riccati.required_window(state, ell if extended else None)
     # the price-extended table also has to represent ell shuffle ell
     window = max(window, 2 * ell.support_degree if extended else 0)
@@ -370,28 +374,17 @@ def _cmd_hedge(cfg: dict, out: str) -> int:
     return 0
 
 
-_DOCUMENTED_DEPTHS = [
-    ("black_scholes", "0", "1"),
-    ("first_order", "1", "2"),
-    ("heston_meta", "2", "4"),
-    ("rough_bergomi_approx", "inf", "inf"),
-    ("quintic_ou_approx", "5", "undocumented"),
-    ("guyon_lekeufack_approx", "kernel_dependent", "kernel_dependent"),
-]
-
-
 def _cmd_depth_report(cfg: dict, out: str) -> int:
     seed = _require_seed(cfg)
     ell, eta, weight, name = resolve_model(cfg)
     params = _params(cfg, ell, eta, weight)
     kind, pay_params = _parse_payoff(cfg.get("payoff", "asian:K=1.0"))
     depths = [int(v) for v in cfg.get("depths", [0, 1, 2])]
-    basis = hedging.HedgeBasis(integrand_depth=max(depths),
-                               residual_window=(max(depths), max(depths) + 1))
-    rows = [("depth_table", f"{m}.N_star", n) for m, n, _ in _DOCUMENTED_DEPTHS]
-    rows += [("depth_table", f"{m}.K", k) for m, _, k in _DOCUMENTED_DEPTHS]
+    metas = [(m, models.preset(m).depth_meta) for m in models.PRESET_NAMES]
+    rows = [("depth_table", f"{m}.N_star", n) for m, (n, _) in metas]
+    rows += [("depth_table", f"{m}.K", "undocumented" if k is None else k) for m, (_, k) in metas]
     scan = hedging.depth_scan(params, kind, pay_params, depths, int(cfg["paths"]),
-                              seed, basis=basis, weight=weight)
+                              seed, weight=weight)
     for row in scan:
         rows.append(("scan", f"depth_{row.depth}.residual_norm", row.residual_norm))
         rows.append(("scan", f"depth_{row.depth}.se", row.se))

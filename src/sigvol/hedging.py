@@ -187,12 +187,10 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
     for paths in stream_paths(params, n_paths, seed, dyn_words + res_words, block):
         nb = paths.size
         s_prev = np.full(nb, params.s0)
-        qv = np.zeros(nb)
         avg = np.zeros(nb)
         gains = np.zeros((nb, len(dyn_words)))
-        for k, _ in paths.steps():
+        for k in paths.steps():
             feats = paths.sig.coords(dyn_words)
-            qv += paths.xi**2 * paths.dt[k]
             s_new = params.s0 * np.exp(paths.log_s)
             gains += feats * (s_new - s_prev)[:, None]
             avg += 0.5 * (s_prev + s_new) * paths.dt[k]
@@ -201,7 +199,7 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
         dynamic[sl] = gains
         residual[sl] = paths.sig.coords(res_words)
         terminal[sl] = s_prev
-        bracket[sl] = qv
+        bracket[sl] = paths.qv
         asian[sl] = avg / params.horizon
     strikes = basis.static_strikes if basis.static_strikes is not None else default_strikes(terminal)
     static, labels = _static_block(terminal, strikes)
@@ -371,6 +369,8 @@ def depth_scan(params: SigVolParams, payoff_kind: str, payoff_params: dict,
     so the spans are exactly nested and monotonicity holds up to the ridge.
     """
     depths = sorted(depths)
+    if not depths:
+        raise ValueError("depth scan needs at least one depth")
     if basis is None:
         basis = HedgeBasis(integrand_depth=depths[-1],
                            residual_window=(depths[-1], depths[-1] + 1))

@@ -1,7 +1,8 @@
 """Worked-example presets and kernel-expansion construction of ell.
 
 Presets bundle the volatility symbol ell, the driving direction eta, a
-weight, and the documented completeness-depth metadata (N_star, K).  The
+weight, and the documented completeness-depth metadata (N_star, K): a depth,
+inf, KERNEL_DEPENDENT, or None where the value is undocumented.  The
 Heston entry is metadata-only: no explicit tensor embedding is published
 for it, so inventing coefficients would misstate provenance.
 
@@ -23,6 +24,7 @@ import numpy as np
 from .algebra import GradedTensor, Weight, Word
 
 INF = float("inf")
+KERNEL_DEPENDENT = "kernel_dependent"
 
 PRESET_NAMES = (
     "black_scholes",
@@ -40,7 +42,7 @@ class ModelPreset:
     ell: GradedTensor | None
     eta: np.ndarray | None
     weight: Weight
-    depth_meta: tuple[float, float | None]
+    depth_meta: tuple[float | str, float | str | None]
     notes: str
 
     @property
@@ -132,7 +134,8 @@ def preset(name: str, sigma: float = 0.2, sigma0: float = 0.2, sigma1: float = 0
         slow = kernel_expansion("exponential", 3, 1, 0.5 * sigma1, d=dim, kappa=1.0)
         ell = GradedTensor(dim, 4, {(): sigma0})
         ell = ell + fast + slow
-        return ModelPreset(name, ell, _unit(dim, 1), Weight.geometric(2.0), (INF, INF),
+        return ModelPreset(name, ell, _unit(dim, 1), Weight.geometric(2.0),
+                           (KERNEL_DEPENDENT, KERNEL_DEPENDENT),
                            "two-timescale exponential past-return kernels; depth "
                            "is kernel dependent, infinite for the untruncated family")
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")

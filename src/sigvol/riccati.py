@@ -391,15 +391,20 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
     """Adaptive embedded 4/5 integration of d(psi)/dtau = R(psi).
 
     Declares Exploded once the weighted norm of the state passes the
-    threshold, or when step halving pushes the step below step_floor.
+    threshold, or when step halving pushes the step below step_floor.  The
+    horizon and tol must be finite and positive; the threshold may be inf.
     Only the coordinates reachable from the support of u0 are integrated;
     every accepted state is expanded to the full state for the trace, the
     norm and the result, which are those of the full-state integration.
     Each stage sums the weighted earlier stages in order with np.add.reduce
     over the stacked rows, as a left-to-right sum does.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be finite and positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
+    if math.isnan(explosion_threshold):
+        raise ValueError("explosion threshold must not be nan")
     full = table.vector(u0.sig, u0.u_x)
     rhs = table.vector_field(full != 0.0)
     u = rhs.carry(full)

@@ -7,9 +7,12 @@ Black-Scholes closed form exactly on shared grids.
 
 Every Monte Carlo consumer, the price paths of `simulate` included, steps
 paths through PathBlock, one driver block at a time, as stream_paths hands
-them out; it reuses one block grid for a whole run.  simulate_price and
-write_price_csv price and write one block, so memory is bounded by one
-block whatever the number of paths.
+them out; it reuses one block grid for a whole run.  PathBlock is the one
+place the Ito sums are taken: per step it adds dB, xi dB and xi^2 dt to the
+running B, M and <M>, and their difference to the log-price, so every
+consumer reads the same sums.  simulate_price records them at every grid
+time, and with write_price_csv it prices and writes one block, so memory is
+bounded by one block whatever the number of paths.
 
 H3 (exponential integrability of the integrated variance) is reported via
 Monte Carlo, never asserted: finiteness of an exponential moment is not
@@ -46,10 +49,10 @@ class SigVolParams:
             raise ValueError("eta must be a vector in R^d")
         if abs(np.linalg.norm(eta) - 1.0) > 1e-12:
             raise ValueError("eta must be a unit vector (within 1e-12)")
-        if self.s0 <= 0.0:
-            raise ValueError("s0 must be positive")
-        if self.horizon <= 0.0 or self.steps < 1:
-            raise ValueError("horizon > 0 and steps >= 1 required")
+        if not 0.0 < self.s0 < math.inf:
+            raise ValueError("s0 must be finite and positive")
+        if not 0.0 < self.horizon < math.inf or self.steps < 1:
+            raise ValueError("a finite horizon > 0 and steps >= 1 required")
         object.__setattr__(self, "eta", eta)
 
     @property
@@ -82,11 +85,13 @@ class PathBlock:
     """One driver block of paths, advanced by the model one grid step at a time.
 
     Carries the words ell reads plus `words`, xi = <ell, W_t> and the
-    left-point Ito log-price log(S_t / s0).  steps() yields (k, dB_k) with sig
-    and xi still at t_k and log_s already at t_{k+1}.  The block reads its
-    driver grid in place: each step's increments are differenced into one
-    reused (d+1, n_paths) buffer, and the grid is handed back when the block
-    has stepped to the end.
+    left-point Ito sums of every path: the driver B = eta . W, the
+    martingale M = sum xi dB, its bracket <M> = sum xi^2 dt and the
+    log-price log(S_t / s0) = sum (xi dB - xi^2 dt / 2).  steps() yields k
+    with sig and xi still at t_k and the sums already at t_{k+1}.  The block
+    reads its driver grid in place: each step's increments are differenced
+    into one reused (d+1, n_paths) buffer, and the grid is handed back when
+    the block has stepped to the end.
     """
 
     def __init__(self, params: SigVolParams, paths: BrownianBatch, words=()):
@@ -102,9 +107,11 @@ class PathBlock:
         self._spent = None
         self.sig = BatchSignature(self.size, params.dim, max(map(len, words), default=0), words)
         self.xi = self.sig.pair(params.ell)
+        # -0.0 + x is x bit for bit, -0.0 included: each sum is its increments' cumulative sum
+        self.driver, self.mart, self.qv = (np.full(self.size, -0.0) for _ in range(3))
         self.log_s = np.zeros(self.size)
 
-    def steps(self) -> Iterator[tuple[int, np.ndarray]]:
+    def steps(self) -> Iterator[int]:
         # the block steps once, and hands its grid back only after the last step
         grid, self._grid = self._grid, None
         inc = np.empty((self.params.dim + 1, self.size))
@@ -114,8 +121,13 @@ class PathBlock:
             np.subtract(grid[k + 1], grid[k], out=inc[1:])
             # a C-ordered (paths, d) operand keeps the product's summation order
             db = np.ascontiguousarray(inc[1:].T) @ self.params.eta
-            self.log_s += self.xi * db - 0.5 * self.xi**2 * dt
-            yield k, db
+            dm, dq = self.xi * db, self.xi**2 * dt
+            self.driver += db
+            self.mart += dm
+            self.qv += dq
+            # halving is exact, so this is xi dB - (xi^2 / 2) dt as well
+            self.log_s += dm - 0.5 * dq
+            yield k
             self.sig.chen_step(inc.T)
             self.xi = self.sig.pair(self.params.ell)
         self._spent = grid
@@ -148,19 +160,15 @@ def _blocks(params: SigVolParams, n_paths: int, seed: int, words,
 def simulate_price(block: PathBlock) -> PriceBatch:
     """Exact Doleans-Dade exponential of one block on the grid, with left-point sums.
 
-    Steps the block to the end.
+    Steps the block to the end, recording xi and its Ito sums at every grid time.
     """
-    n, m = block.size, len(block.dt)
-    xi = np.empty((n, m + 1))
-    db = np.empty((n, m))
-    for k, db_k in block.steps():
+    xi, driver, mart, bracket = (np.zeros((block.size, len(block.dt) + 1)) for _ in range(4))
+    for k in block.steps():
         xi[:, k] = block.xi
-        db[:, k] = db_k
-    xi[:, m] = block.xi
-    zero = np.zeros((n, 1))
-    driver = np.concatenate([zero, np.cumsum(db, axis=1)], axis=1)
-    mart = np.concatenate([zero, np.cumsum(xi[:, :-1] * db, axis=1)], axis=1)
-    bracket = np.concatenate([zero, np.cumsum(xi[:, :-1] ** 2 * block.dt[None, :], axis=1)], axis=1)
+        driver[:, k + 1] = block.driver
+        mart[:, k + 1] = block.mart
+        bracket[:, k + 1] = block.qv
+    xi[:, -1] = block.xi
     s0 = block.params.s0
     price = s0 * np.exp(mart - 0.5 * bracket)
     return PriceBatch(block.times, xi, driver, mart, bracket, price, s0, block.offset)
@@ -215,7 +223,7 @@ class H3Report:
     suspicious_heavy_tail: bool
     lam: float
     n_paths: int
-    # s0 exp(M_T - <M>_T / 2) per path, summed as in simulate_price
+    # s0 exp(M_T - <M>_T / 2) per path, from the block's sums as in simulate_price
     terminal_price: np.ndarray = field(repr=False, compare=False)
     note: str = ("Monte Carlo cannot certify finiteness of an exponential "
                  "moment; this is a diagnostic, not a proof.")
@@ -233,15 +241,11 @@ def estimate_H3(params: SigVolParams, lam: float, n_paths: int, seed: int) -> H3
     samples = np.empty(n_paths)
     terminal = np.empty(n_paths)
     for paths in stream_paths(params, n_paths, seed):
-        mart = np.zeros(paths.size)
-        qv = np.zeros(paths.size)
-        # step by step, the order of simulate_price's cumulative sums
-        for k, db in paths.steps():
-            mart += paths.xi * db
-            qv += paths.xi**2 * paths.dt[k]
+        for _ in paths.steps():
+            pass
         block = slice(paths.offset, paths.offset + paths.size)
-        samples[block] = np.exp(lam * qv)
-        terminal[block] = params.s0 * np.exp(mart - 0.5 * qv)
+        samples[block] = np.exp(lam * paths.qv)
+        terminal[block] = params.s0 * np.exp(paths.mart - 0.5 * paths.qv)
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     k = max(1, int(math.ceil(0.001 * n_paths)))

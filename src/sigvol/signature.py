@@ -1,15 +1,11 @@
 """Brownian path generation and signatures of time-augmented paths.
 
 Signatures of piecewise-linear paths are chained segment-by-segment with the
-Chen identity.  Two engines are provided with identical semantics:
-
-* a sparse per-path stream of GradedTensor values (reference implementation,
-  used for exact algebra checks), and
-* a batch engine holding one coefficient array per tensor level across many
-  paths, carrying only the prefix closure of the words its caller reads (used
-  by the Monte Carlo drivers).  Its levels are updated in place, and each
-  step's segment levels and split products go to work buffers the engine
-  owns, so a Chen step allocates no array.
+Chen identity by one engine, BatchSignature: one coefficient array per tensor
+level across many paths, carrying only the prefix closure of the words its
+caller reads.  Its levels are updated in place, and each step's segment
+levels and split products go to work buffers the engine owns, so a Chen step
+allocates no array.
 
 Brownian increments come from a counter-based generator: Philox keyed by the
 run seed, with the increment for (path, step, coordinate) read at a fixed
@@ -28,108 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, GradedTensor, Word, concat_product
+from .algebra import EMPTY_WORD, GradedTensor, Word
 
 
 # ---------------------------------------------------------------------------
-# Paths
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathGrid:
-    """A time-augmented path sampled on a strictly increasing grid.
-
-    values[k] lives in R^{d+1} with coordinate 0 equal to times[k].
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or values.ndim != 2 or values.shape[0] != times.shape[0]:
-            raise ValueError("times (m+1,) and values (m+1, d+1) must align")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if not np.array_equal(values[:, 0], times):
-            raise ValueError("coordinate 0 must equal the time grid")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        """Number of Brownian coordinates d (alphabet is {0, ..., d})."""
-        return self.values.shape[1] - 1
-
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values, axis=0)
-
-    @classmethod
-    def from_brownian(cls, times: np.ndarray, w_values: np.ndarray) -> "PathGrid":
-        times = np.asarray(times, dtype=float)
-        aug = np.column_stack([times, np.asarray(w_values, dtype=float)])
-        return cls(times, aug)
-
-
-@dataclass(frozen=True)
-class SignatureStream:
-    """Prolonged-path signature at every grid time, as sparse tensors."""
-
-    times: np.ndarray
-    tensors: tuple[GradedTensor, ...]
-
-    def __post_init__(self):
-        if len(self.times) != len(self.tensors):
-            raise ValueError("one tensor per grid time required")
-
-    def __len__(self) -> int:
-        return len(self.tensors)
-
-    def __getitem__(self, k: int) -> GradedTensor:
-        return self.tensors[k]
-
-    @property
-    def terminal(self) -> GradedTensor:
-        return self.tensors[-1]
-
-
-# ---------------------------------------------------------------------------
-# Sparse engine
-# ---------------------------------------------------------------------------
-
-
-def segment_exponential(dx: np.ndarray, trunc: int) -> GradedTensor:
-    """Signature of one linear segment: level n is dx^{(x)n} / n!."""
-    dx = np.asarray(dx, dtype=float)
-    dim = dx.shape[0] - 1
-    coeffs: dict[Word, float] = {EMPTY_WORD: 1.0}
-    level = {EMPTY_WORD: 1.0}
-    letters = [j for j in range(dim + 1) if dx[j] != 0.0]
-    for n in range(1, trunc + 1):
-        nxt: dict[Word, float] = {}
-        for w, c in level.items():
-            for j in letters:
-                nxt[w + (j,)] = c * dx[j] / n
-        coeffs.update(nxt)
-        level = nxt
-        if not level:
-            break
-    return GradedTensor(dim, trunc, coeffs)
-
-
-def signature_piecewise_linear(path: PathGrid, trunc: int) -> SignatureStream:
-    """Chen-chained stream: W_{0,t_k} = W_{0,t_{k-1}} (x) exp(segment_k)."""
-    tensors = [GradedTensor.unit(path.dim, trunc)]
-    for dx in path.increments():
-        seg = segment_exponential(dx, trunc)
-        tensors.append(concat_product(tensors[-1], seg, trunc))
-    return SignatureStream(path.times, tuple(tensors))
-
-
-# ---------------------------------------------------------------------------
-# Dense batch engine
+# Batch engine
 # ---------------------------------------------------------------------------
 
 
@@ -256,7 +155,6 @@ class BrownianBatch:
 
     grid holds the d Brownian coordinates step-major, (steps+1, d, n_paths),
     so one grid time of every path is a contiguous row; time is `times`.
-    values, increments() and paths by index add the time coordinate.
     """
 
     times: np.ndarray
@@ -267,14 +165,6 @@ class BrownianBatch:
     def __len__(self) -> int:
         return self.grid.shape[2]
 
-    def __getitem__(self, i: int) -> PathGrid:
-        return PathGrid.from_brownian(self.times, self.grid[:, :, i])
-
-    @property
-    def values(self) -> np.ndarray:
-        """(n_paths, steps+1, d+1) time-augmented paths, coordinate 0 is time."""
-        return _with_time(self.times, self.grid)
-
     @property
     def dim(self) -> int:
         return self.grid.shape[1]
@@ -283,23 +173,11 @@ class BrownianBatch:
     def steps(self) -> int:
         return self.grid.shape[0] - 1
 
-    def increments(self) -> np.ndarray:
-        """(n_paths, steps, d+1) increments of the time-augmented paths."""
-        return _with_time(np.diff(self.times), np.diff(self.grid, axis=0))
-
-
-def _with_time(times: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Path-major (n_paths, len(times), d+1) array: times, then the step-major grid."""
-    out = np.empty((grid.shape[2], grid.shape[0], grid.shape[1] + 1))
-    out[:, :, 0] = times
-    out[:, :, 1:] = grid.transpose(2, 0, 1)
-    return out
-
 
 def check_driver_args(d: int, horizon: float, steps: int, n_paths: int, seed: int) -> None:
     """Raise ValueError on arguments simulate_brownian_grid would reject."""
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be finite and positive")
     if d < 1 or steps < 1 or n_paths < 1:
         raise ValueError("d, steps and n_paths must be >= 1")
     if not 0 <= seed < 2**64:

@@ -9,10 +9,12 @@ estimates of the continuous-time constants with only O(dt^3) dust.  Group
 replication supplies the standard errors.  None of this reuses the
 generator-table code paths.
 
-build_design is the per-path reference route for the streamed hedging
-design, and volatility_path the one for xi = <ell, W_t>: both read sparse
-signature streams, not the batch engine.  riccati_rhs evaluates the compiled
-vector field on a RiccatiState.  build_generator_by_label builds the table
+sparse_signatures is the reference signature: one path's sparse tensors at
+every grid time, each linear segment's exponential chained on with
+concat_product.  build_design is the per-path reference route for the
+streamed hedging design, and volatility_path the one for xi = <ell, W_t>:
+both read such sparse signatures, not the batch engine.  riccati_rhs
+evaluates the compiled vector field on a RiccatiState.  build_generator_by_label builds the table
 word by word into label-keyed dicts, and with_terms puts such terms into a
 table; transform_value, RiccatiExplosion and scalar_explosion_bound read a
 flow as a transform value and bound a scalar blow-up.  compile_by_label
@@ -21,8 +23,9 @@ coordinate of the state: with build_generator_by_label, the reference
 routes for the integer-coded table and the reachable-set
 flow.  brownian_values is the path-major Brownian driver (one Philox draw
 per block, Box-Muller on all of it, a cumulative sum over steps), and
-path_major_steps steps the batch engine on its increments: the reference
-routes for the chunked, step-major driver and the stepper's feed.
+path_major_steps steps the batch engine on its increments and takes the Ito
+sums with np.cumsum: the reference routes for the chunked, step-major driver
+and the stepper's feed and sums.
 reference_chen_step is the batch engine's Chen step as a fresh array per
 gather, product and level, the reference for its in-place, buffered step;
 levels and to_tensor copy out an engine's carried coordinates.
@@ -36,7 +39,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm
 
-from sigvol.algebra import EMPTY_WORD, GradedTensor, dual_pairing, shuffle_product, shuffle_words
+from sigvol.algebra import (
+    EMPTY_WORD,
+    GradedTensor,
+    concat_product,
+    dual_pairing,
+    shuffle_product,
+    shuffle_words,
+)
 from sigvol.hedging import HedgeBasis, HedgeDesign, _static_block, _window_words, default_strikes
 from sigvol.riccati import (
     _DP_A,
@@ -47,7 +57,7 @@ from sigvol.riccati import (
     RiccatiState,
     integrate_flow,
 )
-from sigvol.signature import BatchSignature, SignatureStream, all_words, simulate_brownian_grid
+from sigvol.signature import BatchSignature, all_words
 
 
 def _accumulate_group(d, steps, n_paths, seed, horizon, design_words, target_words,
@@ -60,8 +70,7 @@ def _accumulate_group(d, steps, n_paths, seed, horizon, design_words, target_wor
     The conditional step means of targets up to one level above the design
     depth lie in the design span, so the regression is exactly unbiased.
     """
-    paths = simulate_brownian_grid(d, horizon, steps, n_paths, seed)
-    inc = paths.increments()
+    inc = np.diff(brownian_values(d, horizon, steps, n_paths, seed), axis=1)
     dt = horizon / steps
     n_words = len(design_words)
     trunc = max(len(w) for w in target_words)
@@ -204,8 +213,26 @@ def brute_force_interlacings(u, v):
     return out
 
 
+def sparse_signatures(values: np.ndarray, trunc: int) -> list[GradedTensor]:
+    """Signatures of a time-augmented path (m+1, d+1) at its grid times, as sparse tensors.
+
+    Segment k contributes exp(dx_k), whose level n is dx_k^{(x)n} / n!, and
+    Chen's identity chains the segments on the right.
+    """
+    dim = values.shape[1] - 1
+    out = [GradedTensor.unit(dim, trunc)]
+    for dx in np.diff(values, axis=0):
+        letters = [j for j in range(dim + 1) if dx[j] != 0.0]
+        level = seg = {EMPTY_WORD: 1.0}
+        for n in range(1, trunc + 1):
+            level = {w + (j,): c * dx[j] / n for w, c in level.items() for j in letters}
+            seg = {**seg, **level}
+        out.append(concat_product(out[-1], GradedTensor(dim, trunc, seg), trunc))
+    return out
+
+
 def build_design(dataset, basis: HedgeBasis) -> HedgeDesign:
-    """Per-path reference route for the hedging design, from (price row, SignatureStream) pairs.
+    """Per-path reference route for the hedging design, from (price row, sparse_signatures) pairs.
 
     Dynamic gain columns are left-point sums G_K = sum_k <e_K, W_{t_k}> dS_k;
     residual columns are terminal coordinates in the residual window.
@@ -214,10 +241,10 @@ def build_design(dataset, basis: HedgeBasis) -> HedgeDesign:
     if not dataset:
         raise ValueError("empty dataset")
     n_low, m = basis.residual_window
-    first_stream: SignatureStream = dataset[0][1]
-    d = first_stream.tensors[0].dim
-    if first_stream.tensors[0].trunc < m:
-        raise ValueError(f"signature truncation {first_stream.tensors[0].trunc} < residual window top {m}")
+    first = dataset[0][1][0]
+    d = first.dim
+    if first.trunc < m:
+        raise ValueError(f"signature truncation {first.trunc} < residual window top {m}")
     dyn_words = all_words(d, basis.integrand_depth)
     res_words = _window_words(d, n_low, m)
     n = len(dataset)
@@ -225,13 +252,13 @@ def build_design(dataset, basis: HedgeBasis) -> HedgeDesign:
     residual = np.zeros((n, len(res_words)))
     terminal = np.zeros(n)
     s0 = float(dataset[0][0][0])
-    for i, (price, stream) in enumerate(dataset):
+    for i, (price, sigs) in enumerate(dataset):
         ds = np.diff(price)
         for c, word in enumerate(dyn_words):
-            feats = np.array([t[word] for t in stream.tensors[:-1]])
+            feats = np.array([t[word] for t in sigs[:-1]])
             dynamic[i, c] = float(feats @ ds)
         for c, word in enumerate(res_words):
-            residual[i, c] = stream.terminal[word]
+            residual[i, c] = sigs[-1][word]
         terminal[i] = price[-1]
     strikes = basis.static_strikes if basis.static_strikes is not None else default_strikes(terminal)
     static, labels = _static_block(terminal, strikes)
@@ -242,13 +269,13 @@ class TruncationTooLow(ValueError):
     """Signature truncation below the support degree of ell."""
 
 
-def volatility_path(params, sig: SignatureStream) -> np.ndarray:
-    """xi_t = <ell, W_t> along a sparse signature stream."""
-    if sig.tensors[0].trunc < params.ell.support_degree:
+def volatility_path(params, sigs: list[GradedTensor]) -> np.ndarray:
+    """xi_t = <ell, W_t> along a path's sparse signatures."""
+    if sigs[0].trunc < params.ell.support_degree:
         raise TruncationTooLow(
-            f"stream truncation {sig.tensors[0].trunc} < ell support "
+            f"signature truncation {sigs[0].trunc} < ell support "
             f"{params.ell.support_degree}")
-    return np.array([dual_pairing(params.ell, s) for s in sig.tensors])
+    return np.array([dual_pairing(params.ell, s) for s in sigs])
 
 
 def riccati_rhs(state: RiccatiState, table) -> RiccatiState:
@@ -457,8 +484,9 @@ def brownian_values(d, horizon, steps, n_paths, seed, path_offset=0) -> np.ndarr
 
 
 def path_major_steps(params, values: np.ndarray, words=()):
-    """The stepper fed (paths, steps, d+1) increments: dB and log_s per step,
-    carried coordinates of words at every grid time."""
+    """The stepper fed (paths, steps, d+1) increments: B, M, <M> and log_s after
+    every step, B, M and <M> as np.cumsum takes them, and the carried
+    coordinates of words at every grid time."""
     words = [tuple(w) for w in words]
     carried = list(params.ell.coeffs) + words
     inc = np.diff(values, axis=1)
@@ -466,16 +494,19 @@ def path_major_steps(params, values: np.ndarray, words=()):
     sig = BatchSignature(len(values), params.dim, max(map(len, carried), default=0), carried)
     xi = sig.pair(params.ell)
     log_s = np.zeros(len(values))
-    dbs, log_ss, coords = [], [], [sig.coords(words)]
+    dbs, xis, log_ss, coords = [], [], [], [sig.coords(words)]
     for k in range(inc.shape[1]):
         db = inc[:, k, 1:] @ params.eta
         log_s += xi * db - 0.5 * xi**2 * dt[k]
+        dbs.append(db)
+        xis.append(xi)
         sig.chen_step(inc[:, k, :])
         xi = sig.pair(params.ell)
-        dbs.append(db)
         log_ss.append(log_s.copy())
         coords.append(sig.coords(words))
-    return np.array(dbs), np.array(log_ss), np.array(coords)
+    db, xi = np.array(dbs), np.array(xis)
+    sums = [np.cumsum(a, axis=0) for a in (db, xi * db, xi**2 * dt[:, None])]
+    return (*sums, np.array(log_ss), np.array(coords))
 
 
 def _rows(a: np.ndarray, idx) -> np.ndarray:

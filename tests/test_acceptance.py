@@ -29,6 +29,7 @@ from sigvol.sde import PathBlock, SigVolParams, check_H1, martingale_check, simu
 from sigvol.signature import BatchSignature, all_words, simulate_brownian_grid
 
 from _oracles import (
+    brownian_values,
     build_generator_by_label,
     generator_regression,
     levels,
@@ -290,10 +291,10 @@ def test_criterion_11_quotient_gram():
     eig_ok = all(r.gram_min_eigenvalue > 0.0 for r in results if r.residual_coeffs)
 
     # sample Gram equals the shuffle-coordinate expectation within 3 SE
-    batch = simulate_brownian_grid(1, 1.0, 32, 5000, seed=1112)
+    inc = np.diff(brownian_values(1, 1.0, 32, 5000, seed=1112), axis=1)
     sig = BatchSignature(5000, 1, 4)
     for k in range(32):
-        sig.chen_step(batch.increments()[:, k, :])
+        sig.chen_step(inc[:, k, :])
     shuffle_ok = True
     words = [w for w in all_words(1, 2) if w]
     for i, iw in enumerate(words):

@@ -23,6 +23,12 @@ def status_line(out: str) -> str:
     return out.strip().splitlines()[-1]
 
 
+def source_env() -> dict:
+    """The environment for a fresh process that imports sigvol from this checkout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 class TestSelftest:
     def test_fresh_checkout_passes(self, tmp_path, capsys):
         code, out = run(capsys, "selftest", "--out", str(tmp_path))
@@ -89,6 +95,27 @@ class TestValidation:
         assert status_line(out) == "status=invalid"
         assert err == "error: d, steps and n_paths must be >= 1\n"
         assert not (tmp_path / "paths.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--T", "nan"],
+        ["simulate", "--s0", "nan"],
+        ["hypotheses", "--T", "inf"],
+        ["transform", "--model", "first_order", "--u", "1:0.4", "--T", "nan"],
+        ["transform", "--model", "first_order", "--u", "1:0.4", "--T", "-1"],
+        ["transform", "--model", "first_order", "--u", "1:0.4", "--T", "inf"],
+        ["transform", "--model", "first_order", "--u", "1:0.4", "--tol", "nan"],
+        ["hedge", "--model", "first_order", "--T", "nan"],
+    ], ids=["simulate-T-nan", "simulate-s0-nan", "hypotheses-T-inf", "transform-T-nan",
+            "transform-T-negative", "transform-T-inf", "transform-tol-nan", "hedge-T-nan"])
+    def test_non_finite_input(self, tmp_path, argv):
+        # a fresh process with a timeout: an unchecked infinite horizon never ends, and
+        # LAPACK writes its complaints to the process's stdout
+        proc = subprocess.run([sys.executable, "-m", "sigvol.cli", *argv, "--seed", "1",
+                               "--paths", "100", "--steps", "4", "--out", str(tmp_path)],
+                              env=source_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == "status=invalid\n"
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command, cfg", [
         ("simulate", {"paths": None}),
@@ -303,8 +330,6 @@ class TestReproducibility:
 def test_cli_import_loads_no_scipy():
     # scipy is imported only by polynomial-weight kappa_tail, never at CLI start-up
     code = "import sys, sigvol.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -15,14 +15,9 @@ from sigvol.hedging import (
 )
 from sigvol.models import preset
 from sigvol.sde import PathBlock, SigVolParams, simulate_price
-from sigvol.signature import (
-    BatchSignature,
-    all_words,
-    signature_piecewise_linear,
-    simulate_brownian_grid,
-)
+from sigvol.signature import BatchSignature, all_words, simulate_brownian_grid
 
-from _oracles import build_design
+from _oracles import brownian_values, build_design, sparse_signatures
 
 
 def make_params(name="black_scholes", steps=64, **kw):
@@ -72,16 +67,18 @@ class TestBuildDesign:
     def test_truncation_too_low(self):
         _, params = make_params()
         paths = simulate_brownian_grid(1, 1.0, 8, 3, seed=46)
+        values = brownian_values(1, 1.0, 8, 3, seed=46)
         prices = simulate_price(PathBlock(params, paths))
-        dataset = [(prices.price[i], signature_piecewise_linear(paths[i], 1)) for i in range(3)]
+        dataset = [(prices.price[i], sparse_signatures(values[i], 1)) for i in range(3)]
         with pytest.raises(ValueError):
             build_design(dataset, HedgeBasis(1, (0, 3)))
 
     def test_constant_feature_telescopes(self):
         _, params = make_params("first_order")
         paths = simulate_brownian_grid(1, 1.0, 16, 6, seed=47)
+        values = brownian_values(1, 1.0, 16, 6, seed=47)
         prices = simulate_price(PathBlock(params, paths))
-        dataset = [(prices.price[i], signature_piecewise_linear(paths[i], 2)) for i in range(6)]
+        dataset = [(prices.price[i], sparse_signatures(values[i], 2)) for i in range(6)]
         design = build_design(dataset, HedgeBasis(1, (1, 2), static_strikes=(1.0,)))
         idx = design.dyn_words.index(())
         assert design.dynamic[:, idx] == pytest.approx(prices.price[:, -1] - 1.0, abs=1e-12)
@@ -90,8 +87,9 @@ class TestBuildDesign:
         ell = GradedTensor.zero(1, 1)
         params = SigVolParams(ell, Weight.geometric(2.0), 1.0, np.array([1.0]), 1.0, 8)
         paths = simulate_brownian_grid(1, 1.0, 8, 4, seed=48)
+        values = brownian_values(1, 1.0, 8, 4, seed=48)
         prices = simulate_price(PathBlock(params, paths))
-        dataset = [(prices.price[i], signature_piecewise_linear(paths[i], 2)) for i in range(4)]
+        dataset = [(prices.price[i], sparse_signatures(values[i], 2)) for i in range(4)]
         design = build_design(dataset, HedgeBasis(1, (1, 2), static_strikes=(0.9,)))
         assert np.all(design.dynamic == 0.0)
 
@@ -100,8 +98,9 @@ class TestBuildDesign:
         basis = HedgeBasis(2, (1, 3), static_strikes=(0.9, 1.1))
         data = simulate_hedge_dataset(params, basis, "call", {"strike": 1.0}, 40, seed=49)
         paths = simulate_brownian_grid(1, 1.0, 16, 40, seed=49)
+        values = brownian_values(1, 1.0, 16, 40, seed=49)
         prices = simulate_price(PathBlock(params, paths))
-        dataset = [(prices.price[i], signature_piecewise_linear(paths[i], 3)) for i in range(40)]
+        dataset = [(prices.price[i], sparse_signatures(values[i], 3)) for i in range(40)]
         ref = build_design(dataset, basis)
         assert np.max(np.abs(ref.dynamic - data.design.dynamic)) < 1e-10
         assert np.max(np.abs(ref.residual - data.design.residual)) < 1e-10
@@ -170,10 +169,10 @@ class TestGkwProject:
         # sample Gram of terminal coordinates equals the shuffle-coordinate
         # expectation pathwise; cross-checks the two code paths
         d, trunc = 1, 4
-        batch = simulate_brownian_grid(d, 1.0, 32, 3000, seed=73)
+        inc = np.diff(brownian_values(d, 1.0, 32, 3000, seed=73), axis=1)
         sig = BatchSignature(3000, d, trunc)
         for k in range(32):
-            sig.chen_step(batch.increments()[:, k, :])
+            sig.chen_step(inc[:, k, :])
         words = [w for w in all_words(d, 2) if w]
         for i, iw in enumerate(words):
             for jw in words[i:]:

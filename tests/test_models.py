@@ -5,7 +5,9 @@ import pytest
 
 from sigvol.models import INF, PRESET_NAMES, kernel_expansion, preset
 from sigvol.sde import check_H1
-from sigvol.signature import BatchSignature, simulate_brownian_grid
+from sigvol.signature import BatchSignature
+
+from _oracles import brownian_values
 
 
 class TestPresets:
@@ -84,14 +86,14 @@ class TestKernelExpansion:
         # kernel against the same piecewise-linear increments
         kappa, horizon, steps, n_paths, degree = 2.0, 1.0, 64, 4000, 6
         ell = kernel_expansion("exponential", degree, 1, 1.0, kappa=kappa)
-        batch = simulate_brownian_grid(1, horizon, steps, n_paths, seed=31)
-        inc = batch.increments()
+        values = brownian_values(1, horizon, steps, n_paths, seed=31)
+        inc = np.diff(values, axis=1)
         dt = horizon / steps
         sig = BatchSignature(n_paths, 1, degree + 1)
         for k in range(steps):
             sig.chen_step(inc[:, k, :])
         approx = sig.pair(ell)
-        t_grid = batch.times
+        t_grid = values[0, :, 0]
         ou = np.zeros(n_paths)
         t_end = t_grid[-1]
         for k in range(steps):

@@ -18,9 +18,15 @@ from sigvol.sde import (
     stream_paths,
     write_price_csv,
 )
-from sigvol.signature import signature_piecewise_linear, simulate_brownian_grid
+from sigvol.signature import simulate_brownian_grid
 
-from _oracles import TruncationTooLow, brownian_values, path_major_steps, volatility_path
+from _oracles import (
+    TruncationTooLow,
+    brownian_values,
+    path_major_steps,
+    sparse_signatures,
+    volatility_path,
+)
 
 
 def make_params(name="black_scholes", steps=32, horizon=1.0, s0=1.0, **kw):
@@ -44,30 +50,26 @@ class TestParams:
 class TestVolatilityPath:
     def test_constant_sigma(self):
         params = make_params(sigma=0.3)
-        batch = simulate_brownian_grid(1, 1.0, 8, 1, seed=1)
-        stream = signature_piecewise_linear(batch[0], 1)
-        assert volatility_path(params, stream) == pytest.approx([0.3] * 9)
+        path = brownian_values(1, 1.0, 8, 1, seed=1)[0]
+        assert volatility_path(params, sparse_signatures(path, 1)) == pytest.approx([0.3] * 9)
 
     def test_first_order_is_affine_in_w(self):
         params = make_params("first_order", sigma0=0.2, sigma1=0.1)
-        batch = simulate_brownian_grid(1, 1.0, 8, 1, seed=2)
-        stream = signature_piecewise_linear(batch[0], 2)
-        expected = 0.2 + 0.1 * batch.values[0, :, 1]
-        assert volatility_path(params, stream) == pytest.approx(expected.tolist())
+        path = brownian_values(1, 1.0, 8, 1, seed=2)[0]
+        expected = (0.2 + 0.1 * path[:, 1]).tolist()
+        assert volatility_path(params, sparse_signatures(path, 2)) == pytest.approx(expected)
 
     def test_zero_ell(self):
         ell = GradedTensor.zero(1, 1)
         params = SigVolParams(ell, Weight.geometric(2.0), 1.0, np.array([1.0]), 1.0, 8)
-        batch = simulate_brownian_grid(1, 1.0, 8, 1, seed=3)
-        stream = signature_piecewise_linear(batch[0], 1)
-        assert volatility_path(params, stream) == pytest.approx([0.0] * 9)
+        path = brownian_values(1, 1.0, 8, 1, seed=3)[0]
+        assert volatility_path(params, sparse_signatures(path, 1)) == pytest.approx([0.0] * 9)
 
     def test_truncation_too_low(self):
         params = make_params("first_order")
-        batch = simulate_brownian_grid(1, 1.0, 4, 1, seed=4)
-        stream = signature_piecewise_linear(batch[0], 0)
+        path = brownian_values(1, 1.0, 4, 1, seed=4)[0]
         with pytest.raises(TruncationTooLow):
-            volatility_path(params, stream)
+            volatility_path(params, sparse_signatures(path, 0))
 
 
 class TestSimulatePrice:
@@ -248,7 +250,8 @@ class TestBlockSize:
             for paths in stream_paths(params, 40, 21, words, block=block):
                 for _ in paths.steps():
                     pass
-                batches.append((paths.offset, (paths.xi, paths.log_s, paths.sig.coords(words))))
+                batches.append((paths.offset, (paths.xi, paths.driver, paths.mart, paths.qv,
+                                               paths.log_s, paths.sig.coords(words))))
             table = build_generator(2, 1, (params.ell, params.eta))
             state = RiccatiState(GradedTensor(1, 2, {(1,): 0.3, (1, 0): 0.1}), 0.25)
             # more paths than one moment chunk, so chunks straddle blocks of 7
@@ -258,9 +261,9 @@ class TestBlockSize:
             runs[block] = (batches, mc, data)
         (small, mc_small, data_small), (large, mc_large, data_large) = runs[7], runs[16384]
         assert [off for off, _ in small] == list(range(0, 40, 7)) and len(large) == 1
-        for i in range(3):  # final xi, log_s and carried coordinates
+        for i in range(6):  # final xi, Ito sums and carried coordinates
             stacked = np.concatenate([final[i] for _, final in small])
-            assert np.array_equal(stacked, large[0][1][i])
+            assert np.array_equal(stacked.view(np.uint64), large[0][1][i].view(np.uint64))
         assert mc_small == mc_large
         for field in ("dynamic", "static", "residual", "terminal_price"):
             assert np.array_equal(getattr(data_small.design, field),
@@ -271,25 +274,34 @@ class TestBlockSize:
 
 class TestStepMajorFeed:
     def test_stream_paths_matches_path_major_feed(self):
-        # d = 3 and eta mixes every letter, so each dB sums three coordinates
-        ell = GradedTensor(3, 2, {(): 0.2, (1,): 0.1, (2, 3): -0.05, (3,): 0.07, (0, 2): 0.02})
-        params = SigVolParams(ell, Weight.constant(), s0=1.0, eta=np.array([0.48, 0.6, 0.64]),
-                              horizon=1.0, steps=9)
-        words = [(1, 3, 2), (2, 0)]
-        blocks = 0
-        for block in stream_paths(params, 300, 2**64 - 1, words, block=128):
-            values = brownian_values(3, 1.0, 9, block.size, 2**64 - 1, path_offset=block.offset)
-            db_ref, log_s_ref, coords_ref = path_major_steps(params, values, words)
-            dbs, log_ss, coords = [], [], []
-            for _, db in block.steps():
-                dbs.append(db)
-                log_ss.append(block.log_s.copy())
+        # d = 3 and eta mixes every letter, so each dB sums three coordinates; under
+        # ell = e_1, xi_0 = 0 starts M with -0.0 on every path whose first dB is negative
+        mixed = SigVolParams(GradedTensor(3, 2, {(): 0.2, (1,): 0.1, (2, 3): -0.05, (3,): 0.07,
+                                                 (0, 2): 0.02}),
+                             Weight.constant(), s0=1.0, eta=np.array([0.48, 0.6, 0.64]),
+                             horizon=1.0, steps=9)
+        e_1 = SigVolParams(GradedTensor(1, 1, {(1,): 1.0}), Weight.constant(), s0=1.0,
+                           eta=np.array([1.0]), horizon=1.0, steps=9)
+        for params, words in ((mixed, [(1, 3, 2), (2, 0)]), (e_1, [(1, 0)])):
+            blocks = 0
+            for block in stream_paths(params, 300, 2**64 - 1, words, block=128):
+                values = brownian_values(params.dim, 1.0, 9, block.size, 2**64 - 1,
+                                         path_offset=block.offset)
+                fields = ("driver", "mart", "qv", "log_s")
+                got = {name: [] for name in fields}
+                coords = []
+                for _ in block.steps():
+                    for name in fields:
+                        got[name].append(getattr(block, name).copy())
+                    coords.append(block.sig.coords(words))
                 coords.append(block.sig.coords(words))
-            coords.append(block.sig.coords(words))
-            for got, ref in ((dbs, db_ref), (log_ss, log_s_ref), (coords, coords_ref)):
-                assert np.array_equal(np.array(got).view(np.uint64), ref.view(np.uint64))
-            blocks += 1
-        assert blocks == 3
+                refs = path_major_steps(params, values, words)
+                for seq, ref in zip([*got.values(), coords], refs):
+                    assert np.array_equal(np.array(seq).view(np.uint64), ref.view(np.uint64))
+                blocks += 1
+            assert blocks == 3
+        first_m = refs[1][0]  # M after one step of the last e_1 block
+        assert np.all(first_m == 0.0) and np.signbit(first_m).any()
 
 
 class TestStepperMemory:

@@ -10,69 +10,79 @@ from sigvol.sde import SigVolParams, stream_paths
 from sigvol.signature import (
     _CHUNK_OUTPUTS,
     BatchSignature,
-    PathGrid,
     all_words,
-    segment_exponential,
-    signature_piecewise_linear,
     simulate_brownian_grid,
 )
 
-from _oracles import brownian_values, levels, reference_chen_step, to_tensor
+from _oracles import brownian_values, levels, reference_chen_step, sparse_signatures, to_tensor
 
 
 def random_path(rng, d=2, steps=6, horizon=1.0, scale=0.5):
+    """A time-augmented (steps+1, d+1) path on a random grid."""
     times = np.sort(rng.uniform(0.0, horizon, size=steps - 1))
     times = np.concatenate([[0.0], times, [horizon]])
     w = np.vstack([np.zeros(d), np.cumsum(rng.normal(size=(steps, d)) * scale, axis=0)])
-    return PathGrid.from_brownian(times, w)
+    return np.column_stack([times, w])
+
+
+def engine_signatures(values: np.ndarray, trunc: int) -> list[GradedTensor]:
+    """The batch engine's signatures of one path (m+1, d+1) at its grid times."""
+    sig = BatchSignature(1, values.shape[1] - 1, trunc)
+    out = [to_tensor(sig, 0)]
+    for dx in np.diff(values, axis=0):
+        sig.chen_step(dx[None, :])
+        out.append(to_tensor(sig, 0))
+    return out
+
+
+def segment(dx: np.ndarray, trunc: int) -> GradedTensor:
+    """The reference signature of the single segment dx."""
+    return sparse_signatures(np.array([np.zeros_like(dx), dx]), trunc)[-1]
 
 
 class TestSegmentExponential:
     def test_time_only_segment(self):
-        seg = segment_exponential(np.array([0.5, 0.0, 0.0]), 4)
+        seg = segment(np.array([0.5, 0.0, 0.0]), 4)
         for n in range(5):
             assert seg[(0,) * n] == pytest.approx(0.5**n / math.factorial(n))
 
     def test_zero_increment(self):
-        seg = segment_exponential(np.zeros(3), 3)
+        seg = segment(np.zeros(3), 3)
         assert seg.coeffs == {(): 1.0}
 
     def test_level2_simplex_integral(self):
         dx = np.array([0.3, 0.7, -0.2])
-        seg = segment_exponential(dx, 2)
+        seg = segment(dx, 2)
         assert seg[(1, 2)] == pytest.approx(dx[1] * dx[2] / 2.0)
 
 
 class TestPiecewiseLinearSignature:
     def test_single_segment_equals_exponential(self):
-        times = np.array([0.0, 1.0])
-        path = PathGrid.from_brownian(times, np.array([[0.0, 0.0], [0.4, -0.1]]))
-        stream = signature_piecewise_linear(path, 3)
-        seg = segment_exponential(path.increments()[0], 3)
-        assert stream.terminal.allclose(seg, 1e-15)
+        # one Chen step from the unit: every word w has coefficient prod dx[w] / |w|!
+        dx = np.array([1.0, 0.4, -0.1])
+        sig = engine_signatures(np.array([np.zeros(3), dx]), 3)[-1]
+        for w in all_words(2, 3):
+            expected = math.prod(dx[j] for j in w) / math.factorial(len(w))
+            assert sig[w] == pytest.approx(expected, rel=1e-15, abs=1e-300)
 
     @settings(max_examples=6)
     @given(st.lists(st.floats(0.05, 0.3), min_size=7, max_size=7),
            st.lists(st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2), min_size=7, max_size=7))
     def test_chen_identity_exact_at_every_split(self, dts, dws):
         times = np.concatenate([[0.0], np.cumsum(dts)])
-        path = PathGrid.from_brownian(times, np.vstack([np.zeros(2), np.cumsum(dws, axis=0)]))
-        stream = signature_piecewise_linear(path, 4)
-        for mid in range(1, len(path.times) - 1):
-            left = stream[mid]
-            right = GradedTensor.unit(2, 4)
-            for dx in np.diff(path.values[mid:], axis=0):
-                right = concat_product(right, segment_exponential(dx, 4), 4)
-            recombined = concat_product(left, right, 4)
-            assert recombined.allclose(stream.terminal, 1e-12)
+        path = np.column_stack([times, np.vstack([np.zeros(2), np.cumsum(dws, axis=0)])])
+        stream = engine_signatures(path, 4)
+        for mid in range(1, len(path) - 1):
+            right = engine_signatures(path[mid:], 4)[-1]
+            recombined = concat_product(stream[mid], right, 4)
+            assert recombined.allclose(stream[-1], 1e-12)
 
     def test_linear_path_level_two_closed_form(self):
         # x_t = t * v: <e_ij, X_T> = v_i v_j T^2 / 2
         v = np.array([0.7, -0.4])
         horizon = 1.3
         times = np.linspace(0.0, horizon, 9)
-        path = PathGrid.from_brownian(times, np.outer(times, v))
-        sig = signature_piecewise_linear(path, 2).terminal
+        sig = engine_signatures(np.column_stack([times, np.outer(times, v)]), 2)[-1]
         for i in (1, 2):
             for j in (1, 2):
                 expected = v[i - 1] * v[j - 1] * horizon**2 / 2.0
@@ -80,15 +90,15 @@ class TestPiecewiseLinearSignature:
 
     def test_empty_word_is_one_along_stream(self):
         rng = np.random.default_rng(12)
-        stream = signature_piecewise_linear(random_path(rng), 3)
-        assert all(t[()] == 1.0 for t in stream.tensors)
+        stream = sparse_signatures(random_path(rng), 3)
+        assert all(t[()] == 1.0 for t in stream)
 
     def test_shuffle_identity_on_deterministic_paths(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
             d = int(rng.integers(1, 4))
             path = random_path(rng, d=d, steps=5)
-            sig = signature_piecewise_linear(path, 6).terminal
+            sig = engine_signatures(path, 6)[-1]
             words = [w for w in all_words(d, 3) if len(w) >= 1]
             for iw in words:
                 for jw in words:
@@ -100,21 +110,18 @@ class TestPiecewiseLinearSignature:
                     assert abs(lhs - dual_pairing(sh, sig)) < 1e-10
 
     def test_grid_violation(self):
-        with pytest.raises(ValueError):
-            PathGrid(np.array([0.0, 0.5, 0.5]), np.zeros((3, 2)))
+        # the driver's grid linspace(0, T, steps+1) is strictly increasing only for a finite T > 0
+        for horizon in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                simulate_brownian_grid(1, horizon, 4, 4, seed=0)
 
 
 class TestBatchEngine:
     def test_matches_sparse_reference(self):
         rng = np.random.default_rng(14)
-        paths = [random_path(rng, d=2, steps=5, horizon=1.0) for _ in range(3)]
-        # shared grid for the batch: use path 0's grid for all
-        grid = paths[0]
-        batch = BatchSignature(1, 2, 4)
-        for dx in grid.increments():
-            batch.chen_step(dx[None, :])
-        ref = signature_piecewise_linear(grid, 4).terminal
-        got = to_tensor(batch, 0)
+        path = random_path(rng, d=2, steps=5, horizon=1.0)
+        ref = sparse_signatures(path, 4)[-1]
+        got = engine_signatures(path, 4)[-1]
         words = set(ref.coeffs) | set(got.coeffs)
         assert all(abs(ref[w] - got[w]) < 1e-13 for w in words)
 
@@ -238,18 +245,18 @@ class TestBrownianDriver:
     def test_bit_identical_reruns(self):
         a = simulate_brownian_grid(2, 1.0, 32, 16, seed=99)
         b = simulate_brownian_grid(2, 1.0, 32, 16, seed=99)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.grid, b.grid)
 
     def test_path_set_order_independent(self):
         small = simulate_brownian_grid(2, 1.0, 16, 5, seed=123)
         large = simulate_brownian_grid(2, 1.0, 16, 50, seed=123)
-        assert np.array_equal(small.values, large.values[:5])
+        assert np.array_equal(small.grid, large.grid[:, :, :5])
         shifted = simulate_brownian_grid(2, 1.0, 16, 10, seed=123, path_offset=7)
-        assert np.array_equal(shifted.values, large.values[7:17])
+        assert np.array_equal(shifted.grid, large.grid[:, :, 7:17])
 
     def test_terminal_moments(self):
         batch = simulate_brownian_grid(1, 2.0, 8, 100_000, seed=55)
-        w_t = batch.values[:, -1, 1]
+        w_t = batch.grid[-1, 0]
         se = w_t.std(ddof=1) / math.sqrt(len(w_t))
         assert abs(w_t.mean()) < 3 * se
         var = w_t.var(ddof=1)
@@ -274,7 +281,7 @@ class TestBrownianDriver:
 
     def test_level1_ito_isometry(self):
         batch = simulate_brownian_grid(1, 0.7, 16, 60_000, seed=77)
-        w_t = batch.values[:, -1, 1]
+        w_t = batch.grid[-1, 0]
         sq = w_t**2
         se = sq.std(ddof=1) / math.sqrt(len(sq))
         assert abs(sq.mean() - 0.7) < 3 * se
@@ -282,7 +289,7 @@ class TestBrownianDriver:
     def test_level2_stratonovich_fourth_moment(self):
         # <e_11> = W^2/2 so E[<e_11>^2] = 3 (t-s)^2 / 4
         batch = simulate_brownian_grid(1, 0.5, 16, 60_000, seed=78)
-        w_t = batch.values[:, -1, 1]
+        w_t = batch.grid[-1, 0]
         stat = (w_t**2 / 2.0) ** 2
         se = stat.std(ddof=1) / math.sqrt(len(stat))
         assert abs(stat.mean() - 3.0 * 0.5**2 / 4.0) < 3 * se
@@ -305,6 +312,7 @@ class TestDriverMatchesPathMajor:
         for n_paths, offset in ((chunk - 3, 0), (chunk, 5), (2 * chunk + 7, 0), (2 * chunk + 7, 3)):
             batch = simulate_brownian_grid(d, 0.8, steps, n_paths, seed, path_offset=offset)
             values = brownian_values(d, 0.8, steps, n_paths, seed, path_offset=offset)
-            assert batch.values.shape == values.shape
-            assert np.array_equal(_bits(batch.values), _bits(values))
-            assert np.array_equal(_bits(batch.increments()), _bits(np.diff(values, axis=1)))
+            assert np.array_equal(_bits(batch.times), _bits(values[0, :, 0]))
+            grid = values[:, :, 1:].transpose(1, 2, 0)
+            assert batch.grid.shape == grid.shape
+            assert np.array_equal(_bits(batch.grid), _bits(grid))
