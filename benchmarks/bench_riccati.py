@@ -50,7 +50,7 @@ def test_blowup_flow(benchmark):
     state = RiccatiState(GradedTensor(1, 2, {(1, 1): 2.0}))
 
     def flow():
-        return integrate_flow(state, 1.0, table, tol=1e-10, weight=pre.weight, record=True)
+        return integrate_flow(state, 1.0, table, tol=1e-10, weight=pre.weight)
 
     out = benchmark.pedantic(flow, rounds=9, warmup_rounds=1)
     _record(benchmark, table, trunc=7, d=1, accepted_steps=out.steps, rejected=out.rejected,

@@ -17,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sigvol import sde
 from sigvol.models import preset
 from sigvol.sde import SigVolParams, simulate_price, stream_paths, write_price_csv
 from sigvol.signature import BatchSignature
@@ -75,16 +76,17 @@ def test_stream_paths_block(benchmark):
 
 
 @pytest.mark.parametrize("blocks", [1, 4])
-def test_simulate_streamed(benchmark, blocks):
+def test_simulate_streamed(benchmark, monkeypatch, blocks):
     # what `simulate` does per block at the price_paths_deep size: price it, write its rows;
     # the traced peak should not grow with the number of blocks
     pre = preset("rough_bergomi_approx")
     params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 128)
     block = 1024
+    monkeypatch.setattr(sde, "BLOCK_PATHS", block)
 
     def one_run():
         with open(os.devnull, "w", encoding="utf-8", newline="\n") as fh:
-            for paths in stream_paths(params, blocks * block, 1, block=block):
+            for paths in stream_paths(params, blocks * block, 1):
                 write_price_csv(simulate_price(paths), fh)
 
     _record(benchmark, one_run, 3, paths=blocks * block, block=block, steps=128, d=1)

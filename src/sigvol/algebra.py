@@ -364,6 +364,8 @@ def format_tensor(a: GradedTensor) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 def parse_tensor(text: str, dim: int, trunc: int | None = None) -> GradedTensor:
+    if not isinstance(text, str):
+        raise TypeError(f"tensor text must be a string, got {text!r}")
     coeffs: dict[Word, float] = {}
     for raw in text.splitlines():
         line = raw.strip()

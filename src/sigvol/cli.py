@@ -145,23 +145,16 @@ def _params(cfg: dict, ell: GradedTensor, eta, weight) -> sde.SigVolParams:
                             horizon=float(cfg["T"]), steps=int(cfg["steps"]))
 
 
-def _parse_payoff(text) -> tuple[str, dict]:
-    if isinstance(text, dict):
-        if "kind" not in text:
-            raise CliError(f"payoff object needs a kind: {text!r}")
-        return text["kind"], {k: float(v) for k, v in text.items() if k != "kind"}
-    kind, _, rest = str(text).partition(":")
-    kind = kind.strip()
-    params: dict = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            params[{"K": "strike"}.get(key.strip(), key.strip())] = float(val)
-    if kind in ("call", "digital", "asian") and "strike" not in params:
-        raise CliError(f"payoff {kind} needs a strike, e.g. {kind}:K=1.0")
-    if kind not in hedging.PAYOFF_KINDS:
-        raise CliError(f"unknown payoff kind {kind!r}")
-    return kind, params
+def _parse_payoff(spec) -> tuple[str, dict]:
+    """(kind, params) of "kind:K=1.0,..." or {"kind": ..., "K": 1.0}; K stands for strike."""
+    if isinstance(spec, dict):
+        kind = spec.get("kind")
+        items = [(key, val) for key, val in spec.items() if key != "kind"]
+    else:
+        kind, _, rest = str(spec).partition(":")
+        kind = kind.strip()
+        items = [item.partition("=")[::2] for item in rest.split(",")] if rest else []
+    return kind, {{"K": "strike"}.get(key.strip(), key.strip()): float(val) for key, val in items}
 
 
 def _parse_direction(cfg: dict, d: int) -> riccati.RiccatiState:
@@ -292,8 +285,6 @@ def _cmd_transform(cfg: dict, out: str) -> int:
     if extended and not 0.0 < float(cfg["s0"]) < math.inf:
         raise CliError("s0 must be finite and positive")
     window = riccati.required_window(state, ell if extended else None)
-    # the price-extended table also has to represent ell shuffle ell
-    window = max(window, 2 * ell.support_degree if extended else 0)
     trunc = int(cfg["trunc"]) if cfg.get("trunc") is not None else max(window, state.support_degree, 2)
     if trunc < window:
         raise CliError(f"truncation {trunc} below the shuffle window {window}")
@@ -302,8 +293,7 @@ def _cmd_transform(cfg: dict, out: str) -> int:
     tol = float(cfg.get("tol", 1e-10))
     threshold = float(cfg.get("threshold", 1e6))
     outcome = riccati.integrate_flow(state, horizon, table, tol=tol,
-                                     explosion_threshold=threshold, weight=weight,
-                                     record=True)
+                                     explosion_threshold=threshold, weight=weight)
     lines = ["tau,component_word,psi_value"]
     words = [label if label == riccati.X_LABEL else format_word(label) for label in table.labels]
     for tau, vec in outcome.trace:
@@ -340,15 +330,14 @@ def _cmd_hedge(cfg: dict, out: str) -> int:
     params = _params(cfg, ell, eta, weight)
     kind, pay_params = _parse_payoff(cfg.get("payoff", "call:K=1.0"))
     hedge_cfg = cfg.get("hedge", {})
-    depth = int(hedge_cfg.get("integrand_depth", 2))
-    window = hedge_cfg.get("residual_window", [depth, depth + 1])
-    strikes = hedge_cfg.get("static_strikes")
-    ridge = hedge_cfg.get("ridge")
+    if not isinstance(hedge_cfg, dict):
+        raise CliError(f"hedge must be a JSON object, got {hedge_cfg!r}")
+    depth = hedge_cfg.get("integrand_depth", 2)
     basis = hedging.HedgeBasis(integrand_depth=depth,
-                               residual_window=(int(window[0]), int(window[1])),
-                               static_strikes=None if strikes is None else tuple(strikes),
-                               ridge=None if ridge is None else float(ridge))
-    trunc_needed = max(basis.residual_window[1], depth, ell.support_degree)
+                               residual_window=hedge_cfg.get("residual_window", (depth, depth + 1)),
+                               static_strikes=hedge_cfg.get("static_strikes"),
+                               ridge=hedge_cfg.get("ridge"))
+    trunc_needed = max(basis.residual_window[1], basis.integrand_depth, ell.support_degree)
     if cfg.get("trunc") is not None and int(cfg["trunc"]) < trunc_needed:
         raise CliError(f"truncation {cfg['trunc']} below required window {trunc_needed}")
     data = hedging.simulate_hedge_dataset(params, basis, kind, pay_params,
@@ -379,12 +368,11 @@ def _cmd_depth_report(cfg: dict, out: str) -> int:
     ell, eta, weight, name = resolve_model(cfg)
     params = _params(cfg, ell, eta, weight)
     kind, pay_params = _parse_payoff(cfg.get("payoff", "asian:K=1.0"))
-    depths = [int(v) for v in cfg.get("depths", [0, 1, 2])]
     metas = [(m, models.preset(m).depth_meta) for m in models.PRESET_NAMES]
     rows = [("depth_table", f"{m}.N_star", n) for m, (n, _) in metas]
     rows += [("depth_table", f"{m}.K", "undocumented" if k is None else k) for m, (_, k) in metas]
-    scan = hedging.depth_scan(params, kind, pay_params, depths, int(cfg["paths"]),
-                              seed, weight=weight)
+    scan = hedging.depth_scan(params, kind, pay_params, cfg.get("depths", [0, 1, 2]),
+                              int(cfg["paths"]), seed, weight=weight)
     for row in scan:
         rows.append(("scan", f"depth_{row.depth}.residual_norm", row.residual_norm))
         rows.append(("scan", f"depth_{row.depth}.se", row.se))
@@ -400,69 +388,60 @@ def _cmd_depth_report(cfg: dict, out: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag's dest is the config key it sets; "hedge.ridge" sets cfg["hedge"]["ridge"]."""
     parser = argparse.ArgumentParser(prog="sigvol",
                                      description="signature volatility model toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("selftest", "simulate", "hypotheses", "transform", "hedge", "depth-report"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--trunc", type=int, default=None)
-        p.add_argument("--model", default=None)
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--sigma0", type=float, default=None)
-        p.add_argument("--sigma1", type=float, default=None)
-        p.add_argument("--T", type=float, default=None, dest="T")
-        p.add_argument("--s0", type=float, default=None)
+        # a flag that is not passed sets no key, so the config file's value stands
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out")
+        p.add_argument("--paths", type=int)
+        p.add_argument("--steps", type=int)
+        p.add_argument("--trunc", type=int)
+        p.add_argument("--model")
+        p.add_argument("--sigma", type=float)
+        p.add_argument("--sigma0", type=float)
+        p.add_argument("--sigma1", type=float)
+        p.add_argument("--T", type=float)
+        p.add_argument("--s0", type=float)
         if name == "transform":
-            p.add_argument("--uX", type=float, default=None, dest="uX")
-            p.add_argument("--u", default=None)
-            p.add_argument("--tol", type=float, default=None)
-            p.add_argument("--threshold", type=float, default=None)
-            p.add_argument("--mc-check", action="store_true", dest="mc_check")
-            p.add_argument("--mc-paths", type=int, default=None, dest="mc_paths")
+            p.add_argument("--uX", type=float)
+            p.add_argument("--u")
+            p.add_argument("--tol", type=float)
+            p.add_argument("--threshold", type=float)
+            p.add_argument("--mc-check", action="store_true")
+            p.add_argument("--mc-paths", type=int)
         if name in ("hedge", "depth-report"):
-            p.add_argument("--payoff", default=None)
+            p.add_argument("--payoff")
         if name == "hedge":
-            p.add_argument("--integrand-depth", type=int, default=None)
-            p.add_argument("--window", default=None, help="residual window as 'low,high'")
-            p.add_argument("--ridge", type=float, default=None)
-            p.add_argument("--strikes", default=None)
+            p.add_argument("--integrand-depth", type=int, dest="hedge.integrand_depth", metavar="N")
+            p.add_argument("--window", type=_ints, dest="hedge.residual_window", metavar="LOW,HIGH")
+            p.add_argument("--ridge", type=float, dest="hedge.ridge", metavar="RIDGE")
+            p.add_argument("--strikes", type=_floats, dest="hedge.static_strikes", metavar="K,...")
         if name == "depth-report":
-            p.add_argument("--depths", default=None, help="comma separated depths")
+            p.add_argument("--depths", type=_ints, help="comma separated depths")
         if name == "hypotheses":
-            p.add_argument("--lambda", type=float, default=None, dest="lam")
+            p.add_argument("--lambda", type=float)
     return parser
 
 
-def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
-    direct = ("seed", "out", "paths", "steps", "trunc", "model", "sigma", "sigma0",
-              "sigma1", "T", "s0", "payoff", "uX", "u", "tol", "threshold",
-              "mc_paths", "mc_check")
-    for key in direct:
-        val = getattr(args, key, None)
-        if val is not None and val is not False:
-            cfg[key] = val
-    if getattr(args, "lam", None) is not None:
-        cfg["lambda"] = args.lam
-    hedge_cfg = dict(cfg.get("hedge", {}))
-    if getattr(args, "integrand_depth", None) is not None:
-        hedge_cfg["integrand_depth"] = args.integrand_depth
-    if getattr(args, "window", None) is not None:
-        lo, hi = args.window.split(",")
-        hedge_cfg["residual_window"] = [int(lo), int(hi)]
-    if getattr(args, "ridge", None) is not None:
-        hedge_cfg["ridge"] = args.ridge
-    if getattr(args, "strikes", None) is not None:
-        hedge_cfg["static_strikes"] = [float(s) for s in args.strikes.split(",")]
-    if hedge_cfg:
-        cfg["hedge"] = hedge_cfg
-    if getattr(args, "depths", None) is not None:
-        cfg["depths"] = [int(v) for v in args.depths.split(",")]
+def _merge_flags(cfg: dict, flags: dict) -> dict:
+    for dest in [dest for dest in flags if "." in dest]:
+        section, _, key = dest.partition(".")
+        cfg[section] = {**cfg.get(section, {}), key: flags.pop(dest)}
+    cfg.update(flags)
     return cfg
 
 
@@ -479,15 +458,16 @@ _COMMANDS = {
 def execute(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        flags = vars(parser.parse_args(argv))
     except SystemExit:
         print("status=invalid")
         return 1
+    command = flags.pop("command")
     try:
-        cfg = _merge_flags(load_config(args.config), args)
+        cfg = _merge_flags(load_config(flags.pop("config", None)), flags)
         out = cfg.get("out") or "."
         os.makedirs(out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out)
+        return _COMMANDS[command](cfg, out)
     except (CliError, ValueError, TypeError) as exc:
         # TypeError: a config value of the wrong JSON type, e.g. "paths": null
         print(f"error: {exc}", file=sys.stderr)

@@ -43,10 +43,12 @@ class DegenerateGram(RuntimeError):
 class HedgeBasis:
     """Feature selection for the GKW regression.
 
-    integrand_depth bounds the word length of dynamic integrand features;
-    residual_window = (n_low, m) selects terminal words n_low < |I| <= m;
-    static_strikes None means 7 equally spaced quantiles of simulated S_T.
-    ridge None means the default 1e-8 * trace(Gram)/dim regularisation.
+    integrand_depth >= 0 bounds the word length of dynamic integrand features;
+    residual_window = (n_low, m), 0 <= n_low < m, selects terminal words
+    n_low < |I| <= m; static_strikes None means 7 equally spaced quantiles
+    of simulated S_T; ridge None means the default 1e-8 * trace(Gram)/dim
+    regularisation.  The fields are converted to ints and floats on
+    construction, and strikes and ridge must be finite.
     """
 
     integrand_depth: int
@@ -55,13 +57,22 @@ class HedgeBasis:
     ridge: float | None = None
 
     def __post_init__(self):
-        n_low, m = self.residual_window
-        if not (0 <= n_low < m):
-            raise ValueError("residual window needs 0 <= n_low < m")
-        if self.ridge is not None and self.ridge < 0.0:
-            raise ValueError("ridge must be >= 0")
-        if self.static_strikes is not None:
-            object.__setattr__(self, "static_strikes", tuple(float(k) for k in self.static_strikes))
+        depth = int(self.integrand_depth)
+        window = tuple(int(k) for k in self.residual_window)
+        strikes = self.static_strikes
+        strikes = None if strikes is None else tuple(float(k) for k in strikes)
+        ridge = None if self.ridge is None else float(self.ridge)
+        if depth < 0:
+            raise ValueError("integrand depth must be >= 0")
+        if len(window) != 2 or not 0 <= window[0] < window[1]:
+            raise ValueError("residual window needs two ints 0 <= n_low < m")
+        if strikes is not None and not all(map(math.isfinite, strikes)):
+            raise ValueError("static strikes must be finite")
+        if ridge is not None and not 0.0 <= ridge < math.inf:
+            raise ValueError("ridge must be finite and >= 0")
+        for name, value in (("integrand_depth", depth), ("residual_window", window),
+                            ("static_strikes", strikes), ("ridge", ridge)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -97,9 +108,7 @@ def _settle(kind: str, params: dict, terminal: np.ndarray, qv: np.ndarray,
         return (terminal >= params["strike"]).astype(float)
     if kind == "variance_swap":
         return qv.copy()
-    if kind == "asian":
-        return np.maximum(average - params["strike"], 0.0)
-    raise ValueError(f"unknown payoff kind {kind!r}; choose from {PAYOFF_KINDS}")
+    return np.maximum(average - params["strike"], 0.0)  # asian
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +124,6 @@ def _window_words(d: int, n_low: int, m: int) -> list[Word]:
 class HedgeDesign:
     """Column groups of the hedging regression, one row per path."""
 
-    s0: float
     dyn_words: list
     static_labels: list
     res_words: list
@@ -134,7 +142,7 @@ class HedgeDesign:
 
     def restrict_depth(self, depth: int) -> "HedgeDesign":
         keep = [i for i, w in enumerate(self.dyn_words) if len(w) <= depth]
-        return HedgeDesign(self.s0, [self.dyn_words[i] for i in keep],
+        return HedgeDesign([self.dyn_words[i] for i in keep],
                            self.static_labels, self.res_words,
                            self.dynamic[:, keep], self.static, self.residual,
                            self.terminal_price)
@@ -169,13 +177,19 @@ class HedgeDataset:
 
 
 def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind: str,
-                           payoff_params: dict, n_paths: int, seed: int,
-                           block: int = 16384) -> HedgeDataset:
+                           payoff_params: dict, n_paths: int, seed: int) -> HedgeDataset:
     """Simulate paths in blocks and accumulate the design without storing grids.
 
     Produces the columns of the per-path reference route (build_design in
-    the tests' oracles) on the same driver paths.
+    the tests' oracles) on the same driver paths.  The payoff is checked
+    before any path is drawn: a kind of PAYOFF_KINDS, and a finite
+    payoff_params["strike"] for every kind but variance_swap.
     """
+    if payoff_kind not in PAYOFF_KINDS:
+        raise ValueError(f"unknown payoff kind {payoff_kind!r}; choose from {PAYOFF_KINDS}")
+    strike = payoff_params.get("strike", math.nan)
+    if payoff_kind != "variance_swap" and not math.isfinite(strike):
+        raise ValueError(f"payoff {payoff_kind} needs a finite strike, e.g. {payoff_kind}:K=1.0")
     n_low, m = basis.residual_window
     dyn_words = all_words(params.dim, basis.integrand_depth)
     res_words = _window_words(params.dim, n_low, m)
@@ -184,7 +198,7 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
     terminal = np.zeros(n_paths)
     bracket = np.zeros(n_paths)
     asian = np.zeros(n_paths)
-    for paths in stream_paths(params, n_paths, seed, dyn_words + res_words, block):
+    for paths in stream_paths(params, n_paths, seed, dyn_words + res_words):
         nb = paths.size
         s_prev = np.full(nb, params.s0)
         avg = np.zeros(nb)
@@ -203,7 +217,7 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
         asian[sl] = avg / params.horizon
     strikes = basis.static_strikes if basis.static_strikes is not None else default_strikes(terminal)
     static, labels = _static_block(terminal, strikes)
-    design = HedgeDesign(params.s0, dyn_words, labels, res_words, dynamic, static,
+    design = HedgeDesign(dyn_words, labels, res_words, dynamic, static,
                          residual, terminal)
     x = _settle(payoff_kind, payoff_params, terminal, bracket, asian)
     return HedgeDataset(design, x)
@@ -368,9 +382,9 @@ def depth_scan(params: SigVolParams, payoff_kind: str, payoff_params: dict,
     The design at the largest depth is assembled once and column-restricted,
     so the spans are exactly nested and monotonicity holds up to the ridge.
     """
-    depths = sorted(depths)
-    if not depths:
-        raise ValueError("depth scan needs at least one depth")
+    depths = sorted(int(depth) for depth in depths)
+    if not depths or depths[0] < 0:
+        raise ValueError("depth scan needs at least one depth, each >= 0")
     if basis is None:
         basis = HedgeBasis(integrand_depth=depths[-1],
                            residual_window=(depths[-1], depths[-1] + 1))

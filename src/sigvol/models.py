@@ -97,44 +97,42 @@ def kernel_expansion(kind: str, degree: int, brownian_letter: int, scale: float,
     return GradedTensor(dim, degree + 1, coeffs)
 
 
-def preset(name: str, sigma: float = 0.2, sigma0: float = 0.2, sigma1: float = 0.1,
-           d: int | None = None) -> ModelPreset:
-    """Named model presets; sigma defaults are configuration, not ground truth."""
+def preset(name: str, sigma: float = 0.2, sigma0: float = 0.2,
+           sigma1: float = 0.1) -> ModelPreset:
+    """Named model presets, all over one Brownian letter (d = 1).
+
+    The sigma defaults are configuration, not ground truth.
+    """
     if name == "black_scholes":
-        dim = d or 1
-        ell = GradedTensor(dim, 0, {(): sigma})
-        return ModelPreset(name, ell, _unit(dim, 1), Weight.geometric(2.0), (0, 1),
+        ell = GradedTensor(1, 0, {(): sigma})
+        return ModelPreset(name, ell, _unit(1, 1), Weight.geometric(2.0), (0, 1),
                            "constant volatility; dynamically complete")
     if name == "first_order":
-        dim = d or 1
-        ell = GradedTensor(dim, 1, {(): sigma0, (1,): sigma1})
-        return ModelPreset(name, ell, _unit(dim, 1), Weight.geometric(2.0), (1, 2),
+        ell = GradedTensor(1, 1, {(): sigma0, (1,): sigma1})
+        return ModelPreset(name, ell, _unit(1, 1), Weight.geometric(2.0), (1, 2),
                            "volatility sigma0 + sigma1 * W^1; one static completion")
     if name == "heston_meta":
         return ModelPreset(name, None, None, Weight.geometric(2.0), (2, 4),
                            "metadata only: no explicit tensor embedding is published")
     if name == "rough_bergomi_approx":
-        dim = d or 1
-        ell = kernel_expansion("power", 5, 1, sigma1, d=dim)
-        ell = GradedTensor(dim, ell.trunc, {(): sigma0, **ell.coeffs})
-        return ModelPreset(name, ell, _unit(dim, 1), Weight.geometric(2.0), (INF, INF),
+        ell = kernel_expansion("power", 5, 1, sigma1)
+        ell = GradedTensor(1, ell.trunc, {(): sigma0, **ell.coeffs})
+        return ModelPreset(name, ell, _unit(1, 1), Weight.geometric(2.0), (INF, INF),
                            "power-kernel expansion; demonstration only, the "
                            "polynomial approximation is poor near zero lag and "
                            "no finite depth is exact")
     if name == "quintic_ou_approx":
-        dim = d or 1
-        ell = kernel_expansion("exponential", 4, 1, sigma1, d=dim, kappa=1.0)
-        ell = GradedTensor(dim, ell.trunc, {(): sigma0, **ell.coeffs})
-        return ModelPreset(name, ell, _unit(dim, 1), Weight.geometric(2.0), (5, None),
+        ell = kernel_expansion("exponential", 4, 1, sigma1, kappa=1.0)
+        ell = GradedTensor(1, ell.trunc, {(): sigma0, **ell.coeffs})
+        return ModelPreset(name, ell, _unit(1, 1), Weight.geometric(2.0), (5, None),
                            "exponential-kernel expansion with support up to depth "
                            "five; terminal static degree undocumented")
     if name == "guyon_lekeufack_approx":
-        dim = d or 1
-        fast = kernel_expansion("exponential", 3, 1, sigma1, d=dim, kappa=8.0)
-        slow = kernel_expansion("exponential", 3, 1, 0.5 * sigma1, d=dim, kappa=1.0)
-        ell = GradedTensor(dim, 4, {(): sigma0})
+        fast = kernel_expansion("exponential", 3, 1, sigma1, kappa=8.0)
+        slow = kernel_expansion("exponential", 3, 1, 0.5 * sigma1, kappa=1.0)
+        ell = GradedTensor(1, 4, {(): sigma0})
         ell = ell + fast + slow
-        return ModelPreset(name, ell, _unit(dim, 1), Weight.geometric(2.0),
+        return ModelPreset(name, ell, _unit(1, 1), Weight.geometric(2.0),
                            (KERNEL_DEPENDENT, KERNEL_DEPENDENT),
                            "two-timescale exponential past-return kernels; depth "
                            "is kernel dependent, infinite for the untruncated family")

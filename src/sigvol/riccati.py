@@ -382,20 +382,21 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 210
 # the rows as columns, to weigh the stacked stages k_1..k_i at once
 _DP_ROWS = [np.array(row)[:, None] for row in _DP_A[1:]]
 _DP_W5, _DP_W4 = np.array(_DP_B5)[:, None], np.array(_DP_B4)[:, None]
+STEP_FLOOR = 1e-12  # a step halved below this is an explosion verdict
 
 
 def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
                    tol: float = 1e-8, explosion_threshold: float = 1e6,
-                   weight: Weight | None = None, step_floor: float = 1e-12,
-                   record: bool = False) -> FlowOutcome:
+                   weight: Weight | None = None) -> FlowOutcome:
     """Adaptive embedded 4/5 integration of d(psi)/dtau = R(psi).
 
     Declares Exploded once the weighted norm of the state passes the
-    threshold, or when step halving pushes the step below step_floor.  The
+    threshold, or when step halving pushes the step below STEP_FLOOR.  The
     horizon and tol must be finite and positive; the threshold may be inf.
     Only the coordinates reachable from the support of u0 are integrated;
     every accepted state is expanded to the full state for the trace, the
     norm and the result, which are those of the full-state integration.
+    The trace holds (tau, state) at the start and after each accepted step.
     Each stage sums the weighted earlier stages in order with np.add.reduce
     over the stacked rows, as a left-to-right sum does.
     """
@@ -412,7 +413,7 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
     t = 0.0
     h = horizon / 64.0
     accepted, rejected = [], 0  # accepted step sizes, count of rejected steps
-    trace = [(0.0, full.copy())] if record else None
+    trace = [(0.0, full.copy())]
 
     def outcome(state=None, **failure) -> FlowOutcome:
         return FlowOutcome(state is not None, state, len(accepted), trace=trace,
@@ -438,8 +439,7 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
             ks[0] = ks[6]  # FSAL
             accepted.append(h)
             full = rhs.expand(u, table.state_dim)
-            if record:
-                trace.append((t, full))
+            trace.append((t, full))
             norm = table.weighted_norm(full, weight, levels)
             if norm > explosion_threshold:
                 return outcome(t_star=t, norm_at_detection=norm, detail="norm threshold crossed")
@@ -447,7 +447,7 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
         else:
             rejected += 1
             h *= 0.5
-            if h < step_floor:
+            if h < STEP_FLOOR:
                 return outcome(t_star=t, norm_at_detection=table.weighted_norm(full, weight, levels),
                                detail="step underflow below floor")
     sig, u_x = table.tensor(full)
@@ -460,10 +460,12 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
 
 
 def required_window(u0: RiccatiState, ell: GradedTensor | None) -> int:
-    """Shuffle-degree window: 2*deg(u) plus deg(ell) when price-extended."""
+    """Shuffle-degree window of a flow from u0: 2*deg(u0), and when
+    price-extended the larger of 2*deg(u0) + deg(ell) and 2*deg(ell), the
+    degree of ell shuffle ell."""
     need = 2 * u0.support_degree
     if ell is not None:
-        need += ell.support_degree
+        need = max(need + ell.support_degree, 2 * ell.support_degree)
     return need
 
 
@@ -471,8 +473,8 @@ def projection_compatibility(u0: RiccatiState, table_n: GeneratorTable,
                              table_m: GeneratorTable) -> bool:
     """Exact check of pi_M R_N(u) == R_M(pi_M u) for u supported in <= M.
 
-    The shuffle window M >= 2*deg(u) (+ deg(ell) when extended) is enforced
-    as a precondition; silent truncation would change the vector field.
+    The shuffle window M >= required_window(u, ell) is enforced as a
+    precondition; silent truncation would change the vector field.
     """
     n, m = table_n.trunc, table_m.trunc
     if m > n:
@@ -539,8 +541,7 @@ class _Moments:
 
 
 def mc_transform(u0: RiccatiState, table: GeneratorTable, horizon: float, steps: int,
-                 n_paths: int, seed: int, s0: float = 1.0,
-                 block: int = 16384) -> TransformMC:
+                 n_paths: int, seed: int, s0: float = 1.0) -> TransformMC:
     """MC estimate of E exp(<u0, W_T> + u_x log S_T) on simulated paths.
 
     Uses the same counter-based driver and path stepper as the price engine,
@@ -553,7 +554,7 @@ def mc_transform(u0: RiccatiState, table: GeneratorTable, horizon: float, steps:
     ell, eta = (table.ell, table.eta) if use_price else (GradedTensor.zero(table.dim, 0), np.eye(table.dim)[0])
     params = SigVolParams(ell, Weight.constant(), s0, eta, horizon, steps)
     moments = _Moments()
-    for paths in stream_paths(params, n_paths, seed, u0.sig.coeffs, block):
+    for paths in stream_paths(params, n_paths, seed, u0.sig.coeffs):
         for _ in paths.steps():
             pass
         expo = np.zeros(paths.size)

@@ -31,6 +31,8 @@ from .algebra import GradedTensor, Weight
 from . import signature
 from .signature import BatchSignature, BrownianBatch
 
+BLOCK_PATHS = 16384  # paths per driver block; a run holds one block's grid and sums
+
 
 @dataclass(frozen=True)
 class SigVolParams:
@@ -133,9 +135,8 @@ class PathBlock:
         self._spent = grid
 
 
-def stream_paths(params: SigVolParams, n_paths: int, seed: int, words=(),
-                 block: int = 16384) -> Iterator[PathBlock]:
-    """The driver's path set for (seed, n_paths) as PathBlocks, in path order.
+def stream_paths(params: SigVolParams, n_paths: int, seed: int, words=()) -> Iterator[PathBlock]:
+    """The driver's path set for (seed, n_paths) as PathBlocks of BLOCK_PATHS, in path order.
 
     The driver's arguments are checked on the call, before any block is
     drawn, so a caller can reject a run before it opens its outputs.  A
@@ -143,16 +144,15 @@ def stream_paths(params: SigVolParams, n_paths: int, seed: int, words=(),
     block of the same shape is drawn into it, so a run holds one block grid.
     """
     signature.check_driver_args(params.dim, params.horizon, params.steps, n_paths, seed)
-    return _blocks(params, n_paths, seed, words, block)
+    return _blocks(params, n_paths, seed, words)
 
 
-def _blocks(params: SigVolParams, n_paths: int, seed: int, words,
-            block: int) -> Iterator[PathBlock]:
+def _blocks(params: SigVolParams, n_paths: int, seed: int, words) -> Iterator[PathBlock]:
     spare = None
-    for start in range(0, n_paths, block):
+    for start in range(0, n_paths, BLOCK_PATHS):
         current = PathBlock(params, signature.simulate_brownian_grid(
-            params.dim, params.horizon, params.steps, min(block, n_paths - start), seed, start,
-            _into=spare), words)
+            params.dim, params.horizon, params.steps, min(BLOCK_PATHS, n_paths - start), seed,
+            start, _into=spare), words)
         yield current
         spare, current._spent = current._spent, None
 
@@ -236,8 +236,8 @@ def estimate_H3(params: SigVolParams, lam: float, n_paths: int, seed: int) -> H3
     more than half of the estimate.  The same pass gives the terminal prices
     of the paths, equal to those of simulate_price on the same path set.
     """
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lambda must be finite and positive")
     samples = np.empty(n_paths)
     terminal = np.empty(n_paths)
     for paths in stream_paths(params, n_paths, seed):

@@ -52,6 +52,7 @@ from sigvol.riccati import (
     _DP_A,
     _DP_B4,
     _DP_B5,
+    STEP_FLOOR,
     X_LABEL,
     FlowOutcome,
     RiccatiState,
@@ -251,7 +252,6 @@ def build_design(dataset, basis: HedgeBasis) -> HedgeDesign:
     dynamic = np.zeros((n, len(dyn_words)))
     residual = np.zeros((n, len(res_words)))
     terminal = np.zeros(n)
-    s0 = float(dataset[0][0][0])
     for i, (price, sigs) in enumerate(dataset):
         ds = np.diff(price)
         for c, word in enumerate(dyn_words):
@@ -262,7 +262,7 @@ def build_design(dataset, basis: HedgeBasis) -> HedgeDesign:
         terminal[i] = price[-1]
     strikes = basis.static_strikes if basis.static_strikes is not None else default_strikes(terminal)
     static, labels = _static_block(terminal, strikes)
-    return HedgeDesign(s0, dyn_words, labels, res_words, dynamic, static, residual, terminal)
+    return HedgeDesign(dyn_words, labels, res_words, dynamic, static, residual, terminal)
 
 
 class TruncationTooLow(ValueError):
@@ -416,8 +416,7 @@ def _full_rhs(u, table):
 
 
 def integrate_flow_full(u0: RiccatiState, horizon: float, table, tol: float = 1e-8,
-                        explosion_threshold: float = 1e6, weight=None,
-                        step_floor: float = 1e-12) -> FlowOutcome:
+                        explosion_threshold: float = 1e6, weight=None) -> FlowOutcome:
     """The embedded 4/5 flow stepping every coordinate of the state, trace recorded."""
     u = table.vector(u0.sig, u0.u_x)
     t = 0.0
@@ -457,7 +456,7 @@ def integrate_flow_full(u0: RiccatiState, horizon: float, table, tol: float = 1e
         else:
             rejected += 1
             h *= 0.5
-            if h < step_floor:
+            if h < STEP_FLOOR:
                 return outcome(t_star=t, norm_at_detection=table.weighted_norm(u, weight),
                                detail="step underflow below floor")
     sig, u_x = table.tensor(u)

@@ -3,7 +3,6 @@ import json
 import math
 import os
 import subprocess
-import functools
 import sys
 import tracemalloc
 
@@ -105,8 +104,16 @@ class TestValidation:
         ["transform", "--model", "first_order", "--u", "1:0.4", "--T", "inf"],
         ["transform", "--model", "first_order", "--u", "1:0.4", "--tol", "nan"],
         ["hedge", "--model", "first_order", "--T", "nan"],
+        ["hypotheses", "--lambda", "nan"],
+        ["hedge", "--model", "first_order", "--ridge", "nan"],
+        ["hedge", "--model", "first_order", "--strikes", "nan"],
+        ["hedge", "--model", "first_order", "--payoff", "call:K=nan"],
+        # a one-int window parses as a list: the basis, not an index error, must reject it
+        ["hedge", "--model", "first_order", "--window", "3"],
     ], ids=["simulate-T-nan", "simulate-s0-nan", "hypotheses-T-inf", "transform-T-nan",
-            "transform-T-negative", "transform-T-inf", "transform-tol-nan", "hedge-T-nan"])
+            "transform-T-negative", "transform-T-inf", "transform-tol-nan", "hedge-T-nan",
+            "hypotheses-lambda-nan", "hedge-ridge-nan", "hedge-strikes-nan", "hedge-strike-nan",
+            "hedge-window-one-int"])
     def test_non_finite_input(self, tmp_path, argv):
         # a fresh process with a timeout: an unchecked infinite horizon never ends, and
         # LAPACK writes its complaints to the process's stdout
@@ -123,10 +130,16 @@ class TestValidation:
         ("hedge", {"payoff": {"strike": 1}}),
         ("transform", {"u": 5}),
         ("hedge", {"hedge": [1, 2]}),
-    ], ids=["paths-null", "depths-int", "payoff-no-kind", "u-int", "hedge-list"])
+        ("hedge", {"payoff": {"kind": "call"}}),
+        ("hedge", {"hedge": {"residual_window": [3]}}),
+        ("hedge", {"hedge": {"integrand_depth": -1, "residual_window": [0, 1]}}),
+        ("simulate", {"model": {"ell": 5}}),
+        ("depth-report", {"depths": [-1, 0]}),
+    ], ids=["paths-null", "depths-int", "payoff-no-kind", "u-int", "hedge-list",
+            "payoff-no-strike", "window-one-int", "depth-negative", "ell-int", "depths-negative"])
     def test_malformed_config_value(self, tmp_path, capsys, command, cfg):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(dict(cfg, model="first_order", seed=1)))
+        cfg_path.write_text(json.dumps({"model": "first_order", "seed": 1, **cfg}))
         code, out = run(capsys, command, "--config", str(cfg_path), "--out", str(tmp_path))
         assert code == 1
         assert status_line(out) == "status=invalid"
@@ -148,7 +161,7 @@ class TestSimulate:
 
     def test_peak_memory_bounded_by_one_block(self, tmp_path, capsys, monkeypatch):
         # 128-path blocks: one block against four, after a warm-up run
-        monkeypatch.setattr(sde, "stream_paths", functools.partial(sde.stream_paths, block=128))
+        monkeypatch.setattr(sde, "BLOCK_PATHS", 128)
 
         def peak(n_paths: int) -> int:
             tracemalloc.start()
@@ -245,7 +258,10 @@ class TestDepthReport:
 # before the prefix-closed engine and the shared path stepper replaced the dense
 # per-consumer loops, the last two (two driver blocks of H3 samples, a Riccati
 # flow to blow-up) before the generator table moved to one sparse term form; a
-# change of the driver's stream has to update them explicitly.
+# change of the driver's stream has to update them explicitly.  The two call
+# hedges share one digest: the payoff object {"kind": "call", "K": 1.0} of
+# payoff_object.json is the payoff string call:K=1.0.
+CALL_HEDGE_DIGEST = "5bacaf93efc44dcbcdd5973ed76f1ca6b169ea656f5c63264eda57a63b5111ae"
 PINNED_CSVS = [
     pytest.param(
         ["simulate", "--model", "rough_bergomi_approx", "--paths", "16", "--steps", "32",
@@ -275,6 +291,14 @@ PINNED_CSVS = [
         ["transform", "--model", "first_order", "--u", "1.1:2.0", "--trunc", "7"],
         "transform.csv", "7718fb15dce3adacf4a162dbe070c631cd1444961783a30d67726bc4aafaf68f",
         2, id="transform_blowup.csv"),
+    pytest.param(
+        ["hedge", "--model", "first_order", "--payoff", "call:K=1.0", "--paths", "400",
+         "--steps", "8", "--seed", "7"],
+        "hedge.csv", CALL_HEDGE_DIGEST, 0, id="hedge_call.csv"),
+    pytest.param(
+        ["hedge", "--config", os.path.join(os.path.dirname(__file__), "payoff_object.json"),
+         "--paths", "400", "--steps", "8", "--seed", "7"],
+        "hedge.csv", CALL_HEDGE_DIGEST, 0, id="hedge_call_object.csv"),
 ]
 
 

@@ -267,9 +267,8 @@ class TestIntegrateFlow:
 
     def test_trace_recorded(self):
         table = build_generator(1, 1)
-        out = integrate_flow(RiccatiState(GradedTensor(1, 1, {(0,): 0.5})), 1.0,
-                             table, record=True)
-        assert out.trace is not None and len(out.trace) == out.steps + 1
+        out = integrate_flow(RiccatiState(GradedTensor(1, 1, {(0,): 0.5})), 1.0, table)
+        assert len(out.trace) == out.steps + 1
 
     def test_step_underflow_reported_as_exploded(self):
         # with the norm threshold disabled, the integrator rides the blow-up
@@ -325,14 +324,14 @@ class TestFlowMatchesFullState:
     @given(flow_cases())
     def test_random_sparse_directions(self, case):
         table, state, horizon, threshold = case
-        got = integrate_flow(state, horizon, table, explosion_threshold=threshold, record=True)
+        got = integrate_flow(state, horizon, table, explosion_threshold=threshold)
         assert_same_flow(got, integrate_flow_full(state, horizon, table, explosion_threshold=threshold))
 
     def test_zero_direction(self):
         table = flow_table(2, 4, True)
         # -0.0 is outside the support, yet the trace starts from it
         state = RiccatiState(GradedTensor.zero(2, 0), u_x=-0.0)
-        got = integrate_flow(state, 1.0, table, record=True)
+        got = integrate_flow(state, 1.0, table)
         assert got.solved and got.carried == 0 and got.rejected == 0
         assert_same_flow(got, integrate_flow_full(state, 1.0, table))
 
@@ -349,7 +348,7 @@ class TestFlowMatchesFullState:
         table = with_terms(build_generator(1, 1), {((1,), (0,)): 1.0}, gamma)
         state = RiccatiState(GradedTensor(1, 1, {(0,): 1.0, (1,): 1.0}))
         with np.errstate(over="ignore", invalid="ignore"):
-            got = integrate_flow(state, 2.0, table, record=True, explosion_threshold=math.inf)
+            got = integrate_flow(state, 2.0, table, explosion_threshold=math.inf)
             want = integrate_flow_full(state, 2.0, table, explosion_threshold=math.inf)
         assert got.carried == 2 and not got.solved and got.rejected > 0
         assert got.t_star == pytest.approx(t_star, abs=1e-6)
@@ -360,7 +359,7 @@ class TestFlowMatchesFullState:
         table = build_generator(7, 1)
         state = RiccatiState(GradedTensor(1, 2, {(1, 1): 2.0}))
         kwargs = dict(tol=1e-10, explosion_threshold=1e6, weight=pre.weight)
-        got = integrate_flow(state, 1.0, table, record=True, **kwargs)
+        got = integrate_flow(state, 1.0, table, **kwargs)
         assert not got.solved and got.carried == 2
         assert got.min_step <= got.max_step
         assert_same_flow(got, integrate_flow_full(state, 1.0, table, **kwargs))

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sigvol import sde
 from sigvol.algebra import GradedTensor, Weight
 from sigvol.models import preset
 from sigvol.sde import (
@@ -238,7 +239,7 @@ class TestMartingaleCheck:
 class TestBlockSize:
     """Results of the block-streaming consumers do not depend on the block size."""
 
-    def test_streaming_consumers_block_invariant(self):
+    def test_streaming_consumers_block_invariant(self, monkeypatch):
         from sigvol.hedging import HedgeBasis, simulate_hedge_dataset
         from sigvol.riccati import RiccatiState, build_generator, mc_transform
 
@@ -246,8 +247,9 @@ class TestBlockSize:
         words = [(1, 0), (0, 1, 1)]
         runs = {}
         for block in (7, 16384):
+            monkeypatch.setattr(sde, "BLOCK_PATHS", block)
             batches = []
-            for paths in stream_paths(params, 40, 21, words, block=block):
+            for paths in stream_paths(params, 40, 21, words):
                 for _ in paths.steps():
                     pass
                 batches.append((paths.offset, (paths.xi, paths.driver, paths.mart, paths.qv,
@@ -255,9 +257,9 @@ class TestBlockSize:
             table = build_generator(2, 1, (params.ell, params.eta))
             state = RiccatiState(GradedTensor(1, 2, {(1,): 0.3, (1, 0): 0.1}), 0.25)
             # more paths than one moment chunk, so chunks straddle blocks of 7
-            mc = mc_transform(state, table, 1.0, 8, 4100, seed=22, block=block)
+            mc = mc_transform(state, table, 1.0, 8, 4100, seed=22)
             data = simulate_hedge_dataset(params, HedgeBasis(1, (1, 2), static_strikes=(1.0,)),
-                                          "asian", {"strike": 0.0}, 40, seed=23, block=block)
+                                          "asian", {"strike": 0.0}, 40, seed=23)
             runs[block] = (batches, mc, data)
         (small, mc_small, data_small), (large, mc_large, data_large) = runs[7], runs[16384]
         assert [off for off, _ in small] == list(range(0, 40, 7)) and len(large) == 1
@@ -273,7 +275,7 @@ class TestBlockSize:
 
 
 class TestStepMajorFeed:
-    def test_stream_paths_matches_path_major_feed(self):
+    def test_stream_paths_matches_path_major_feed(self, monkeypatch):
         # d = 3 and eta mixes every letter, so each dB sums three coordinates; under
         # ell = e_1, xi_0 = 0 starts M with -0.0 on every path whose first dB is negative
         mixed = SigVolParams(GradedTensor(3, 2, {(): 0.2, (1,): 0.1, (2, 3): -0.05, (3,): 0.07,
@@ -282,9 +284,10 @@ class TestStepMajorFeed:
                              horizon=1.0, steps=9)
         e_1 = SigVolParams(GradedTensor(1, 1, {(1,): 1.0}), Weight.constant(), s0=1.0,
                            eta=np.array([1.0]), horizon=1.0, steps=9)
+        monkeypatch.setattr(sde, "BLOCK_PATHS", 128)
         for params, words in ((mixed, [(1, 3, 2), (2, 0)]), (e_1, [(1, 0)])):
             blocks = 0
-            for block in stream_paths(params, 300, 2**64 - 1, words, block=128):
+            for block in stream_paths(params, 300, 2**64 - 1, words):
                 values = brownian_values(params.dim, 1.0, 9, block.size, 2**64 - 1,
                                          path_offset=block.offset)
                 fields = ("driver", "mart", "qv", "log_s")
@@ -340,13 +343,14 @@ class TestCsvExport:
         assert lines[0] == "path_id,t,xi,B,M,qv,S"
         assert len(lines) == 1 + 3 * 5
 
-    def test_blocks_make_one_file(self):
+    def test_blocks_make_one_file(self, monkeypatch):
         # the header once, then path ids counting on across blocks
         params = make_params("first_order", steps=4)
 
         def csv(block: int) -> str:
+            monkeypatch.setattr(sde, "BLOCK_PATHS", block)
             fh = io.StringIO()
-            for paths in stream_paths(params, 20, 19, block=block):
+            for paths in stream_paths(params, 20, 19):
                 write_price_csv(simulate_price(paths), fh)
             return fh.getvalue()
 
