@@ -5,6 +5,12 @@ algorithm: assemble terminal coordinates, remove the span of constants,
 dynamic gains and static payoffs, solve the quotient Gram normal equations
 on the surviving residual directions, and measure the final remainder.
 
+Every number but the remainder's sampling error is an inner product of the
+columns z = [1 | dynamic | static | residual | X], so each is read from R in
+z = QR, factored once (tall-skinny QR: Demmel, Grigori, Hoemmen and Langou,
+SIAM J. Sci. Comput. 34(1), 2012).  A depth restriction re-factors R's kept
+columns; one matvec with z gives the per-path remainder.
+
 Dynamic integrands are spanned by time-t signature features: the gain
 column for a word K is the left-point sum of <e_K, W_t> dS_t, which
 realises the same Hilbert projection as the abstract GKW integrand in the
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -136,17 +142,6 @@ class HedgeDesign:
     def n(self) -> int:
         return self.dynamic.shape[0]
 
-    def base_matrix(self) -> np.ndarray:
-        const = np.ones((self.n, 1))
-        return np.hstack([const, self.dynamic, self.static])
-
-    def restrict_depth(self, depth: int) -> "HedgeDesign":
-        keep = [i for i, w in enumerate(self.dyn_words) if len(w) <= depth]
-        return HedgeDesign([self.dyn_words[i] for i in keep],
-                           self.static_labels, self.res_words,
-                           self.dynamic[:, keep], self.static, self.residual,
-                           self.terminal_price)
-
 
 def default_strikes(terminal: np.ndarray, count: int = 7) -> tuple[float, ...]:
     """Equally spaced quantiles of the simulated terminal-price law."""
@@ -228,23 +223,10 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
 # ---------------------------------------------------------------------------
 
 
-def _ridge_lstsq(a: np.ndarray, y: np.ndarray, lam: float, skip_first: bool) -> np.ndarray:
-    """Minimise (1/n)|y - a b|^2 + lam |b|^2 (constant column unpenalised)."""
-    n, p = a.shape
-    if lam == 0.0:
-        return np.linalg.lstsq(a, y, rcond=None)[0]
-    pen = np.sqrt(n * lam) * np.eye(p)
-    if skip_first:
-        pen = pen[1:]
-    a_aug = np.vstack([a, pen])
-    y_aug = np.concatenate([y, np.zeros((pen.shape[0],) + y.shape[1:])])
-    return np.linalg.lstsq(a_aug, y_aug, rcond=None)[0]
-
-
-def _default_ridge(mat: np.ndarray) -> float:
-    n, p = mat.shape
-    gram_trace = float((mat * mat).sum()) / n
-    return RIDGE_SCALE * gram_trace / p
+def _factor(x: np.ndarray, design: HedgeDesign) -> tuple[np.ndarray, np.ndarray]:
+    """The n x P matrix z = [1 | dynamic | static | residual | x] and its R factor."""
+    z = np.column_stack([np.ones(design.n), design.dynamic, design.static, design.residual, x])
+    return z, np.linalg.qr(z, mode="r")
 
 
 def gkw_project(x: np.ndarray, design: HedgeDesign, basis: HedgeBasis,
@@ -256,35 +238,49 @@ def gkw_project(x: np.ndarray, design: HedgeDesign, basis: HedgeBasis,
     null and dependent quotient classes (one representative per class) and
     solve the quotient Gram normal equations; (4) measure the final
     remainder.  Non-constant columns are centred, so the constant
-    coefficient returned as price is exactly the sample mean of X.
+    coefficient returned as price is the sample mean of X.
     """
-    x = np.asarray(x, dtype=float)
-    base = design.base_matrix()
-    n, p_base = base.shape
-    total_cols = p_base + design.residual.shape[1]
-    undersampled = n < 10 * total_cols
-    if undersampled:
-        warnings.warn(f"only {n} samples for {total_cols} columns; "
-                      "coefficients will be noisy", RuntimeWarning, stacklevel=2)
-    # Centre every non-constant column: instruments enter at their sample
-    # price, so the constant coefficient is exactly the sample E_Q[X].
-    base = base.copy()
-    base[:, 1:] -= base[:, 1:].mean(axis=0, keepdims=True)
-    lam1 = basis.ridge if basis.ridge is not None else _default_ridge(base)
-    beta = _ridge_lstsq(base, x, lam1, skip_first=True)
-    eps_hat = x - base @ beta
-    dyn_norm = math.sqrt(float(eps_hat @ eps_hat) / n)
+    z, r = _factor(np.asarray(x, dtype=float), design)
+    return _project(z, r, list(range(len(design.dyn_words))), design, basis, weight)
 
-    # quotient columns, then one representative per linear-dependence class:
-    # greedy selection keeps a direction only if its component orthogonal to
-    # the span and to previously kept directions retains relative mass.
-    res = design.residual
-    theta = _ridge_lstsq(base, res, lam1, skip_first=True) if res.size else np.zeros((p_base, 0))
-    quot = res - base @ theta
-    y_norms = np.sqrt((res * res).mean(axis=0)) if res.size else np.zeros(0)
-    keep: list[int] = []
-    ortho: list[np.ndarray] = []
-    for i in range(res.shape[1]):
+
+def _project(z: np.ndarray, r_full: np.ndarray, dyn_keep: list[int], design: HedgeDesign,
+             basis: HedgeBasis, weight: Weight | None) -> GKWResult:
+    """gkw_project on the dynamic columns dyn_keep, read from the R factor of z."""
+    n = z.shape[0]
+    n_dyn, n_stat, n_res = len(design.dyn_words), len(design.static_labels), len(design.res_words)
+    p_base = 1 + len(dyn_keep) + n_stat
+    undersampled = n < 10 * (p_base + n_res)
+    if undersampled:
+        warnings.warn(f"only {n} samples for {p_base + n_res} columns; "
+                      "coefficients will be noisy", RuntimeWarning, stacklevel=3)
+    cols = [0, *(1 + i for i in dyn_keep), *range(1 + n_dyn, z.shape[1])]
+    # z[:, cols] = Q r with the constant column first, so r[0, j] = r[0, 0] * mean_j
+    # and zeroing it centres column j: every instrument enters at its sample
+    # price, and the constant coefficient is the sample E_Q[X].
+    r = np.linalg.qr(r_full[:, cols], mode="r")
+    means = r[0, 1:p_base] / r[0, 0]
+    r[0, 1:p_base] = 0.0
+    base = r[:, :p_base]
+    lam1 = basis.ridge
+    if lam1 is None:  # the trace of the centred base Gram, constant column included
+        lam1 = RIDGE_SCALE * float((base * base).sum()) / n / p_base
+    # (1)-(2): one ridge solve for X and the residual columns, the constant unpenalised
+    a, rhs = base, r[:, p_base:]
+    if lam1 != 0.0:
+        a = np.vstack([base, math.sqrt(n * lam1) * np.eye(p_base)[1:]])
+        rhs = np.vstack([rhs, np.zeros((p_base - 1, rhs.shape[1]))])
+    coef = np.linalg.lstsq(a, rhs, rcond=None)[0]
+    theta, beta = coef[:, :-1], coef[:, -1]
+    fitted = r[:, p_base:] - base @ coef
+    quot, eps_hat = fitted[:, :-1], fitted[:, -1]
+
+    # (3) one representative per linear-dependence class: greedy selection
+    # keeps a direction only if its component orthogonal to the span and to
+    # previously kept directions retains relative mass.
+    y_norms = np.sqrt((r[:, p_base:-1] ** 2).sum(axis=0) / n)
+    keep, ortho = [], []
+    for i in range(n_res):
         if y_norms[i] <= 0.0:
             continue
         v = quot[:, i].copy()
@@ -295,32 +291,34 @@ def gkw_project(x: np.ndarray, design: HedgeDesign, basis: HedgeBasis,
         if math.sqrt(float(v @ v) / n) >= DROP_TOL * y_norms[i]:
             keep.append(i)
             ortho.append(v)
-    dropped = tuple(design.res_words[i] for i in range(res.shape[1]) if i not in keep)
+    dropped = tuple(design.res_words[i] for i in range(n_res) if i not in keep)
 
-    coeffs: dict = {}
-    gram_min = math.nan
-    remainder = eps_hat
+    c, gram_min = np.zeros(0), math.nan
     if keep:
         r_kept = quot[:, keep]
         gram = r_kept.T @ r_kept / n
-        rhs = r_kept.T @ eps_hat / n
         eigs = np.linalg.eigvalsh(gram)
         gram_min = float(eigs[0])
         lam3 = basis.ridge if basis.ridge is not None else RIDGE_SCALE * float(np.trace(gram)) / gram.shape[0]
         if lam3 == 0.0 and gram_min <= 1e-12 * max(float(eigs[-1]), 1e-300):
             # identify offenders through the near-null eigenvector support
             vec = np.linalg.eigh(gram)[1][:, 0]
-            bad = [design.res_words[keep[i]] for i in np.argsort(-np.abs(vec))[:3]]
-            raise DegenerateGram(bad)
-        c = np.linalg.solve(gram + lam3 * np.eye(gram.shape[0]), rhs)
-        coeffs = {design.res_words[keep[i]]: float(c[i]) for i in range(len(keep))}
-        remainder = eps_hat - r_kept @ c
+            raise DegenerateGram([design.res_words[keep[i]] for i in np.argsort(-np.abs(vec))[:3]])
+        c = np.linalg.solve(gram + lam3 * np.eye(gram.shape[0]), r_kept.T @ eps_hat / n)
+    remainder = eps_hat - quot[:, keep] @ c
+    residual_norm = math.sqrt(float(remainder @ remainder) / n)
 
-    rn_sq = float(remainder @ remainder) / n
-    residual_norm = math.sqrt(rn_sq)
-    se_rn_sq = float(np.std(remainder**2, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    # (4) the per-path remainder X - g0 - sum_j (z_j - mean_j) g_j - sum_i c_i res_i
+    # is one matvec with z, for the sampling error of residual_norm
+    g = beta - theta[:, keep] @ c
+    w = np.zeros(z.shape[1])
+    w[cols[:p_base]] = -g
+    w[0] += means @ g[1:]
+    w[[cols[p_base + i] for i in keep]] = -c
+    w[-1] = 1.0
+    se_rn_sq = float(np.std((z @ w) ** 2, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
     residual_norm_se = se_rn_sq / (2.0 * residual_norm) if residual_norm > 0.0 else 0.0
-    payoff_l2 = math.sqrt(float(x @ x) / n)
+    payoff_l2 = math.sqrt(float(r_full[:, -1] @ r_full[:, -1]) / n)
     kappa_bound = None
     if weight is not None:
         try:
@@ -328,16 +326,16 @@ def gkw_project(x: np.ndarray, design: HedgeDesign, basis: HedgeBasis,
         except ValueError:
             kappa_bound = None  # non-summable weight tail
 
-    n_dyn = len(design.dyn_words)
-    dyn_coeffs = {design.dyn_words[i]: float(beta[1 + i]) for i in range(n_dyn)}
-    static_coeffs = {design.static_labels[i]: float(beta[1 + n_dyn + i])
-                     for i in range(len(design.static_labels))}
+    dyn_coeffs = {design.dyn_words[j]: float(beta[1 + i]) for i, j in enumerate(dyn_keep)}
+    static_coeffs = dict(zip(design.static_labels, map(float, beta[p_base - n_stat:])))
+    residual_coeffs = {design.res_words[j]: float(c[i]) for i, j in enumerate(keep)}
     return GKWResult(price=float(beta[0]), dynamic_coeffs=dyn_coeffs,
-                     static_coeffs=static_coeffs, residual_coeffs=coeffs,
+                     static_coeffs=static_coeffs, residual_coeffs=residual_coeffs,
                      residual_norm=residual_norm, residual_norm_se=residual_norm_se,
-                     dynamic_residual_norm=dyn_norm, kappa_bound=kappa_bound,
-                     gram_min_eigenvalue=gram_min, dropped_words=dropped,
-                     payoff_l2=payoff_l2, n_samples=n, undersampled=undersampled)
+                     dynamic_residual_norm=math.sqrt(float(eps_hat @ eps_hat) / n),
+                     kappa_bound=kappa_bound, gram_min_eigenvalue=gram_min,
+                     dropped_words=dropped, payoff_l2=payoff_l2, n_samples=n,
+                     undersampled=undersampled)
 
 
 # ---------------------------------------------------------------------------
@@ -379,23 +377,24 @@ def depth_scan(params: SigVolParams, payoff_kind: str, payoff_params: dict,
                weight: Weight | None = None) -> list[DepthScanRow]:
     """Residual norms across integrand depths on one shared path set.
 
-    The design at the largest depth is assembled once and column-restricted,
-    so the spans are exactly nested and monotonicity holds up to the ridge.
+    Repeated depths are dropped and the rest sorted, so each depth gives one
+    row.  The design at the largest depth is assembled and factored once and
+    every depth is read from that factor, so the spans are exactly nested and
+    monotonicity holds up to the ridge.
     """
-    depths = sorted(int(depth) for depth in depths)
+    depths = sorted({int(depth) for depth in depths})
     if not depths or depths[0] < 0:
         raise ValueError("depth scan needs at least one depth, each >= 0")
     if basis is None:
-        basis = HedgeBasis(integrand_depth=depths[-1],
-                           residual_window=(depths[-1], depths[-1] + 1))
-    full_basis = HedgeBasis(integrand_depth=max(depths[-1], basis.integrand_depth),
-                            residual_window=basis.residual_window,
-                            static_strikes=basis.static_strikes, ridge=basis.ridge)
+        basis = HedgeBasis(depths[-1], (depths[-1], depths[-1] + 1))
+    full_basis = replace(basis, integrand_depth=max(depths[-1], basis.integrand_depth))
     data = simulate_hedge_dataset(params, full_basis, payoff_kind, payoff_params,
                                   n_paths, seed)
+    design = data.design
+    z, r = _factor(data.payoffs, design)
     rows = []
     for depth in depths:
-        sub = data.design.restrict_depth(depth)
-        result = gkw_project(data.payoffs, sub, full_basis, weight=weight)
+        keep = [i for i, w in enumerate(design.dyn_words) if len(w) <= depth]
+        result = _project(z, r, keep, design, full_basis, weight)
         rows.append(DepthScanRow(depth, result.residual_norm, result.residual_norm_se))
     return rows

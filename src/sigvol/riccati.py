@@ -214,6 +214,8 @@ class GeneratorTable:
             u[self.x_index] = 0.0 if u_x is None else float(u_x)
         elif u_x not in (None, 0.0):
             raise ValueError("u_x supplied but the table is not price-extended")
+        if not np.isfinite(u).all():
+            raise ValueError("direction coefficients and u_x must be finite")
         return u
 
     def tensor(self, u: np.ndarray) -> tuple[GradedTensor, float | None]:
@@ -392,7 +394,7 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
 
     Declares Exploded once the weighted norm of the state passes the
     threshold, or when step halving pushes the step below STEP_FLOOR.  The
-    horizon and tol must be finite and positive; the threshold may be inf.
+    horizon and tol must be finite and positive, the threshold positive or inf.
     Only the coordinates reachable from the support of u0 are integrated;
     every accepted state is expanded to the full state for the trace, the
     norm and the result, which are those of the full-state integration.
@@ -404,8 +406,8 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
         raise ValueError("horizon must be finite and positive")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
-    if math.isnan(explosion_threshold):
-        raise ValueError("explosion threshold must not be nan")
+    if not explosion_threshold > 0.0:
+        raise ValueError("explosion threshold must be > 0 (inf disables it)")
     full = table.vector(u0.sig, u0.u_x)
     rhs = table.vector_field(full != 0.0)
     u = rhs.carry(full)

@@ -13,7 +13,10 @@ sparse_signatures is the reference signature: one path's sparse tensors at
 every grid time, each linear segment's exponential chained on with
 concat_product.  build_design is the per-path reference route for the
 streamed hedging design, and volatility_path the one for xi = <ell, W_t>:
-both read such sparse signatures, not the batch engine.  riccati_rhs
+both read such sparse signatures, not the batch engine.  gkw_project_tall
+is the reference route for the one-factor GKW projection: tall ridge solves
+(ridge_lstsq, default_ridge) on the centred n-row design base_matrix, per
+depth of restrict_depth.  riccati_rhs
 evaluates the compiled vector field on a RiccatiState.  build_generator_by_label builds the table
 word by word into label-keyed dicts, and with_terms puts such terms into a
 table; transform_value, RiccatiExplosion and scalar_explosion_bound read a
@@ -33,6 +36,7 @@ levels and to_tensor copy out an engine's carried coordinates.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +51,18 @@ from sigvol.algebra import (
     shuffle_product,
     shuffle_words,
 )
-from sigvol.hedging import HedgeBasis, HedgeDesign, _static_block, _window_words, default_strikes
+from sigvol import hedging
+from sigvol.hedging import (
+    RIDGE_SCALE,
+    DegenerateGram,
+    GKWResult,
+    HedgeBasis,
+    HedgeDesign,
+    _static_block,
+    _window_words,
+    default_strikes,
+    kappa_tail,
+)
 from sigvol.riccati import (
     _DP_A,
     _DP_B4,
@@ -263,6 +278,102 @@ def build_design(dataset, basis: HedgeBasis) -> HedgeDesign:
     strikes = basis.static_strikes if basis.static_strikes is not None else default_strikes(terminal)
     static, labels = _static_block(terminal, strikes)
     return HedgeDesign(dyn_words, labels, res_words, dynamic, static, residual, terminal)
+
+
+def base_matrix(design: HedgeDesign) -> np.ndarray:
+    """[1 | dynamic | static], the regressors of the payoff's first projection step."""
+    return np.hstack([np.ones((design.n, 1)), design.dynamic, design.static])
+
+
+def restrict_depth(design: HedgeDesign, depth: int) -> HedgeDesign:
+    """The design with the dynamic columns of words longer than depth removed."""
+    keep = [i for i, w in enumerate(design.dyn_words) if len(w) <= depth]
+    return HedgeDesign([design.dyn_words[i] for i in keep], design.static_labels,
+                       design.res_words, design.dynamic[:, keep], design.static,
+                       design.residual, design.terminal_price)
+
+
+def ridge_lstsq(a: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """Minimise (1/n)|y - a b|^2 + lam |b[1:]|^2 with one tall lstsq (the constant unpenalised)."""
+    n, p = a.shape
+    if lam == 0.0:
+        return np.linalg.lstsq(a, y, rcond=None)[0]
+    pen = np.sqrt(n * lam) * np.eye(p)[1:]
+    a_aug = np.vstack([a, pen])
+    y_aug = np.concatenate([y, np.zeros((pen.shape[0],) + y.shape[1:])])
+    return np.linalg.lstsq(a_aug, y_aug, rcond=None)[0]
+
+
+def default_ridge(mat: np.ndarray) -> float:
+    """RIDGE_SCALE times the mean diagonal of the sample Gram of mat, constant column included."""
+    n, p = mat.shape
+    return RIDGE_SCALE * float((mat * mat).sum()) / n / p
+
+
+def gkw_project_tall(x, design: HedgeDesign, basis: HedgeBasis, weight=None) -> GKWResult:
+    """Reference route for gkw_project: tall ridge solves on the centred n-row design.
+
+    Regresses X and the residual columns on the centred [1 | dynamic | static]
+    with one n-row lstsq each, runs the greedy drop on n-long quotient columns
+    and forms every number from per-path vectors.
+    """
+    x = np.asarray(x, dtype=float)
+    base = base_matrix(design)
+    n, p_base = base.shape
+    total_cols = p_base + design.residual.shape[1]
+    base[:, 1:] -= base[:, 1:].mean(axis=0, keepdims=True)
+    lam1 = basis.ridge if basis.ridge is not None else default_ridge(base)
+    beta = ridge_lstsq(base, x, lam1)
+    eps_hat = x - base @ beta
+    res = design.residual
+    quot = res - base @ ridge_lstsq(base, res, lam1)
+    y_norms = np.sqrt((res * res).mean(axis=0))
+    keep, ortho = [], []
+    for i in range(res.shape[1]):
+        if y_norms[i] <= 0.0:
+            continue
+        v = quot[:, i].copy()
+        for q in ortho:
+            qq = q @ q
+            if qq > 0.0:
+                v -= (v @ q) / qq * q
+        if math.sqrt(float(v @ v) / n) >= hedging.DROP_TOL * y_norms[i]:
+            keep.append(i)
+            ortho.append(v)
+    coeffs, gram_min, remainder = {}, math.nan, eps_hat
+    if keep:
+        r_kept = quot[:, keep]
+        gram = r_kept.T @ r_kept / n
+        eigs = np.linalg.eigvalsh(gram)
+        gram_min = float(eigs[0])
+        lam3 = basis.ridge
+        if lam3 is None:
+            lam3 = RIDGE_SCALE * float(np.trace(gram)) / len(keep)
+        if lam3 == 0.0 and gram_min <= 1e-12 * max(float(eigs[-1]), 1e-300):
+            vec = np.linalg.eigh(gram)[1][:, 0]
+            raise DegenerateGram([design.res_words[keep[i]] for i in np.argsort(-np.abs(vec))[:3]])
+        c = np.linalg.solve(gram + lam3 * np.eye(len(keep)), r_kept.T @ eps_hat / n)
+        coeffs = {design.res_words[k]: float(c[i]) for i, k in enumerate(keep)}
+        remainder = eps_hat - r_kept @ c
+    residual_norm = math.sqrt(float(remainder @ remainder) / n)
+    se_rn_sq = float(np.std(remainder**2, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    payoff_l2 = math.sqrt(float(x @ x) / n)
+    kappa_bound = None
+    if weight is not None:
+        with contextlib.suppress(ValueError):
+            kappa_bound = kappa_tail(weight, basis.residual_window[1]) * payoff_l2
+    n_dyn = len(design.dyn_words)
+    return GKWResult(
+        price=float(beta[0]),
+        dynamic_coeffs={w: float(beta[1 + i]) for i, w in enumerate(design.dyn_words)},
+        static_coeffs={lbl: float(beta[1 + n_dyn + i])
+                       for i, lbl in enumerate(design.static_labels)},
+        residual_coeffs=coeffs, residual_norm=residual_norm,
+        residual_norm_se=se_rn_sq / (2.0 * residual_norm) if residual_norm > 0.0 else 0.0,
+        dynamic_residual_norm=math.sqrt(float(eps_hat @ eps_hat) / n), kappa_bound=kappa_bound,
+        gram_min_eigenvalue=gram_min,
+        dropped_words=tuple(w for i, w in enumerate(design.res_words) if i not in keep),
+        payoff_l2=payoff_l2, n_samples=n, undersampled=n < 10 * total_cols)
 
 
 class TruncationTooLow(ValueError):

@@ -17,7 +17,16 @@ from sigvol.models import preset
 from sigvol.sde import PathBlock, SigVolParams, simulate_price
 from sigvol.signature import BatchSignature, all_words, simulate_brownian_grid
 
-from _oracles import brownian_values, build_design, sparse_signatures
+from _oracles import (
+    base_matrix,
+    brownian_values,
+    build_design,
+    default_ridge,
+    gkw_project_tall,
+    restrict_depth,
+    ridge_lstsq,
+    sparse_signatures,
+)
 
 
 def make_params(name="black_scholes", steps=64, **kw):
@@ -148,7 +157,7 @@ class TestGkwProject:
         pre, _, basis, data = bs_dataset
         res = gkw_project(data.payoffs, data.design, basis)
         n = data.design.n
-        base = data.design.base_matrix()
+        base = base_matrix(data.design)
         rem = res_remainder(res, data)
         for j in range(1, base.shape[1]):
             corr = np.corrcoef(rem, base[:, j])[0, 1]
@@ -209,16 +218,83 @@ class TestGkwProject:
 
     def test_undersampled_warning(self, bs_dataset):
         _, _, basis, data = bs_dataset
-        small = data.design.restrict_depth(2)
         import copy
 
-        tiny = copy.deepcopy(small)
+        tiny = copy.deepcopy(restrict_depth(data.design, 2))
         tiny.dynamic = tiny.dynamic[:40]
         tiny.static = tiny.static[:40]
         tiny.residual = tiny.residual[:40]
         tiny.terminal_price = tiny.terminal_price[:40]
         with pytest.warns(RuntimeWarning):
             gkw_project(data.payoffs[:40], tiny, basis)
+
+
+def se_rel_tol(want) -> float:
+    """Tolerance of the remainder's sampling error: the per-path remainder is a
+    difference of terms the size of X in both routes, so 1e-12 relative or
+    64 eps |X| / |remainder|, whichever is larger."""
+    return max(1e-12, 64 * np.finfo(float).eps * want.payoff_l2 / want.residual_norm)
+
+
+def assert_matches_tall(got, want, design):
+    """got equals the tall-solve reference up to the rounding either route can resolve.
+
+    A coefficient is compared relative to the largest coefficient of its solve,
+    since one near zero has no relative accuracy in either route.  An
+    eigenvalue is known to a share of the largest one, so the Gram minimum also passes within 1e-12 of the trace of the
+    residual columns' Gram, which bounds the quotient Gram's.
+    """
+    assert got.dropped_words == want.dropped_words
+    assert got.n_samples == want.n_samples and got.undersampled == want.undersampled
+    for name in ("price", "residual_norm", "dynamic_residual_norm", "payoff_l2"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0), name
+    assert got.residual_norm_se == pytest.approx(want.residual_norm_se, rel=se_rel_tol(want))
+    for name in ("dynamic_coeffs", "static_coeffs", "residual_coeffs"):
+        assert list(getattr(got, name)) == list(getattr(want, name))
+
+    def solves(res):  # the coefficients of the base solve, then of the Gram solve
+        return ([res.price, *res.dynamic_coeffs.values(), *res.static_coeffs.values()],
+                list(res.residual_coeffs.values()))
+
+    for got_c, want_c in zip(solves(got), solves(want)):
+        scale = max(map(abs, want_c), default=0.0)
+        assert np.max(np.abs(np.subtract(got_c, want_c)), initial=0.0) <= 1e-12 * scale
+    if math.isnan(want.gram_min_eigenvalue):
+        assert math.isnan(got.gram_min_eigenvalue)
+    else:
+        gram_trace = float((design.residual**2).mean(axis=0).sum())
+        assert got.gram_min_eigenvalue == pytest.approx(want.gram_min_eigenvalue, rel=1e-12,
+                                                        abs=1e-12 * gram_trace)
+
+
+PAYOFFS = [("asian", {"strike": 1.0}), ("call", {"strike": 1.0}),
+           ("digital", {"strike": 1.0}), ("variance_swap", {})]
+TALL_CASES = [pytest.param(kind, pay, ridge, 2000, id=f"{kind}-{name}")
+              for kind, pay in PAYOFFS
+              for name, ridge in (("default", None), ("explicit", 1e-4), ("zero", 0.0))]
+# 30 paths for P = 40 columns: the factor has 30 rows.  The ridge is explicit because
+# the default 1e-8 one leaves a near-interpolating fit here, whose remainder (1e-5 of
+# X) neither route holds to 1e-9 relative
+TALL_CASES.append(pytest.param("asian", {"strike": 1.0}, 1e-4, 30, id="undersampled"))
+
+
+@pytest.mark.filterwarnings("ignore:only .* samples:RuntimeWarning")
+@pytest.mark.parametrize("kind, pay, ridge, n_paths", TALL_CASES)
+def test_one_factor_matches_tall_solves(kind, pay, ridge, n_paths):
+    # gkw_project and every depth_scan row read one R factor; the tall solves are the oracle
+    pre, params = make_params("first_order", steps=16)
+    basis = HedgeBasis(3, (3, 4), ridge=ridge)
+    data = simulate_hedge_dataset(params, basis, kind, pay, n_paths, seed=78)
+    assert_matches_tall(gkw_project(data.payoffs, data.design, basis, weight=pre.weight),
+                        gkw_project_tall(data.payoffs, data.design, basis, weight=pre.weight),
+                        data.design)
+    rows = depth_scan(params, kind, pay, [0, 1, 2, 3], n_paths, seed=78, basis=basis,
+                      weight=pre.weight)
+    assert [row.depth for row in rows] == [0, 1, 2, 3]
+    for row in rows:
+        want = gkw_project_tall(data.payoffs, restrict_depth(data.design, row.depth), basis)
+        assert row.residual_norm == pytest.approx(want.residual_norm, rel=1e-12, abs=0.0)
+        assert row.se == pytest.approx(want.residual_norm_se, rel=se_rel_tol(want))
 
 
 def res_remainder(res, data):
@@ -230,10 +306,8 @@ def res_remainder(res, data):
     centred_stat = base.static - base.static.mean(0)
     eps = data.payoffs - res.price - centred_dyn @ dyn - centred_stat @ stat
     if res.residual_coeffs:
-        import sigvol.hedging as H
-
         mat = np.hstack([np.ones((base.n, 1)), centred_dyn, centred_stat])
-        theta = H._ridge_lstsq(mat, base.residual, H._default_ridge(mat), skip_first=True)
+        theta = ridge_lstsq(mat, base.residual, default_ridge(mat))
         quot = base.residual - mat @ theta
         for w, c in res.residual_coeffs.items():
             eps = eps - c * quot[:, base.res_words.index(w)]
@@ -290,6 +364,13 @@ class TestDepthScan:
                           basis=HedgeBasis(2, (1, 3)), weight=pre.weight)
         for a, b in zip(rows, rows[1:]):
             assert b.residual_norm < a.residual_norm - 2.0 * math.hypot(a.se, b.se)
+
+    def test_repeated_depths_dropped(self):
+        _, params = make_params("first_order", steps=8)
+        args = (params, "asian", {"strike": 1.0})
+        rows = depth_scan(*args, [1, 0, 1, 0], 400, seed=79)
+        assert rows == depth_scan(*args, [0, 1], 400, seed=79)
+        assert [row.depth for row in rows] == [0, 1]
 
     def test_monotone_up_to_noise(self):
         pre, params = make_params("first_order", steps=32)
