@@ -53,7 +53,7 @@ class Weight:
 
     kind is one of "geometric" (w(n) = r**n), "polynomial" (w(n) = (n+1)**alpha)
     or "constant" (w(n) = 1).  c_w is the submultiplicativity constant of
-    w(m+n) <= c_w w(m) w(n); growth_r is an r with w(n) <= r**n.
+    w(m+n) <= c_w w(m) w(n).
     """
 
     kind: str
@@ -97,15 +97,6 @@ class Weight:
     @property
     def c_w(self) -> float:
         # geometric: exact equality; polynomial: (m+n+1) <= (m+1)(n+1)
-        return 1.0
-
-    @property
-    def growth_r(self) -> float:
-        if self.kind == "geometric":
-            return self.param
-        if self.kind == "polynomial":
-            # (n+1)**alpha <= (2**alpha)**n since n+1 <= 2**n for n >= 0
-            return 2.0**self.param
         return 1.0
 
 
@@ -205,13 +196,11 @@ class GradedTensor:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def level_norms(self, n_max: int | None = None) -> np.ndarray:
-        """Euclidean norm |a_n| of each level's coefficient vector."""
-        top = self.trunc if n_max is None else n_max
-        out = np.zeros(top + 1)
+    def level_norms(self) -> np.ndarray:
+        """Euclidean norm |a_n| of each level's coefficient vector, n <= trunc."""
+        out = np.zeros(self.trunc + 1)
         for word, c in self.coeffs.items():
-            if len(word) <= top:
-                out[len(word)] += c * c
+            out[len(word)] += c * c
         return np.sqrt(out)
 
     # -- arithmetic sugar (exact, no truncation change) ----------------------
@@ -363,7 +352,8 @@ def format_tensor(a: GradedTensor) -> str:
     lines = [f"word={format_word(w)} coeff={c:.17g}" for w, c in a.items()]
     return "\n".join(lines) + ("\n" if lines else "")
 
-def parse_tensor(text: str, dim: int, trunc: int | None = None) -> GradedTensor:
+def parse_tensor(text: str, dim: int) -> GradedTensor:
+    """The tensor of format_tensor's lines, truncated at its longest word."""
     if not isinstance(text, str):
         raise TypeError(f"tensor text must be a string, got {text!r}")
     coeffs: dict[Word, float] = {}
@@ -377,6 +367,4 @@ def parse_tensor(text: str, dim: int, trunc: int | None = None) -> GradedTensor:
         word = parse_word(parts[0][len("word="):])
         coeff = float(parts[1][len("coeff="):])
         coeffs[word] = coeffs.get(word, 0.0) + coeff
-    if trunc is None:
-        trunc = max((len(w) for w in coeffs), default=0)
-    return GradedTensor(dim, trunc, coeffs)
+    return GradedTensor(dim, max((len(w) for w in coeffs), default=0), coeffs)

@@ -51,10 +51,6 @@ def _write_rows(path: str, header: list[str], rows: list[tuple]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-class CliError(ValueError):
-    """Configuration or validation problem; maps to exit code 1."""
-
-
 # ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------
@@ -81,9 +77,9 @@ def load_config(path: str | None) -> dict:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config {path}: {exc}") from exc
+            raise ValueError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
-            raise CliError("config root must be a JSON object")
+            raise ValueError("config root must be a JSON object")
         cfg.update(data)
     return cfg
 
@@ -99,50 +95,53 @@ def _weight_from_spec(spec) -> Weight:
             return Weight.polynomial(float(spec.get("alpha", 1.0)))
         if kind == "constant":
             return Weight.constant()
-    raise CliError(f"bad weight spec {spec!r}")
+    raise ValueError(f"bad weight spec {spec!r}")
 
 
-def resolve_model(cfg: dict):
-    """Return (ell, eta, weight, name) from a preset name or an inline ell."""
+def _int(cfg: dict, key: str) -> int:
+    """cfg[key] exactly: a JSON integer (not a bool) or an integral finite float."""
+    value = cfg[key]
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def resolve_model(cfg: dict) -> tuple[sde.SigVolParams, str]:
+    """The checked model of a config and its name: a preset, or "inline" for a given ell."""
     spec = cfg["model"]
     if isinstance(spec, str):
         spec = {"name": spec}
     if not isinstance(spec, dict):
-        raise CliError(f"bad model spec {spec!r}")
+        raise ValueError(f"bad model spec {spec!r}")
     if "ell_file" in spec or "ell" in spec:
         d = int(spec.get("d", 1))
         if "ell_file" in spec:
-            try:
-                with open(spec["ell_file"], "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise CliError(f"cannot read ell file: {exc}") from exc
+            with open(spec["ell_file"], "r", encoding="utf-8") as fh:
+                text = fh.read()
         else:
             text = spec["ell"]
         ell = parse_tensor(text, d)
-        eta = np.asarray(spec.get("eta", models._unit(d, 1)), dtype=float)
+        eta = spec.get("eta", models._unit(d, 1))
         weight = _weight_from_spec(spec.get("weight"))
-        return ell, eta, weight, "inline"
-    name = spec.get("name", cfg["model"])
-    try:
+        name = "inline"
+    else:
+        name = spec.get("name", cfg["model"])
         pre = models.preset(name, sigma=float(cfg["sigma"]),
                             sigma0=float(cfg["sigma0"]), sigma1=float(cfg["sigma1"]))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if pre.metadata_only:
-        raise CliError(f"preset {name} is metadata-only and cannot be simulated")
-    return pre.ell, pre.eta, pre.weight, name
+        if pre.metadata_only:
+            raise ValueError(f"preset {name} is metadata-only and cannot be simulated")
+        ell, eta, weight = pre.ell, pre.eta, pre.weight
+    params = sde.SigVolParams(ell=ell, weight=weight, s0=float(cfg["s0"]), eta=eta,
+                              horizon=float(cfg["T"]), steps=_int(cfg, "steps"))
+    return params, name
 
 
 def _require_seed(cfg: dict) -> int:
     if cfg.get("seed") is None:
-        raise CliError("seed is mandatory: pass --seed or set it in the config")
-    return int(cfg["seed"])
-
-
-def _params(cfg: dict, ell: GradedTensor, eta, weight) -> sde.SigVolParams:
-    return sde.SigVolParams(ell=ell, weight=weight, s0=float(cfg["s0"]), eta=eta,
-                            horizon=float(cfg["T"]), steps=int(cfg["steps"]))
+        raise ValueError("seed is mandatory: pass --seed or set it in the config")
+    return _int(cfg, "seed")
 
 
 def _parse_payoff(spec) -> tuple[str, dict]:
@@ -233,9 +232,8 @@ def _cmd_selftest(cfg: dict, out: str) -> int:
 
 def _cmd_simulate(cfg: dict, out: str) -> int:
     seed = _require_seed(cfg)
-    ell, eta, weight, _ = resolve_model(cfg)
-    params = _params(cfg, ell, eta, weight)
-    n_paths = int(cfg["paths"])
+    params, _ = resolve_model(cfg)
+    n_paths = _int(cfg, "paths")
     blocks = sde.stream_paths(params, n_paths, seed)  # rejects a bad run before paths.csv exists
     terminal = np.empty(n_paths)
     with open(os.path.join(out, "paths.csv"), "w", encoding="utf-8", newline="\n") as fh:
@@ -252,14 +250,13 @@ def _cmd_simulate(cfg: dict, out: str) -> int:
 
 def _cmd_hypotheses(cfg: dict, out: str) -> int:
     seed = _require_seed(cfg)
-    ell, eta, weight, name = resolve_model(cfg)
-    params = _params(cfg, ell, eta, weight)
-    h1 = sde.check_H1(ell, weight)
+    params, name = resolve_model(cfg)
+    h1 = sde.check_H1(params.ell, params.weight)
     lam = float(cfg.get("lambda", 1.0))
-    h3 = sde.estimate_H3(params, lam, int(cfg["paths"]), seed)
+    h3 = sde.estimate_H3(params, lam, _int(cfg, "paths"), seed)
     mart = sde.martingale_check(h3.terminal_price[:20000], params.s0)
     with open(os.path.join(out, "ell.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_tensor(ell))
+        fh.write(format_tensor(params.ell))
     rows = [
         ("model", name, ""),
         ("H1.value", h1.value, "exact for finite support"),
@@ -278,22 +275,19 @@ def _cmd_hypotheses(cfg: dict, out: str) -> int:
 
 
 def _cmd_transform(cfg: dict, out: str) -> int:
-    ell, eta, weight, _ = resolve_model(cfg)
-    d = ell.dim
-    state = _parse_direction(cfg, d)
+    params, _ = resolve_model(cfg)
+    ell = params.ell
+    state = _parse_direction(cfg, params.dim)
     extended = state.u_x is not None and state.u_x != 0.0
-    if extended and not 0.0 < float(cfg["s0"]) < math.inf:
-        raise CliError("s0 must be finite and positive")
     window = riccati.required_window(state, ell if extended else None)
-    trunc = int(cfg["trunc"]) if cfg.get("trunc") is not None else max(window, state.support_degree, 2)
+    trunc = _int(cfg, "trunc") if cfg.get("trunc") is not None else max(window, state.support_degree, 2)
     if trunc < window:
-        raise CliError(f"truncation {trunc} below the shuffle window {window}")
-    table = riccati.build_generator(trunc, d, (ell, eta) if extended else None)
-    horizon = float(cfg["T"])
+        raise ValueError(f"truncation {trunc} below the shuffle window {window}")
+    table = riccati.build_generator(trunc, params.dim, (ell, params.eta) if extended else None)
     tol = float(cfg.get("tol", 1e-10))
     threshold = float(cfg.get("threshold", 1e6))
-    outcome = riccati.integrate_flow(state, horizon, table, tol=tol,
-                                     explosion_threshold=threshold, weight=weight)
+    outcome = riccati.integrate_flow(state, params.horizon, table, tol=tol,
+                                     explosion_threshold=threshold, weight=params.weight)
     lines = ["tau,component_word,psi_value"]
     words = [label if label == riccati.X_LABEL else format_word(label) for label in table.labels]
     for tau, vec in outcome.trace:
@@ -302,7 +296,7 @@ def _cmd_transform(cfg: dict, out: str) -> int:
                   for i, value in zip(nonzero.tolist(), vec[nonzero].tolist())]
     if outcome.solved:
         psi0 = outcome.state.sig[EMPTY_WORD]
-        lam0 = math.exp(psi0 + (outcome.state.u_x * math.log(float(cfg["s0"])) if extended else 0.0))
+        lam0 = math.exp(psi0 + (outcome.state.u_x * math.log(params.s0) if extended else 0.0))
         lines.append(f"lambda0={lam0:.17g}")
     else:
         lines.append(f"exploded_at={outcome.t_star:.17g}")
@@ -310,9 +304,7 @@ def _cmd_transform(cfg: dict, out: str) -> int:
         fh.write("\n".join(lines) + "\n")
     if outcome.solved and cfg.get("mc_check"):
         seed = _require_seed(cfg)
-        mc = riccati.mc_transform(state, table, horizon, int(cfg["steps"]),
-                                  int(cfg.get("mc_paths", cfg["paths"])), seed,
-                                  s0=float(cfg["s0"]))
+        mc = riccati.mc_transform(state, params, _int(cfg, "paths"), seed)
         print(f"lambda0={lam0:.17g} mc={mc.mean:.17g} mc_se={mc.se:.17g}")
     elif outcome.solved:
         print(f"lambda0={lam0:.17g}")
@@ -326,25 +318,21 @@ def _cmd_transform(cfg: dict, out: str) -> int:
 
 def _cmd_hedge(cfg: dict, out: str) -> int:
     seed = _require_seed(cfg)
-    ell, eta, weight, name = resolve_model(cfg)
-    params = _params(cfg, ell, eta, weight)
+    params, name = resolve_model(cfg)
+    n_paths = _int(cfg, "paths")
     kind, pay_params = _parse_payoff(cfg.get("payoff", "call:K=1.0"))
     hedge_cfg = cfg.get("hedge", {})
     if not isinstance(hedge_cfg, dict):
-        raise CliError(f"hedge must be a JSON object, got {hedge_cfg!r}")
+        raise ValueError(f"hedge must be a JSON object, got {hedge_cfg!r}")
     depth = hedge_cfg.get("integrand_depth", 2)
     basis = hedging.HedgeBasis(integrand_depth=depth,
                                residual_window=hedge_cfg.get("residual_window", (depth, depth + 1)),
                                static_strikes=hedge_cfg.get("static_strikes"),
                                ridge=hedge_cfg.get("ridge"))
-    trunc_needed = max(basis.residual_window[1], basis.integrand_depth, ell.support_degree)
-    if cfg.get("trunc") is not None and int(cfg["trunc"]) < trunc_needed:
-        raise CliError(f"truncation {cfg['trunc']} below required window {trunc_needed}")
-    data = hedging.simulate_hedge_dataset(params, basis, kind, pay_params,
-                                          int(cfg["paths"]), seed)
-    result = hedging.gkw_project(data.payoffs, data.design, basis, weight=weight)
+    data = hedging.simulate_hedge_dataset(params, basis, kind, pay_params, n_paths, seed)
+    result = hedging.gkw_project(data.payoffs, data.design, basis, weight=params.weight)
     rows = [("meta", "model", name), ("meta", "payoff", kind),
-            ("meta", "paths", cfg["paths"]), ("meta", "seed", seed),
+            ("meta", "paths", n_paths), ("meta", "seed", seed),
             ("price", "constant", result.price)]
     rows += [("dynamic_coeff", format_word(w), c) for w, c in result.dynamic_coeffs.items()]
     rows += [("static_coeff", label, c) for label, c in result.static_coeffs.items()]
@@ -365,14 +353,13 @@ def _cmd_hedge(cfg: dict, out: str) -> int:
 
 def _cmd_depth_report(cfg: dict, out: str) -> int:
     seed = _require_seed(cfg)
-    ell, eta, weight, name = resolve_model(cfg)
-    params = _params(cfg, ell, eta, weight)
+    params, name = resolve_model(cfg)
     kind, pay_params = _parse_payoff(cfg.get("payoff", "asian:K=1.0"))
     metas = [(m, models.preset(m).depth_meta) for m in models.PRESET_NAMES]
     rows = [("depth_table", f"{m}.N_star", n) for m, (n, _) in metas]
     rows += [("depth_table", f"{m}.K", "undocumented" if k is None else k) for m, (_, k) in metas]
     scan = hedging.depth_scan(params, kind, pay_params, cfg.get("depths", [0, 1, 2]),
-                              int(cfg["paths"]), seed, weight=weight)
+                              _int(cfg, "paths"), seed)
     for row in scan:
         rows.append(("scan", f"depth_{row.depth}.residual_norm", row.residual_norm))
         rows.append(("scan", f"depth_{row.depth}.se", row.se))
@@ -401,28 +388,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sigvol",
                                      description="signature volatility model toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("selftest", "simulate", "hypotheses", "transform", "hedge", "depth-report"):
+    for name in _COMMANDS:
         # a flag that is not passed sets no key, so the config file's value stands
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--config")
-        p.add_argument("--seed", type=int)
         p.add_argument("--out")
+        if name == "selftest":
+            continue
+        # the model commands: the model, and the seed and sizes of its Monte Carlo runs
+        p.add_argument("--seed", type=int)
         p.add_argument("--paths", type=int)
         p.add_argument("--steps", type=int)
-        p.add_argument("--trunc", type=int)
         p.add_argument("--model")
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--sigma0", type=float)
-        p.add_argument("--sigma1", type=float)
-        p.add_argument("--T", type=float)
-        p.add_argument("--s0", type=float)
+        for flag in ("--sigma", "--sigma0", "--sigma1", "--T", "--s0"):
+            p.add_argument(flag, type=float)
         if name == "transform":
+            p.add_argument("--trunc", type=int)
             p.add_argument("--uX", type=float)
             p.add_argument("--u")
             p.add_argument("--tol", type=float)
             p.add_argument("--threshold", type=float)
             p.add_argument("--mc-check", action="store_true")
-            p.add_argument("--mc-paths", type=int)
         if name in ("hedge", "depth-report"):
             p.add_argument("--payoff")
         if name == "hedge":
@@ -468,8 +454,9 @@ def execute(argv: list[str]) -> int:
         out = cfg.get("out") or "."
         os.makedirs(out, exist_ok=True)
         return _COMMANDS[command](cfg, out)
-    except (CliError, ValueError, TypeError) as exc:
-        # TypeError: a config value of the wrong JSON type, e.g. "paths": null
+    except (ValueError, TypeError, OSError, MemoryError) as exc:
+        # TypeError: a config value of the wrong JSON type, e.g. "u": 5; OSError: an
+        # unreadable input or an --out that cannot be made; MemoryError: a run too large to hold
         print(f"error: {exc}", file=sys.stderr)
         print("status=invalid")
         return 1

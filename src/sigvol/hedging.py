@@ -14,10 +14,11 @@ columns; one matvec with z gives the per-path remainder.
 Dynamic integrands are spanned by time-t signature features: the gain
 column for a word K is the left-point sum of <e_K, W_t> dS_t, which
 realises the same Hilbert projection as the abstract GKW integrand in the
-sample limit.  The kappa(w, N) weight-tail constant is reported alongside
-the residual but never asserted against it: the quantitative bound only
-holds on the weighted payoff class, which is a hypothesis, not a fact
-about arbitrary claims.
+sample limit.  gkw_project reports the kappa(w, N) weight-tail constant
+alongside the residual but never asserts against it: the quantitative
+bound only holds on the weighted payoff class, which is a hypothesis, not
+a fact about arbitrary claims.  A depth scan reports residual norms only,
+so it takes no weight.
 """
 
 from __future__ import annotations
@@ -143,9 +144,9 @@ class HedgeDesign:
         return self.dynamic.shape[0]
 
 
-def default_strikes(terminal: np.ndarray, count: int = 7) -> tuple[float, ...]:
-    """Equally spaced quantiles of the simulated terminal-price law."""
-    qs = np.arange(1, count + 1) / (count + 1)
+def default_strikes(terminal: np.ndarray) -> tuple[float, ...]:
+    """The 7 equally spaced quantiles of the simulated terminal-price law."""
+    qs = np.arange(1, 8) / 8
     return tuple(float(q) for q in np.quantile(terminal, qs))
 
 
@@ -373,8 +374,7 @@ class DepthScanRow:
 
 def depth_scan(params: SigVolParams, payoff_kind: str, payoff_params: dict,
                depths: list[int], n_paths: int, seed: int,
-               basis: HedgeBasis | None = None,
-               weight: Weight | None = None) -> list[DepthScanRow]:
+               basis: HedgeBasis | None = None) -> list[DepthScanRow]:
     """Residual norms across integrand depths on one shared path set.
 
     Repeated depths are dropped and the rest sorted, so each depth gives one
@@ -395,6 +395,6 @@ def depth_scan(params: SigVolParams, payoff_kind: str, payoff_params: dict,
     rows = []
     for depth in depths:
         keep = [i for i, w in enumerate(design.dyn_words) if len(w) <= depth]
-        result = _project(z, r, keep, design, full_basis, weight)
+        result = _project(z, r, keep, design, full_basis, None)
         rows.append(DepthScanRow(depth, result.residual_norm, result.residual_norm_se))
     return rows

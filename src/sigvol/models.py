@@ -51,9 +51,8 @@ class ModelPreset:
 
 
 def kernel_expansion(kind: str, degree: int, brownian_letter: int, scale: float,
-                     d: int | None = None, kappa: float = 1.0,
-                     hurst: float = 0.1, t_star: float = 0.5) -> GradedTensor:
-    """Finitely supported ell on words (j, 0^k), k <= degree.
+                     kappa: float = 1.0, hurst: float = 0.1, t_star: float = 0.5) -> GradedTensor:
+    """Finitely supported ell on words (j, 0^k), k <= degree, over the alphabet {0..j}.
 
     kind "exponential": scale * exp(-kappa u), Taylor-expanded at u = 0.
     kind "power": scale * u^(hurst - 1/2), Taylor-expanded at u = t_star;
@@ -65,9 +64,6 @@ def kernel_expansion(kind: str, degree: int, brownian_letter: int, scale: float,
     j = int(brownian_letter)
     if j < 1:
         raise ValueError("brownian_letter must be >= 1")
-    dim = d if d is not None else j
-    if dim < j:
-        raise ValueError("alphabet dimension smaller than the Brownian letter")
     coeffs: dict[Word, float] = {}
     if kind == "exponential":
         # a_k = scale (-kappa)^k / k!, times k! for the word normalisation
@@ -94,7 +90,7 @@ def kernel_expansion(kind: str, degree: int, brownian_letter: int, scale: float,
             coeffs[(j,) + (0,) * k] = scale * poly[k] * math.factorial(k)
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    return GradedTensor(dim, degree + 1, coeffs)
+    return GradedTensor(j, degree + 1, coeffs)
 
 
 def preset(name: str, sigma: float = 0.2, sigma0: float = 0.2,

@@ -37,12 +37,17 @@ stays exactly 0.0, and each dropped term adds +-0 to a sum that starts at
 states are expanded to the full state for the trace and the result; the
 weighted norm reads only the levels that hold a carried coordinate, since
 every other level adds exactly +0.0.
+
+mc_transform checks a transform value on the price engine's paths.  It
+reads the model (ell, eta, s0, T, steps) from SigVolParams, the value the
+CLI checks once for every command, and nothing from the generator table,
+so the check stays independent of the flow it checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -169,14 +174,15 @@ class GeneratorTable:
     ordered pairs folded into unordered storage), both in canonical order of
     the coordinates: words, then the log-price coordinate X when extended.
     Outputs are always words.  The pure-signature block never depends on
-    ell; ell and eta enter only through the extended block.
+    ell; ell and eta enter only through the extended block.  ell, which
+    projection_compatibility reads for its shuffle window, is None for a
+    pure table.
     """
 
     trunc: int
     dim: int
     extended: bool
     ell: GradedTensor | None
-    eta: np.ndarray | None
     words: list[Word]
     drift: tuple
     quad: tuple
@@ -282,7 +288,7 @@ def build_generator(trunc: int, d: int,
     """
     if trunc < 0 or d < 1:
         raise ValueError("need trunc >= 0 and d >= 1")
-    ell = eta = None
+    ell = None
     if extended is not None:
         ell, eta = extended
         eta = np.asarray(eta, dtype=float)
@@ -326,7 +332,7 @@ def build_generator(trunc: int, d: int,
         quad.append((terms["out"], terms["in"], at_x, terms["c"]))
 
     out, in1, in2, coeffs = _form(quad, 3)
-    return GeneratorTable(trunc, d, extended is not None, ell, eta, words, _form(drift, 2),
+    return GeneratorTable(trunc, d, extended is not None, ell, words, _form(drift, 2),
                           (out, in1, in2, np.where(in1 == in2, 0.5 * coeffs, coeffs)))
 
 
@@ -542,19 +548,17 @@ class _Moments:
         self._held = self._held[cut:]
 
 
-def mc_transform(u0: RiccatiState, table: GeneratorTable, horizon: float, steps: int,
-                 n_paths: int, seed: int, s0: float = 1.0) -> TransformMC:
-    """MC estimate of E exp(<u0, W_T> + u_x log S_T) on simulated paths.
+def mc_transform(u0: RiccatiState, params: SigVolParams, n_paths: int, seed: int) -> TransformMC:
+    """MC estimate of E exp(<u0, W_T> + u_x log S_T) under the model of params.
 
-    Uses the same counter-based driver and path stepper as the price engine,
-    so transform checks and price checks share path sets for a given seed.
+    Steps the driver's paths with the price engine's PathBlock, so transform
+    checks and price checks share path sets for a given seed, and reads
+    nothing of the generator table whose flow it checks.  Without u_x the
+    price is not read, and a zero ell leaves the stepper only the words of u0.
     """
     use_price = u0.u_x not in (None, 0.0)
-    if use_price and not table.extended:
-        raise ValueError("u_x requires a price-extended table")
-    # without the price, a zero ell leaves the stepper only the words of u0
-    ell, eta = (table.ell, table.eta) if use_price else (GradedTensor.zero(table.dim, 0), np.eye(table.dim)[0])
-    params = SigVolParams(ell, Weight.constant(), s0, eta, horizon, steps)
+    if not use_price:
+        params = replace(params, ell=GradedTensor.zero(params.dim, 0))
     moments = _Moments()
     for paths in stream_paths(params, n_paths, seed, u0.sig.coeffs):
         for _ in paths.steps():
@@ -563,7 +567,7 @@ def mc_transform(u0: RiccatiState, table: GeneratorTable, horizon: float, steps:
         for w, c in u0.sig.coeffs.items():
             expo += c * paths.sig.coord(w)
         if use_price:
-            expo += u0.u_x * (math.log(s0) + paths.log_s)
+            expo += u0.u_x * (math.log(params.s0) + paths.log_s)
         moments.add(np.exp(expo))
     moments.finish()
     var = moments.m2 / max(moments.count - 1, 1)

@@ -267,7 +267,7 @@ def test_criterion_10_gkw_completeness_oracle():
     pre_f = preset("first_order")
     params = SigVolParams(pre_f.ell, pre_f.weight, 1.0, pre_f.eta, 1.0, 64)
     rows = depth_scan(params, "asian", {"strike": 1.0}, [0, 1, 2], 20_000, seed=1011,
-                      basis=HedgeBasis(2, (1, 3)), weight=pre_f.weight)
+                      basis=HedgeBasis(2, (1, 3)))
     scan_ok = all(b.residual_norm < a.residual_norm - 2.0 * math.hypot(a.se, b.se)
                   for a, b in zip(rows, rows[1:]))
     ok = bs_ok and scan_ok
@@ -318,6 +318,7 @@ def test_criterion_12_transform_vs_mc():
     sigma = 0.2
     ell_bs = GradedTensor(1, 0, {(): sigma})
     table_bs = build_generator(4, 1, (ell_bs, np.array([1.0])))
+    params_bs = SigVolParams(ell_bs, Weight.geometric(2.0), 1.0, np.array([1.0]), 1.0, 64)
     bs_dirs = [
         RiccatiState(GradedTensor.zero(1, 0), u_x=0.5),
         RiccatiState(GradedTensor.zero(1, 0), u_x=-0.5),
@@ -328,7 +329,7 @@ def test_criterion_12_transform_vs_mc():
     ]
     for k, state in enumerate(bs_dirs):
         lam = transform_value(state, 1.0, table_bs, x0=0.0, tol=1e-11)
-        mc = mc_transform(state, table_bs, 1.0, 64, 100_000, seed=1200 + k)
+        mc = mc_transform(state, params_bs, 100_000, seed=1200 + k)
         gap = abs(lam - mc.mean)
         details.append(f"bs{k}:{gap / mc.se:.1f}se")
         if gap > 3.0 * mc.se:
@@ -346,7 +347,8 @@ def test_criterion_12_transform_vs_mc():
     for k, state in enumerate(fo_dirs):
         lam = transform_value(state, 1.0, table_fo, x0=0.0, tol=1e-11)
         steps = 512 if state.u_x not in (None, 0.0) else 64
-        mc = mc_transform(state, table_fo, 1.0, steps, 100_000, seed=1300 + k)
+        params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, steps)
+        mc = mc_transform(state, params, 100_000, seed=1300 + k)
         gap = abs(lam - mc.mean)
         details.append(f"fo{k}:{gap / mc.se:.1f}se")
         if gap > 3.0 * mc.se:

@@ -28,6 +28,19 @@ def source_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
+def fresh(*argv, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process, with a timeout."""
+    return subprocess.run([sys.executable, "-m", "sigvol.cli", *argv], env=env or source_env(),
+                          capture_output=True, text=True, timeout=60, **kwargs)
+
+
+def assert_invalid(proc: subprocess.CompletedProcess) -> None:
+    """Exit 1 with status=invalid and one error line: no traceback."""
+    assert proc.returncode == 1
+    assert proc.stdout == "status=invalid\n"
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 class TestSelftest:
     def test_fresh_checkout_passes(self, tmp_path, capsys):
         code, out = run(capsys, "selftest", "--out", str(tmp_path))
@@ -122,12 +135,58 @@ class TestValidation:
     def test_non_finite_input(self, tmp_path, argv):
         # a fresh process with a timeout: an unchecked infinite horizon never ends, and
         # LAPACK writes its complaints to the process's stdout
-        proc = subprocess.run([sys.executable, "-m", "sigvol.cli", *argv, "--seed", "1",
-                               "--paths", "100", "--steps", "4", "--out", str(tmp_path)],
-                              env=source_env(), capture_output=True, text=True, timeout=60)
+        assert_invalid(fresh(*argv, "--seed", "1", "--paths", "100", "--steps", "4",
+                             "--out", str(tmp_path)))
+
+    @pytest.mark.parametrize("argv, model", [
+        (["--u", "1:0.4"], {"ell": "word=∅ coeff=0.2", "d": 1, "eta": [2.0]}),
+        (["--uX", "1"], {"ell": "word=∅ coeff=0.2", "d": 1, "eta": [2.0]}),
+        (["--u", "1:0.4", "--s0", "-3"], "first_order"),
+        (["--u", "1:0.4", "--steps", "0"], "first_order"),
+    ], ids=["eta-not-unit", "eta-not-unit-uX", "s0-negative", "steps-zero"])
+    def test_transform_checks_the_model(self, tmp_path, argv, model):
+        # transform rejects every model simulate rejects, also when it draws no path
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": model}))
+        assert_invalid(fresh("transform", "--config", str(cfg_path), *argv, "--out", str(tmp_path)))
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--trunc", "3", "--seed", "1", "--paths", "4", "--steps", "4"],
+        ["selftest", "--seed", "1"],
+        ["transform", "--model", "first_order", "--u", "1:0.4", "--mc-check", "--seed", "1",
+         "--steps", "4", "--mc-paths", "100"],
+    ], ids=["simulate-trunc", "selftest-seed", "transform-mc-paths"])
+    def test_unread_flag_rejected(self, tmp_path, argv):
+        proc = fresh(*argv, "--out", str(tmp_path))
         assert proc.returncode == 1
         assert proc.stdout == "status=invalid\n"
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("setting", ['"seed": 1.9', '"paths": 1e400', '"steps": true',
+                                         '"seed": "1"'],
+                             ids=["seed-fraction", "paths-overflow", "steps-bool", "seed-string"])
+    def test_integer_settings_exact(self, tmp_path, setting):
+        # a fractional seed used to run as its integer part, an infinite count as a traceback
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"seed": 1, "paths": 4, "steps": 4, %s}' % setting)
+        assert_invalid(fresh("simulate", "--config", str(cfg_path), "--out", str(tmp_path)))
+        assert not (tmp_path / "paths.csv").exists()
+
+    def test_out_not_a_directory(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        assert_invalid(fresh("selftest", "--out", str(tmp_path / "file" / "sub")))
+
+    def test_run_too_large_to_hold(self, tmp_path):
+        # 16384 paths x 1e8 steps need 11.9 TiB; an address-space cap far below the 0.8 GB
+        # time grid, the run's first allocation, makes that fail at once on any host
+        import resource
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        env = dict(source_env(), OPENBLAS_NUM_THREADS="1")
+        assert_invalid(fresh("simulate", "--model", "first_order", "--seed", "1", "--paths", "16384",
+                             "--steps", "100000000", "--out", str(tmp_path), env=env,
+                             preexec_fn=cap_address_space))
 
     @pytest.mark.parametrize("command, cfg", [
         ("simulate", {"paths": None}),

@@ -288,8 +288,7 @@ def test_one_factor_matches_tall_solves(kind, pay, ridge, n_paths):
     assert_matches_tall(gkw_project(data.payoffs, data.design, basis, weight=pre.weight),
                         gkw_project_tall(data.payoffs, data.design, basis, weight=pre.weight),
                         data.design)
-    rows = depth_scan(params, kind, pay, [0, 1, 2, 3], n_paths, seed=78, basis=basis,
-                      weight=pre.weight)
+    rows = depth_scan(params, kind, pay, [0, 1, 2, 3], n_paths, seed=78, basis=basis)
     assert [row.depth for row in rows] == [0, 1, 2, 3]
     for row in rows:
         want = gkw_project_tall(data.payoffs, restrict_depth(data.design, row.depth), basis)
@@ -345,9 +344,9 @@ class TestKappaTail:
 
 class TestDepthScan:
     def test_bs_call_small_everywhere(self):
-        pre, params = make_params(steps=64)
+        _, params = make_params(steps=64)
         rows = depth_scan(params, "call", {"strike": 1.0}, [0, 1, 2], 6000, seed=74,
-                          basis=HedgeBasis(2, (2, 3)), weight=pre.weight)
+                          basis=HedgeBasis(2, (2, 3)))
         for row in rows:
             assert row.residual_norm < 0.05
 
@@ -359,9 +358,9 @@ class TestDepthScan:
             assert row.residual_norm < 1e-10
 
     def test_first_order_asian_strictly_decreasing(self):
-        pre, params = make_params("first_order", steps=64)
+        _, params = make_params("first_order", steps=64)
         rows = depth_scan(params, "asian", {"strike": 1.0}, [0, 1, 2], 20000, seed=76,
-                          basis=HedgeBasis(2, (1, 3)), weight=pre.weight)
+                          basis=HedgeBasis(2, (1, 3)))
         for a, b in zip(rows, rows[1:]):
             assert b.residual_norm < a.residual_norm - 2.0 * math.hypot(a.se, b.se)
 

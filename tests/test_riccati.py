@@ -20,6 +20,7 @@ from sigvol.riccati import (
     mc_transform,
     projection_compatibility,
 )
+from sigvol.sde import SigVolParams
 
 from _oracles import (
     RiccatiExplosion,
@@ -402,6 +403,7 @@ class TestTransformVsMC:
     def test_first_order_directions_within_mc_ci(self):
         pre = preset("first_order")
         table = build_generator(3, 1, (pre.ell, pre.eta))
+        params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 256)
         directions = [
             RiccatiState(GradedTensor(1, 1, {(1,): 0.4}), u_x=0.0),
             RiccatiState(GradedTensor.zero(1, 0), u_x=0.5),
@@ -410,7 +412,7 @@ class TestTransformVsMC:
         ]
         for k, state in enumerate(directions):
             lam = transform_value(state, 1.0, table, tol=1e-11)
-            mc = mc_transform(state, table, 1.0, 256, 30_000, seed=300 + k)
+            mc = mc_transform(state, params, 30_000, seed=300 + k)
             assert abs(lam - mc.mean) <= 3.0 * mc.se, (lam, mc)
 
 

@@ -241,7 +241,7 @@ class TestBlockSize:
 
     def test_streaming_consumers_block_invariant(self, monkeypatch):
         from sigvol.hedging import HedgeBasis, simulate_hedge_dataset
-        from sigvol.riccati import RiccatiState, build_generator, mc_transform
+        from sigvol.riccati import RiccatiState, mc_transform
 
         params = make_params("first_order", steps=8)
         words = [(1, 0), (0, 1, 1)]
@@ -254,10 +254,9 @@ class TestBlockSize:
                     pass
                 batches.append((paths.offset, (paths.xi, paths.driver, paths.mart, paths.qv,
                                                paths.log_s, paths.sig.coords(words))))
-            table = build_generator(2, 1, (params.ell, params.eta))
             state = RiccatiState(GradedTensor(1, 2, {(1,): 0.3, (1, 0): 0.1}), 0.25)
             # more paths than one moment chunk, so chunks straddle blocks of 7
-            mc = mc_transform(state, table, 1.0, 8, 4100, seed=22)
+            mc = mc_transform(state, params, 4100, seed=22)
             data = simulate_hedge_dataset(params, HedgeBasis(1, (1, 2), static_strikes=(1.0,)),
                                           "asian", {"strike": 0.0}, 40, seed=23)
             runs[block] = (batches, mc, data)
