@@ -5,14 +5,18 @@ Run from the repository root:
     PYTHONPATH=src python -m pytest benchmarks -o python_files='bench_*.py'
 
 The Tier-1 suite collects only test_*.py, so it never runs these.  The case
-stores its throughput and the minor page faults (ru_minflt) of one call,
-taken after a warm-up call, in the benchmark's extra_info; add
---benchmark-json=FILE to keep them.  The Chen step and the block stepper are
-timed in bench_stepper.py.
+runs once with one drawing thread and once with one per CPU in the affinity
+mask (the driver's default), and stores the thread count, its throughput and
+the minor page faults (ru_minflt) of one call, taken after a warm-up call, in
+the benchmark's extra_info; add --benchmark-json=FILE to keep them.  The Chen
+step and the block stepper are timed in bench_stepper.py.
 """
 
 import resource
 
+import pytest
+
+from sigvol import signature
 from sigvol.signature import simulate_brownian_grid
 
 
@@ -24,8 +28,10 @@ def _faults(fn) -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
-def test_driver_block(benchmark):
+@pytest.mark.parametrize("workers", sorted({1, signature._WORKERS}))
+def test_driver_block(benchmark, monkeypatch, workers):
     n_paths, steps, d = 16384, 128, 1
+    monkeypatch.setattr(signature, "_WORKERS", workers)
 
     def block():
         return simulate_brownian_grid(d, 1.0, steps, n_paths, seed=1)
@@ -33,5 +39,5 @@ def test_driver_block(benchmark):
     faults = _faults(block)
     benchmark.pedantic(block, rounds=7, warmup_rounds=1)
     median = benchmark.stats.stats.median
-    benchmark.extra_info.update(paths=n_paths, steps=steps, d=d, minflt=faults,
+    benchmark.extra_info.update(paths=n_paths, steps=steps, d=d, minflt=faults, workers=workers,
                                 normals_per_s=n_paths * steps * d / median)

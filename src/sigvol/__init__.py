@@ -12,7 +12,6 @@ from .algebra import (
     format_word,
     parse_tensor,
     parse_word,
-    project_leq,
     shuffle_product,
     weight_check,
     weighted_norms,
@@ -34,7 +33,6 @@ from .riccati import (
     build_generator,
     integrate_flow,
     mc_transform,
-    projection_compatibility,
 )
 from .sde import (
     PriceBatch,

@@ -42,6 +42,15 @@ def parse_word(text: str) -> Word:
     return tuple(int(part) for part in text.split("."))
 
 
+def exact_int(value, name: str) -> int:
+    """value as an int, exactly: an integer that is not a bool, or an integral finite float."""
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Weights
 # ---------------------------------------------------------------------------
@@ -307,12 +316,6 @@ def antipode(a: GradedTensor) -> GradedTensor:
     out = {tuple(reversed(w)): (c if len(w) % 2 == 0 else -c)
            for w, c in a.coeffs.items()}
     return GradedTensor(a.dim, a.trunc, out)
-
-
-def project_leq(a: GradedTensor, level: int) -> GradedTensor:
-    """Canonical projection onto tensor levels of length <= level."""
-    keep = {w: c for w, c in a.coeffs.items() if len(w) <= level}
-    return GradedTensor(a.dim, min(a.trunc, level), keep)
 
 
 def weighted_norms(a: GradedTensor, w: Weight) -> tuple[float, float, float]:

@@ -25,6 +25,7 @@ from .algebra import (
     antipode,
     concat_product,
     dual_pairing,
+    exact_int,
     format_tensor,
     format_word,
     parse_tensor,
@@ -98,16 +99,6 @@ def _weight_from_spec(spec) -> Weight:
     raise ValueError(f"bad weight spec {spec!r}")
 
 
-def _int(cfg: dict, key: str) -> int:
-    """cfg[key] exactly: a JSON integer (not a bool) or an integral finite float."""
-    value = cfg[key]
-    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{key} must be an integer, got {value!r}")
-
-
 def resolve_model(cfg: dict) -> tuple[sde.SigVolParams, str]:
     """The checked model of a config and its name: a preset, or "inline" for a given ell."""
     spec = cfg["model"]
@@ -116,7 +107,7 @@ def resolve_model(cfg: dict) -> tuple[sde.SigVolParams, str]:
     if not isinstance(spec, dict):
         raise ValueError(f"bad model spec {spec!r}")
     if "ell_file" in spec or "ell" in spec:
-        d = int(spec.get("d", 1))
+        d = exact_int(spec.get("d", 1), "d")
         if "ell_file" in spec:
             with open(spec["ell_file"], "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -134,14 +125,14 @@ def resolve_model(cfg: dict) -> tuple[sde.SigVolParams, str]:
             raise ValueError(f"preset {name} is metadata-only and cannot be simulated")
         ell, eta, weight = pre.ell, pre.eta, pre.weight
     params = sde.SigVolParams(ell=ell, weight=weight, s0=float(cfg["s0"]), eta=eta,
-                              horizon=float(cfg["T"]), steps=_int(cfg, "steps"))
+                              horizon=float(cfg["T"]), steps=exact_int(cfg["steps"], "steps"))
     return params, name
 
 
 def _require_seed(cfg: dict) -> int:
     if cfg.get("seed") is None:
         raise ValueError("seed is mandatory: pass --seed or set it in the config")
-    return _int(cfg, "seed")
+    return exact_int(cfg["seed"], "seed")
 
 
 def _parse_payoff(spec) -> tuple[str, dict]:
@@ -233,15 +224,24 @@ def _cmd_selftest(cfg: dict, out: str) -> int:
 def _cmd_simulate(cfg: dict, out: str) -> int:
     seed = _require_seed(cfg)
     params, _ = resolve_model(cfg)
-    n_paths = _int(cfg, "paths")
+    n_paths = exact_int(cfg["paths"], "paths")
     blocks = sde.stream_paths(params, n_paths, seed)  # rejects a bad run before paths.csv exists
     terminal = np.empty(n_paths)
-    with open(os.path.join(out, "paths.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        for block in blocks:
-            prices = sde.simulate_price(block)
-            sde.write_price_csv(prices, fh)
-            terminal[block.offset : block.offset + block.size] = prices.terminal_price
-            del prices  # one block's price paths at a time: free them before the next is drawn
+    # the rows go to a partial file that becomes paths.csv only once every block is written
+    path = os.path.join(out, "paths.csv")
+    partial = path + ".part"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            for block in blocks:
+                prices = sde.simulate_price(block)
+                sde.write_price_csv(prices, fh)
+                terminal[block.offset : block.offset + block.size] = prices.terminal_price
+                del prices  # one block's price paths at a time: free them before the next is drawn
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
     report = sde.martingale_check(terminal, params.s0)
     print(f"mean_ST={report.mean_terminal:.17g} se={report.se:.17g} z={report.z_score:.17g}")
     print("status=ok")
@@ -253,7 +253,7 @@ def _cmd_hypotheses(cfg: dict, out: str) -> int:
     params, name = resolve_model(cfg)
     h1 = sde.check_H1(params.ell, params.weight)
     lam = float(cfg.get("lambda", 1.0))
-    h3 = sde.estimate_H3(params, lam, _int(cfg, "paths"), seed)
+    h3 = sde.estimate_H3(params, lam, exact_int(cfg["paths"], "paths"), seed)
     mart = sde.martingale_check(h3.terminal_price[:20000], params.s0)
     with open(os.path.join(out, "ell.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_tensor(params.ell))
@@ -280,7 +280,8 @@ def _cmd_transform(cfg: dict, out: str) -> int:
     state = _parse_direction(cfg, params.dim)
     extended = state.u_x is not None and state.u_x != 0.0
     window = riccati.required_window(state, ell if extended else None)
-    trunc = _int(cfg, "trunc") if cfg.get("trunc") is not None else max(window, state.support_degree, 2)
+    trunc = (exact_int(cfg["trunc"], "trunc") if cfg.get("trunc") is not None
+             else max(window, state.support_degree, 2))
     if trunc < window:
         raise ValueError(f"truncation {trunc} below the shuffle window {window}")
     table = riccati.build_generator(trunc, params.dim, (ell, params.eta) if extended else None)
@@ -304,7 +305,7 @@ def _cmd_transform(cfg: dict, out: str) -> int:
         fh.write("\n".join(lines) + "\n")
     if outcome.solved and cfg.get("mc_check"):
         seed = _require_seed(cfg)
-        mc = riccati.mc_transform(state, params, _int(cfg, "paths"), seed)
+        mc = riccati.mc_transform(state, params, exact_int(cfg["paths"], "paths"), seed)
         print(f"lambda0={lam0:.17g} mc={mc.mean:.17g} mc_se={mc.se:.17g}")
     elif outcome.solved:
         print(f"lambda0={lam0:.17g}")
@@ -319,7 +320,7 @@ def _cmd_transform(cfg: dict, out: str) -> int:
 def _cmd_hedge(cfg: dict, out: str) -> int:
     seed = _require_seed(cfg)
     params, name = resolve_model(cfg)
-    n_paths = _int(cfg, "paths")
+    n_paths = exact_int(cfg["paths"], "paths")
     kind, pay_params = _parse_payoff(cfg.get("payoff", "call:K=1.0"))
     hedge_cfg = cfg.get("hedge", {})
     if not isinstance(hedge_cfg, dict):
@@ -359,7 +360,7 @@ def _cmd_depth_report(cfg: dict, out: str) -> int:
     rows = [("depth_table", f"{m}.N_star", n) for m, (n, _) in metas]
     rows += [("depth_table", f"{m}.K", "undocumented" if k is None else k) for m, (_, k) in metas]
     scan = hedging.depth_scan(params, kind, pay_params, cfg.get("depths", [0, 1, 2]),
-                              _int(cfg, "paths"), seed)
+                              exact_int(cfg["paths"], "paths"), seed)
     for row in scan:
         rows.append(("scan", f"depth_{row.depth}.residual_norm", row.residual_norm))
         rows.append(("scan", f"depth_{row.depth}.se", row.se))

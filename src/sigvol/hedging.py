@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import Weight, Word, format_word
+from .algebra import Weight, Word, exact_int, format_word
 from .sde import SigVolParams, stream_paths
 from .signature import all_words
 
@@ -54,8 +54,9 @@ class HedgeBasis:
     residual_window = (n_low, m), 0 <= n_low < m, selects terminal words
     n_low < |I| <= m; static_strikes None means 7 equally spaced quantiles
     of simulated S_T; ridge None means the default 1e-8 * trace(Gram)/dim
-    regularisation.  The fields are converted to ints and floats on
-    construction, and strikes and ridge must be finite.
+    regularisation.  The depth and window must be exact integers
+    (algebra.exact_int: 1.9 is rejected, 2.0 read as 2), strikes and ridge
+    are converted to floats and must be finite.
     """
 
     integrand_depth: int
@@ -64,8 +65,8 @@ class HedgeBasis:
     ridge: float | None = None
 
     def __post_init__(self):
-        depth = int(self.integrand_depth)
-        window = tuple(int(k) for k in self.residual_window)
+        depth = exact_int(self.integrand_depth, "integrand_depth")
+        window = tuple(exact_int(k, "residual_window") for k in self.residual_window)
         strikes = self.static_strikes
         strikes = None if strikes is None else tuple(float(k) for k in strikes)
         ridge = None if self.ridge is None else float(self.ridge)
@@ -382,7 +383,7 @@ def depth_scan(params: SigVolParams, payoff_kind: str, payoff_params: dict,
     every depth is read from that factor, so the spans are exactly nested and
     monotonicity holds up to the ridge.
     """
-    depths = sorted({int(depth) for depth in depths})
+    depths = sorted({exact_int(depth, "depths") for depth in depths})
     if not depths or depths[0] < 0:
         raise ValueError("depth scan needs at least one depth, each >= 0")
     if basis is None:

@@ -174,9 +174,9 @@ class GeneratorTable:
     ordered pairs folded into unordered storage), both in canonical order of
     the coordinates: words, then the log-price coordinate X when extended.
     Outputs are always words.  The pure-signature block never depends on
-    ell; ell and eta enter only through the extended block.  ell, which
-    projection_compatibility reads for its shuffle window, is None for a
-    pure table.
+    ell; ell and eta enter only through the extended block.  ell, the
+    symbol the extended block was built from, is None for a pure table; with
+    a state it sets the shuffle window (required_window).
     """
 
     trunc: int
@@ -463,7 +463,7 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
 
 
 # ---------------------------------------------------------------------------
-# Projection compatibility
+# Shuffle window
 # ---------------------------------------------------------------------------
 
 
@@ -475,34 +475,6 @@ def required_window(u0: RiccatiState, ell: GradedTensor | None) -> int:
     if ell is not None:
         need = max(need + ell.support_degree, 2 * ell.support_degree)
     return need
-
-
-def projection_compatibility(u0: RiccatiState, table_n: GeneratorTable,
-                             table_m: GeneratorTable) -> bool:
-    """Exact check of pi_M R_N(u) == R_M(pi_M u) for u supported in <= M.
-
-    The shuffle window M >= required_window(u, ell) is enforced as a
-    precondition; silent truncation would change the vector field.
-    """
-    n, m = table_n.trunc, table_m.trunc
-    if m > n:
-        raise ValueError("expected table_m.trunc <= table_n.trunc")
-    if table_n.extended != table_m.extended:
-        raise ValueError("tables must both be extended or both pure")
-    if u0.support_degree > m:
-        raise ShuffleWindowError("state must be supported in levels <= M")
-    window = required_window(u0, table_m.ell if table_m.extended else None)
-    if m < window:
-        raise ShuffleWindowError(f"window violated: need M >= {window}, got {m}")
-    u_n = table_n.vector(u0.sig, u0.u_x)
-    u_m = table_m.vector(u0.sig, u0.u_x)
-    r_n = table_n.vector_field(np.ones(table_n.state_dim, dtype=bool))(u_n)
-    r_m = table_m.vector_field(np.ones(table_m.state_dim, dtype=bool))(u_m)
-    n_words_m = len(table_m.words)
-    proj = r_n[:n_words_m].copy()
-    if table_m.extended:
-        proj = np.append(proj, r_n[table_n.x_index])
-    return bool(np.array_equal(proj, r_m))
 
 
 # ---------------------------------------------------------------------------

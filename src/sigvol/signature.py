@@ -12,14 +12,19 @@ run seed, with the increment for (path, step, coordinate) read at a fixed
 counter offset, so path sets are order-independent and reproducible from
 (seed, path_index) alone regardless of batching.  The driver works through a
 block in cache-sized chunks of paths and stores only the Brownian coordinates,
-step-major, (steps+1, d, n_paths); time stays the shared `times` vector.  One
-grid time of every path is a contiguous row, which the stepper differences
-into the batch engine's increments.
+step-major, (steps+1, d, n_paths); time stays the shared `times` vector.  The
+chunks of a block are drawn on every CPU in the process's affinity mask, each
+thread from its own generator advanced to its first path's counter, so the
+grid does not depend on that number.  One grid time of every path is a
+contiguous row, which the stepper differences into the batch engine's
+increments.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +152,8 @@ _INV_2_53 = 2.0**-53
 # temporaries stay in cache and are reused; larger chunks measured more page
 # faults and no gain in speed.
 _CHUNK_OUTPUTS = 2**14
+# threads that draw a block's chunks: one per CPU in the affinity mask
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -195,8 +202,12 @@ def simulate_brownian_grid(d: int, horizon: float, steps: int, n_paths: int,
     p * per_path / 4 and the stream does not depend on how paths are batched.
     Paths are generated in chunks whose draws fit in cache and written
     step-major; the grid is then summed over steps one row at a time.  The
-    grid is a fresh array unless `_into`, a grid of the same shape that no
-    one reads any more, is passed to be overwritten (sde.stream_paths does).
+    chunks are split into contiguous runs, one per CPU this process may run
+    on (os.sched_getaffinity), drawn by the calling thread and one thread per
+    further run; a chunk's values do not depend on which thread draws it, so
+    the grid is the same bits whatever the number of CPUs.  The grid is a
+    fresh array unless `_into`, a grid of the same shape that no one reads
+    any more, is passed to be overwritten (sde.stream_paths does).
     """
     check_driver_args(d, horizon, steps, n_paths, seed)
     times = np.linspace(0.0, horizon, steps + 1)
@@ -207,23 +218,49 @@ def simulate_brownian_grid(d: int, horizon: float, steps: int, n_paths: int,
     per_path = used + (-used) % 4
     chunk = max(1, _CHUNK_OUTPUTS // per_path)
     scale = math.sqrt(horizon / steps)
-    # a chunk is whole paths, i.e. whole counter blocks, so reading the stream
-    # on starts each chunk at its first path's counter
-    bitgen = np.random.Philox(key=np.uint64(seed))
-    bitgen.advance((path_offset * per_path) // 4)
-    for lo in range(0, n_paths, chunk):
-        n = min(chunk, n_paths - lo)
-        raw = bitgen.random_raw(n * per_path).reshape(n, per_path)
-        raw >>= np.uint64(11)
-        u = raw.astype(np.float64)
-        u *= _INV_2_53
-        u += 2.0**-54
-        w = np.log(u[:, 0:used:2])
-        w *= -2.0
-        np.sqrt(w, out=w)
-        angle = np.multiply(2.0 * np.pi, u[:, 1:used:2])
-        w *= np.cos(angle, out=angle)
-        np.multiply(w.reshape(n, steps, d).transpose(1, 2, 0), scale, out=grid[1:, :, lo : lo + n])
+    starts = range(0, n_paths, chunk)
+    runs = min(_WORKERS, len(starts))
+    bounds = [starts[len(starts) * i // runs] for i in range(runs)] + [n_paths]
+    errors = []
+
+    def draw(first: int, end: int) -> None:
+        # a chunk is whole paths, i.e. whole counter blocks, so reading the stream
+        # on starts each chunk at its first path's counter
+        bitgen = np.random.Philox(key=np.uint64(seed))
+        bitgen.advance(((path_offset + first) * per_path) // 4)
+        for lo in range(first, end, chunk):
+            n = min(chunk, end - lo)
+            raw = bitgen.random_raw(n * per_path).reshape(n, per_path)
+            raw >>= np.uint64(11)
+            u = raw.astype(np.float64)
+            u *= _INV_2_53
+            u += 2.0**-54
+            w = np.log(u[:, 0:used:2])
+            w *= -2.0
+            np.sqrt(w, out=w)
+            angle = np.multiply(2.0 * np.pi, u[:, 1:used:2])
+            w *= np.cos(angle, out=angle)
+            np.multiply(w.reshape(n, steps, d).transpose(1, 2, 0), scale, out=grid[1:, :, lo : lo + n])
+
+    def worker(first: int, end: int) -> None:
+        try:
+            draw(first, end)
+        except BaseException as exc:  # re-raised by the calling thread after the join
+            errors.append(exc)
+
+    # numpy's ufuncs and Philox release the GIL, so the runs are drawn in parallel
+    threads = [threading.Thread(target=worker, args=bounds[i : i + 2]) for i in range(1, runs)]
+    started = []
+    try:
+        for thread in threads:
+            thread.start()
+            started.append(thread)
+        draw(bounds[0], bounds[1])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
     # the cumulative sum over steps, in its order, on contiguous rows
     for k in range(2, steps + 1):
         grid[k] += grid[k - 1]

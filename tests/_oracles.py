@@ -32,6 +32,9 @@ and the stepper's feed and sums.
 reference_chen_step is the batch engine's Chen step as a fresh array per
 gather, product and level, the reference for its in-place, buffered step;
 levels and to_tensor copy out an engine's carried coordinates.
+project_leq cuts a tensor to its levels <= a given length, and
+projection_compatibility checks exactly that a truncation-N vector field
+projects onto the truncation-M one on states inside the shuffle window.
 """
 
 from __future__ import annotations
@@ -70,8 +73,11 @@ from sigvol.riccati import (
     STEP_FLOOR,
     X_LABEL,
     FlowOutcome,
+    GeneratorTable,
     RiccatiState,
+    ShuffleWindowError,
     integrate_flow,
+    required_window,
 )
 from sigvol.signature import BatchSignature, all_words
 
@@ -646,3 +652,37 @@ def to_tensor(sig: BatchSignature, path: int) -> GradedTensor:
     """One path's carried coordinates as a sparse tensor (zeros pruned)."""
     coeffs = {w: float(sig._lv[len(w)][i, path]) for w, i in sig._pos.items()}
     return GradedTensor(sig.d, sig.trunc, {w: c for w, c in coeffs.items() if c != 0.0})
+
+
+def project_leq(a: GradedTensor, level: int) -> GradedTensor:
+    """Canonical projection onto tensor levels of length <= level."""
+    keep = {w: c for w, c in a.coeffs.items() if len(w) <= level}
+    return GradedTensor(a.dim, min(a.trunc, level), keep)
+
+
+def projection_compatibility(u0: RiccatiState, table_n: GeneratorTable,
+                             table_m: GeneratorTable) -> bool:
+    """Exact check of pi_M R_N(u) == R_M(pi_M u) for u supported in <= M.
+
+    The shuffle window M >= required_window(u, ell) is enforced as a
+    precondition; silent truncation would change the vector field.
+    """
+    n, m = table_n.trunc, table_m.trunc
+    if m > n:
+        raise ValueError("expected table_m.trunc <= table_n.trunc")
+    if table_n.extended != table_m.extended:
+        raise ValueError("tables must both be extended or both pure")
+    if u0.support_degree > m:
+        raise ShuffleWindowError("state must be supported in levels <= M")
+    window = required_window(u0, table_m.ell if table_m.extended else None)
+    if m < window:
+        raise ShuffleWindowError(f"window violated: need M >= {window}, got {m}")
+    u_n = table_n.vector(u0.sig, u0.u_x)
+    u_m = table_m.vector(u0.sig, u0.u_x)
+    r_n = table_n.vector_field(np.ones(table_n.state_dim, dtype=bool))(u_n)
+    r_m = table_m.vector_field(np.ones(table_m.state_dim, dtype=bool))(u_m)
+    n_words_m = len(table_m.words)
+    proj = r_n[:n_words_m].copy()
+    if table_m.extended:
+        proj = np.append(proj, r_n[table_n.x_index])
+    return bool(np.array_equal(proj, r_m))

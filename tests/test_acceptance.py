@@ -23,7 +23,6 @@ from sigvol.riccati import (
     build_generator,
     integrate_flow,
     mc_transform,
-    projection_compatibility,
 )
 from sigvol.sde import PathBlock, SigVolParams, check_H1, martingale_check, simulate_price
 from sigvol.signature import BatchSignature, all_words, simulate_brownian_grid
@@ -34,6 +33,7 @@ from _oracles import (
     generator_regression,
     levels,
     lognormal_mgf,
+    projection_compatibility,
     scalar_explosion_bound,
     transform_value,
     true_cov_matrix,

@@ -16,14 +16,13 @@ from sigvol.algebra import (
     format_word,
     parse_tensor,
     parse_word,
-    project_leq,
     shuffle_product,
     shuffle_words,
     weight_check,
     weighted_norms,
 )
 
-from _oracles import brute_force_interlacings
+from _oracles import brute_force_interlacings, project_leq
 
 
 def random_tensor(rng, d=2, max_len=3, n_terms=6):

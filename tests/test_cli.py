@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from sigvol import sde
+from sigvol import sde, signature
 from sigvol.cli import execute
 
 
@@ -169,6 +171,60 @@ class TestValidation:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"seed": 1, "paths": 4, "steps": 4, %s}' % setting)
         assert_invalid(fresh("simulate", "--config", str(cfg_path), "--out", str(tmp_path)))
+        assert not (tmp_path / "paths.csv").exists()
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("simulate", {"model": {"ell": "word=∅ coeff=0.2", "d": 1.9}}),
+        ("hedge", {"hedge": {"integrand_depth": 1.9}}),
+        ("hedge", {"hedge": {"integrand_depth": 1, "residual_window": [1.9, 3]}}),
+        ("depth-report", {"depths": [0, 1.9]}),
+    ], ids=["model-d", "integrand-depth", "residual-window", "depths"])
+    def test_model_and_hedge_integers_exact(self, tmp_path, capsys, command, cfg):
+        # each of these used to run as its integer part: d = 1, depth 1, window (1, 3)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": "first_order", "seed": 1, "paths": 50,
+                                        "steps": 4, **cfg}))
+        code = execute([command, "--config", str(cfg_path), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == "status=invalid\n"
+        assert err.startswith("error: ") and "must be an integer, got 1.9" in err
+
+    def test_failed_simulate_leaves_no_csv(self, tmp_path, capsys, monkeypatch):
+        # the second of three blocks fails: neither paths.csv nor its partial file remains
+        monkeypatch.setattr(sde, "BLOCK_PATHS", 8)
+        draw = signature.simulate_brownian_grid
+
+        def fail_second_block(*args, **kwargs):
+            if args[5] > 0:
+                raise MemoryError("second block")
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(signature, "simulate_brownian_grid", fail_second_block)
+        code, out = run(capsys, "simulate", "--seed", "1", "--paths", "20", "--steps", "4",
+                        "--out", str(tmp_path))
+        assert code == 1
+        assert status_line(out) == "status=invalid"
+        assert sorted(os.listdir(tmp_path)) == []
+
+    def test_error_in_a_driver_thread_is_invalid(self, tmp_path, capsys, monkeypatch):
+        # a MemoryError raised while a second thread draws its chunks of a block
+        monkeypatch.setattr(signature, "_WORKERS", 2)
+        drawn_here = threading.get_ident()
+        real_philox = np.random.Philox
+
+        def philox(*args, **kwargs):
+            if threading.get_ident() != drawn_here:
+                raise MemoryError("no room for the chunks")
+            return real_philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", philox)
+        code = execute(["simulate", "--seed", "1", "--paths", "4096", "--steps", "8",
+                        "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == "status=invalid\n"
+        assert err == "error: no room for the chunks\n"
         assert not (tmp_path / "paths.csv").exists()
 
     def test_out_not_a_directory(self, tmp_path):

@@ -18,7 +18,6 @@ from sigvol.riccati import (
     build_generator,
     integrate_flow,
     mc_transform,
-    projection_compatibility,
 )
 from sigvol.sde import SigVolParams
 
@@ -29,6 +28,7 @@ from _oracles import (
     generator_regression,
     integrate_flow_full,
     lognormal_mgf,
+    projection_compatibility,
     riccati_rhs,
     scalar_explosion_bound,
     transform_value,

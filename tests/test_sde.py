@@ -25,6 +25,7 @@ from _oracles import (
     TruncationTooLow,
     brownian_values,
     path_major_steps,
+    project_leq,
     sparse_signatures,
     volatility_path,
 )
@@ -114,8 +115,6 @@ class TestSimulatePrice:
     def test_projected_ell_identical_beyond_support(self):
         # ell supported up to level 3: price paths under project_leq(ell, N)
         # are identical for every N >= 3
-        from sigvol.algebra import project_leq
-
         ell = GradedTensor(1, 3, {(): 0.2, (1,): 0.05, (1, 1): 0.02, (0, 1, 1): 0.01})
         w = Weight.geometric(2.0)
         eta = np.array([1.0])

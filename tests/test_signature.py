@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigvol.algebra import GradedTensor, Weight, concat_product, dual_pairing, shuffle_product
+from sigvol import signature
 from sigvol.sde import SigVolParams, stream_paths
 from sigvol.signature import (
     _CHUNK_OUTPUTS,
@@ -316,3 +318,34 @@ class TestDriverMatchesPathMajor:
             grid = values[:, :, 1:].transpose(1, 2, 0)
             assert batch.grid.shape == grid.shape
             assert np.array_equal(_bits(batch.grid), _bits(grid))
+
+
+class TestDriverWorkers:
+    """The grid is the same bits whatever the number of threads that draw its chunks."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 64])
+    @pytest.mark.parametrize("d, steps", [(1, 7), (2, 16), (3, 5)])
+    def test_grid_independent_of_worker_count(self, monkeypatch, workers, d, steps):
+        monkeypatch.setattr(signature, "_WORKERS", workers)
+        chunk = _CHUNK_OUTPUTS // (2 * steps * d + (-2 * steps * d) % 4)
+        # a ragged last chunk, at path offset 0 and 5; with 2 or 3 workers the five
+        # chunks split into uneven runs whose boundaries fall inside the block, and
+        # 64 workers are more than there are chunks
+        for n_paths, offset in ((4 * chunk + 7, 0), (4 * chunk + 7, 5), (chunk - 3, 2)):
+            batch = simulate_brownian_grid(d, 0.8, steps, n_paths, seed=41, path_offset=offset)
+            values = brownian_values(d, 0.8, steps, n_paths, 41, path_offset=offset)
+            assert np.array_equal(_bits(batch.grid), _bits(values[:, :, 1:].transpose(1, 2, 0)))
+
+    def test_error_in_a_worker_thread_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(signature, "_WORKERS", 2)
+        drawn_here = threading.get_ident()
+        real_philox = np.random.Philox
+
+        def philox(*args, **kwargs):
+            if threading.get_ident() != drawn_here:
+                raise MemoryError("no room for the run's chunks")
+            return real_philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", philox)
+        with pytest.raises(MemoryError, match="no room"):
+            simulate_brownian_grid(1, 1.0, 8, 4 * _CHUNK_OUTPUTS, seed=1)
