@@ -38,6 +38,7 @@ def test_driver_block(benchmark, monkeypatch, workers):
 
     faults = _faults(block)
     benchmark.pedantic(block, rounds=7, warmup_rounds=1)
-    median = benchmark.stats.stats.median
+    # stats is None under --benchmark-disable, which runs each case once untimed
+    median = benchmark.stats and benchmark.stats.stats.median
     benchmark.extra_info.update(paths=n_paths, steps=steps, d=d, minflt=faults, workers=workers,
-                                normals_per_s=n_paths * steps * d / median)
+                                normals_per_s=median and n_paths * steps * d / median)

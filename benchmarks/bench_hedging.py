@@ -48,8 +48,10 @@ def _record(benchmark, fn, rounds: int, data) -> None:
     benchmark.pedantic(fn, rounds=rounds, warmup_rounds=1)
     design = data.design
     columns = 2 + design.dynamic.shape[1] + design.static.shape[1] + design.residual.shape[1]
+    # stats is None under --benchmark-disable, which runs each case once untimed
     benchmark.extra_info.update(paths=PATHS, steps=STEPS, depths=len(DEPTHS), columns=columns,
-                                median_s=benchmark.stats.stats.median, traced_peak_bytes=peak)
+                                median_s=benchmark.stats and benchmark.stats.stats.median,
+                                traced_peak_bytes=peak)
 
 
 def test_depth_scan_projection(benchmark, scan_data):

@@ -8,9 +8,11 @@ The Tier-1 suite collects only test_*.py, so it never runs these.  Each case
 stores the median seconds of one call and the table's Gamma term count in
 the benchmark's extra_info; add --benchmark-json=FILE to keep them.  The
 cases are the table and the blow-up flow of the riccati_flows workload, the
-trunc-12 pure table of rough_bergomi_approx, and one call of the blow-up
-flow's vector field.
+trunc-12 pure table of rough_bergomi_approx, one call of the blow-up flow's
+vector field, and the trunc-12 price-extended flow of rough_bergomi_approx.
 """
+
+import math
 
 import numpy as np
 
@@ -20,7 +22,8 @@ from sigvol.riccati import RiccatiState, build_generator, integrate_flow
 
 
 def _record(benchmark, table, **info):
-    benchmark.extra_info.update(median_s=benchmark.stats.stats.median,
+    # stats is None under --benchmark-disable, which runs each case once untimed
+    benchmark.extra_info.update(median_s=benchmark.stats and benchmark.stats.stats.median,
                                 gamma_terms=len(table.quad[0]),
                                 state_dim=table.state_dim, **info)
 
@@ -58,11 +61,24 @@ def test_blowup_flow(benchmark):
 
 
 def test_vector_field_call(benchmark):
-    # the field the blow-up flow steps: the closure of e_11, plus its leak slot
+    # the field the blow-up flow steps: the closure of e_11 and the terms that read only it
     table = build_generator(7, 1)
     full = table.vector(GradedTensor(1, 2, {(1, 1): 2.0}))
     rhs = table.vector_field(full != 0.0)
-    v = rhs.carry(full)
-    benchmark.pedantic(rhs, args=(v,), rounds=200, iterations=10, warmup_rounds=1)
-    _record(benchmark, table, trunc=7, d=1, carried=len(rhs.live), size=rhs.size,
-            terms=len(rhs.coeffs))
+    benchmark.pedantic(rhs, args=(full[rhs.live],), rounds=200, iterations=10, warmup_rounds=1)
+    _record(benchmark, table, trunc=7, d=1, carried=len(rhs.live), terms=len(rhs.coeffs))
+
+
+def test_flow_trunc12_rough_bergomi(benchmark):
+    # transform --model rough_bergomi_approx --uX 0.3 --threshold inf, its table built once
+    pre = preset("rough_bergomi_approx")
+    table = build_generator(12, 1, (pre.ell, pre.eta))
+    state = RiccatiState(GradedTensor.zero(1, 0), u_x=0.3)
+
+    def flow():
+        return integrate_flow(state, 1.0, table, tol=1e-10, explosion_threshold=math.inf,
+                              weight=pre.weight)
+
+    out = benchmark.pedantic(flow, rounds=5, warmup_rounds=1)
+    _record(benchmark, table, trunc=12, d=1, accepted_steps=out.steps, rejected=out.rejected,
+            carried=out.carried)

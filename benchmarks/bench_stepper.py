@@ -36,7 +36,8 @@ def _record(benchmark, fn, rounds: int, **params) -> None:
     finally:
         tracemalloc.stop()
     benchmark.pedantic(fn, rounds=rounds, warmup_rounds=1)
-    benchmark.extra_info.update(params, median_s=benchmark.stats.stats.median,
+    # stats is None under --benchmark-disable, which runs each case once untimed
+    benchmark.extra_info.update(params, median_s=benchmark.stats and benchmark.stats.stats.median,
                                 minflt=faults, traced_peak_bytes=peak)
 
 

@@ -71,6 +71,8 @@ class Weight:
     def __post_init__(self):
         if self.kind not in ("geometric", "polynomial", "constant"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
+        if not math.isfinite(self.param):
+            raise ValueError("weight parameter must be finite")
         if self.kind == "geometric" and self.param < 1.0:
             raise ValueError("geometric weight needs r >= 1 to be non-decreasing")
         if self.kind == "polynomial" and self.param < 0.0:
@@ -89,10 +91,13 @@ class Weight:
         return cls("constant")
 
     def __call__(self, n: int) -> float:
-        if self.kind == "geometric":
-            return self.param**n
-        if self.kind == "polynomial":
-            return float(n + 1) ** self.param
+        try:
+            if self.kind == "geometric":
+                return self.param**n
+            if self.kind == "polynomial":
+                return float(n + 1) ** self.param
+        except OverflowError:
+            raise ValueError(f"weight w({n}) overflows a float") from None
         return 1.0
 
     def log_value(self, n: int) -> float:

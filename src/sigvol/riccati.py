@@ -24,19 +24,27 @@ generation order can change.  The price-extended block, whose float sums
 depend on order, stays on shuffle_product.  Both parts compile to a sparse
 form each (output and input index arrays plus coefficients, put in
 canonical order by np.lexsort), which the vector field contracts with one
-np.bincount over 2*size bins, the quadratic outputs shifted by size.
+np.bincount over 2*n bins for n carried coordinates, the quadratic outputs
+shifted by n.
 
 The flow d(psi)/dtau = R(psi) is integrated with an explicit embedded 4/5
 pair with adaptive steps; finite-time blow-up is the object of study, so the
 integrator detects explosion (weighted norm above a threshold, or step
 underflow) instead of trying to continue through it.  It steps only the
 closure of the initial support under the terms (a drift term reaches its
-output from a live input, a Gamma term from two): every other coordinate
-stays exactly 0.0, and each dropped term adds +-0 to a sum that starts at
-0.0, so the carried flow is bit for bit the full-state flow.  Accepted
-states are expanded to the full state for the trace and the result; the
-weighted norm reads only the levels that hold a carried coordinate, since
-every other level adds exactly +0.0.
+output from a live input, a Gamma term from two), and only the terms whose
+inputs are all in it: every other coordinate stays exactly 0.0.  A dropped
+term then adds +-0 to a sum that starts at +0.0, which leaves the sum
+unchanged, so the carried flow is bit for bit the full-state flow whenever
+every dropped product c*v is finite.  Where one overflows, the full-state
+field multiplies inf by an unreached 0.0, turns NaN and rejects the step,
+while the carried flow goes on with the exact equation on the closure.  The
+table's coefficients are finite: shuffle_product's tensors reject
+non-finite values, and build_generator rejects a non-finite eta or eta
+times a shuffle coefficient that overflows.  Accepted states are expanded
+to the full state for the trace and the result; the weighted norm reads
+only the levels that hold a carried coordinate, since every other level
+adds exactly +0.0.
 
 mc_transform checks a transform value on the price engine's paths.  It
 reads the model (ell, eta, s0, T, steps) from SigVolParams, the value the
@@ -131,11 +139,12 @@ class VectorField:
     Position i of a carried vector holds coordinate live[i] of the full state.
     The terms are the table's, in compiled order, whose inputs are all live:
     the drift terms first, then the quadratic ones, whose outputs are shifted
-    by size and whose second inputs are in2.  A dropped term that reads a
-    live coordinate adds +-0 to the full field, or NaN once that value is
-    non-finite or overflows the product; such terms read and write one
-    trailing slot, which stays 0.0 until such a NaN turns up, so a step is
-    rejected exactly when the full-state step is.
+    by len(live) and whose second inputs are in2.  Every other term reads a
+    coordinate outside the closure, which stays 0.0, so it adds +-0 to the
+    full field as long as its product c*v is finite: on the carried
+    coordinates this is then the full field bit for bit.  Where such a
+    product is inf or NaN the full field turns NaN, and this one stays the
+    field of the closure.
     """
 
     live: np.ndarray
@@ -143,25 +152,19 @@ class VectorField:
     in1: np.ndarray
     in2: np.ndarray
     coeffs: np.ndarray
-    size: int
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
+        n = len(self.live)
         weights = self.coeffs * v[self.in1]
         weights[weights.size - self.in2.size :] *= v[self.in2]
         # each half sums its terms in compiled order; dtype: bincount of no terms is int
-        r = np.bincount(self.out, weights=weights, minlength=2 * self.size)
-        return np.add(r[: self.size], r[self.size :], dtype=float)
-
-    def carry(self, u: np.ndarray) -> np.ndarray:
-        """The carried vector of a full state."""
-        v = np.zeros(self.size)
-        v[: len(self.live)] = u[self.live]
-        return v
+        r = np.bincount(self.out, weights=weights, minlength=2 * n)
+        return np.add(r[:n], r[n:], dtype=float)
 
     def expand(self, v: np.ndarray, n: int) -> np.ndarray:
         """The full state of a carried vector; unreached coordinates read +0.0."""
         u = np.zeros(n)
-        u[self.live] = v[: len(self.live)]
+        u[self.live] = v
         return u
 
 
@@ -260,22 +263,15 @@ class GeneratorTable:
                 break
             live = reached
         carried = np.flatnonzero(live)
-        slot = len(carried)
-        pos = np.full(live.size, slot, dtype=np.intp)
-        pos[carried] = np.arange(slot)
-        restricted, leaks = [], False
+        pos = np.zeros(live.size, dtype=np.intp)
+        pos[carried] = np.arange(len(carried))
+        restricted = []
         for out, *inputs, coeffs in forms:
-            read = [live[i] for i in inputs]
-            kept = np.logical_and.reduce(read)
-            leak = ~kept & (np.logical_or.reduce(read) | ~np.isfinite(coeffs))
-            leaks |= bool(leak.any())
-            take = kept | leak
-            restricted.append((np.where(kept, pos[out], slot)[take],
-                               *(pos[i][take] for i in inputs), coeffs[take]))
-        size = slot + int(leaks)
+            kept = np.logical_and.reduce([live[i] for i in inputs])
+            restricted.append((pos[out[kept]], *(pos[i[kept]] for i in inputs), coeffs[kept]))
         (d_out, d_in, d_c), (q_out, q_in1, q_in2, q_c) = restricted
-        return VectorField(carried, np.concatenate([d_out, q_out + size]), np.concatenate([d_in, q_in1]),
-                           q_in2, np.concatenate([d_c, q_c]), size)
+        return VectorField(carried, np.concatenate([d_out, q_out + len(carried)]),
+                           np.concatenate([d_in, q_in1]), q_in2, np.concatenate([d_c, q_c]))
 
 
 def build_generator(trunc: int, d: int,
@@ -327,6 +323,8 @@ def build_generator(trunc: int, d: int,
                 mixed = shuffle_product(ell, GradedTensor.basis(d, trunc, J[:-1]), trunc).coeffs
                 terms += [(_word_index(w, d), i, eta[J[-1] - 1] * c) for w, c in mixed.items()]
         terms = np.array(terms, dtype=[("out", np.intp), ("in", np.intp), ("c", float)])
+        if not np.isfinite(terms["c"]).all():
+            raise ValueError("eta must be finite, and so must eta times ell shuffle e_J")
         at_x = np.full(len(terms), x, dtype=np.intp)
         drift.append((terms["out"][: len(sq)], at_x[: len(sq)], -0.5 * terms["c"][: len(sq)]))
         quad.append((terms["out"], terms["in"], at_x, terms["c"]))
@@ -416,7 +414,7 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
         raise ValueError("explosion threshold must be > 0 (inf disables it)")
     full = table.vector(u0.sig, u0.u_x)
     rhs = table.vector_field(full != 0.0)
-    u = rhs.carry(full)
+    u = full[rhs.live]
     levels = sorted({len(table.words[i]) for i in rhs.live.tolist() if i < len(table.words)})
     t = 0.0
     h = horizon / 64.0
@@ -429,7 +427,7 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
                            max_step=max(accepted, default=None), carried=len(rhs.live),
                            **failure)
 
-    ks = np.empty((7, rhs.size))  # the stages; row 0 is the FSAL slope
+    ks = np.empty((7, len(rhs.live)))  # the stages; row 0 is the FSAL slope
     ks[0] = rhs(u)
     while t < horizon:
         h = min(h, horizon - t)

@@ -61,6 +61,10 @@ class TestSelftest:
         assert status_line(out) == "status=invalid"
 
 
+# an inline symbol with a level-2 word, so that H1 reads w(2)
+LEVEL2_ELL = "word=∅ coeff=0.2\nword=1.1 coeff=0.1"
+
+
 class TestValidation:
     def test_missing_seed(self, tmp_path, capsys):
         code, out = run(capsys, "simulate", "--out", str(tmp_path))
@@ -110,33 +114,46 @@ class TestValidation:
         assert err == "error: d, steps and n_paths must be >= 1\n"
         assert not (tmp_path / "paths.csv").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--T", "nan"],
-        ["simulate", "--s0", "nan"],
-        ["hypotheses", "--T", "inf"],
-        ["transform", "--model", "first_order", "--u", "1:0.4", "--T", "nan"],
-        ["transform", "--model", "first_order", "--u", "1:0.4", "--T", "-1"],
-        ["transform", "--model", "first_order", "--u", "1:0.4", "--T", "inf"],
-        ["transform", "--model", "first_order", "--u", "1:0.4", "--tol", "nan"],
-        ["hedge", "--model", "first_order", "--T", "nan"],
-        ["hypotheses", "--lambda", "nan"],
-        ["hedge", "--model", "first_order", "--ridge", "nan"],
-        ["hedge", "--model", "first_order", "--strikes", "nan"],
-        ["hedge", "--model", "first_order", "--payoff", "call:K=nan"],
+    @pytest.mark.parametrize("argv, model", [
+        (["simulate", "--T", "nan"], None),
+        (["simulate", "--s0", "nan"], None),
+        (["hypotheses", "--T", "inf"], None),
+        (["transform", "--model", "first_order", "--u", "1:0.4", "--T", "nan"], None),
+        (["transform", "--model", "first_order", "--u", "1:0.4", "--T", "-1"], None),
+        (["transform", "--model", "first_order", "--u", "1:0.4", "--T", "inf"], None),
+        (["transform", "--model", "first_order", "--u", "1:0.4", "--tol", "nan"], None),
+        (["hedge", "--model", "first_order", "--T", "nan"], None),
+        (["hypotheses", "--lambda", "nan"], None),
+        (["hedge", "--model", "first_order", "--ridge", "nan"], None),
+        (["hedge", "--model", "first_order", "--strikes", "nan"], None),
+        (["hedge", "--model", "first_order", "--payoff", "call:K=nan"], None),
         # a one-int window parses as a list: the basis, not an index error, must reject it
-        ["hedge", "--model", "first_order", "--window", "3"],
+        (["hedge", "--model", "first_order", "--window", "3"], None),
         # not a flow: a NaN direction and a threshold no state norm can stay below
-        ["transform", "--model", "first_order", "--uX", "nan"],
-        ["transform", "--model", "first_order", "--u", "1:0.3", "--threshold", "-1"],
-        ["transform", "--model", "first_order", "--u", "1:0.3", "--threshold", "0"],
+        (["transform", "--model", "first_order", "--uX", "nan"], None),
+        (["transform", "--model", "first_order", "--u", "1:0.3", "--threshold", "-1"], None),
+        (["transform", "--model", "first_order", "--u", "1:0.3", "--threshold", "0"], None),
+        # model values only a config can give: a NaN eta, false in every comparison,
+        # non-finite weights, and a weight whose w(2) = 1e400 overflows a float
+        (["simulate"], {"ell": "word=∅ coeff=0.2", "d": 1, "eta": [math.nan]}),
+        (["hedge"], {"ell": "word=∅ coeff=0.2", "d": 1, "eta": [math.nan]}),
+        (["hypotheses"], {"ell": LEVEL2_ELL, "d": 1, "weight": {"kind": "geometric", "r": math.nan}}),
+        (["hypotheses"], {"ell": LEVEL2_ELL, "d": 1,
+                          "weight": {"kind": "polynomial", "alpha": math.inf}}),
+        (["hypotheses"], {"ell": LEVEL2_ELL, "d": 1, "weight": {"kind": "geometric", "r": 1e200}}),
     ], ids=["simulate-T-nan", "simulate-s0-nan", "hypotheses-T-inf", "transform-T-nan",
             "transform-T-negative", "transform-T-inf", "transform-tol-nan", "hedge-T-nan",
             "hypotheses-lambda-nan", "hedge-ridge-nan", "hedge-strikes-nan", "hedge-strike-nan",
             "hedge-window-one-int", "transform-uX-nan", "transform-threshold-negative",
-            "transform-threshold-zero"])
-    def test_non_finite_input(self, tmp_path, argv):
+            "transform-threshold-zero", "simulate-eta-nan", "hedge-eta-nan",
+            "hypotheses-weight-nan", "hypotheses-weight-inf", "hypotheses-weight-overflow"])
+    def test_non_finite_input(self, tmp_path, argv, model):
         # a fresh process with a timeout: an unchecked infinite horizon never ends, and
         # LAPACK writes its complaints to the process's stdout
+        if model is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"model": model}))
+            argv = [*argv, "--config", str(cfg_path)]
         assert_invalid(fresh(*argv, "--seed", "1", "--paths", "100", "--steps", "4",
                              "--out", str(tmp_path)))
 
@@ -145,7 +162,17 @@ class TestValidation:
         (["--uX", "1"], {"ell": "word=∅ coeff=0.2", "d": 1, "eta": [2.0]}),
         (["--u", "1:0.4", "--s0", "-3"], "first_order"),
         (["--u", "1:0.4", "--steps", "0"], "first_order"),
-    ], ids=["eta-not-unit", "eta-not-unit-uX", "s0-negative", "steps-zero"])
+        (["--u", "1:0.4"], {"ell": "word=∅ coeff=0.2", "d": 1, "eta": [math.nan]}),
+        (["--uX", "0.5"], {"ell": "word=∅ coeff=0.2", "d": 1, "eta": [math.nan]}),
+        (["--u", "1.1:0.3"], {"ell": "word=∅ coeff=0.2", "d": 1,
+                              "weight": {"kind": "geometric", "r": math.nan}}),
+        (["--u", "1.1:0.3"], {"ell": "word=∅ coeff=0.2", "d": 1,
+                              "weight": {"kind": "polynomial", "alpha": math.inf}}),
+        # the flow's weighted norm reads w(2) = 1e400
+        (["--u", "1.1:0.3"], {"ell": "word=∅ coeff=0.2", "d": 1,
+                              "weight": {"kind": "geometric", "r": 1e200}}),
+    ], ids=["eta-not-unit", "eta-not-unit-uX", "s0-negative", "steps-zero", "eta-nan",
+            "eta-nan-uX", "weight-nan", "weight-inf", "weight-overflow"])
     def test_transform_checks_the_model(self, tmp_path, argv, model):
         # transform rejects every model simulate rejects, also when it draws no path
         cfg_path = tmp_path / "cfg.json"
