@@ -8,8 +8,9 @@ The Tier-1 suite collects only test_*.py, so it never runs these.  Each case
 stores the median seconds of one call and the table's Gamma term count in
 the benchmark's extra_info; add --benchmark-json=FILE to keep them.  The
 cases are the table and the blow-up flow of the riccati_flows workload, the
-trunc-12 pure table of rough_bergomi_approx, one call of the blow-up flow's
-vector field, and the trunc-12 price-extended flow of rough_bergomi_approx.
+trunc-12 pure table of rough_bergomi_approx, its trunc-12 price-extended
+table, one call of the blow-up flow's vector field, and the trunc-12
+price-extended flow of rough_bergomi_approx.
 """
 
 import math
@@ -41,6 +42,17 @@ def test_table_trunc9_extended_bs(benchmark):
 def test_table_trunc12_pure(benchmark):
     def build():
         return build_generator(12, 1)
+
+    table = benchmark.pedantic(build, rounds=3, warmup_rounds=1)
+    _record(benchmark, table, trunc=12, d=1)
+
+
+def test_table_trunc12_extended_rough_bergomi(benchmark):
+    # the table transform --model rough_bergomi_approx --uX 0.3 builds at its shuffle window
+    pre = preset("rough_bergomi_approx")
+
+    def build():
+        return build_generator(12, 1, (pre.ell, pre.eta))
 
     table = benchmark.pedantic(build, rounds=3, warmup_rounds=1)
     _record(benchmark, table, trunc=12, d=1)

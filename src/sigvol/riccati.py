@@ -16,16 +16,19 @@ against Monte Carlo drift/covariation regressions in the test suite.
 
 A word a_1..a_n over {0..d} is coordinate ((d+1)^n - 1)/d + sum_i a_i
 (d+1)^(n-i), its canonical position (by length, then lexicographic); X
-comes last.  The drift is integer arithmetic on these codes; the pure Gamma
-is read off a table of shuffle triples (u, v, w, multiplicity) grown level
-by level with (u.x shuffle v.y) = (u shuffle v.y).x + (u.x shuffle v).y
-(Reutenauer, Free Lie Algebras, 1993), whose integer multiplicities no
-generation order can change.  The price-extended block, whose float sums
-depend on order, stays on shuffle_product.  Both parts compile to a sparse
-form each (output and input index arrays plus coefficients, put in
-canonical order by np.lexsort), which the vector field contracts with one
-np.bincount over 2*n bins for n carried coordinates, the quadratic outputs
-shifted by n.
+comes last.  The drift is integer arithmetic on these codes, and both
+Gamma blocks are read off one table of shuffle triples (u, v, w,
+multiplicity) grown level by level with (u.x shuffle v.y) = (u shuffle
+v.y).x + (u.x shuffle v).y (Reutenauer, Free Lie Algebras, 1993), whose
+integer multiplicities no generation order can change.  The pure Gamma
+takes the triples as they are; the price-extended block takes those whose
+u is a word of ell (and, for ell shuffle ell, whose v is one too) and sums
+each of its float coefficients over ell's words in ell's order, the order
+of shuffle_product's loop, so it is that product's sum bit for bit.  Both
+parts compile to a sparse form each (output and input index arrays plus
+coefficients, put in canonical order by np.lexsort), which the vector field
+contracts with one np.bincount over 2*n bins for n carried coordinates,
+the quadratic outputs shifted by n.
 
 The flow d(psi)/dtau = R(psi) is integrated with an explicit embedded 4/5
 pair with adaptive steps; finite-time blow-up is the object of study, so the
@@ -39,9 +42,9 @@ unchanged, so the carried flow is bit for bit the full-state flow whenever
 every dropped product c*v is finite.  Where one overflows, the full-state
 field multiplies inf by an unreached 0.0, turns NaN and rejects the step,
 while the carried flow goes on with the exact equation on the closure.  The
-table's coefficients are finite: shuffle_product's tensors reject
-non-finite values, and build_generator rejects a non-finite eta or eta
-times a shuffle coefficient that overflows.  Accepted states are expanded
+table's coefficients are finite: the shuffle multiplicities are, and
+build_generator rejects a non-finite eta, or an ell shuffle ell or eta
+times ell shuffle e_J coefficient that overflows.  Accepted states are expanded
 to the full state for the trace and the result; the weighted norm reads
 only the levels that hold a carried coordinate, since every other level
 adds exactly +0.0.
@@ -59,7 +62,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# perfbench/tracing.py wraps the shuffle functions where riccati binds them
+# riccati calls neither shuffle function; they are bound here only for perfbench/tracing.py,
+# which wraps them where riccati binds them
 from .algebra import GradedTensor, Weight, Word, shuffle_product, shuffle_words  # noqa: F401
 from .sde import SigVolParams, stream_paths
 from .signature import all_words
@@ -97,7 +101,7 @@ def _form(blocks: list[tuple], arity: int) -> tuple[np.ndarray, ...]:
 
 
 def _shuffle_triples(d: int, trunc: int):
-    """Yield (a, b, (u, v, w, m)) for a <= b, a + b <= trunc and b < trunc.
+    """Yield (a, b, (u, v, w, m)) for a <= b and a + b <= trunc.
 
     The rows list, over word codes u of length a and v of length b, every
     word w of u shuffle v with its multiplicity m.  S[a, b] appends a letter
@@ -115,7 +119,7 @@ def _shuffle_triples(d: int, trunc: int):
                 (w[:, None] * n + letters).ravel(), np.repeat(m, n))
 
     table = {}
-    for b in range(trunc):
+    for b in range(trunc + 1):
         v = np.arange(n**b, dtype=np.intp)
         table[0, b] = (np.zeros_like(v), v, v, np.ones(v.size))
         yield 0, b, table[0, b]
@@ -177,15 +181,13 @@ class GeneratorTable:
     ordered pairs folded into unordered storage), both in canonical order of
     the coordinates: words, then the log-price coordinate X when extended.
     Outputs are always words.  The pure-signature block never depends on
-    ell; ell and eta enter only through the extended block.  ell, the
-    symbol the extended block was built from, is None for a pure table; with
-    a state it sets the shuffle window (required_window).
+    ell; ell and eta enter only through the extended block, and the table
+    keeps neither.
     """
 
     trunc: int
     dim: int
     extended: bool
-    ell: GradedTensor | None
     words: list[Word]
     drift: tuple
     quad: tuple
@@ -274,6 +276,7 @@ class GeneratorTable:
                            np.concatenate([d_in, q_in1]), q_in2, np.concatenate([d_c, q_c]))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite coefficient raises below instead
 def build_generator(trunc: int, d: int,
                     extended: tuple[GradedTensor, np.ndarray] | None = None) -> GeneratorTable:
     """Assemble the generator/carre-du-champ table at truncation level trunc.
@@ -284,17 +287,25 @@ def build_generator(trunc: int, d: int,
     """
     if trunc < 0 or d < 1:
         raise ValueError("need trunc >= 0 and d >= 1")
-    ell = None
+    n = d + 1
+    offset = [_offset(k, d) for k in range(trunc + 2)]
     if extended is not None:
         ell, eta = extended
         eta = np.asarray(eta, dtype=float)
         if ell.dim != d or eta.shape != (d,):
             raise ValueError("extended block needs ell over the same alphabet and eta in R^d")
-        if trunc < 2 * ell.support_degree:
+        deg = ell.support_degree
+        if trunc < 2 * deg:
             raise ShuffleWindowError(
-                f"extended table needs trunc >= 2*deg(ell) = {2 * ell.support_degree}, got {trunc}")
-    n = d + 1
-    offset = [_offset(k, d) for k in range(trunc + 2)]
+                f"extended table needs trunc >= 2*deg(ell) = {2 * deg}, got {trunc}")
+        # ell's coefficients, and rank[k][code]: the position in ell of its word of length k
+        # and that code, or -1
+        c_ell = np.array(list(ell.coeffs.values()))
+        rank = [np.full(n**k, -1) for k in range(deg + 1)]
+        for r, word in enumerate(ell.coeffs):
+            rank[len(word)][_word_index(word, d) - offset[len(word)]] = r
+    words = all_words(d, trunc)
+    x = len(words)
     drift, quad = [], []
 
     # pure-signature drift: J.0 feeds J with 1, J.j.j feeds J with 1/2
@@ -305,32 +316,61 @@ def build_generator(trunc: int, d: int,
             drift.append((offset[k] + prefix, offset[k + 2] + (prefix * n + j) * n + j,
                           np.full(n**k, 0.5)))
 
-    # pure-signature carre-du-champ: Gamma(J'.j, K'.j) = e_J' shuffle e_K', J' <= K'
+    # One pass over the shuffle triples feeds both blocks.  Price-extended: each triple
+    # whose left word u is a word of ell contributes (output key, summation rank, term) to
+    # ell shuffle e_J', keyed by the output word and J'.0, with term m*c_u, and, when its
+    # right word v is a word of ell too, to ell shuffle ell, keyed by the output word and
+    # X, with term m*(c_u*c_v).  Pure carre-du-champ: Gamma(J'.j, K'.j) = e_J' shuffle
+    # e_K', J' <= K'.
+    parts = []
     for a, b, (u, v, w, m) in _shuffle_triples(d, trunc):
+        for p, q, left, right in ((a, b, u, v), (b, a, v, u))[: 1 if a == b else 2]:
+            if extended is None or p > deg:
+                continue  # no word of ell on the left
+            rows = np.flatnonzero(rank[p][left] >= 0)
+            ru, mr = rank[p][left[rows]], m[rows]
+            base = (offset[p + q] + w[rows]) * (x + 1)
+            if q < trunc:
+                parts.append((base + offset[q + 1] + right[rows] * n, ru * len(c_ell),
+                              mr * c_ell[ru]))
+            if q <= deg:
+                rv = rank[q][right[rows]]
+                both = rv >= 0
+                ru, rv = ru[both], rv[both]
+                parts.append((base[both] + x, ru * len(c_ell) + rv,
+                              mr[both] * (c_ell[ru] * c_ell[rv])))
+        if b == trunc:
+            continue  # e_K' has no letter to append
         keep = u <= v if a == b else slice(None)
         u, v, w, m = u[keep], v[keep], w[keep], m[keep]
         for j in range(1, d + 1):
             quad.append((offset[a + b] + w, offset[a + 1] + u * n + j, offset[b + 1] + v * n + j, m))
 
-    # price-extended block: (output, input, Gamma(input, X)) terms, ell shuffle ell first
-    words = all_words(d, trunc)
+    # Each output sums its contributions in ell's order, as shuffle_product's left-to-right
+    # loop over ell (and over ell again for ell shuffle ell) does; exact-zero sums are
+    # pruned as a GradedTensor prunes them, then eta_j scales ell shuffle e_J' into
+    # Gamma(X, Y_J'.j).
     if extended is not None:
-        x = len(words)
-        sq = shuffle_product(ell, ell, trunc).coeffs
-        terms = [(_word_index(w, d), x, c) for w, c in sq.items()]
-        for i, J in enumerate(words):
-            if J and J[-1] != 0 and eta[J[-1] - 1] != 0.0:
-                mixed = shuffle_product(ell, GradedTensor.basis(d, trunc, J[:-1]), trunc).coeffs
-                terms += [(_word_index(w, d), i, eta[J[-1] - 1] * c) for w, c in mixed.items()]
-        terms = np.array(terms, dtype=[("out", np.intp), ("in", np.intp), ("c", float)])
-        if not np.isfinite(terms["c"]).all():
-            raise ValueError("eta must be finite, and so must eta times ell shuffle e_J")
-        at_x = np.full(len(terms), x, dtype=np.intp)
-        drift.append((terms["out"][: len(sq)], at_x[: len(sq)], -0.5 * terms["c"][: len(sq)]))
-        quad.append((terms["out"], terms["in"], at_x, terms["c"]))
+        empty = (np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)
+        key, order, term = (np.concatenate(col) for col in zip(empty, *parts))
+        order = np.argsort(order, kind="stable")
+        keys, inverse = np.unique(key[order], return_inverse=True)
+        sums = np.bincount(inverse, weights=term[order])
+        kept = sums != 0.0
+        (out, col), sums = np.divmod(keys[kept], x + 1), sums[kept]
+        sq, mixed = col == x, col != x
+        at_x = np.full(mixed.sum(), x, dtype=np.intp)
+        terms = [(out[sq], col[sq], col[sq], sums[sq])]
+        terms += [(out[mixed], col[mixed] + j, at_x, eta[j - 1] * sums[mixed])
+                  for j in range(1, d + 1) if eta[j - 1] != 0.0]
+        if not all(np.isfinite(c).all() for *_, c in terms):
+            raise ValueError(
+                "eta must be finite, and so must ell shuffle ell and eta times ell shuffle e_J")
+        drift.append((out[sq], col[sq], -0.5 * sums[sq]))
+        quad += terms
 
     out, in1, in2, coeffs = _form(quad, 3)
-    return GeneratorTable(trunc, d, extended is not None, ell, words, _form(drift, 2),
+    return GeneratorTable(trunc, d, extended is not None, words, _form(drift, 2),
                           (out, in1, in2, np.where(in1 == in2, 0.5 * coeffs, coeffs)))
 
 

@@ -661,20 +661,22 @@ def project_leq(a: GradedTensor, level: int) -> GradedTensor:
 
 
 def projection_compatibility(u0: RiccatiState, table_n: GeneratorTable,
-                             table_m: GeneratorTable) -> bool:
+                             table_m: GeneratorTable, ell: GradedTensor | None = None) -> bool:
     """Exact check of pi_M R_N(u) == R_M(pi_M u) for u supported in <= M.
 
-    The shuffle window M >= required_window(u, ell) is enforced as a
-    precondition; silent truncation would change the vector field.
+    ell is the symbol both tables were built from, given exactly when they
+    are price-extended.  The shuffle window M >= required_window(u, ell) is
+    enforced as a precondition; silent truncation would change the vector
+    field.
     """
     n, m = table_n.trunc, table_m.trunc
     if m > n:
         raise ValueError("expected table_m.trunc <= table_n.trunc")
-    if table_n.extended != table_m.extended:
-        raise ValueError("tables must both be extended or both pure")
+    if not table_n.extended == table_m.extended == (ell is not None):
+        raise ValueError("tables must both be extended, with ell given, or both pure without it")
     if u0.support_degree > m:
         raise ShuffleWindowError("state must be supported in levels <= M")
-    window = required_window(u0, table_m.ell if table_m.extended else None)
+    window = required_window(u0, ell)
     if m < window:
         raise ShuffleWindowError(f"window violated: need M >= {window}, got {m}")
     u_n = table_n.vector(u0.sig, u0.u_x)

@@ -219,7 +219,7 @@ def test_criterion_7_projection_compatibility():
         else:
             coeffs = {(): rng.normal(), (0,): rng.normal(), (1,): rng.normal()}
             state = RiccatiState(GradedTensor(1, 1, coeffs), u_x=float(rng.normal()))
-            ok &= projection_compatibility(state, t5e, t3e)
+            ok &= projection_compatibility(state, t5e, t3e, pre.ell)
     report(7, "pi_M R_N = R_M pi_M exactly on 50 admissible inputs", ok)
 
 

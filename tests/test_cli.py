@@ -141,12 +141,15 @@ class TestValidation:
         (["hypotheses"], {"ell": LEVEL2_ELL, "d": 1,
                           "weight": {"kind": "polynomial", "alpha": math.inf}}),
         (["hypotheses"], {"ell": LEVEL2_ELL, "d": 1, "weight": {"kind": "geometric", "r": 1e200}}),
+        # a coefficient of the generator table that overflows: ell shuffle ell = 1e400 on ∅
+        (["transform", "--uX", "0.5"], {"ell": "word=∅ coeff=1e200", "d": 1}),
     ], ids=["simulate-T-nan", "simulate-s0-nan", "hypotheses-T-inf", "transform-T-nan",
             "transform-T-negative", "transform-T-inf", "transform-tol-nan", "hedge-T-nan",
             "hypotheses-lambda-nan", "hedge-ridge-nan", "hedge-strikes-nan", "hedge-strike-nan",
             "hedge-window-one-int", "transform-uX-nan", "transform-threshold-negative",
             "transform-threshold-zero", "simulate-eta-nan", "hedge-eta-nan",
-            "hypotheses-weight-nan", "hypotheses-weight-inf", "hypotheses-weight-overflow"])
+            "hypotheses-weight-nan", "hypotheses-weight-inf", "hypotheses-weight-overflow",
+            "transform-table-overflow"])
     def test_non_finite_input(self, tmp_path, argv, model):
         # a fresh process with a timeout: an unchecked infinite horizon never ends, and
         # LAPACK writes its complaints to the process's stdout

@@ -133,9 +133,25 @@ def form_bytes(forms) -> list:
     return [[(a.dtype, a.tobytes()) for a in form] for form in forms]
 
 
+def forms_digest(table: GeneratorTable) -> str:
+    """sha256 of the compiled forms' dtypes and bytes."""
+    digest = hashlib.sha256()
+    for a in (*table.drift, *table.quad):
+        digest.update(str(a.dtype).encode())
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
 @cache
 def oracle_forms(trunc: int, d: int) -> list:
     return form_bytes(compile_by_label(build_generator_by_label(trunc, d)))
+
+
+@cache
+def rough_bergomi_trunc12() -> GeneratorTable:
+    """rough_bergomi_approx's price-extended table at its shuffle window, trunc 12."""
+    pre = preset("rough_bergomi_approx")
+    return build_generator(12, 1, (pre.ell, pre.eta))
 
 
 @st.composite
@@ -167,13 +183,16 @@ class TestCompiledForms:
     def test_trunc12_digest(self):
         # taken from the word-by-word construction (1760761 Gamma terms)
         table = build_generator(12, 1)
-        digest = hashlib.sha256()
-        for a in (*table.drift, *table.quad):
-            digest.update(str(a.dtype).encode())
-            digest.update(a.tobytes())
         assert len(table.quad[0]) == 1760761
-        assert digest.hexdigest() == (
+        assert forms_digest(table) == (
             "60816c1d3332e0a2c8dd52b52d2c80281404e10a050c890417c454fc5d764de5")
+
+    def test_trunc12_extended_rough_bergomi_digest(self):
+        # taken from the per-word shuffle_product construction of the price-extended block
+        table = rough_bergomi_trunc12()
+        assert len(table.quad[0]) == 1927687
+        assert forms_digest(table) == (
+            "10cf2d131c0f8ad51c64577abe13cc6c9a88bbeaface48b87157bafa9c4e093d")
 
 
 class TestMCGeneratorOracle:
@@ -291,10 +310,9 @@ class TestIntegrateFlow:
     def test_rough_bergomi_trunc12_pin(self):
         # transform --model rough_bergomi_approx --uX 0.3 --threshold inf, at its default
         # trunc 12 (the shuffle window): 59 of 8193 coordinates carried
-        pre = preset("rough_bergomi_approx")
-        table = build_generator(12, 1, (pre.ell, pre.eta))
-        out = integrate_flow(RiccatiState(GradedTensor.zero(1, 0), u_x=0.3), 1.0, table,
-                             tol=1e-10, explosion_threshold=math.inf, weight=pre.weight)
+        out = integrate_flow(RiccatiState(GradedTensor.zero(1, 0), u_x=0.3), 1.0,
+                             rough_bergomi_trunc12(), tol=1e-10, explosion_threshold=math.inf,
+                             weight=preset("rough_bergomi_approx").weight)
         assert out.solved and (out.steps, out.rejected, out.carried) == (426, 31, 59)
         assert f"{math.exp(out.state.sig[EMPTY_WORD]):.17g}" == "0.99376763711576599"  # s0 = 1
 
@@ -505,7 +523,7 @@ class TestProjectionCompatibility:
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     def test_extended_random_states_exact(self, c0, c1, u_x):
         state = RiccatiState(GradedTensor(1, 1, {(): c0, (1,): c1}), u_x=u_x)
-        assert projection_compatibility(state, *first_order_tables())
+        assert projection_compatibility(state, *first_order_tables(), preset("first_order").ell)
 
     def test_window_violation_raises(self):
         t5 = build_generator(5, 2)
