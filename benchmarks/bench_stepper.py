@@ -1,13 +1,14 @@
-"""Per-layer cost of the Chen step, the block stepper and streamed `simulate` (pytest-benchmark).
+"""Per-layer cost of the Chen step, the block stepper, the price CSV and streamed `simulate`.
 
 Run from the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks -o python_files='bench_*.py'
 
-The Tier-1 suite collects only test_*.py, so it never runs these.  Each case
-stores in the benchmark's extra_info the median time of one call, the minor
-page faults (ru_minflt) of one call and the tracemalloc peak of one call,
-both taken after a warm-up call; add --benchmark-json=FILE to keep them.
+These are pytest-benchmark cases; the Tier-1 suite collects only test_*.py,
+so it never runs them.  Each case stores in the benchmark's extra_info the
+median time of one call, the minor page faults (ru_minflt) of one call and
+the tracemalloc peak of one call, both taken after a warm-up call; add
+--benchmark-json=FILE to keep them.
 """
 
 import os
@@ -17,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sigvol import sde
+from sigvol import sde, signature
 from sigvol.models import preset
 from sigvol.sde import SigVolParams, simulate_price, stream_paths, write_price_csv
 from sigvol.signature import BatchSignature
@@ -74,6 +75,22 @@ def test_stream_paths_block(benchmark):
                 pass
 
     _record(benchmark, one_pass, 7, paths=16384, steps=128, d=1)
+
+
+@pytest.mark.parametrize("workers", sorted({1, signature._WORKERS}))
+def test_write_price_csv(benchmark, monkeypatch, workers):
+    # the price_paths_deep block's rows alone, formatted on `workers` processes; the
+    # traced peak is this process's only, not the forked row writers'
+    pre = preset("rough_bergomi_approx")
+    params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 128)
+    prices = simulate_price(next(stream_paths(params, 1024, 1)))
+    monkeypatch.setattr(signature, "_WORKERS", workers)
+
+    def one_block():
+        with open(os.devnull, "w", encoding="utf-8", newline="\n") as fh:
+            write_price_csv(prices, fh)
+
+    _record(benchmark, one_block, 7, paths=1024, steps=128, d=1, workers=workers)
 
 
 @pytest.mark.parametrize("blocks", [1, 4])

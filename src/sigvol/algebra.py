@@ -207,9 +207,6 @@ class GradedTensor:
     def support_degree(self) -> int:
         return max((len(w) for w in self.coeffs), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def level_norms(self) -> np.ndarray:
         """Euclidean norm |a_n| of each level's coefficient vector, n <= trunc."""
         out = np.zeros(self.trunc + 1)

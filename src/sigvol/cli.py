@@ -226,6 +226,8 @@ def _cmd_simulate(cfg: dict, out: str) -> int:
     params, _ = resolve_model(cfg)
     n_paths = exact_int(cfg["paths"], "paths")
     blocks = sde.stream_paths(params, n_paths, seed)  # rejects a bad run before paths.csv exists
+    if n_paths < 2:  # the martingale check after the last block needs two
+        raise ValueError("need at least 2 paths")
     terminal = np.empty(n_paths)
     # the rows go to a partial file that becomes paths.csv only once every block is written
     path = os.path.join(out, "paths.csv")

@@ -12,7 +12,10 @@ place the Ito sums are taken: per step it adds dB, xi dB and xi^2 dt to the
 running B, M and <M>, and their difference to the log-price, so every
 consumer reads the same sums.  simulate_price records them at every grid
 time, and with write_price_csv it prices and writes one block, so memory is
-bounded by one block whatever the number of paths.
+bounded by one block whatever the number of paths.  write_price_csv formats
+a block's rows on every CPU in the affinity mask, in chunks of
+CSV_CHUNK_PATHS paths written in path order: the bytes are the same whatever
+that number, and at most one chunk per CPU is held beside the block.
 
 H3 (exponential integrability of the integrated variance) is reported via
 Monte Carlo, never asserted: finiteness of an exponential moment is not
@@ -21,9 +24,12 @@ decidable from samples, so the report carries a heavy-tail flag instead.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -32,6 +38,9 @@ from . import signature
 from .signature import BatchSignature, BrownianBatch
 
 BLOCK_PATHS = 16384  # paths per driver block; a run holds one block's grid and sums
+# paths per chunk of price CSV rows that one process formats; 64 raised peak RSS by 2 MB
+CSV_CHUNK_PATHS = 16
+_FRAME = struct.Struct("<q")  # a chunk's byte length on a row writer's pipe; < 0: error text
 
 
 @dataclass(frozen=True)
@@ -276,13 +285,98 @@ def write_price_csv(prices: PriceBatch, fh) -> None:
     """One block's CSV rows, one per (path, time): path_id,t,xi,B,M,qv,S.
 
     Path ids count from the block's offset, and the block at offset 0 writes
-    the header first, so a run's blocks written in order make one file.
+    the header first, so a run's blocks written in order make one file.  The
+    rows are formatted on every CPU in the affinity mask (signature._WORKERS):
+    the block's paths are cut into chunks of CSV_CHUNK_PATHS, dealt round-robin
+    to this process and to one forked row writer per further CPU, and written
+    to fh in path order, so the bytes are the same whatever that number.  A
+    row writer formats its next chunk only once the last one has been read,
+    so beyond the block itself at most one chunk per CPU is held.  Without
+    os.fork, or on one CPU, this process formats every chunk.
     """
     if prices.offset == 0:
         fh.write("path_id,t,xi,B,M,qv,S\n")
-    times = prices.times.tolist()
-    for i in range(len(prices)):
-        row = f"{prices.offset + i},%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-        fh.write("".join([row % values for values in zip(
-            times, prices.xi[i].tolist(), prices.driver[i].tolist(),
-            prices.martingale[i].tolist(), prices.bracket[i].tolist(), prices.price[i].tolist())]))
+    times = ["%.17g" % t for t in prices.times.tolist()]
+    starts = range(0, len(prices), CSV_CHUNK_PATHS)
+    workers = min(signature._WORKERS, len(starts)) if hasattr(os, "fork") else 1
+    writers: list[tuple[int, BinaryIO]] = []
+    try:
+        for w in range(1, workers):
+            writers.append(_fork_row_writer(prices, times, starts[w::workers], writers))
+        for c, lo in enumerate(starts):
+            w = c % workers
+            fh.write(_format_rows(prices, times, lo) if w == 0 else _receive(writers[w - 1][1]))
+    finally:
+        # closed read ends first: a row writer blocked on its pipe then fails and exits
+        for _, reader in writers:
+            reader.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in writers]
+    failed = [code for code in codes if code]
+    if failed:
+        raise OSError(f"a price CSV row writer exited with status {failed[0]}")
+
+
+def _format_rows(prices: PriceBatch, times: list[str], lo: int) -> str:
+    """The CSV rows of the chunk of paths lo.. of a block, t already formatted."""
+    hi = min(lo + CSV_CHUNK_PATHS, len(prices))
+    columns = [values[lo:hi].tolist() for values in (
+        prices.xi, prices.driver, prices.martingale, prices.bracket, prices.price)]
+    rows = []
+    for path_id, *path in zip(range(prices.offset + lo, prices.offset + hi), *columns):
+        row = f"{path_id},%s,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+        rows.append("".join([row % values for values in zip(times, *path)]))
+    return "".join(rows)
+
+
+def _fork_row_writer(prices: PriceBatch, times: list[str], starts: range,
+                     writers: list[tuple[int, BinaryIO]]) -> tuple[int, BinaryIO]:
+    """Fork a process that sends the rows of the chunks at starts down a pipe, in order.
+
+    Returns its pid and the read end.  Each chunk goes as one frame: its
+    length, then its UTF-8 bytes; a chunk that fails to format goes as the
+    negated length of the error's text, then the text.  The row writer ends
+    with os._exit, so it never returns into its caller and never flushes a
+    buffer it inherited (fh, stdout).  Forking with other threads running is
+    safe here because it only formats Python floats and writes to its pipe.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            for _, reader in writers:  # the earlier row writers' read ends are the caller's
+                reader.close()
+            for lo in starts:
+                _send(write_fd, _format_rows(prices, times, lo).encode())
+            status = 0
+        except Exception as exc:  # reported in place of the chunk; a closed pipe reports nothing
+            with contextlib.suppress(OSError):
+                _send(write_fd, f"{type(exc).__name__}: {exc}".encode(), error=True)
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _send(fd: int, data: bytes, error: bool = False) -> None:
+    frame = memoryview(_FRAME.pack(-len(data) if error else len(data)) + data)
+    while frame:
+        frame = frame[os.write(fd, frame):]
+
+
+def _receive(reader: BinaryIO) -> str:
+    """The next chunk's rows from a row writer's pipe."""
+    head = reader.read(_FRAME.size)
+    size = _FRAME.unpack(head)[0] if len(head) == _FRAME.size else 0
+    body = reader.read(abs(size))
+    if not size or len(body) != abs(size):
+        raise OSError("a price CSV row writer ended before sending its rows")
+    if size < 0:
+        raise OSError(f"a price CSV row writer failed: {body.decode()}")
+    return body.decode()

@@ -152,7 +152,8 @@ _INV_2_53 = 2.0**-53
 # temporaries stay in cache and are reused; larger chunks measured more page
 # faults and no gain in speed.
 _CHUNK_OUTPUTS = 2**14
-# threads that draw a block's chunks: one per CPU in the affinity mask
+# threads that draw a block's chunks, and processes that format a block's price CSV
+# rows (sde.write_price_csv): one per CPU in the affinity mask
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 

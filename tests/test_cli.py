@@ -43,6 +43,12 @@ def assert_invalid(proc: subprocess.CompletedProcess) -> None:
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def assert_no_child_left() -> None:
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestSelftest:
     def test_fresh_checkout_passes(self, tmp_path, capsys):
         code, out = run(capsys, "selftest", "--out", str(tmp_path))
@@ -237,6 +243,38 @@ class TestValidation:
         assert status_line(out) == "status=invalid"
         assert sorted(os.listdir(tmp_path)) == []
 
+    def test_one_path_writes_nothing(self, tmp_path, capsys):
+        # the martingale check needs two paths; paths.csv used to be written before it failed
+        out_dir = tmp_path / "out"
+        code = execute(["simulate", "--seed", "1", "--paths", "1", "--steps", "4",
+                        "--out", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == "status=invalid\n"
+        assert err == "error: need at least 2 paths\n"
+        assert os.listdir(out_dir) == []
+
+    def test_error_in_a_row_writer_is_invalid(self, tmp_path, capsys, monkeypatch):
+        # a forked row writer fails on its second chunk, after the first was written
+        monkeypatch.setattr(signature, "_WORKERS", 2)
+        here = os.getpid()
+        format_rows = sde._format_rows
+
+        def fail_in_row_writer(prices, times, lo):
+            if os.getpid() != here and lo >= 2 * sde.CSV_CHUNK_PATHS:
+                raise ValueError("no rows here")
+            return format_rows(prices, times, lo)
+
+        monkeypatch.setattr(sde, "_format_rows", fail_in_row_writer)
+        code = execute(["simulate", "--seed", "1", "--paths", "90", "--steps", "4",
+                        "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == "status=invalid\n"
+        assert err == "error: a price CSV row writer failed: ValueError: no rows here\n"
+        assert os.listdir(tmp_path) == []
+        assert_no_child_left()
+
     def test_error_in_a_driver_thread_is_invalid(self, tmp_path, capsys, monkeypatch):
         # a MemoryError raised while a second thread draws its chunks of a block
         monkeypatch.setattr(signature, "_WORKERS", 2)
@@ -308,6 +346,21 @@ class TestSimulate:
         lines = (tmp_path / "paths.csv").read_text().splitlines()
         assert lines[0] == "path_id,t,xi,B,M,qv,S"
         assert len(lines) == 1 + 10 * 9
+
+    def test_same_bytes_at_any_worker_count(self, tmp_path, capsys, monkeypatch):
+        # blocks of 40 of 90 paths, so blocks end 16-path chunks mid-way; the digest and
+        # stdout were taken before the rows were formatted on more than one CPU
+        monkeypatch.setattr(sde, "BLOCK_PATHS", 40)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(signature, "_WORKERS", workers)
+            code, out = run(capsys, "simulate", "--model", "rough_bergomi_approx", "--paths", "90",
+                            "--steps", "8", "--seed", "5", "--out", str(tmp_path))
+            assert code == 0
+            assert out == ("mean_ST=1.0006436248121495 se=0.028257436664673372 "
+                           "z=0.022777183216840212\nstatus=ok\n")
+            assert hashlib.sha256((tmp_path / "paths.csv").read_bytes()).hexdigest() == (
+                "d2362ec151ff9a4aaa462a97733def7a96c7e5e656c24c1f3038982164f63644")
+            assert_no_child_left()
 
     def test_peak_memory_bounded_by_one_block(self, tmp_path, capsys, monkeypatch):
         # 128-path blocks: one block against four, after a warm-up run

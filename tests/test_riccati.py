@@ -229,7 +229,7 @@ class TestRhs:
     def test_zero_state(self):
         table = build_generator(2, 2)
         out = riccati_rhs(RiccatiState(GradedTensor.zero(2, 2)), table)
-        assert out.sig.is_zero()
+        assert not out.sig.coeffs
 
     def test_bs_empty_component(self):
         ell = GradedTensor(1, 0, {(): 0.2})

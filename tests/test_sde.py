@@ -1,12 +1,13 @@
 import io
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sigvol import sde
+from sigvol import sde, signature
 from sigvol.algebra import GradedTensor, Weight
 from sigvol.models import preset
 from sigvol.sde import (
@@ -342,14 +343,37 @@ class TestCsvExport:
         assert len(lines) == 1 + 3 * 5
 
     def test_blocks_make_one_file(self, monkeypatch):
-        # the header once, then path ids counting on across blocks
+        # the header once, then path ids counting on across blocks, whatever the block size
+        # and the number of processes formatting the rows: blocks of 40 of 90 paths end
+        # 16-path chunks mid-way
         params = make_params("first_order", steps=4)
 
-        def csv(block: int) -> str:
+        def csv(block: int, workers: int) -> str:
             monkeypatch.setattr(sde, "BLOCK_PATHS", block)
+            monkeypatch.setattr(signature, "_WORKERS", workers)
             fh = io.StringIO()
-            for paths in stream_paths(params, 20, 19):
+            for paths in stream_paths(params, 90, 19):
                 write_price_csv(simulate_price(paths), fh)
             return fh.getvalue()
 
-        assert csv(7) == csv(16384)
+        one = csv(16384, 1)
+        assert one.count("\n") == 1 + 90 * 5
+        for block, workers in [(7, 1), (40, 1), (40, 2), (40, 3), (16384, 2), (16384, 3)]:
+            assert csv(block, workers) == one
+
+    def test_failed_write_reaps_row_writers(self, monkeypatch):
+        # fh fails on the third chunk, while both row writers still have chunks to send
+        monkeypatch.setattr(signature, "_WORKERS", 3)
+        params = make_params("first_order", steps=4)
+        prices = simulate_price(next(stream_paths(params, 160, 19)))
+
+        class FailingFile(io.StringIO):
+            def write(self, text):
+                if self.tell() and text.startswith(f"{2 * sde.CSV_CHUNK_PATHS},"):
+                    raise OSError("disk full")
+                return super().write(text)
+
+        with pytest.raises(OSError, match="disk full"):
+            write_price_csv(prices, FailingFile())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
