@@ -9,8 +9,9 @@ design is the one of the hedge_depth_scan workload: first_order, an Asian
 call, 20000 paths x 16 steps, integrand depth 3 and residual window (3, 4),
 so 40 columns.  Each case stores the median time of one call and the
 tracemalloc peak of one call in the benchmark's extra_info; add
---benchmark-json=FILE to keep them.  The reference case runs the tall
-per-depth solves of the tests' oracle on the same design.
+--benchmark-json=FILE to keep them.  The dataset case builds that design
+from its paths; the reference case runs the tall per-depth solves of the
+tests' oracle on the same design.
 """
 
 import os
@@ -52,6 +53,14 @@ def _record(benchmark, fn, rounds: int, data) -> None:
     benchmark.extra_info.update(paths=PATHS, steps=STEPS, depths=len(DEPTHS), columns=columns,
                                 median_s=benchmark.stats and benchmark.stats.stats.median,
                                 traced_peak_bytes=peak)
+
+
+def test_simulate_hedge_dataset(benchmark, scan_data):
+    # the dataset of the scan: the driver, the Chen steps and the gains of every path
+    pre, basis, data = scan_data
+    params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, STEPS)
+    _record(benchmark, lambda: simulate_hedge_dataset(params, basis, "asian", {"strike": 1.0},
+                                                      PATHS, 1), 7, data)
 
 
 def test_depth_scan_projection(benchmark, scan_data):

@@ -55,6 +55,13 @@ def test_chen_step_all_words(benchmark):
             paths=n_paths, d=d, depth=depth, words=2**(depth + 1) - 1)
 
 
+def test_chen_step_all_words_d2(benchmark):
+    # every word up to depth 3 over three letters: each split is an outer product
+    n_paths, d, depth = 20000, 2, 3
+    _record(benchmark, _step(BatchSignature(n_paths, d, depth), 4), 30,
+            paths=n_paths, d=d, depth=depth, words=(3 ** (depth + 1) - 1) // 2)
+
+
 def test_chen_step_carried_words(benchmark):
     # the price_paths_deep engine: a depth-6 symbol that reads 7 words
     ell = preset("rough_bergomi_approx").ell

@@ -459,8 +459,9 @@ def execute(argv: list[str]) -> int:
         return _COMMANDS[command](cfg, out)
     except (ValueError, TypeError, OSError, MemoryError) as exc:
         # TypeError: a config value of the wrong JSON type, e.g. "u": 5; OSError: an
-        # unreadable input or an --out that cannot be made; MemoryError: a run too large to hold
-        print(f"error: {exc}", file=sys.stderr)
+        # unreadable input or an --out that cannot be made; MemoryError: a run too large to
+        # hold, often raised without a message, so an empty one is named by its type
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         print("status=invalid")
         return 1
     except hedging.DegenerateGram as exc:

@@ -178,9 +178,12 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
     """Simulate paths in blocks and accumulate the design without storing grids.
 
     Produces the columns of the per-path reference route (build_design in
-    the tests' oracles) on the same driver paths.  The payoff is checked
-    before any path is drawn: a kind of PAYOFF_KINDS, and a finite
-    payoff_params["strike"] for every kind but variance_swap.
+    the tests' oracles) on the same driver paths.  A block's gains are held
+    one row per word, (words, paths): each step adds coord(word) * dS to
+    each row, the same product and sum per element as one (paths, words)
+    update, and the rows are transposed into `dynamic` once per block.  The
+    payoff is checked before any path is drawn: a kind of PAYOFF_KINDS, and
+    a finite payoff_params["strike"] for every kind but variance_swap.
     """
     if payoff_kind not in PAYOFF_KINDS:
         raise ValueError(f"unknown payoff kind {payoff_kind!r}; choose from {PAYOFF_KINDS}")
@@ -199,15 +202,16 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
         nb = paths.size
         s_prev = np.full(nb, params.s0)
         avg = np.zeros(nb)
-        gains = np.zeros((nb, len(dyn_words)))
+        gains = np.zeros((len(dyn_words), nb))
         for k in paths.steps():
-            feats = paths.sig.coords(dyn_words)
             s_new = params.s0 * np.exp(paths.log_s)
-            gains += feats * (s_new - s_prev)[:, None]
+            ds = s_new - s_prev
+            for gain, word in zip(gains, dyn_words):
+                gain += paths.sig.coord(word) * ds
             avg += 0.5 * (s_prev + s_new) * paths.dt[k]
             s_prev = s_new
         sl = slice(paths.offset, paths.offset + nb)
-        dynamic[sl] = gains
+        dynamic[sl] = gains.T
         residual[sl] = paths.sig.coords(res_words)
         terminal[sl] = s_prev
         bracket[sl] = paths.qv

@@ -3,9 +3,11 @@
 Signatures of piecewise-linear paths are chained segment-by-segment with the
 Chen identity by one engine, BatchSignature: one coefficient array per tensor
 level across many paths, carrying only the prefix closure of the words its
-caller reads.  Its levels are updated in place, and each step's segment
-levels and split products go to work buffers the engine owns, so a Chen step
-allocates no array.
+caller reads.  A split whose rows are every carried prefix times every
+segment suffix is one outer product of the two levels, as on full word
+levels; any other split gathers the rows of its two factors.  The levels are
+updated in place, and each step's segment levels and split products go to
+work buffers the engine owns, so a Chen step allocates no array.
 
 Brownian increments come from a counter-based generator: Philox keyed by the
 run seed, with the increment for (path, step, coordinate) read at a fixed
@@ -65,17 +67,51 @@ def _take(a: np.ndarray, idx: np.ndarray | None, out: np.ndarray) -> np.ndarray:
     return a if idx is None else np.take(a, idx, axis=0, mode="clip", out=out[: idx.size])
 
 
+def _split(words: list[Word], k: int, prefixes: dict, suffixes: dict) -> tuple:
+    """How the rows w[:k] * w[k:] over words are formed from the prefix and suffix rows.
+
+    prefixes and suffixes map each row's word to its position.  When words are
+    every prefix followed by every suffix, in row-major order, the split is
+    (rows of prefixes, rows of suffixes), None, None: one outer product.
+    Otherwise it is None and the row gather of each factor.
+    """
+    if len(words) == len(prefixes) * len(suffixes) and words == [p + u for p in prefixes for u in suffixes]:
+        return (len(prefixes), len(suffixes)), None, None
+    return (None, _gather([prefixes[w[:k]] for w in words], len(prefixes)),
+            _gather([suffixes[w[k:]] for w in words], len(suffixes)))
+
+
+def _product(a: np.ndarray, b: np.ndarray, split: tuple, out: np.ndarray,
+             other: np.ndarray) -> np.ndarray:
+    """a's prefix rows times b's suffix rows, as _split formed them, written to out.
+
+    A gathered split copies a's rows to out and b's rows to other first; out
+    is contiguous, so the outer product writes to it through a reshaped view.
+    """
+    shape, pre, suf = split
+    if shape is None:
+        return np.multiply(_take(a, pre, out), _take(b, suf, other), out=out)
+    np.multiply(a[:, None], b[None], out=out.reshape(shape + b.shape[1:]))
+    return out
+
+
 class BatchSignature:
     """Truncated signatures of a batch of paths over a prefix-closed word set.
 
     By Chen's identity a word's coordinate needs only its prefixes' coordinates
     and the segment exponential on its suffixes, so the engine carries the
-    prefix closure of `words` (default: every word up to trunc).  Each Chen
-    split is a gather with precomputed indices, summed in a fixed order, so a
-    coordinate is bit-identical whichever other words are carried.  Level n is
+    prefix closure of `words` (default: every word up to trunc).  Level n is
     stored as (carried words of length n, n_paths), words in canonical, i.e.
-    row-major, order, and is updated in place: coord() is a read-only view
-    that is valid until the next chen_step, while coords() and pair() copy.
+    row-major, order.  The split of level m at 0 < k < m multiplies prefix
+    level k by segment level m - k, and segment level j is segment level
+    j - 1 times the letters of dx.  Where the rows are every prefix row times
+    every suffix row, as on every word up to a depth, the split is one outer
+    product of the two levels; elsewhere, as on a chain of single words, the
+    two factors' rows are gathered with precomputed indices.  Each split is
+    summed in a fixed order and each element is the same product either way,
+    so a coordinate is bit-identical whichever other words are carried.  The
+    levels are updated in place: coord() is a read-only view that is valid
+    until the next chen_step, while coords() and pair() copy.
     """
 
     def __init__(self, n_paths: int, d: int, trunc: int, words=None):
@@ -86,17 +122,20 @@ class BatchSignature:
         carried = _by_level(words)
         seg_words = _by_level([w[k:] for lvl in carried for w in lvl for k in range(len(w))])
         self._pos = {w: i for lvl in carried for i, w in enumerate(lvl)}
+        pos = [{w: i for i, w in enumerate(lvl)} for lvl in carried]
         seg_pos = [{w: i for i, w in enumerate(lvl)} for lvl in seg_words]
-        # segment level j: seg_j[u] = seg_{j-1}[u[:-1]] * dx[u[-1]] / j
-        self._seg = [(_gather([seg_pos[j - 1][u[:-1]] for u in seg_words[j]], len(seg_words[j - 1])),
-                      _gather([u[-1] for u in seg_words[j]], self.n_letters))
-                     for j in range(1, len(seg_words))]
-        # Chen split of level m at k: prefix w[:k] from level k, suffix w[k:] from segment level m-k
-        self._split = [[(_gather([self._pos[w[:k]] for w in carried[m]], len(carried[k])),
-                         _gather([seg_pos[m - k][w[k:]] for w in carried[m]], len(seg_words[m - k])))
-                        for k in range(m)] for m in range(len(carried))]
+        letters = {(a,): a for a in range(self.n_letters)}
+        # segment level 1 is the rows of dx; level j > 1: seg_j[u] = seg_{j-1}[u[:-1]] * dx[u[-1]] / j
+        self._letters = _gather([u[0] for u in seg_words[1]], self.n_letters) if len(seg_words) > 1 else None
+        self._seg = [_split(seg_words[j], j - 1, seg_pos[j - 1], letters) for j in range(2, len(seg_words))]
+        # level m adds segment level m's rows (split k = 0), then for 0 < k < m the
+        # prefixes w[:k] from level k times the suffixes w[k:] from segment level m - k
+        self._whole = [None] + [_gather([seg_pos[m][w] for w in carried[m]], len(seg_words[m]))
+                                for m in range(1, len(carried))]
+        self._split = [[_split(carried[m], k, pos[k], seg_pos[m - k]) for k in range(1, m)]
+                       for m in range(len(carried))]
         self._lv = [np.ones((1, n_paths))] + [np.zeros((len(lvl), n_paths)) for lvl in carried[1:]]
-        # work buffers of this engine: the segment levels, and two gathers per split
+        # work buffers of this engine: the segment levels, and a split's product and gathers
         self._seg_lv = [None] + [np.empty((len(lvl), n_paths)) for lvl in seg_words[1:]]
         self._work = np.empty((2, max(map(len, carried + seg_words)), n_paths))
 
@@ -107,21 +146,17 @@ class BatchSignature:
             raise ValueError(f"dx must be (n_paths, d+1) = ({self.n_paths}, {self.n_letters})")
         scratch, other = self._work
         seg = [None]
-        for j, (parent, last) in enumerate(self._seg, start=1):
-            out = self._seg_lv[j]
-            if j == 1:  # level 1 is dx itself, exactly as 1.0 * dx / 1
-                seg.append(_take(dxt, last, out))
-            else:
-                np.multiply(_take(seg[-1], parent, out), _take(dxt, last, scratch), out=out)
-                out /= j
-                seg.append(out)
+        if len(self._seg_lv) > 1:  # level 1 is dx itself, exactly as 1.0 * dx / 1
+            seg.append(_take(dxt, self._letters, self._seg_lv[1]))
+        for j, split in enumerate(self._seg, start=2):
+            seg.append(_product(seg[-1], dxt, split, self._seg_lv[j], scratch))
+            seg[-1] /= j
         # levels descend so that every split reads the prefixes before this step
         for m in range(len(self._lv) - 1, 0, -1):
-            splits, level = self._split[m], self._lv[m]
-            level += _take(seg[m], splits[0][1], scratch)
-            for k in range(1, m):
-                level += np.multiply(_take(self._lv[k], splits[k][0], scratch),
-                                     _take(seg[m - k], splits[k][1], other), out=scratch[: len(level)])
+            level = self._lv[m]
+            level += _take(seg[m], self._whole[m], scratch)
+            for k, split in enumerate(self._split[m], start=1):
+                level += _product(self._lv[k], seg[m - k], split, scratch[: len(level)], other)
 
     def coord(self, word: Word) -> np.ndarray:
         """One carried coordinate per path: a read-only view, valid until the next chen_step."""

@@ -256,8 +256,9 @@ def sparse_signatures(values: np.ndarray, trunc: int) -> list[GradedTensor]:
 def build_design(dataset, basis: HedgeBasis) -> HedgeDesign:
     """Per-path reference route for the hedging design, from (price row, sparse_signatures) pairs.
 
-    Dynamic gain columns are left-point sums G_K = sum_k <e_K, W_{t_k}> dS_k;
-    residual columns are terminal coordinates in the residual window.
+    Dynamic gain columns are left-point sums G_K = sum_k <e_K, W_{t_k}> dS_k,
+    added in time order from 0.0; residual columns are terminal coordinates
+    in the residual window.
     """
     dataset = list(dataset)
     if not dataset:
@@ -276,8 +277,8 @@ def build_design(dataset, basis: HedgeBasis) -> HedgeDesign:
     for i, (price, sigs) in enumerate(dataset):
         ds = np.diff(price)
         for c, word in enumerate(dyn_words):
-            feats = np.array([t[word] for t in sigs[:-1]])
-            dynamic[i, c] = float(feats @ ds)
+            for t, step in zip(sigs[:-1], ds):
+                dynamic[i, c] += t[word] * step
         for c, word in enumerate(res_words):
             residual[i, c] = sigs[-1][word]
         terminal[i] = price[-1]
@@ -625,21 +626,29 @@ def path_major_steps(params, values: np.ndarray, words=()):
     return (*sums, np.array(log_ss), np.array(coords))
 
 
-def _rows(a: np.ndarray, idx) -> np.ndarray:
-    return a if idx is None else a[idx]
-
-
 def reference_chen_step(sig: BatchSignature, dx: np.ndarray) -> None:
-    """sig.chen_step(dx) with a fresh array per gather, product and level."""
+    """sig.chen_step(dx) from its carried words alone, every factor a fresh row gather.
+
+    The segment coordinate of a word u is dx[u] for one letter and
+    seg(u[:-1]) * dx[u[-1]] / |u| beyond; word w of level m becomes
+    old(w) + seg(w) + old(w[:k]) * seg(w[k:]) for k = 1 .. m-1, in that order.
+    Only the carried words (sig._pos) are read from the engine, not its splits.
+    """
     dxt = np.ascontiguousarray(dx.T)
-    seg = [None]
-    for j, (parent, last) in enumerate(sig._seg, start=1):
-        seg.append(_rows(dxt, last) if j == 1 else _rows(seg[-1], parent) * _rows(dxt, last) / j)
-    for m in range(len(sig._lv) - 1, 0, -1):
-        splits = sig._split[m]
-        acc = sig._lv[m] + _rows(seg[m], splits[0][1])
+    pos = sig._pos
+    carried = [sorted((w for w in pos if len(w) == m), key=pos.get) for m in range(len(sig._lv))]
+    suffixes = {w[k:j] for lvl in carried for w in lvl for k in range(len(w)) for j in range(k + 1, len(w) + 1)}
+    seg_rows, seg = {}, [None]
+    for j in range(1, len(carried)):
+        words = sorted(u for u in suffixes if len(u) == j)
+        seg_rows.update((u, i) for i, u in enumerate(words))
+        last = dxt[[u[-1] for u in words]]
+        seg.append(last if j == 1 else seg[-1][[seg_rows[u[:-1]] for u in words]] * last / j)
+    for m in range(len(carried) - 1, 0, -1):
+        acc = sig._lv[m] + seg[m][[seg_rows[w] for w in carried[m]]]
         for k in range(1, m):
-            acc += _rows(sig._lv[k], splits[k][0]) * _rows(seg[m - k], splits[k][1])
+            acc += (sig._lv[k][[pos[w[:k]] for w in carried[m]]]
+                    * seg[m - k][[seg_rows[w[k:]] for w in carried[m]]])
         sig._lv[m] = acc
 
 

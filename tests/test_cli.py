@@ -36,11 +36,23 @@ def fresh(*argv, env=None, **kwargs) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60, **kwargs)
 
 
+def capped(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process whose address space is capped at 512 MiB."""
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    env = dict(source_env(), OPENBLAS_NUM_THREADS="1")
+    return fresh(*argv, env=env, preexec_fn=cap_address_space)
+
+
 def assert_invalid(proc: subprocess.CompletedProcess) -> None:
-    """Exit 1 with status=invalid and one error line: no traceback."""
+    """Exit 1 with status=invalid and one error line that says something: no traceback."""
     assert proc.returncode == 1
     assert proc.stdout == "status=invalid\n"
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr[len("error: "):].strip(), proc.stderr
 
 
 def assert_no_child_left() -> None:
@@ -302,15 +314,17 @@ class TestValidation:
     def test_run_too_large_to_hold(self, tmp_path):
         # 16384 paths x 1e8 steps need 11.9 TiB; an address-space cap far below the 0.8 GB
         # time grid, the run's first allocation, makes that fail at once on any host
-        import resource
+        assert_invalid(capped("simulate", "--model", "first_order", "--seed", "1", "--paths", "16384",
+                              "--steps", "100000000", "--out", str(tmp_path)))
 
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-        env = dict(source_env(), OPENBLAS_NUM_THREADS="1")
-        assert_invalid(fresh("simulate", "--model", "first_order", "--seed", "1", "--paths", "16384",
-                             "--steps", "100000000", "--out", str(tmp_path), env=env,
-                             preexec_fn=cap_address_space))
+    def test_word_list_too_large_to_hold(self, tmp_path):
+        # every word up to length 100 over two letters: the list raises a MemoryError without
+        # a message once it reaches the cap; never run this without one, as the list would
+        # fill the host's memory first
+        proc = capped("transform", "--model", "first_order", "--uX", "0.3", "--trunc", "100",
+                      "--out", str(tmp_path))
+        assert_invalid(proc)
+        assert proc.stderr == "error: MemoryError\n"
 
     @pytest.mark.parametrize("command, cfg", [
         ("simulate", {"paths": None}),

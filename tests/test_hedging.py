@@ -13,6 +13,7 @@ from sigvol.hedging import (
     kappa_tail,
     simulate_hedge_dataset,
 )
+from sigvol import sde
 from sigvol.models import preset
 from sigvol.sde import PathBlock, SigVolParams, simulate_price
 from sigvol.signature import BatchSignature, all_words, simulate_brownian_grid
@@ -23,6 +24,7 @@ from _oracles import (
     build_design,
     default_ridge,
     gkw_project_tall,
+    path_major_steps,
     restrict_depth,
     ridge_lstsq,
     sparse_signatures,
@@ -115,6 +117,33 @@ class TestBuildDesign:
         assert np.max(np.abs(ref.residual - data.design.residual)) < 1e-10
         assert np.max(np.abs(ref.static - data.design.static)) < 1e-10
         assert ref.dyn_words == data.design.dyn_words
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("model", ["first_order", "inline_d2"])
+    def test_blocks_match_per_path_reference_bit_for_bit(self, monkeypatch, model, depth):
+        # 150 paths in blocks of 64, 64 and 22; the reference reads the engine's coordinates
+        # and log-prices stepped on all 150 paths at once, so every bit must agree
+        if model == "first_order":
+            params = make_params("first_order", steps=16)[1]
+        else:
+            ell = GradedTensor(2, 2, {(): 0.2, (1,): 0.1, (2, 0): -0.05, (2,): 0.07})
+            params = SigVolParams(ell, Weight.geometric(2.0), 1.0, np.array([0.6, 0.8]), 1.0, 16)
+        monkeypatch.setattr(sde, "BLOCK_PATHS", 64)
+        basis = HedgeBasis(depth, (depth - 1, depth + 1))
+        data = simulate_hedge_dataset(params, basis, "call", {"strike": 1.0}, 150, seed=50)
+        words = all_words(params.dim, depth + 1)
+        _, _, _, log_s, coords = path_major_steps(params, brownian_values(params.dim, 1.0, 16, 150, 50),
+                                                  words)
+        prices = np.vstack([np.full(150, params.s0), params.s0 * np.exp(log_s)]).T
+        dataset = [(prices[i], [GradedTensor(params.dim, depth + 1, dict(zip(words, c)))
+                                for c in coords[:, i]]) for i in range(150)]
+        ref = build_design(dataset, basis)
+        got = data.design
+        assert (got.dyn_words, got.res_words, got.static_labels) == (
+            ref.dyn_words, ref.res_words, ref.static_labels)
+        for name in ("dynamic", "static", "residual", "terminal_price"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
 
     def test_default_strikes_are_quantiles(self):
         terminal = np.linspace(0.0, 8.0, 8001)

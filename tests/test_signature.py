@@ -176,6 +176,16 @@ class TestCarriedWords:
             BatchSignature(3, 1, 2, [(2,)])
 
 
+def _increments(draw, d: int) -> np.ndarray:
+    """>= 4 steps of increments (steps, n_paths, d+1) with exact +-0.0 entries."""
+    n_paths = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dx = rng.normal(size=(draw(st.integers(4, 6)), n_paths, d + 1))
+    zeros = rng.random(dx.shape) < 0.3
+    dx[zeros] = np.copysign(0.0, rng.normal(size=dx.shape))[zeros]
+    return dx
+
+
 @st.composite
 def chained_steps(draw):
     """An engine's (d, trunc, words) and >= 4 steps of increments with exact +-0.0 entries."""
@@ -183,12 +193,26 @@ def chained_steps(draw):
     trunc = draw(st.integers(0, 5))
     word = st.lists(st.integers(0, d), max_size=trunc).map(tuple)
     words = draw(st.one_of(st.none(), st.lists(word, max_size=6)))
-    n_paths = draw(st.integers(1, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dx = rng.normal(size=(draw(st.integers(4, 6)), n_paths, d + 1))
-    zeros = rng.random(dx.shape) < 0.3
-    dx[zeros] = np.copysign(0.0, rng.normal(size=dx.shape))[zeros]
-    return d, trunc, words, dx
+    return d, trunc, words, _increments(draw, d)
+
+
+@st.composite
+def mixed_steps(draw):
+    """Word sets whose engines mix outer-product and gathered splits, with increments.
+
+    Either every word up to a depth plus up to 4 longer random words, or a
+    chain of single words (j, a, ..., a) as rough_bergomi_approx's ell reads
+    (j = 1, a = 0).
+    """
+    d = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, 4 - d))
+    if draw(st.booleans()):
+        longer = st.lists(st.integers(0, d), min_size=depth + 1, max_size=depth + 3).map(tuple)
+        words = all_words(d, depth) + draw(st.lists(longer, max_size=4))
+    else:
+        j, a, degree = draw(st.integers(1, d)), draw(st.integers(0, d)), draw(st.integers(0, 6))
+        words = [(j,) + (a,) * i for i in range(degree + 1)]
+    return d, max(map(len, words)), words, _increments(draw, d)
 
 
 def _array_attrs(sig: BatchSignature) -> list[np.ndarray]:
@@ -241,6 +265,47 @@ class TestBufferedChenStep:
                 alone.chen_step(step)
             assert all(np.array_equal(x, y) for x, y in zip(levels(mine), levels(alone)))
         assert not any(np.shares_memory(x, y) for x in _array_attrs(a) for y in _array_attrs(b))
+
+
+def _splits(sig: BatchSignature) -> list[tuple]:
+    """Every product split of the engine: segment levels 2.. and the Chen splits 0 < k < m."""
+    return sig._seg + [split for level in sig._split for split in level]
+
+
+class TestProductSplits:
+    """Splits formed as outer products of carried levels, beside gathered splits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_steps())
+    def test_bit_identical_to_reference(self, case):
+        d, trunc, words, dx = case
+        got = BatchSignature(dx.shape[1], d, trunc, words)
+        ref = BatchSignature(dx.shape[1], d, trunc, words)
+        for step in dx:
+            got.chen_step(step)
+            reference_chen_step(ref, step)
+        for a, b in zip(levels(got), levels(ref)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_one_engine_mixes_both_forms(self):
+        rng = np.random.default_rng(8)
+        words = all_words(2, 2) + [(1, 0, 2), (2, 2, 1, 0)]
+        got, ref = BatchSignature(6, 2, 4, words), BatchSignature(6, 2, 4, words)
+        products = [shape is not None for shape, _, _ in _splits(got)]
+        assert any(products) and not all(products)
+        for _ in range(5):
+            dx = rng.normal(size=(6, 3))
+            dx[rng.random(dx.shape) < 0.3] = -0.0
+            got.chen_step(dx)
+            reference_chen_step(ref, dx)
+        for a, b in zip(levels(got), levels(ref)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("d, depth", [(1, 4), (2, 3)])
+    def test_full_engines_gather_no_row(self, d, depth):
+        sig = BatchSignature(3, d, depth)
+        assert sig._letters is None and all(idx is None for idx in sig._whole)
+        assert all(shape is not None and pre is None and suf is None for shape, pre, suf in _splits(sig))
 
 
 class TestBrownianDriver:
