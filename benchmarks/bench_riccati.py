@@ -6,7 +6,8 @@ Run from the repository root:
 
 The Tier-1 suite collects only test_*.py, so it never runs these.  Each case
 stores the median seconds of one call and the table's Gamma term count in
-the benchmark's extra_info; add --benchmark-json=FILE to keep them.  The
+the benchmark's extra_info, and the blow-up flow its microseconds per
+accepted step; add --benchmark-json=FILE to keep them.  The
 cases are the table and the blow-up flow of the riccati_flows workload, the
 trunc-12 pure table of rough_bergomi_approx, its trunc-12 price-extended
 table, one call of the blow-up flow's vector field, and the trunc-12
@@ -69,7 +70,8 @@ def test_blowup_flow(benchmark):
 
     out = benchmark.pedantic(flow, rounds=9, warmup_rounds=1)
     _record(benchmark, table, trunc=7, d=1, accepted_steps=out.steps, rejected=out.rejected,
-            carried=out.carried, exploded_at=out.t_star)
+            carried=out.carried, exploded_at=out.t_star,
+            us_per_accepted_step=benchmark.stats and benchmark.stats.stats.median / out.steps * 1e6)
 
 
 def test_vector_field_call(benchmark):

@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 
 from sigvol import sde, signature
+from sigvol.algebra import GradedTensor, Weight
 from sigvol.models import preset
-from sigvol.sde import SigVolParams, simulate_price, stream_paths, write_price_csv
-from sigvol.signature import BatchSignature
+from sigvol.sde import PathBlock, SigVolParams, simulate_price, stream_paths, write_price_csv
+from sigvol.signature import BatchSignature, simulate_brownian_grid
 
 
 def _record(benchmark, fn, rounds: int, **params) -> None:
@@ -82,6 +83,22 @@ def test_stream_paths_block(benchmark):
                 pass
 
     _record(benchmark, one_pass, 7, paths=16384, steps=128, d=1)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_path_block_steps(benchmark, d):
+    # the pairing and log-price step over one drawn 16384-path block: eta . dW, the Ito
+    # sums and xi = <ell, sig> per step, under a depth-1 symbol whose Chen step is small
+    ell = GradedTensor(d, 1, {(): 0.2, (d,): 0.1})
+    params = SigVolParams(ell, Weight.constant(), 1.0, np.full(d, d**-0.5), 1.0, 32)
+    paths = simulate_brownian_grid(d, 1.0, 32, 16384, 1)
+
+    def one_block():
+        # stepping reads the grid and never writes it, so each call can step it afresh
+        for _ in PathBlock(params, paths).steps():
+            pass
+
+    _record(benchmark, one_block, 15, paths=16384, steps=32, d=d)
 
 
 @pytest.mark.parametrize("workers", sorted({1, signature._WORKERS}))

@@ -292,11 +292,14 @@ def _cmd_transform(cfg: dict, out: str) -> int:
     outcome = riccati.integrate_flow(state, params.horizon, table, tol=tol,
                                      explosion_threshold=threshold, weight=params.weight)
     lines = ["tau,component_word,psi_value"]
-    words = [label if label == riccati.X_LABEL else format_word(label) for label in table.labels]
+    labels = table.labels
+    # the carried coordinates, in coordinate order; a trace entry holds their values
+    words = [labels[i] if labels[i] == riccati.X_LABEL else format_word(labels[i])
+             for i in outcome.live.tolist()]
     for tau, vec in outcome.trace:
-        nonzero = np.flatnonzero(vec)
-        lines += [f"{tau:.17g},{words[i]},{value:.17g}"
-                  for i, value in zip(nonzero.tolist(), vec[nonzero].tolist())]
+        at = f"{tau:.17g}"
+        lines += [f"{at},{word},{value:.17g}"
+                  for word, value in zip(words, vec.tolist()) if value != 0.0]
     if outcome.solved:
         psi0 = outcome.state.sig[EMPTY_WORD]
         lam0 = math.exp(psi0 + (outcome.state.u_x * math.log(params.s0) if extended else 0.0))

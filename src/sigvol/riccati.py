@@ -44,10 +44,10 @@ field multiplies inf by an unreached 0.0, turns NaN and rejects the step,
 while the carried flow goes on with the exact equation on the closure.  The
 table's coefficients are finite: the shuffle multiplicities are, and
 build_generator rejects a non-finite eta, or an ell shuffle ell or eta
-times ell shuffle e_J coefficient that overflows.  Accepted states are expanded
-to the full state for the trace and the result; the weighted norm reads
-only the levels that hold a carried coordinate, since every other level
-adds exactly +0.0.
+times ell shuffle e_J coefficient that overflows.  The trace holds the
+carried vectors alone; each accepted one is written into one full state,
+which gives the result, and whose weighted norm reads only the levels that
+hold a carried coordinate, since every other level adds exactly +0.0.
 
 mc_transform checks a transform value on the price engine's paths.  It
 reads the model (ell, eta, s0, T, steps) from SigVolParams, the value the
@@ -58,6 +58,7 @@ so the check stays independent of the flow it checks.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -157,19 +158,14 @@ class VectorField:
     in2: np.ndarray
     coeffs: np.ndarray
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
+    def __call__(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """R(v), written to out when given."""
         n = len(self.live)
         weights = self.coeffs * v[self.in1]
         weights[weights.size - self.in2.size :] *= v[self.in2]
         # each half sums its terms in compiled order; dtype: bincount of no terms is int
-        r = np.bincount(self.out, weights=weights, minlength=2 * n)
-        return np.add(r[:n], r[n:], dtype=float)
-
-    def expand(self, v: np.ndarray, n: int) -> np.ndarray:
-        """The full state of a carried vector; unreached coordinates read +0.0."""
-        u = np.zeros(n)
-        u[self.live] = v
-        return u
+        r = np.bincount(self.out, weights, 2 * n)
+        return np.add(r[:n], r[n:], out, dtype=float)
 
 
 @dataclass
@@ -234,20 +230,28 @@ class GeneratorTable:
         sig = GradedTensor(self.dim, self.trunc, coeffs)
         return sig, (float(u[self.x_index]) if self.extended else None)
 
-    def weighted_norm(self, u: np.ndarray, weight: Weight | None, levels=None) -> float:
-        """sum_n w(n) |u_n|_2 over the levels, plus |u_X| when extended.
+    def weighted_norm(self, u: np.ndarray, weight: Weight | None) -> float:
+        """sum_n w(n) |u_n|_2 over the levels, plus |u_X| when extended."""
+        return self.norm_reader(u, weight, range(self.trunc + 1))()
 
-        levels, when given, holds every level where u can be non-zero; with
-        finite weights each other level would add exactly +0.0.
+    def norm_reader(self, u: np.ndarray, weight: Weight | None, levels) -> Callable[[], float]:
+        """weighted_norm of whatever the buffer u holds when called, read on levels alone.
+
+        Each level's bounds and w(n) are fixed here, once.  Every other level
+        of u must hold zeros, which with finite weights would add exactly +0.0.
         """
-        total = 0.0
-        for lvl in range(self.trunc + 1) if levels is None else levels:
-            level = u[_offset(lvl, self.dim) : _offset(lvl + 1, self.dim)]
-            ln = math.sqrt(float(np.dot(level, level)))
-            total += (weight(lvl) if weight is not None else 1.0) * ln
-        if self.extended:
-            total += abs(float(u[self.x_index]))
-        return total
+        parts = [(1.0 if weight is None else weight(n),
+                  u[_offset(n, self.dim) : _offset(n + 1, self.dim)]) for n in levels]
+        x = u[self.x_index :] if self.extended else None
+
+        def norm() -> float:
+            total = 0.0
+            for w, level in parts:
+                # the dot over the whole level, zeros included: dropping them can move the last bit
+                total += w * math.sqrt(float(np.dot(level, level)))
+            return total if x is None else total + abs(float(x[0]))
+
+        return norm
 
     def vector_field(self, support: np.ndarray) -> VectorField:
         """The vector field on the closure of a boolean support under the terms.
@@ -287,6 +291,7 @@ def build_generator(trunc: int, d: int,
     """
     if trunc < 0 or d < 1:
         raise ValueError("need trunc >= 0 and d >= 1")
+    words = all_words(d, trunc)  # first: it rejects a table too large to hold
     n = d + 1
     offset = [_offset(k, d) for k in range(trunc + 2)]
     if extended is not None:
@@ -304,7 +309,6 @@ def build_generator(trunc: int, d: int,
         rank = [np.full(n**k, -1) for k in range(deg + 1)]
         for r, word in enumerate(ell.coeffs):
             rank[len(word)][_word_index(word, d) - offset[len(word)]] = r
-    words = all_words(d, trunc)
     x = len(words)
     drift, quad = [], []
 
@@ -398,12 +402,16 @@ class FlowOutcome:
 
     steps and rejected count accepted and rejected steps, min_step and
     max_step bound the accepted step sizes (None before the first), and
-    carried is the number of coordinates the flow integrated.
+    live holds the coordinates the flow integrated, in ascending order.
+    trace holds (tau, carried vector) at the start and after each accepted
+    step: position i of a carried vector is coordinate live[i], and every
+    other coordinate of the state is +0.0.
     """
 
     solved: bool
     state: RiccatiState | None
     steps: int
+    live: np.ndarray
     t_star: float | None = None
     norm_at_detection: float | None = None
     detail: str = ""
@@ -411,7 +419,11 @@ class FlowOutcome:
     rejected: int = 0
     min_step: float | None = None
     max_step: float | None = None
-    carried: int = 0
+
+    @property
+    def carried(self) -> int:
+        """The number of coordinates the flow integrated."""
+        return len(self.live)
 
 
 # Dormand-Prince 5(4) tableau
@@ -425,9 +437,9 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-# the rows as columns, to weigh the stacked stages k_1..k_i at once
-_DP_ROWS = [np.array(row)[:, None] for row in _DP_A[1:]]
-_DP_W5, _DP_W4 = np.array(_DP_B5)[:, None], np.array(_DP_B4)[:, None]
+# the stage rows, then the weights of the 5th- and 4th-order sums, as columns, to weigh the
+# stacked stages k_1..k_i at once
+_DP_ROWS = [np.array(row)[:, None] for row in (*_DP_A[1:], _DP_B5, _DP_B4)]
 STEP_FLOOR = 1e-12  # a step halved below this is an explosion verdict
 
 
@@ -439,12 +451,12 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
     Declares Exploded once the weighted norm of the state passes the
     threshold, or when step halving pushes the step below STEP_FLOOR.  The
     horizon and tol must be finite and positive, the threshold positive or inf.
-    Only the coordinates reachable from the support of u0 are integrated;
-    every accepted state is expanded to the full state for the trace, the
-    norm and the result, which are those of the full-state integration.
-    The trace holds (tau, state) at the start and after each accepted step.
-    Each stage sums the weighted earlier stages in order with np.add.reduce
-    over the stacked rows, as a left-to-right sum does.
+    Only the coordinates reachable from the support of u0 are integrated, and
+    the trace holds their vectors; each accepted state is written into one
+    full state, whose norm and final tensor are those of the full-state
+    integration.  Each stage sums the weighted earlier stages in order with
+    np.add.reduce over the stacked rows, as a left-to-right sum does, then
+    scales the sum by h and adds the state: u + h * sum, bit for bit.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError("horizon must be finite and positive")
@@ -452,49 +464,64 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
         raise ValueError("tol must be finite and positive")
     if not explosion_threshold > 0.0:
         raise ValueError("explosion threshold must be > 0 (inf disables it)")
-    full = table.vector(u0.sig, u0.u_x)
-    rhs = table.vector_field(full != 0.0)
-    u = full[rhs.live]
-    levels = sorted({len(table.words[i]) for i in rhs.live.tolist() if i < len(table.words)})
+    start = table.vector(u0.sig, u0.u_x)
+    rhs = table.vector_field(start != 0.0)
+    live, n = rhs.live, len(rhs.live)
+    u = start[live]
+    # the full state: unreached coordinates +0.0, the live ones written after each accepted step
+    full = np.zeros(table.state_dim)
+    full[live] = u
+    levels = sorted({len(table.words[i]) for i in live.tolist() if i < len(table.words)})
+    norm = table.norm_reader(full, weight, levels)
     t = 0.0
     h = horizon / 64.0
     accepted, rejected = [], 0  # accepted step sizes, count of rejected steps
-    trace = [(0.0, full.copy())]
+    trace = [(0.0, u)]
 
     def outcome(state=None, **failure) -> FlowOutcome:
         return FlowOutcome(state is not None, state, len(accepted), trace=trace,
                            rejected=rejected, min_step=min(accepted, default=None),
-                           max_step=max(accepted, default=None), carried=len(rhs.live),
-                           **failure)
+                           max_step=max(accepted, default=None), live=live, **failure)
 
-    ks = np.empty((7, len(rhs.live)))  # the stages; row 0 is the FSAL slope
-    ks[0] = rhs(u)
+    ks = np.empty((7, n))  # the stages; row 0 is the FSAL slope
+    products, stage = np.empty((7, n)), np.empty(n)
+    # per sum: its tableau row spread to (i, n), so no product broadcasts, and the views it reads
+    sums = [(np.repeat(row, n, axis=1), ks[: len(row)], products[: len(row)]) for row in _DP_ROWS]
+    multiply, add, reduce = np.multiply, np.add, np.add.reduce
+
+    def advance(k: int, out: np.ndarray) -> np.ndarray:
+        """u + h * (sum k of the stages) into out."""
+        row, stages, terms = sums[k]
+        reduce(multiply(row, stages, terms), 0, None, out)
+        multiply(out, h, out)
+        return add(out, u, out)
+
+    rhs(u, ks[0])
     while t < horizon:
         h = min(h, horizon - t)
-        for i, row in enumerate(_DP_ROWS, start=1):
-            ks[i] = rhs(u + h * np.add.reduce(row * ks[:i], axis=0))
-        u5 = u + h * np.add.reduce(_DP_W5 * ks[:6], axis=0)
-        ks[6] = rhs(u5)
-        u4 = u + h * np.add.reduce(_DP_W4 * ks, axis=0)
-        err_vec = u5 - u4
-        finite = np.isfinite(u5).all() and np.isfinite(err_vec).all()
-        err = float(np.abs(err_vec).max(initial=0.0)) if finite else math.inf
+        for i in range(1, 6):
+            rhs(advance(i - 1, stage), ks[i])
+        u5 = advance(5, np.empty(n))
+        rhs(u5, ks[6])
+        u4 = advance(6, stage)
+        # a non-finite u5 makes the difference inf or NaN, and either fails the test
+        err = float(np.abs(u4 - u5).max(initial=0.0))
         if err <= tol:
             t += h
             u = u5
             ks[0] = ks[6]  # FSAL
             accepted.append(h)
-            full = rhs.expand(u, table.state_dim)
-            trace.append((t, full))
-            norm = table.weighted_norm(full, weight, levels)
-            if norm > explosion_threshold:
-                return outcome(t_star=t, norm_at_detection=norm, detail="norm threshold crossed")
+            trace.append((t, u))
+            full[live] = u
+            size = norm()
+            if size > explosion_threshold:
+                return outcome(t_star=t, norm_at_detection=size, detail="norm threshold crossed")
             h = h * min(2.0, 0.9 * (tol / err) ** 0.2 if err > 0.0 else 2.0)
         else:
             rejected += 1
             h *= 0.5
             if h < STEP_FLOOR:
-                return outcome(t_star=t, norm_at_detection=table.weighted_norm(full, weight, levels),
+                return outcome(t_star=t, norm_at_detection=norm(),
                                detail="step underflow below floor")
     sig, u_x = table.tensor(full)
     return outcome(RiccatiState(sig, u_x, horizon))

@@ -125,13 +125,19 @@ class PathBlock:
     def steps(self) -> Iterator[int]:
         # the block steps once, and hands its grid back only after the last step
         grid, self._grid = self._grid, None
+        eta = self.params.eta
         inc = np.empty((self.params.dim + 1, self.size))
         for k, dt in enumerate(self.dt):
             # bit for bit the row k of the time-augmented increments, as np.diff takes them
             inc[0] = dt
             np.subtract(grid[k + 1], grid[k], out=inc[1:])
-            # a C-ordered (paths, d) operand keeps the product's summation order
-            db = np.ascontiguousarray(inc[1:].T) @ self.params.eta
+            if len(eta) == 1:
+                # the one product, which BLAS adds to +0.0: the same bits unless an increment
+                # is exactly 0.0 (a step rounded away) and eta = -1
+                db = inc[1] * eta[0]
+            else:
+                # a C-ordered (paths, d) operand keeps the product's summation order
+                db = np.ascontiguousarray(inc[1:].T) @ eta
             dm, dq = self.xi * db, self.xi**2 * dt
             self.driver += db
             self.mart += dm

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 import os
+import struct
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -40,7 +42,21 @@ from .algebra import EMPTY_WORD, GradedTensor, Word
 
 
 def all_words(d: int, max_len: int) -> list[Word]:
-    """Every word over {0..d} with length <= max_len, in canonical order."""
+    """Every word over {0..d} with length <= max_len, in canonical order.
+
+    A list that cannot fit in this host's physical memory is rejected at once
+    with a ValueError: each word but the empty one is a tuple of its own, of
+    at least one letter, held by one list slot.
+    """
+    if max_len * math.log2(d + 1) < 256:
+        count = ((d + 1) ** (max_len + 1) - 1) // d
+        least = (count - 1) * (sys.getsizeof((0,)) + struct.calcsize("P"))
+        fits = least <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    else:  # no host holds 2**256 words, and their exact count is slow to compute
+        count, fits = f"about 10^{(max_len + 1) * math.log10(d + 1) - math.log10(d):.0f}", False
+    if not fits:
+        raise ValueError(f"every word up to length {max_len} over {d + 1} letters is {count} "
+                         "words, more than this host's memory can hold")
     words: list[Word] = [EMPTY_WORD]
     level: list[Word] = [EMPTY_WORD]
     for _ in range(max_len):

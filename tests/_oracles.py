@@ -546,7 +546,7 @@ def integrate_flow_full(u0: RiccatiState, horizon: float, table, tol: float = 1e
         return FlowOutcome(state is not None, state, len(accepted), trace=trace,
                            rejected=rejected, min_step=min(accepted, default=None),
                            max_step=max(accepted, default=None),
-                           carried=table.state_dim, **failure)
+                           live=np.arange(table.state_dim), **failure)
 
     k1 = _full_rhs(u, table)
     while t < horizon:

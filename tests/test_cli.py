@@ -318,13 +318,23 @@ class TestValidation:
                               "--steps", "100000000", "--out", str(tmp_path)))
 
     def test_word_list_too_large_to_hold(self, tmp_path):
-        # every word up to length 100 over two letters: the list raises a MemoryError without
-        # a message once it reaches the cap; never run this without one, as the list would
-        # fill the host's memory first
-        proc = capped("transform", "--model", "first_order", "--uX", "0.3", "--trunc", "100",
-                      "--out", str(tmp_path))
+        # every word up to length 100 over two letters is rejected by its count before the
+        # list is built; the cap keeps a regression from filling the host's memory.  At
+        # length 100000 the table's level offsets alone would not fit under the cap, so the
+        # count must come first there too
+        for trunc, count in (100, 2**101 - 1), (100000, "about 10^30103"):
+            proc = capped("transform", "--model", "first_order", "--uX", "0.3", "--trunc",
+                          str(trunc), "--out", str(tmp_path))
+            assert_invalid(proc)
+            assert proc.stderr == (f"error: every word up to length {trunc} over 2 letters is "
+                                   f"{count} words, more than this host's memory can hold\n")
+
+    def test_depth_scan_word_list_too_large_to_hold(self, tmp_path):
+        # depth 40 reads every word up to length 40
+        proc = capped("depth-report", "--depths", "0,40", "--seed", "1", "--out", str(tmp_path))
         assert_invalid(proc)
-        assert proc.stderr == "error: MemoryError\n"
+        assert proc.stderr == ("error: every word up to length 40 over 2 letters is "
+                               f"{2**41 - 1} words, more than this host's memory can hold\n")
 
     @pytest.mark.parametrize("command, cfg", [
         ("simulate", {"paths": None}),

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigvol.algebra import EMPTY_WORD, GradedTensor
+from sigvol.algebra import EMPTY_WORD, GradedTensor, Weight
 from sigvol.models import preset
 from sigvol.riccati import (
     GeneratorTable,
@@ -326,13 +326,22 @@ def flow_table(d: int, trunc: int, extended: bool) -> GeneratorTable:
 
 
 def assert_same_flow(got, want):
-    """Bit-identical outcome, trace and statistics; carried is the only field allowed to differ."""
+    """Bit-identical outcome, trace and statistics; live is the only field allowed to differ.
+
+    got's trace holds its carried vectors, want's the full states: each carried vector,
+    expanded through got.live, is want's state byte for byte.
+    """
     assert (got.solved, got.steps, got.t_star, got.norm_at_detection, got.detail) == (
         want.solved, want.steps, want.t_star, want.norm_at_detection, want.detail)
     assert (got.rejected, got.min_step, got.max_step) == (want.rejected, want.min_step, want.max_step)
+    assert np.all(np.diff(got.live) > 0)
     assert len(got.trace) == len(want.trace)
-    for (t_got, u_got), (t_want, u_want) in zip(got.trace, want.trace):
-        assert t_got == t_want and u_got.tobytes() == u_want.tobytes()
+    for k, ((t_got, v_got), (t_want, u_want)) in enumerate(zip(got.trace, want.trace)):
+        assert t_got == t_want and v_got.tobytes() == u_want[got.live].tobytes()
+        outside = np.delete(u_want, got.live)
+        # +0.0 bits everywhere else; only the start may hold a -0.0 of the direction, which is
+        # outside its support and which the carried trace leaves out
+        assert not outside.any() and (k == 0 or not np.signbit(outside).any())
     if want.solved:
         assert got.state.sig.coeffs == want.state.sig.coeffs
         assert repr(got.state.u_x) == repr(want.state.u_x)
@@ -348,9 +357,12 @@ def flow_cases(draw):
     coeffs = draw(st.dictionaries(words, nonzero, min_size=1, max_size=3))
     u_x = draw(nonzero) if extended else None
     horizon = draw(st.floats(0.05, 2.0))
-    threshold = draw(st.sampled_from([1e6, 10.0]))
+    threshold = draw(st.sampled_from([1e6, 10.0, 1.0]))
+    # w(n) is fixed once per flow, the oracle calls it on every norm
+    weight = draw(st.one_of(st.none(), st.floats(1.0, 3.0).map(Weight.geometric),
+                            st.floats(0.0, 3.0).map(Weight.polynomial)))
     state = RiccatiState(GradedTensor(d, trunc, coeffs), u_x)
-    return flow_table(d, trunc, extended), state, horizon, threshold
+    return flow_table(d, trunc, extended), state, horizon, threshold, weight
 
 
 class TestFlowMatchesFullState:
@@ -360,13 +372,15 @@ class TestFlowMatchesFullState:
     @settings(max_examples=80)
     @given(flow_cases())
     def test_random_sparse_directions(self, case):
-        table, state, horizon, threshold = case
-        got = integrate_flow(state, horizon, table, explosion_threshold=threshold)
-        assert_same_flow(got, integrate_flow_full(state, horizon, table, explosion_threshold=threshold))
+        table, state, horizon, threshold, weight = case
+        kwargs = dict(explosion_threshold=threshold, weight=weight)
+        assert_same_flow(integrate_flow(state, horizon, table, **kwargs),
+                         integrate_flow_full(state, horizon, table, **kwargs))
 
     def test_zero_direction(self):
         table = flow_table(2, 4, True)
-        # -0.0 is outside the support, yet the trace starts from it
+        # -0.0 is outside the support: the oracle's trace starts from it, the carried one
+        # holds no coordinate
         state = RiccatiState(GradedTensor.zero(2, 0), u_x=-0.0)
         got = integrate_flow(state, 1.0, table)
         assert got.solved and got.carried == 0 and got.rejected == 0

@@ -305,6 +305,27 @@ class TestStepMajorFeed:
         first_m = refs[1][0]  # M after one step of the last e_1 block
         assert np.all(first_m == 0.0) and np.signbit(first_m).any()
 
+    @pytest.mark.parametrize("eta", [1.0, -1.0])
+    def test_d1_product_is_the_gemv_form(self, monkeypatch, eta):
+        # at d = 1 each step takes eta . dW as one product; d >= 2 hands the C-ordered
+        # (paths, d) increments to BLAS's gemv, whose bits the sums must keep
+        pre = preset("first_order")
+        params = SigVolParams(pre.ell, pre.weight, s0=1.0, eta=np.array([eta]), horizon=1.0, steps=9)
+        monkeypatch.setattr(sde, "BLOCK_PATHS", 128)
+        for block in stream_paths(params, 300, 7):
+            values = brownian_values(1, 1.0, 9, block.size, 7, path_offset=block.offset)
+            inc = np.diff(values[:, :, 1:], axis=1)
+            driver, mart = np.full(block.size, -0.0), np.full(block.size, -0.0)
+            log_s = np.zeros(block.size)
+            for k in block.steps():
+                db = np.ascontiguousarray(inc[:, k]) @ params.eta
+                dm, dq = block.xi * db, block.xi**2 * block.dt[k]
+                driver += db
+                mart += dm
+                log_s += dm - 0.5 * dq
+                for got, want in ((block.driver, driver), (block.mart, mart), (block.log_s, log_s)):
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestStepperMemory:
     """Stepping holds one block grid, however many blocks a run has."""
