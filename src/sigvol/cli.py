@@ -286,16 +286,15 @@ def _cmd_transform(cfg: dict, out: str) -> int:
              else max(window, state.support_degree, 2))
     if trunc < window:
         raise ValueError(f"truncation {trunc} below the shuffle window {window}")
-    table = riccati.build_generator(trunc, params.dim, (ell, params.eta) if extended else None)
+    table = riccati.build_generator(trunc, params.dim, state,
+                                    (ell, params.eta) if extended else None)
     tol = float(cfg.get("tol", 1e-10))
     threshold = float(cfg.get("threshold", 1e6))
     outcome = riccati.integrate_flow(state, params.horizon, table, tol=tol,
                                      explosion_threshold=threshold, weight=params.weight)
     lines = ["tau,component_word,psi_value"]
-    labels = table.labels
     # the carried coordinates, in coordinate order; a trace entry holds their values
-    words = [labels[i] if labels[i] == riccati.X_LABEL else format_word(labels[i])
-             for i in outcome.live.tolist()]
+    words = [label if label == riccati.X_LABEL else format_word(label) for label in table.labels]
     for tau, vec in outcome.trace:
         at = f"{tau:.17g}"
         lines += [f"{at},{word},{value:.17g}"

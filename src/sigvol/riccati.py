@@ -1,4 +1,4 @@
-"""Truncated generator tables, Riccati flows and Monte Carlo transform checks.
+"""Riccati flows on the closure of their start, and Monte Carlo transform checks.
 
 The prolonged-signature coordinates Y_I = <e_I, W_t> form a triangular
 Stratonovich system; converting to Ito form gives the sparse drift and
@@ -16,38 +16,25 @@ against Monte Carlo drift/covariation regressions in the test suite.
 
 A word a_1..a_n over {0..d} is coordinate ((d+1)^n - 1)/d + sum_i a_i
 (d+1)^(n-i), its canonical position (by length, then lexicographic); X
-comes last.  The drift is integer arithmetic on these codes, and both
-Gamma blocks are read off one table of shuffle triples (u, v, w,
-multiplicity) grown level by level with (u.x shuffle v.y) = (u shuffle
-v.y).x + (u.x shuffle v).y (Reutenauer, Free Lie Algebras, 1993), whose
-integer multiplicities no generation order can change.  The pure Gamma
-takes the triples as they are; the price-extended block takes those whose
-u is a word of ell (and, for ell shuffle ell, whose v is one too) and sums
-each of its float coefficients over ell's words in ell's order, the order
-of shuffle_product's loop, so it is that product's sum bit for bit.  Both
-parts compile to a sparse form each (output and input index arrays plus
-coefficients, put in canonical order by np.lexsort), which the vector field
-contracts with one np.bincount over 2*n bins for n carried coordinates,
-the quadratic outputs shifted by n.
+comes last.  A flow moves only the closure of its start's support: a drift
+term reaches its output from a live input, a Gamma term from two.
+build_generator grows the closure and its terms together, in rounds over
+the words that have just become live, each pair of live words taken once.
+Gamma comes from one table per round of the prefix pairs it needs, grown
+with (u.x shuffle v.y) = (u shuffle v.y).x + (u.x shuffle v).y
+(Reutenauer, Free Lie Algebras, 1993); ell shuffle ell from
+shuffle_product; and eta_j * (ell shuffle e_J') from sums over ell's words
+in ell's order, shuffle_product's order, dropped when exactly 0.0.  The
+terms compile to one sparse form in canonical order, which the vector field
+contracts with one np.bincount over 2*n bins for n carried coordinates.  A
+non-finite eta, or an overflowing ell shuffle ell or eta times ell shuffle
+e_J coefficient, is rejected among the terms of the closure, the only ones
+built.
 
 The flow d(psi)/dtau = R(psi) is integrated with an explicit embedded 4/5
 pair with adaptive steps; finite-time blow-up is the object of study, so the
 integrator detects explosion (weighted norm above a threshold, or step
-underflow) instead of trying to continue through it.  It steps only the
-closure of the initial support under the terms (a drift term reaches its
-output from a live input, a Gamma term from two), and only the terms whose
-inputs are all in it: every other coordinate stays exactly 0.0.  A dropped
-term then adds +-0 to a sum that starts at +0.0, which leaves the sum
-unchanged, so the carried flow is bit for bit the full-state flow whenever
-every dropped product c*v is finite.  Where one overflows, the full-state
-field multiplies inf by an unreached 0.0, turns NaN and rejects the step,
-while the carried flow goes on with the exact equation on the closure.  The
-table's coefficients are finite: the shuffle multiplicities are, and
-build_generator rejects a non-finite eta, or an ell shuffle ell or eta
-times ell shuffle e_J coefficient that overflows.  The trace holds the
-carried vectors alone; each accepted one is written into one full state,
-which gives the result, and whose weighted norm reads only the levels that
-hold a carried coordinate, since every other level adds exactly +0.0.
+underflow) instead of trying to continue through it.
 
 mc_transform checks a transform value on the price engine's paths.  It
 reads the model (ell, eta, s0, T, steps) from SigVolParams, the value the
@@ -57,19 +44,21 @@ so the check stays independent of the flow it checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-# riccati calls neither shuffle function; they are bound here only for perfbench/tracing.py,
-# which wraps them where riccati binds them
+# riccati does not call shuffle_words; it is bound here only for perfbench/tracing.py, which
+# wraps it where riccati binds it
 from .algebra import GradedTensor, Weight, Word, shuffle_product, shuffle_words  # noqa: F401
 from .sde import SigVolParams, stream_paths
-from .signature import all_words
+from .signature import check_word_count
 
 X_LABEL = "X"
+_NON_FINITE = "eta must be finite, and so must ell shuffle ell and eta times ell shuffle e_J"
 
 
 class ShuffleWindowError(ValueError):
@@ -89,67 +78,90 @@ def _word_index(word: Word, d: int) -> int:
     return _offset(len(word), d) + code
 
 
-def _form(blocks: list[tuple], arity: int) -> tuple[np.ndarray, ...]:
-    """(output, inputs..., coefficients) of blocks of unique terms, in canonical order.
-
-    Coordinates are numbered in canonical label order, so sorting the index
-    tuples sorts the labels.
-    """
-    empty = (np.zeros(0, dtype=np.intp),) * arity + (np.zeros(0),)
-    cols = [np.concatenate(col) for col in zip(empty, *blocks)]
-    order = np.lexsort(cols[-2::-1])
-    return tuple(col[order] for col in cols)
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of an int array, ascending."""
+    a = np.sort(a)
+    return a[np.diff(a, prepend=a[:1] - 1) != 0]
 
 
-def _shuffle_triples(d: int, trunc: int):
-    """Yield (a, b, (u, v, w, m)) for a <= b and a + b <= trunc.
+def _key(cols: list[np.ndarray], size: int) -> np.ndarray:
+    """One int64 per row of columns with values in range(size), in the rows' lexicographic order."""
+    if size ** len(cols) > 2**63:
+        raise ValueError(f"{len(cols)} columns of {size} values are too many to order as one key")
+    return functools.reduce(lambda key, col: key * size + col, cols)
 
-    The rows list, over word codes u of length a and v of length b, every
-    word w of u shuffle v with its multiplicity m.  S[a, b] appends a letter
-    to u and w in the rows of S[a-1, b], and to v and w in those of
-    S[a, b-1], which is kept as S[b-1, a] with u and v swapped; rows that
-    meet twice are merged.  Keys stay below n**(2*trunc) < 2**63 as long as
-    the rows fit in memory.
-    """
-    n = d + 1
-    letters = np.arange(n)
 
-    def append(word, other, w, m):
-        # each letter appended to word and to w
-        return ((word[:, None] * n + letters).ravel(), np.repeat(other, n),
-                (w[:, None] * n + letters).ravel(), np.repeat(m, n))
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, index): every index of the ranges [starts[i], stops[i]), and the i of its range."""
+    lens = stops - starts
+    owner = np.repeat(np.arange(lens.size), lens)
+    return owner, np.arange(owner.size) + np.repeat(starts - np.cumsum(lens) + lens, lens)
 
-    table = {}
-    for b in range(trunc + 1):
-        v = np.arange(n**b, dtype=np.intp)
-        table[0, b] = (np.zeros_like(v), v, v, np.ones(v.size))
-        yield 0, b, table[0, b]
-    for total in range(2, trunc + 1):
-        for a in range(1, total // 2 + 1):
-            b = total - a
-            u1, v1, w1, m1 = append(*table[a - 1, b])
-            v2, u2, w2, m2 = append(*table[b - 1, a])
-            keys = (np.concatenate([u1, u2]) * n**b + np.concatenate([v1, v2])) * n**total
-            keys, inverse = np.unique(keys + np.concatenate([w1, w2]), return_inverse=True)
-            (u, v), w = np.divmod(keys // n**total, n**b), keys % n**total
-            table[a, b] = (u, v, w, np.bincount(inverse, weights=np.concatenate([m1, m2])))
-            table[b, a] = (v, u, w, table[a, b][3])
-            yield a, b, table[a, b]
+
+def _shuffles(u, a, v, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (t, w, m), one per word w of u[t] shuffle v[t], m its multiplicity.
+
+    u[t] and v[t] code words of lengths a[t] and b[t] over n letters, w one of
+    length a[t] + b[t].  Cell (p, q) holds the shuffles of the pairs' distinct
+    length-(p, q) prefixes, keyed u * n**q + v and sorted by key and word: the
+    (p-1, q) shuffle with u's next letter appended and the (p, q-1) one with
+    v's, the rows that meet summed."""
+    found, above = [], {}
+    # the prefixes of v of each length q, for the pairs that have one
+    prefixes = [(b >= q, v // n ** np.maximum(b - q, 0)) for q in range(int(b.max(initial=0)) + 1)]
+    for p in range(int(a.max(initial=0)) + 1):
+        cells, up = {}, u // n ** np.maximum(a - p, 0)
+        for q, (has_q, vq) in enumerate(prefixes):
+            need = (a >= p) & has_q
+            if not need.any():
+                break
+            keys = _distinct(up[need] * n**q + vq[need])
+            if p == 0 or q == 0:  # one word is empty, and the key is the code of the other
+                starts, w, m = np.arange(keys.size + 1), keys, np.ones(keys.size, dtype=np.intp)
+            else:
+                ku, kv = np.divmod(keys, n**q)
+                parts = []
+                for (pkeys, pstarts, pw, pm), pkey, letter in (
+                        (above[q], ku // n * n**q + kv, ku % n),
+                        (cells[q - 1], ku * n ** (q - 1) + kv // n, kv % n)):
+                    i = np.searchsorted(pkeys, pkey)
+                    owner, idx = _ranges(pstarts[i], pstarts[i + 1])
+                    parts.append((owner, pw[idx] * n + letter[owner], pm[idx]))
+                owner, w, m = (np.concatenate(col) for col in zip(*parts))
+                # keys and words both lie in range(n**(p + q))
+                row = _key([owner, w], n ** (p + q))
+                order = np.argsort(row)
+                row, m = row[order], m[order]
+                at = np.flatnonzero(np.diff(row, prepend=row[:1] - 1))  # the first row of each
+                (owner, w), m = np.divmod(row[at], n ** (p + q)), np.add.reduceat(m, at)
+                starts = np.searchsorted(owner, np.arange(keys.size + 1))
+            cells[q] = keys, starts, w, m
+            ends = np.flatnonzero(need & (a == p) & (b == q))  # the pairs themselves
+            owner, idx = _ranges(*(starts[np.searchsorted(keys, u[ends] * n**q + v[ends]) + s]
+                                   for s in (0, 1)))
+            found.append((ends[owner], w[idx], m[idx]))
+        above = cells
+    empty = np.zeros(0, dtype=np.intp)
+    return tuple(np.concatenate(col) for col in zip((empty,) * 3, *found))
+
+
+def weighted_norm(parts: list[tuple[float, np.ndarray]], x: float | None) -> float:
+    """sum_n w(n) |u_n|_2 over the (w(n), level u_n) parts in order, plus |x| when given."""
+    total = 0.0
+    for w, level in parts:
+        # the dot over the whole level, zeros included: dropping them can move the last bit
+        total += w * math.sqrt(float(np.dot(level, level)))
+    return total if x is None else total + abs(x)
 
 
 @dataclass(frozen=True)
 class VectorField:
-    """R(psi), the drift plus the quadratic part, on the live coordinates of a table.
+    """R(psi), the drift plus the quadratic part, on the coordinates of a closure.
 
-    Position i of a carried vector holds coordinate live[i] of the full state.
-    The terms are the table's, in compiled order, whose inputs are all live:
-    the drift terms first, then the quadratic ones, whose outputs are shifted
-    by len(live) and whose second inputs are in2.  Every other term reads a
-    coordinate outside the closure, which stays 0.0, so it adds +-0 to the
-    full field as long as its product c*v is finite: on the carried
-    coordinates this is then the full field bit for bit.  Where such a
-    product is inf or NaN the full field turns NaN, and this one stays the
-    field of the closure.
+    Position i of a carried vector holds coordinate live[i] of the state.
+    The drift terms come first, then the quadratic ones, whose outputs are
+    shifted by len(live) and whose second inputs are in2, each part in
+    canonical order.
     """
 
     live: np.ndarray
@@ -168,214 +180,205 @@ class VectorField:
         return np.add(r[:n], r[n:], out, dtype=float)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorTable:
-    """Sparse drift b^I_J and carre-du-champ Gamma^I_{J,K} at truncation N.
+    """The drift b^I_J and carre-du-champ Gamma^I_{J,K} on the closure of a flow's start.
 
-    drift holds (output, input, b) and quad (output, in1, in2, c) with
-    in1 <= in2 and c = Gamma, halved when in1 == in2 (the 1/2 sum over
-    ordered pairs folded into unordered storage), both in canonical order of
-    the coordinates: words, then the log-price coordinate X when extended.
-    Outputs are always words.  The pure-signature block never depends on
-    ell; ell and eta enter only through the extended block, and the table
-    keeps neither.
+    words are the closure's words in canonical order, and field.live numbers
+    them, and X last when it is live, as coordinates of the truncation-N
+    state.  The quadratic coefficients are Gamma, halved when in1 == in2 (the
+    1/2 sum over ordered pairs folded into unordered storage).
     """
 
     trunc: int
     dim: int
     extended: bool
     words: list[Word]
-    drift: tuple
-    quad: tuple
+    field: VectorField
 
     @property
-    def state_dim(self) -> int:
-        return len(self.words) + (1 if self.extended else 0)
+    def state_dim(self) -> int:  # the number of coordinates the closure carries
+        return len(self.field.live)
 
     @property
     def labels(self) -> list:
-        return list(self.words) + ([X_LABEL] if self.extended else [])
-
-    @property
-    def x_index(self) -> int:
-        if not self.extended:
-            raise ValueError("table has no log-price coordinate")
-        return len(self.words)
+        return self.words + [X_LABEL] * (self.state_dim - len(self.words))
 
     @property
     def gamma(self) -> np.ndarray:
-        """Gamma^I_{J,K} of every quad term (quad halves it when J = K); perfbench counts its terms."""
-        return np.where(self.quad[1] == self.quad[2], 2.0 * self.quad[3], self.quad[3])
-
-    # -- state/vector conversions ------------------------------------------
+        """Gamma^I_{J,K} of every quadratic term; perfbench counts its terms."""
+        f = self.field
+        in1, c = f.in1[f.in1.size - f.in2.size :], f.coeffs[f.coeffs.size - f.in2.size :]
+        return np.where(in1 == f.in2, 2.0 * c, c)
 
     def vector(self, sig: GradedTensor, u_x: float | None = None) -> np.ndarray:
-        if sig.dim != self.dim:
-            raise ValueError("dimension mismatch with table")
-        if sig.support_degree > self.trunc:
-            raise ValueError("state support exceeds table truncation")
+        """The carried vector of a direction whose support lies in the closure."""
+        at, terms = {label: i for i, label in enumerate(self.labels)}, dict(sig.coeffs)
+        if u_x not in (None, 0.0):
+            terms[X_LABEL] = u_x
+        if sig.dim != self.dim or not terms.keys() <= at.keys():
+            raise ValueError("direction outside the table's closure")
         u = np.zeros(self.state_dim)
-        for w, c in sig.coeffs.items():
-            u[_word_index(w, self.dim)] = c
-        if self.extended:
-            u[self.x_index] = 0.0 if u_x is None else float(u_x)
-        elif u_x not in (None, 0.0):
-            raise ValueError("u_x supplied but the table is not price-extended")
+        u[[at[label] for label in terms]] = list(terms.values())
         if not np.isfinite(u).all():
             raise ValueError("direction coefficients and u_x must be finite")
         return u
 
     def tensor(self, u: np.ndarray) -> tuple[GradedTensor, float | None]:
         coeffs = {w: u[i] for i, w in enumerate(self.words) if u[i] != 0.0}
-        sig = GradedTensor(self.dim, self.trunc, coeffs)
-        return sig, (float(u[self.x_index]) if self.extended else None)
+        # X outside the closure stays 0.0
+        u_x = float(u[-1]) if self.state_dim > len(self.words) else 0.0
+        return GradedTensor(self.dim, self.trunc, coeffs), (u_x if self.extended else None)
 
-    def weighted_norm(self, u: np.ndarray, weight: Weight | None) -> float:
-        """sum_n w(n) |u_n|_2 over the levels, plus |u_X| when extended."""
-        return self.norm_reader(u, weight, range(self.trunc + 1))()
+    def norm_reader(self, weight: Weight | None) -> Callable[[np.ndarray], float]:
+        """weighted_norm of a carried vector, sum_n w(n) |u_n|_2 plus |u_X|.
 
-    def norm_reader(self, u: np.ndarray, weight: Weight | None, levels) -> Callable[[], float]:
-        """weighted_norm of whatever the buffer u holds when called, read on levels alone.
+        Each level that holds a carried word is one zero-padded copy of the
+        whole level, into which the reader writes the carried entries; the
+        layout and each w(n) are fixed here, once."""
+        n, m = self.dim + 1, len(self.words)
+        levels = sorted({len(w) for w in self.words})
+        first = dict(zip(levels, np.cumsum([0] + [n**k for k in levels]).tolist()))
+        padded = np.zeros(sum(n**k for k in levels))
+        spots = np.array([first[len(w)] + i - _offset(len(w), self.dim)
+                          for w, i in zip(self.words, self.field.live.tolist())], dtype=np.intp)
+        parts = [(1.0 if weight is None else weight(k), padded[first[k] : first[k] + n**k])
+                 for k in levels]
+        has_x = self.state_dim > m
 
-        Each level's bounds and w(n) are fixed here, once.  Every other level
-        of u must hold zeros, which with finite weights would add exactly +0.0.
-        """
-        parts = [(1.0 if weight is None else weight(n),
-                  u[_offset(n, self.dim) : _offset(n + 1, self.dim)]) for n in levels]
-        x = u[self.x_index :] if self.extended else None
-
-        def norm() -> float:
-            total = 0.0
-            for w, level in parts:
-                # the dot over the whole level, zeros included: dropping them can move the last bit
-                total += w * math.sqrt(float(np.dot(level, level)))
-            return total if x is None else total + abs(float(x[0]))
+        def norm(u: np.ndarray) -> float:
+            padded[spots] = u[:m]
+            return weighted_norm(parts, float(u[m]) if has_x else None)
 
         return norm
 
-    def vector_field(self, support: np.ndarray) -> VectorField:
-        """The vector field on the closure of a boolean support under the terms.
-
-        A drift term reaches its output when its input is live, a Gamma term
-        when both inputs are; outside the closure the flow stays exactly 0.0.
-        """
-        live = np.asarray(support, dtype=bool)
-        forms = (self.drift, self.quad)
-        while True:
-            reached = live.copy()
-            for out, *inputs, _ in forms:
-                reached[out[np.logical_and.reduce([live[i] for i in inputs])]] = True
-            if np.array_equal(reached, live):
-                break
-            live = reached
-        carried = np.flatnonzero(live)
-        pos = np.zeros(live.size, dtype=np.intp)
-        pos[carried] = np.arange(len(carried))
-        restricted = []
-        for out, *inputs, coeffs in forms:
-            kept = np.logical_and.reduce([live[i] for i in inputs])
-            restricted.append((pos[out[kept]], *(pos[i[kept]] for i in inputs), coeffs[kept]))
-        (d_out, d_in, d_c), (q_out, q_in1, q_in2, q_c) = restricted
-        return VectorField(carried, np.concatenate([d_out, q_out + len(carried)]),
-                           np.concatenate([d_in, q_in1]), q_in2, np.concatenate([d_c, q_c]))
-
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite coefficient raises below instead
-def build_generator(trunc: int, d: int,
+def build_generator(trunc: int, d: int, start: RiccatiState,
                     extended: tuple[GradedTensor, np.ndarray] | None = None) -> GeneratorTable:
-    """Assemble the generator/carre-du-champ table at truncation level trunc.
+    """The generator/carre-du-champ table at truncation level trunc on the closure of start.
 
-    extended, when given, is the pair (ell, eta) adjoining the log-price
-    coordinate; it requires trunc >= 2*deg(ell) so that ell shuffle ell is
-    representable without silently changing the vector field.
-    """
+    extended, when given, is the pair (ell, eta) adjoining the log-price coordinate X, live
+    when start.u_x is non-zero; it requires trunc >= 2*deg(ell) so that ell shuffle ell is
+    representable without silently changing the vector field."""
     if trunc < 0 or d < 1:
         raise ValueError("need trunc >= 0 and d >= 1")
-    words = all_words(d, trunc)  # first: it rejects a table too large to hold
+    check_word_count(d, trunc)  # first: the coordinates number every word up to trunc
     n = d + 1
-    offset = [_offset(k, d) for k in range(trunc + 2)]
+    offset = np.array([_offset(k, d) for k in range(trunc + 2)], dtype=np.intp)
+    x = int(offset[-1])  # X's coordinate, the number of words
     if extended is not None:
         ell, eta = extended
         eta = np.asarray(eta, dtype=float)
         if ell.dim != d or eta.shape != (d,):
             raise ValueError("extended block needs ell over the same alphabet and eta in R^d")
-        deg = ell.support_degree
-        if trunc < 2 * deg:
+        if trunc < 2 * ell.support_degree:
             raise ShuffleWindowError(
-                f"extended table needs trunc >= 2*deg(ell) = {2 * deg}, got {trunc}")
-        # ell's coefficients, and rank[k][code]: the position in ell of its word of length k
-        # and that code, or -1
+                f"extended table needs trunc >= 2*deg(ell) = {2 * ell.support_degree}, got {trunc}")
+        ell_codes = [(len(w), _word_index(w, d) - _offset(len(w), d)) for w in ell.coeffs]
         c_ell = np.array(list(ell.coeffs.values()))
-        rank = [np.full(n**k, -1) for k in range(deg + 1)]
-        for r, word in enumerate(ell.coeffs):
-            rank[len(word)][_word_index(word, d) - offset[len(word)]] = r
-    x = len(words)
-    drift, quad = [], []
+    if start.sig.dim != d:
+        raise ValueError("dimension mismatch with table")
+    if start.support_degree > trunc:
+        raise ValueError("state support exceeds table truncation")
+    x_live = start.u_x not in (None, 0.0)
+    if x_live and extended is None:
+        raise ValueError("u_x supplied but the table is not price-extended")
+    if start.u_x is not None and not math.isfinite(start.u_x):
+        raise ValueError("direction coefficients and u_x must be finite")
 
-    # pure-signature drift: J.0 feeds J with 1, J.j.j feeds J with 1/2
-    for k in range(trunc):
-        prefix = np.arange(n**k, dtype=np.intp)
-        drift.append((offset[k] + prefix, offset[k + 1] + prefix * n, np.ones(n**k)))
-        for j in range(1, d + 1) if k + 2 <= trunc else ():
-            drift.append((offset[k] + prefix, offset[k + 2] + (prefix * n + j) * n + j,
-                          np.full(n**k, 0.5)))
+    def split(coords):  # (length, code) of word coordinates
+        k = np.searchsorted(offset, coords, side="right") - 1
+        return k, coords - offset[k]
 
-    # One pass over the shuffle triples feeds both blocks.  Price-extended: each triple
-    # whose left word u is a word of ell contributes (output key, summation rank, term) to
-    # ell shuffle e_J', keyed by the output word and J'.0, with term m*c_u, and, when its
-    # right word v is a word of ell too, to ell shuffle ell, keyed by the output word and
-    # X, with term m*(c_u*c_v).  Pure carre-du-champ: Gamma(J'.j, K'.j) = e_J' shuffle
-    # e_K', J' <= K'.
-    parts = []
-    for a, b, (u, v, w, m) in _shuffle_triples(d, trunc):
-        for p, q, left, right in ((a, b, u, v), (b, a, v, u))[: 1 if a == b else 2]:
-            if extended is None or p > deg:
-                continue  # no word of ell on the left
-            rows = np.flatnonzero(rank[p][left] >= 0)
-            ru, mr = rank[p][left[rows]], m[rows]
-            base = (offset[p + q] + w[rows]) * (x + 1)
-            if q < trunc:
-                parts.append((base + offset[q + 1] + right[rows] * n, ru * len(c_ell),
-                              mr * c_ell[ru]))
-            if q <= deg:
-                rv = rank[q][right[rows]]
-                both = rv >= 0
-                ru, rv = ru[both], rv[both]
-                parts.append((base[both] + x, ru * len(c_ell) + rv,
-                              mr[both] * (c_ell[ru] * c_ell[rv])))
-        if b == trunc:
-            continue  # e_K' has no letter to append
-        keep = u <= v if a == b else slice(None)
-        u, v, w, m = u[keep], v[keep], w[keep], m[keep]
-        for j in range(1, d + 1):
-            quad.append((offset[a + b] + w, offset[a + 1] + u * n + j, offset[b + 1] + v * n + j, m))
+    # blocks of (output, input, b) and (output, in1, in2, c) coordinates
+    empty = np.zeros(0, dtype=np.intp)
+    drift, quad = [(empty, empty, np.zeros(0))], [(empty, empty, empty, np.zeros(0))]
+    new = np.array(sorted({_word_index(w, d) for w in start.sig.coeffs}), dtype=np.intp)
+    if x_live:
+        try:
+            square = shuffle_product(ell, ell, trunc)
+        except ValueError:  # a sum overflowed
+            raise ValueError(_NON_FINITE) from None
+        out = np.array([_word_index(w, d) for w in square.coeffs], dtype=np.intp)
+        at_x, c = np.full(out.size, x), np.array(list(square.coeffs.values()))
+        drift.append((out, at_x, -0.5 * c))
+        quad.append((out, at_x, at_x, 0.5 * c))
+        new = _distinct(np.concatenate([new, out]))
+    live = empty
+    while new.size:
+        live = np.sort(np.concatenate([live, new]))
+        k, code = split(new)
+        last, stem = code % n, code // n
+        reached = []
 
-    # Each output sums its contributions in ell's order, as shuffle_product's left-to-right
-    # loop over ell (and over ell again for ell shuffle ell) does; exact-zero sums are
-    # pruned as a GradedTensor prunes them, then eta_j scales ell shuffle e_J' into
-    # Gamma(X, Y_J'.j).
-    if extended is not None:
-        empty = (np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)
-        key, order, term = (np.concatenate(col) for col in zip(empty, *parts))
-        order = np.argsort(order, kind="stable")
-        keys, inverse = np.unique(key[order], return_inverse=True)
-        sums = np.bincount(inverse, weights=term[order])
-        kept = sums != 0.0
-        (out, col), sums = np.divmod(keys[kept], x + 1), sums[kept]
-        sq, mixed = col == x, col != x
-        at_x = np.full(mixed.sum(), x, dtype=np.intp)
-        terms = [(out[sq], col[sq], col[sq], sums[sq])]
-        terms += [(out[mixed], col[mixed] + j, at_x, eta[j - 1] * sums[mixed])
-                  for j in range(1, d + 1) if eta[j - 1] != 0.0]
-        if not all(np.isfinite(c).all() for *_, c in terms):
-            raise ValueError(
-                "eta must be finite, and so must ell shuffle ell and eta times ell shuffle e_J")
-        drift.append((out[sq], col[sq], -0.5 * sums[sq]))
-        quad += terms
+        # drift: J.0 feeds J with 1, J.j.j feeds J with 1/2
+        for keep, cut, b in (((k >= 1) & (last == 0), 1, 1.0),
+                             ((k >= 2) & (last >= 1) & (stem % n == last), 2, 0.5)):
+            drift.append((offset[k[keep] - cut] + code[keep] // n**cut, new[keep],
+                          np.full(keep.sum(), b)))
+            reached.append(drift[-1][0])
 
-    out, in1, in2, coeffs = _form(quad, 3)
-    return GeneratorTable(trunc, d, extended is not None, words, _form(drift, 2),
-                          (out, in1, in2, np.where(in1 == in2, 0.5 * coeffs, coeffs)))
+        # Gamma(J'.j, K'.j) = e_J' shuffle e_K' for each new J'.j and live K'.j, |J'| + |K'| <=
+        # trunc: sorted by last letter, then coordinate, those K'.j are one run of the live words
+        ys = np.sort(split(live)[1] % n * (x + 1) + live)
+        j = last[last >= 1] * (x + 1)
+        owner, idx = _ranges(np.searchsorted(ys, j), np.searchsorted(
+            ys, j + offset[np.minimum(trunc + 3 - k[last >= 1], trunc + 1)]))
+        first, second = new[last >= 1][owner], ys[idx] % (x + 1)
+        # a pair of two new words is taken in one order
+        once = (first <= second) | (new[np.minimum(np.searchsorted(new, second), new.size - 1)] != second)
+        in1, in2 = np.minimum(first, second)[once], np.maximum(first, second)[once]
+        (a, u), (b, v) = split(in1), split(in2)
+        t, w, m = _shuffles(u // n, a - 1, v // n, b - 1, n)
+        # Gamma, halved where in1 == in2
+        quad.append((offset[a + b - 2][t] + w, in1[t], in2[t], m * np.where(in1 == in2, 0.5, 1.0)[t]))
+        reached.append(quad[-1][0])
+
+        # X with each new J'.j: one pair per word of ell, whose rank orders the sum
+        if x_live:
+            takes = (last >= 1) & (eta[last - 1] != 0.0)
+            mixed = [np.flatnonzero(takes & (k - 1 + p <= trunc)) for p, _ in ell_codes]
+            rank = np.repeat(np.arange(len(ell_codes)), [s.size for s in mixed])
+            sel = np.concatenate([empty, *mixed])
+            (p, cu), q = np.array(ell_codes, dtype=np.intp).reshape(-1, 2)[rank].T, k[sel] - 1
+            t, w, m = _shuffles(cu, p, stem[sel], q, n)
+            order = np.argsort(rank[t], kind="stable")  # ell's order
+            keys, inverse = np.unique(_key([new[sel][t], offset[p + q][t] + w], x)[order],
+                                      return_inverse=True)
+            # each (J'.j, output) sums its terms in ell's order, from 0.0
+            sums = np.bincount(inverse, weights=(m * c_ell[rank[t]])[order])
+            kept = sums != 0.0
+            word, out = np.divmod(keys[kept], x)
+            c = eta[split(word)[1] % n - 1] * sums[kept]
+            if not np.isfinite(c).all():
+                raise ValueError(_NON_FINITE)
+            quad.append((out, word, np.full(out.size, x), c))
+            reached.append(out)
+        new = _distinct(np.concatenate(reached))
+        new = new[live[np.minimum(np.searchsorted(live, new), live.size - 1)] != new]
+
+    k, code = split(live)
+    words = []
+    for length in range(trunc + 1):
+        digits = code[k == length, None] // n ** np.arange(length - 1, -1, -1) % n
+        words += map(tuple, digits.tolist())
+    # each coordinate's position: a slot per word up to the last live one, then X's
+    top = int(live[-1]) + 1 if live.size else 0
+    slot = np.zeros(top + 1, dtype=np.intp)
+    if x_live:
+        live = np.append(live, x)
+    slot[np.minimum(live, top)] = np.arange(live.size)
+    forms = []
+    for blocks, arity in ((drift, 2), (quad, 3)):
+        cols = [np.concatenate(col) for col in zip(*blocks)]
+        at = [slot[np.minimum(col, top)] for col in cols[:-1]]
+        order = np.argsort(_key(at, live.size))  # by output, then inputs: the canonical order
+        forms.append([col[order] for col in at + cols[-1:]])
+    (d_out, d_in, d_c), (q_out, q_in1, q_in2, q_c) = forms
+    field = VectorField(live, np.concatenate([d_out, q_out + live.size]),
+                        np.concatenate([d_in, q_in1]), q_in2, np.concatenate([d_c, q_c]))
+    return GeneratorTable(trunc, d, extended is not None, words, field)
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +454,12 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
     Declares Exploded once the weighted norm of the state passes the
     threshold, or when step halving pushes the step below STEP_FLOOR.  The
     horizon and tol must be finite and positive, the threshold positive or inf.
-    Only the coordinates reachable from the support of u0 are integrated, and
-    the trace holds their vectors; each accepted state is written into one
-    full state, whose norm and final tensor are those of the full-state
-    integration.  Each stage sums the weighted earlier stages in order with
-    np.add.reduce over the stacked rows, as a left-to-right sum does, then
-    scales the sum by h and adds the state: u + h * sum, bit for bit.
+    table is build_generator's table of a start whose closure holds u0's
+    support, normally u0 itself; the flow integrates its coordinates, and the
+    trace holds their vectors.  Each stage sums the weighted earlier stages
+    in order with np.add.reduce over the stacked rows, as a left-to-right
+    sum does, then scales the sum by h and adds the state: u + h * sum, bit
+    for bit.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError("horizon must be finite and positive")
@@ -464,15 +467,9 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
         raise ValueError("tol must be finite and positive")
     if not explosion_threshold > 0.0:
         raise ValueError("explosion threshold must be > 0 (inf disables it)")
-    start = table.vector(u0.sig, u0.u_x)
-    rhs = table.vector_field(start != 0.0)
+    u = table.vector(u0.sig, u0.u_x)
+    rhs, norm = table.field, table.norm_reader(weight)
     live, n = rhs.live, len(rhs.live)
-    u = start[live]
-    # the full state: unreached coordinates +0.0, the live ones written after each accepted step
-    full = np.zeros(table.state_dim)
-    full[live] = u
-    levels = sorted({len(table.words[i]) for i in live.tolist() if i < len(table.words)})
-    norm = table.norm_reader(full, weight, levels)
     t = 0.0
     h = horizon / 64.0
     accepted, rejected = [], 0  # accepted step sizes, count of rejected steps
@@ -512,8 +509,7 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
             ks[0] = ks[6]  # FSAL
             accepted.append(h)
             trace.append((t, u))
-            full[live] = u
-            size = norm()
+            size = norm(u)
             if size > explosion_threshold:
                 return outcome(t_star=t, norm_at_detection=size, detail="norm threshold crossed")
             h = h * min(2.0, 0.9 * (tol / err) ** 0.2 if err > 0.0 else 2.0)
@@ -521,9 +517,9 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
             rejected += 1
             h *= 0.5
             if h < STEP_FLOOR:
-                return outcome(t_star=t, norm_at_detection=norm(),
+                return outcome(t_star=t, norm_at_detection=norm(u),
                                detail="step underflow below floor")
-    sig, u_x = table.tensor(full)
+    sig, u_x = table.tensor(u)
     return outcome(RiccatiState(sig, u_x, horizon))
 
 

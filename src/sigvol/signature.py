@@ -41,13 +41,10 @@ from .algebra import EMPTY_WORD, GradedTensor, Word
 # ---------------------------------------------------------------------------
 
 
-def all_words(d: int, max_len: int) -> list[Word]:
-    """Every word over {0..d} with length <= max_len, in canonical order.
-
-    A list that cannot fit in this host's physical memory is rejected at once
-    with a ValueError: each word but the empty one is a tuple of its own, of
-    at least one letter, held by one list slot.
-    """
+def check_word_count(d: int, max_len: int) -> None:
+    """Reject, with a ValueError, the words over {0..d} up to max_len when their list cannot
+    fit in this host's physical memory: each word but the empty one is a tuple of its own, of
+    at least one letter, held by one list slot."""
     if max_len * math.log2(d + 1) < 256:
         count = ((d + 1) ** (max_len + 1) - 1) // d
         least = (count - 1) * (sys.getsizeof((0,)) + struct.calcsize("P"))
@@ -57,6 +54,11 @@ def all_words(d: int, max_len: int) -> list[Word]:
     if not fits:
         raise ValueError(f"every word up to length {max_len} over {d + 1} letters is {count} "
                          "words, more than this host's memory can hold")
+
+
+def all_words(d: int, max_len: int) -> list[Word]:
+    """Every word over {0..d} with length <= max_len, in canonical order, once they fit."""
+    check_word_count(d, max_len)
     words: list[Word] = [EMPTY_WORD]
     level: list[Word] = [EMPTY_WORD]
     for _ in range(max_len):

@@ -17,14 +17,17 @@ both read such sparse signatures, not the batch engine.  gkw_project_tall
 is the reference route for the one-factor GKW projection: tall ridge solves
 (ridge_lstsq, default_ridge) on the centred n-row design base_matrix, per
 depth of restrict_depth.  riccati_rhs
-evaluates the compiled vector field on a RiccatiState.  build_generator_by_label builds the table
-word by word into label-keyed dicts, and with_terms puts such terms into a
-table; transform_value, RiccatiExplosion and scalar_explosion_bound read a
-flow as a transform value and bound a scalar blow-up.  compile_by_label
-sorts label-keyed terms by their labels, and integrate_flow_full steps every
-coordinate of the state: with build_generator_by_label, the reference
-routes for the integer-coded table and the reachable-set
-flow.  brownian_values is the path-major Brownian driver (one Philox draw
+evaluates a closure table's vector field on a RiccatiState.
+build_generator_by_label builds the whole generator table word by word into
+label-keyed dicts, compile_by_label sorts such terms by their labels, and
+full_table compiles them into a FullTable, whose closure() fixpoint is the
+reference for build_generator's closure table: the two routes, label table
+then fixpoint, and closure grown with its terms, must agree bit for bit.
+with_terms puts hand-built label-keyed terms into a FullTable, whose
+closure() is how they reach integrate_flow; integrate_flow_full steps every
+coordinate of a FullTable's state, the reference for the closure flow.
+transform_value, RiccatiExplosion and scalar_explosion_bound read a flow as
+a transform value and bound a scalar blow-up.  brownian_values is the path-major Brownian driver (one Philox draw
 per block, Box-Muller on all of it, a cumulative sum over steps), and
 path_major_steps steps the batch engine on its increments and takes the Ito
 sums with np.cumsum: the reference routes for the chunked, step-major driver
@@ -33,8 +36,9 @@ reference_chen_step is the batch engine's Chen step as a fresh array per
 gather, product and level, the reference for its in-place, buffered step;
 levels and to_tensor copy out an engine's carried coordinates.
 project_leq cuts a tensor to its levels <= a given length, and
-projection_compatibility checks exactly that a truncation-N vector field
-projects onto the truncation-M one on states inside the shuffle window.
+projection_compatibility checks exactly that build_generator's truncation-N
+vector field projects onto the truncation-M one on states inside the
+shuffle window.
 """
 
 from __future__ import annotations
@@ -76,8 +80,13 @@ from sigvol.riccati import (
     GeneratorTable,
     RiccatiState,
     ShuffleWindowError,
+    VectorField,
+    _offset,
+    _word_index,
+    build_generator,
     integrate_flow,
     required_window,
+    weighted_norm,
 )
 from sigvol.signature import BatchSignature, all_words
 
@@ -396,10 +405,9 @@ def volatility_path(params, sigs: list[GradedTensor]) -> np.ndarray:
     return np.array([dual_pairing(params.ell, s) for s in sigs])
 
 
-def riccati_rhs(state: RiccatiState, table) -> RiccatiState:
-    """Linear drift part plus half the quadratic carre-du-champ contraction."""
-    u = table.vector(state.sig, state.u_x)
-    sig, u_x = table.tensor(table.vector_field(np.ones(table.state_dim, dtype=bool))(u))
+def riccati_rhs(state: RiccatiState, table: GeneratorTable) -> RiccatiState:
+    """Linear drift part plus half the quadratic carre-du-champ contraction, on a closure table."""
+    sig, u_x = table.tensor(table.field(table.vector(state.sig, state.u_x)))
     return RiccatiState(sig, u_x, state.tau)
 
 
@@ -484,7 +492,101 @@ def compile_by_label(table: LabelTable) -> tuple[tuple, tuple]:
     return _form_by_label(table.b, table.index, 2), _form_by_label(quad, table.index, 3)
 
 
-def with_terms(table, b: dict, gamma: dict):
+@dataclass
+class FullTable:
+    """Every term of the generator at truncation N, compiled: the reference for build_generator.
+
+    drift holds (output, input, b) and quad (output, in1, in2, c) with
+    in1 <= in2 and c = Gamma, halved when in1 == in2, both in canonical order
+    of the coordinates: every word up to N, then the log-price coordinate X
+    when extended.  closure(start) cuts the table down to the closure of
+    start's support by a fixpoint: a drift term reaches its output when its
+    input is live, a Gamma term when both inputs are.  Every term it drops
+    reads a coordinate that stays 0.0, so it adds +-0 to a sum that starts at
+    +0.0, which leaves the sum unchanged: on the closure the full field is
+    the closure's field bit for bit whenever every dropped product c*v is
+    finite.  Where one overflows, the full field multiplies inf by an
+    unreached 0.0 and turns NaN, while the closure's field stays the exact
+    equation on the closure.
+    """
+
+    trunc: int
+    dim: int
+    extended: bool
+    words: list
+    drift: tuple
+    quad: tuple
+
+    @property
+    def state_dim(self) -> int:
+        return len(self.words) + (1 if self.extended else 0)
+
+    @property
+    def labels(self) -> list:
+        return list(self.words) + ([X_LABEL] if self.extended else [])
+
+    @property
+    def x_index(self) -> int:
+        if not self.extended:
+            raise ValueError("table has no log-price coordinate")
+        return len(self.words)
+
+    def vector(self, sig: GradedTensor, u_x=None) -> np.ndarray:
+        if sig.dim != self.dim or sig.support_degree > self.trunc:
+            raise ValueError("direction outside the table")
+        u = np.zeros(self.state_dim)
+        for w, c in sig.coeffs.items():
+            u[_word_index(w, self.dim)] = c
+        if self.extended:
+            u[self.x_index] = 0.0 if u_x is None else float(u_x)
+        elif u_x not in (None, 0.0):
+            raise ValueError("u_x supplied but the table is not price-extended")
+        return u
+
+    def tensor(self, u: np.ndarray):
+        coeffs = {w: u[i] for i, w in enumerate(self.words) if u[i] != 0.0}
+        sig = GradedTensor(self.dim, self.trunc, coeffs)
+        return sig, (float(u[self.x_index]) if self.extended else None)
+
+    def weighted_norm(self, u: np.ndarray, weight) -> float:
+        """sum_n w(n) |u_n|_2 over every level, plus |u_X| when extended."""
+        n = self.dim + 1
+        parts = [(1.0 if weight is None else weight(k),
+                  u[_offset(k, self.dim) : _offset(k, self.dim) + n**k]) for k in range(self.trunc + 1)]
+        return weighted_norm(parts, float(u[self.x_index]) if self.extended else None)
+
+    def closure(self, start: RiccatiState) -> GeneratorTable:
+        """The closure table of start's support: its fixpoint, and the terms whose inputs lie in it."""
+        live = self.vector(start.sig, start.u_x) != 0.0
+        forms = (self.drift, self.quad)
+        while True:
+            reached = live.copy()
+            for out, *inputs, _ in forms:
+                reached[out[np.logical_and.reduce([live[i] for i in inputs])]] = True
+            if np.array_equal(reached, live):
+                break
+            live = reached
+        carried = np.flatnonzero(live)
+        pos = np.zeros(live.size, dtype=np.intp)
+        pos[carried] = np.arange(len(carried))
+        restricted = []
+        for out, *inputs, coeffs in forms:
+            kept = np.logical_and.reduce([live[i] for i in inputs])
+            restricted.append((pos[out[kept]], *(pos[i[kept]] for i in inputs), coeffs[kept]))
+        (d_out, d_in, d_c), (q_out, q_in1, q_in2, q_c) = restricted
+        field = VectorField(carried, np.concatenate([d_out, q_out + len(carried)]),
+                            np.concatenate([d_in, q_in1]), q_in2, np.concatenate([d_c, q_c]))
+        words = [self.words[i] for i in carried.tolist() if i < len(self.words)]
+        return GeneratorTable(self.trunc, self.dim, self.extended, words, field)
+
+
+def full_table(trunc, d, extended=None) -> FullTable:
+    """The label oracle's table, compiled: every term at truncation trunc."""
+    table = build_generator_by_label(trunc, d, extended)
+    return FullTable(trunc, d, extended is not None, table.words, *compile_by_label(table))
+
+
+def with_terms(table: FullTable, b: dict, gamma: dict) -> FullTable:
     """table with its compiled forms replaced by the label-keyed terms b and gamma."""
     index = {label: i for i, label in enumerate(table.labels)}
     table.drift, table.quad = compile_by_label(LabelTable(table.words, index, b, gamma))
@@ -669,31 +771,23 @@ def project_leq(a: GradedTensor, level: int) -> GradedTensor:
     return GradedTensor(a.dim, min(a.trunc, level), keep)
 
 
-def projection_compatibility(u0: RiccatiState, table_n: GeneratorTable,
-                             table_m: GeneratorTable, ell: GradedTensor | None = None) -> bool:
+def projection_compatibility(u0: RiccatiState, n: int, m: int, d: int, extended=None) -> bool:
     """Exact check of pi_M R_N(u) == R_M(pi_M u) for u supported in <= M.
 
-    ell is the symbol both tables were built from, given exactly when they
-    are price-extended.  The shuffle window M >= required_window(u, ell) is
-    enforced as a precondition; silent truncation would change the vector
-    field.
+    R_N and R_M are the fields of build_generator's closure tables of u0 at
+    truncations N and M, with extended = (ell, eta) or None for both; outside
+    its closure each full field is exactly 0.0.  The shuffle window
+    M >= required_window(u, ell) is enforced as a precondition; silent
+    truncation would change the vector field.
     """
-    n, m = table_n.trunc, table_m.trunc
     if m > n:
-        raise ValueError("expected table_m.trunc <= table_n.trunc")
-    if not table_n.extended == table_m.extended == (ell is not None):
-        raise ValueError("tables must both be extended, with ell given, or both pure without it")
+        raise ValueError("expected M <= N")
     if u0.support_degree > m:
         raise ShuffleWindowError("state must be supported in levels <= M")
-    window = required_window(u0, ell)
+    window = required_window(u0, None if extended is None else extended[0])
     if m < window:
         raise ShuffleWindowError(f"window violated: need M >= {window}, got {m}")
-    u_n = table_n.vector(u0.sig, u0.u_x)
-    u_m = table_m.vector(u0.sig, u0.u_x)
-    r_n = table_n.vector_field(np.ones(table_n.state_dim, dtype=bool))(u_n)
-    r_m = table_m.vector_field(np.ones(table_m.state_dim, dtype=bool))(u_m)
-    n_words_m = len(table_m.words)
-    proj = r_n[:n_words_m].copy()
-    if table_m.extended:
-        proj = np.append(proj, r_n[table_n.x_index])
-    return bool(np.array_equal(proj, r_m))
+    r_n, r_m = ({label: v for label, v in zip(table.labels, table.field(table.vector(u0.sig, u0.u_x)))}
+                for table in (build_generator(trunc, d, u0, extended) for trunc in (n, m)))
+    proj = {label: v for label, v in r_n.items() if label == X_LABEL or len(label) <= m}
+    return all(proj.get(label, 0.0) == r_m.get(label, 0.0) for label in proj.keys() | r_m.keys())

@@ -149,13 +149,12 @@ def test_criterion_3_black_scholes_exactness():
 def test_criterion_4_riccati_scalar_check():
     sigma, u, horizon, s0 = 0.2, 2.0, 1.0, 1.0
     ell = GradedTensor(1, 0, {(): sigma})
-    table = build_generator(2, 1, (ell, np.array([1.0])))
-    out = integrate_flow(RiccatiState(GradedTensor.zero(1, 0), u_x=u), horizon,
-                         table, tol=1e-12)
+    state = RiccatiState(GradedTensor.zero(1, 0), u_x=u)
+    table = build_generator(2, 1, state, (ell, np.array([1.0])))
+    out = integrate_flow(state, horizon, table, tol=1e-12)
     phi_expected = 0.5 * sigma**2 * (u**2 - u) * horizon
     phi_err = abs(out.state.sig[()] - phi_expected)
-    lam = transform_value(RiccatiState(GradedTensor.zero(1, 0), u_x=u), horizon,
-                          table, x0=math.log(s0))
+    lam = transform_value(state, horizon, table, x0=math.log(s0))
     mgf_rel = abs(lam - lognormal_mgf(u, s0, sigma, horizon)) / lognormal_mgf(u, s0, sigma, horizon)
     ok = phi_err <= 1e-8 and mgf_rel <= 1e-6
     report(4, "extended BS flow phi and lognormal MGF",
@@ -204,22 +203,18 @@ def test_criterion_6_explosion_detection():
 
 def test_criterion_7_projection_compatibility():
     rng = np.random.default_rng(707)
-    t5p = build_generator(5, 2)
-    t3p = build_generator(3, 2)
     pre = preset("first_order")
-    t5e = build_generator(5, 1, (pre.ell, pre.eta))
-    t3e = build_generator(3, 1, (pre.ell, pre.eta))
     ok = True
     for k in range(50):
         if k % 2 == 0:
             coeffs = {(): rng.normal(), (0,): rng.normal(),
                       (1,): rng.normal(), (2,): rng.normal()}
             state = RiccatiState(GradedTensor(2, 1, coeffs))
-            ok &= projection_compatibility(state, t5p, t3p)
+            ok &= projection_compatibility(state, 5, 3, 2)
         else:
             coeffs = {(): rng.normal(), (0,): rng.normal(), (1,): rng.normal()}
             state = RiccatiState(GradedTensor(1, 1, coeffs), u_x=float(rng.normal()))
-            ok &= projection_compatibility(state, t5e, t3e, pre.ell)
+            ok &= projection_compatibility(state, 5, 3, 1, (pre.ell, pre.eta))
     report(7, "pi_M R_N = R_M pi_M exactly on 50 admissible inputs", ok)
 
 
@@ -317,7 +312,6 @@ def test_criterion_12_transform_vs_mc():
     # Black-Scholes model: price-extended and pure-signature directions
     sigma = 0.2
     ell_bs = GradedTensor(1, 0, {(): sigma})
-    table_bs = build_generator(4, 1, (ell_bs, np.array([1.0])))
     params_bs = SigVolParams(ell_bs, Weight.geometric(2.0), 1.0, np.array([1.0]), 1.0, 64)
     bs_dirs = [
         RiccatiState(GradedTensor.zero(1, 0), u_x=0.5),
@@ -328,7 +322,8 @@ def test_criterion_12_transform_vs_mc():
         RiccatiState(GradedTensor(1, 2, {(1, 1): 0.3})),
     ]
     for k, state in enumerate(bs_dirs):
-        lam = transform_value(state, 1.0, table_bs, x0=0.0, tol=1e-11)
+        table = build_generator(4, 1, state, (ell_bs, np.array([1.0])))
+        lam = transform_value(state, 1.0, table, x0=0.0, tol=1e-11)
         mc = mc_transform(state, params_bs, 100_000, seed=1200 + k)
         gap = abs(lam - mc.mean)
         details.append(f"bs{k}:{gap / mc.se:.1f}se")
@@ -336,7 +331,6 @@ def test_criterion_12_transform_vs_mc():
             failures.append(("bs", k, lam, mc.mean, mc.se))
     # first-order model
     pre = preset("first_order")
-    table_fo = build_generator(3, 1, (pre.ell, pre.eta))
     fo_dirs = [
         RiccatiState(GradedTensor.zero(1, 0), u_x=0.5),
         RiccatiState(GradedTensor.zero(1, 0), u_x=-0.5),
@@ -345,7 +339,8 @@ def test_criterion_12_transform_vs_mc():
         RiccatiState(GradedTensor(1, 2, {(1, 1): 0.25})),
     ]
     for k, state in enumerate(fo_dirs):
-        lam = transform_value(state, 1.0, table_fo, x0=0.0, tol=1e-11)
+        table = build_generator(3, 1, state, (pre.ell, pre.eta))
+        lam = transform_value(state, 1.0, table, x0=0.0, tol=1e-11)
         steps = 512 if state.u_x not in (None, 0.0) else 64
         params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, steps)
         mc = mc_transform(state, params, 100_000, seed=1300 + k)

@@ -444,6 +444,19 @@ class TestTransform:
         assert code == 0
         assert "mc=" in out
 
+    @pytest.mark.parametrize("argv, line", [
+        (["--model", "first_order", "--u", "1:0.3", "--trunc", "22"], "status=ok"),
+        (["--model", "rough_bergomi_approx", "--uX", "0.3", "--threshold", "inf", "--trunc", "13"],
+         "lambda0=0.99376763711576599"),
+    ], ids=["first_order-trunc22", "rough_bergomi-trunc13"])
+    def test_deep_truncation_under_the_cap(self, tmp_path, argv, line):
+        # only the closure of the direction is built (2 and 59 coordinates), never a table of
+        # every word up to the truncation, which at these depths outgrows the cap
+        proc = capped("transform", *argv, "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert line in proc.stdout.splitlines()
+        assert proc.stdout.endswith("status=ok\n")
+
 
 class TestHedge:
     def test_report_sections(self, tmp_path, capsys):
