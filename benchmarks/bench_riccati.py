@@ -19,10 +19,17 @@ import math
 import numpy as np
 import pytest
 
-from sigvol.algebra import GradedTensor
+from sigvol.algebra import GradedTensor, Weight
 from sigvol.models import preset
 from sigvol.riccati import RiccatiState, build_generator, integrate_flow
+from sigvol.sde import SigVolParams
 from sigvol.signature import all_words
+
+
+def _model(name, **sigmas):
+    # the preset's model as `transform` resolves it at its defaults (T = 1, s0 = 1)
+    pre = preset(name, **sigmas)
+    return SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 128)
 
 
 def _record(benchmark, table, **info):
@@ -34,8 +41,7 @@ def _record(benchmark, table, **info):
 def test_closure_riccati_flows_table(benchmark):
     # transform --model black_scholes --sigma 0.2 --u 1:0.3 --uX 0.5 --trunc 9
     state = RiccatiState(GradedTensor(1, 1, {(1,): 0.3}), u_x=0.5)
-    ell = GradedTensor(1, 0, {(): 0.2})
-    table = benchmark.pedantic(build_generator, args=(9, 1, state, (ell, np.array([1.0]))),
+    table = benchmark.pedantic(build_generator, args=(state, _model("black_scholes", sigma=0.2), 9),
                                rounds=50, warmup_rounds=1)
     _record(benchmark, table, trunc=9, d=1)
 
@@ -43,9 +49,8 @@ def test_closure_riccati_flows_table(benchmark):
 @pytest.mark.parametrize("trunc", [12, 13, 16])
 def test_closure_rough_bergomi(benchmark, trunc):
     # transform --model rough_bergomi_approx --uX 0.3 --trunc N; 12 is its shuffle window
-    pre = preset("rough_bergomi_approx")
     state = RiccatiState(GradedTensor.zero(1, 0), u_x=0.3)
-    table = benchmark.pedantic(build_generator, args=(trunc, 1, state, (pre.ell, pre.eta)),
+    table = benchmark.pedantic(build_generator, args=(state, _model("rough_bergomi_approx"), trunc),
                                rounds=20, warmup_rounds=1)
     _record(benchmark, table, trunc=trunc, d=1)
 
@@ -53,18 +58,19 @@ def test_closure_rough_bergomi(benchmark, trunc):
 def test_closure_dense_d2_trunc8(benchmark):
     # every word of length <= 4 over three letters: the closure is every word up to 8
     state = RiccatiState(GradedTensor(2, 4, {w: 1.0 for w in all_words(2, 4)}))
-    table = benchmark.pedantic(build_generator, args=(8, 2, state), rounds=9, warmup_rounds=1)
+    model = SigVolParams(GradedTensor.zero(2, 0), Weight.constant(), 1.0, np.array([1.0, 0.0]),
+                         1.0, 1)
+    table = benchmark.pedantic(build_generator, args=(state, model, 8), rounds=9, warmup_rounds=1)
     _record(benchmark, table, trunc=8, d=2)
 
 
 def test_blowup_flow(benchmark):
     # E exp(2 <e_11, W_T>) blows up at T = 1/2
-    pre = preset("first_order")
     state = RiccatiState(GradedTensor(1, 2, {(1, 1): 2.0}))
-    table = build_generator(7, 1, state)
+    table = build_generator(state, _model("first_order"), 7)
 
     def flow():
-        return integrate_flow(state, 1.0, table, tol=1e-10, weight=pre.weight)
+        return integrate_flow(table)
 
     out = benchmark.pedantic(flow, rounds=9, warmup_rounds=1)
     _record(benchmark, table, trunc=7, d=1, accepted_steps=out.steps, rejected=out.rejected,
@@ -75,22 +81,20 @@ def test_blowup_flow(benchmark):
 def test_vector_field_call(benchmark):
     # the field the blow-up flow steps: the closure of e_11 and its terms
     state = RiccatiState(GradedTensor(1, 2, {(1, 1): 2.0}))
-    table = build_generator(7, 1, state)
+    table = build_generator(state, _model("first_order"), 7)
     rhs = table.field
-    benchmark.pedantic(rhs, args=(table.vector(state.sig),), rounds=200, iterations=10,
+    benchmark.pedantic(rhs, args=(table.u0,), rounds=200, iterations=10,
                        warmup_rounds=1)
     _record(benchmark, table, trunc=7, d=1, terms=len(rhs.coeffs))
 
 
 def test_flow_trunc12_rough_bergomi(benchmark):
     # transform --model rough_bergomi_approx --uX 0.3 --threshold inf, its closure built once
-    pre = preset("rough_bergomi_approx")
-    state = RiccatiState(GradedTensor.zero(1, 0), u_x=0.3)
-    table = build_generator(12, 1, state, (pre.ell, pre.eta))
+    table = build_generator(RiccatiState(GradedTensor.zero(1, 0), u_x=0.3),
+                            _model("rough_bergomi_approx"), 12)
 
     def flow():
-        return integrate_flow(state, 1.0, table, tol=1e-10, explosion_threshold=math.inf,
-                              weight=pre.weight)
+        return integrate_flow(table, explosion_threshold=math.inf)
 
     out = benchmark.pedantic(flow, rounds=5, warmup_rounds=1)
     _record(benchmark, table, trunc=12, d=1, accepted_steps=out.steps, rejected=out.rejected,

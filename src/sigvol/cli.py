@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -19,7 +18,6 @@ import numpy as np
 
 from . import hedging, models, riccati, sde
 from .algebra import (
-    EMPTY_WORD,
     GradedTensor,
     Weight,
     antipode,
@@ -65,9 +63,6 @@ _DEFAULTS = {
     "seed": None,
     "out": ".",
     "model": "black_scholes",
-    "sigma": 0.2,
-    "sigma0": 0.2,
-    "sigma1": 0.1,
 }
 
 
@@ -119,8 +114,9 @@ def resolve_model(cfg: dict) -> tuple[sde.SigVolParams, str]:
         name = "inline"
     else:
         name = spec.get("name", cfg["model"])
-        pre = models.preset(name, sigma=float(cfg["sigma"]),
-                            sigma0=float(cfg["sigma0"]), sigma1=float(cfg["sigma1"]))
+        # the preset's own defaults stand for the sigmas that are not set
+        pre = models.preset(name, **{key: float(cfg[key]) for key in ("sigma", "sigma0", "sigma1")
+                                     if key in cfg})
         if pre.metadata_only:
             raise ValueError(f"preset {name} is metadata-only and cannot be simulated")
         ell, eta, weight = pre.ell, pre.eta, pre.weight
@@ -154,12 +150,11 @@ def _parse_direction(cfg: dict, d: int) -> riccati.RiccatiState:
     if raw:
         if isinstance(raw, str):
             entries = [item for item in raw.split(",") if item.strip()]
-            for item in entries:
-                word_text, _, coeff = item.partition(":")
-                pairs[parse_word(word_text)] = float(coeff)
-        else:
-            for word_text, coeff in raw:
-                pairs[parse_word(str(word_text))] = float(coeff)
+            raw = [item.partition(":")[::2] for item in entries]
+        for word_text, coeff in raw:
+            # a repeated word sums its coefficients, as parse_tensor does
+            word = parse_word(str(word_text))
+            pairs[word] = pairs.get(word, 0.0) + float(coeff)
     deg = max((len(w) for w in pairs), default=0)
     sig = GradedTensor(d, deg, pairs)
     return riccati.RiccatiState(sig, None if u_x is None else float(u_x))
@@ -278,20 +273,14 @@ def _cmd_hypotheses(cfg: dict, out: str) -> int:
 
 def _cmd_transform(cfg: dict, out: str) -> int:
     params, _ = resolve_model(cfg)
-    ell = params.ell
     state = _parse_direction(cfg, params.dim)
-    extended = state.u_x is not None and state.u_x != 0.0
-    window = riccati.required_window(state, ell if extended else None)
-    trunc = (exact_int(cfg["trunc"], "trunc") if cfg.get("trunc") is not None
-             else max(window, state.support_degree, 2))
-    if trunc < window:
-        raise ValueError(f"truncation {trunc} below the shuffle window {window}")
-    table = riccati.build_generator(trunc, params.dim, state,
-                                    (ell, params.eta) if extended else None)
-    tol = float(cfg.get("tol", 1e-10))
-    threshold = float(cfg.get("threshold", 1e6))
-    outcome = riccati.integrate_flow(state, params.horizon, table, tol=tol,
-                                     explosion_threshold=threshold, weight=params.weight)
+    trunc = None if cfg.get("trunc") is None else exact_int(cfg["trunc"], "trunc")
+    table = riccati.build_generator(state, params, trunc)
+    # the flow's own defaults stand for the limits that are not set
+    limits = {arg: float(cfg[key]) for arg, key in (("tol", "tol"),
+                                                     ("explosion_threshold", "threshold"))
+              if key in cfg}
+    outcome = riccati.integrate_flow(table, **limits)
     lines = ["tau,component_word,psi_value"]
     # the carried coordinates, in coordinate order; a trace entry holds their values
     words = [label if label == riccati.X_LABEL else format_word(label) for label in table.labels]
@@ -299,9 +288,8 @@ def _cmd_transform(cfg: dict, out: str) -> int:
         at = f"{tau:.17g}"
         lines += [f"{at},{word},{value:.17g}"
                   for word, value in zip(words, vec.tolist()) if value != 0.0]
+    lam0 = outcome.lambda0
     if outcome.solved:
-        psi0 = outcome.state.sig[EMPTY_WORD]
-        lam0 = math.exp(psi0 + (outcome.state.u_x * math.log(params.s0) if extended else 0.0))
         lines.append(f"lambda0={lam0:.17g}")
     else:
         lines.append(f"exploded_at={outcome.t_star:.17g}")

@@ -26,15 +26,19 @@ with (u.x shuffle v.y) = (u shuffle v.y).x + (u.x shuffle v).y
 shuffle_product; and eta_j * (ell shuffle e_J') from sums over ell's words
 in ell's order, shuffle_product's order, dropped when exactly 0.0.  The
 terms compile to one sparse form in canonical order, which the vector field
-contracts with one np.bincount over 2*n bins for n carried coordinates.  A
-non-finite eta, or an overflowing ell shuffle ell or eta times ell shuffle
-e_J coefficient, is rejected among the terms of the closure, the only ones
-built.
+contracts with one np.bincount over 2*n bins for n carried coordinates.  An
+overflowing ell shuffle ell or eta times ell shuffle e_J coefficient is
+rejected among the terms of the closure, the only ones built.
 
-The flow d(psi)/dtau = R(psi) is integrated with an explicit embedded 4/5
-pair with adaptive steps; finite-time blow-up is the object of study, so the
+A flow is given its model once, as SigVolParams (ell, eta, s0, T and the
+weight), and its start once, to build_generator, which owns the shuffle
+window and the default truncation and records both in the table.
+integrate_flow takes only the table and its tolerances.  The flow
+d(psi)/dtau = R(psi) is integrated with an explicit embedded 4/5 pair with
+adaptive steps; finite-time blow-up is the object of study, so the
 integrator detects explosion (weighted norm above a threshold, or step
-underflow) instead of trying to continue through it.
+underflow) instead of trying to continue through it.  A solved flow carries
+the transform value lambda0.
 
 mc_transform checks a transform value on the price engine's paths.  It
 reads the model (ell, eta, s0, T, steps) from SigVolParams, the value the
@@ -53,7 +57,7 @@ import numpy as np
 
 # riccati does not call shuffle_words; it is bound here only for perfbench/tracing.py, which
 # wraps it where riccati binds it
-from .algebra import GradedTensor, Weight, Word, shuffle_product, shuffle_words  # noqa: F401
+from .algebra import EMPTY_WORD, GradedTensor, Word, shuffle_product, shuffle_words  # noqa: F401
 from .sde import SigVolParams, stream_paths
 from .signature import check_word_count
 
@@ -182,19 +186,20 @@ class VectorField:
 
 @dataclass(frozen=True)
 class GeneratorTable:
-    """The drift b^I_J and carre-du-champ Gamma^I_{J,K} on the closure of a flow's start.
+    """The drift b^I_J and carre-du-champ Gamma^I_{J,K} of a model on the closure of a start.
 
     words are the closure's words in canonical order, and field.live numbers
     them, and X last when it is live, as coordinates of the truncation-N
     state.  The quadratic coefficients are Gamma, halved when in1 == in2 (the
-    1/2 sum over ordered pairs folded into unordered storage).
+    1/2 sum over ordered pairs folded into unordered storage).  u0 is the
+    start's carried vector, and params the model whose flow the table drives.
     """
 
     trunc: int
-    dim: int
-    extended: bool
+    params: SigVolParams
     words: list[Word]
     field: VectorField
+    u0: np.ndarray
 
     @property
     def state_dim(self) -> int:  # the number of coordinates the closure carries
@@ -211,39 +216,26 @@ class GeneratorTable:
         in1, c = f.in1[f.in1.size - f.in2.size :], f.coeffs[f.coeffs.size - f.in2.size :]
         return np.where(in1 == f.in2, 2.0 * c, c)
 
-    def vector(self, sig: GradedTensor, u_x: float | None = None) -> np.ndarray:
-        """The carried vector of a direction whose support lies in the closure."""
-        at, terms = {label: i for i, label in enumerate(self.labels)}, dict(sig.coeffs)
-        if u_x not in (None, 0.0):
-            terms[X_LABEL] = u_x
-        if sig.dim != self.dim or not terms.keys() <= at.keys():
-            raise ValueError("direction outside the table's closure")
-        u = np.zeros(self.state_dim)
-        u[[at[label] for label in terms]] = list(terms.values())
-        if not np.isfinite(u).all():
-            raise ValueError("direction coefficients and u_x must be finite")
-        return u
-
-    def tensor(self, u: np.ndarray) -> tuple[GradedTensor, float | None]:
+    def tensor(self, u: np.ndarray) -> tuple[GradedTensor, float]:
         coeffs = {w: u[i] for i, w in enumerate(self.words) if u[i] != 0.0}
         # X outside the closure stays 0.0
         u_x = float(u[-1]) if self.state_dim > len(self.words) else 0.0
-        return GradedTensor(self.dim, self.trunc, coeffs), (u_x if self.extended else None)
+        return GradedTensor(self.params.dim, self.trunc, coeffs), u_x
 
-    def norm_reader(self, weight: Weight | None) -> Callable[[np.ndarray], float]:
-        """weighted_norm of a carried vector, sum_n w(n) |u_n|_2 plus |u_X|.
+    def norm_reader(self) -> Callable[[np.ndarray], float]:
+        """weighted_norm of a carried vector, sum_n w(n) |u_n|_2 plus |u_X|, w the model's weight.
 
         Each level that holds a carried word is one zero-padded copy of the
         whole level, into which the reader writes the carried entries; the
         layout and each w(n) are fixed here, once."""
-        n, m = self.dim + 1, len(self.words)
+        d, weight = self.params.dim, self.params.weight
+        n, m = d + 1, len(self.words)
         levels = sorted({len(w) for w in self.words})
         first = dict(zip(levels, np.cumsum([0] + [n**k for k in levels]).tolist()))
         padded = np.zeros(sum(n**k for k in levels))
-        spots = np.array([first[len(w)] + i - _offset(len(w), self.dim)
+        spots = np.array([first[len(w)] + i - _offset(len(w), d)
                           for w, i in zip(self.words, self.field.live.tolist())], dtype=np.intp)
-        parts = [(1.0 if weight is None else weight(k), padded[first[k] : first[k] + n**k])
-                 for k in levels]
+        parts = [(weight(k), padded[first[k] : first[k] + n**k]) for k in levels]
         has_x = self.state_dim > m
 
         def norm(u: np.ndarray) -> float:
@@ -254,38 +246,33 @@ class GeneratorTable:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite coefficient raises below instead
-def build_generator(trunc: int, d: int, start: RiccatiState,
-                    extended: tuple[GradedTensor, np.ndarray] | None = None) -> GeneratorTable:
-    """The generator/carre-du-champ table at truncation level trunc on the closure of start.
+def build_generator(start: RiccatiState, params: SigVolParams,
+                    trunc: int | None = None) -> GeneratorTable:
+    """The generator/carre-du-champ table of the model params on the closure of start.
 
-    extended, when given, is the pair (ell, eta) adjoining the log-price coordinate X, live
-    when start.u_x is non-zero; it requires trunc >= 2*deg(ell) so that ell shuffle ell is
-    representable without silently changing the vector field."""
-    if trunc < 0 or d < 1:
-        raise ValueError("need trunc >= 0 and d >= 1")
-    check_word_count(d, trunc)  # first: the coordinates number every word up to trunc
+    The log-price coordinate X is live when start.u_x is non-zero, and only
+    then are ell and eta read.  The shuffle window is 2*deg(start), and with
+    X live the larger of that plus deg(ell) and 2*deg(ell), the degree of
+    ell shuffle ell.  trunc defaults to the window, and at least 2; below
+    the window the field would silently change, and ShuffleWindowError is
+    raised instead."""
+    d, x_live = params.dim, start.x_live
+    window = 2 * start.support_degree
+    if x_live:
+        ell, eta = params.ell, params.eta
+        window = max(window + ell.support_degree, 2 * ell.support_degree)
+    if trunc is None:
+        trunc = max(window, 2)
+    if trunc < window:
+        raise ShuffleWindowError(f"truncation {trunc} below the shuffle window {window}")
+    check_word_count(d, trunc)  # the coordinates number every word up to trunc
+    if start.sig.dim != d:
+        raise ValueError("dimension mismatch with the model")
+    if x_live and not math.isfinite(start.u_x):
+        raise ValueError("direction coefficients and u_x must be finite")
     n = d + 1
     offset = np.array([_offset(k, d) for k in range(trunc + 2)], dtype=np.intp)
     x = int(offset[-1])  # X's coordinate, the number of words
-    if extended is not None:
-        ell, eta = extended
-        eta = np.asarray(eta, dtype=float)
-        if ell.dim != d or eta.shape != (d,):
-            raise ValueError("extended block needs ell over the same alphabet and eta in R^d")
-        if trunc < 2 * ell.support_degree:
-            raise ShuffleWindowError(
-                f"extended table needs trunc >= 2*deg(ell) = {2 * ell.support_degree}, got {trunc}")
-        ell_codes = [(len(w), _word_index(w, d) - _offset(len(w), d)) for w in ell.coeffs]
-        c_ell = np.array(list(ell.coeffs.values()))
-    if start.sig.dim != d:
-        raise ValueError("dimension mismatch with table")
-    if start.support_degree > trunc:
-        raise ValueError("state support exceeds table truncation")
-    x_live = start.u_x not in (None, 0.0)
-    if x_live and extended is None:
-        raise ValueError("u_x supplied but the table is not price-extended")
-    if start.u_x is not None and not math.isfinite(start.u_x):
-        raise ValueError("direction coefficients and u_x must be finite")
 
     def split(coords):  # (length, code) of word coordinates
         k = np.searchsorted(offset, coords, side="right") - 1
@@ -294,8 +281,11 @@ def build_generator(trunc: int, d: int, start: RiccatiState,
     # blocks of (output, input, b) and (output, in1, in2, c) coordinates
     empty = np.zeros(0, dtype=np.intp)
     drift, quad = [(empty, empty, np.zeros(0))], [(empty, empty, empty, np.zeros(0))]
-    new = np.array(sorted({_word_index(w, d) for w in start.sig.coeffs}), dtype=np.intp)
+    support = np.array([_word_index(w, d) for w in start.sig.coeffs], dtype=np.intp)
+    new = np.sort(support)
     if x_live:
+        ell_codes = [(len(w), _word_index(w, d) - _offset(len(w), d)) for w in ell.coeffs]
+        c_ell = np.array(list(ell.coeffs.values()))
         try:
             square = shuffle_product(ell, ell, trunc)
         except ValueError:  # a sum overflowed
@@ -366,8 +356,11 @@ def build_generator(trunc: int, d: int, start: RiccatiState,
     # each coordinate's position: a slot per word up to the last live one, then X's
     top = int(live[-1]) + 1 if live.size else 0
     slot = np.zeros(top + 1, dtype=np.intp)
+    u0 = np.zeros(live.size + x_live)
+    u0[np.searchsorted(live, support)] = list(start.sig.coeffs.values())
     if x_live:
         live = np.append(live, x)
+        u0[-1] = start.u_x
     slot[np.minimum(live, top)] = np.arange(live.size)
     forms = []
     for blocks, arity in ((drift, 2), (quad, 3)):
@@ -378,7 +371,7 @@ def build_generator(trunc: int, d: int, start: RiccatiState,
     (d_out, d_in, d_c), (q_out, q_in1, q_in2, q_c) = forms
     field = VectorField(live, np.concatenate([d_out, q_out + live.size]),
                         np.concatenate([d_in, q_in1]), q_in2, np.concatenate([d_c, q_c]))
-    return GeneratorTable(trunc, d, extended is not None, words, field)
+    return GeneratorTable(trunc, params, words, field, u0)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +391,11 @@ class RiccatiState:
     def support_degree(self) -> int:
         return self.sig.support_degree
 
+    @property
+    def x_live(self) -> bool:
+        """Whether the log-price coordinate X moves: u_x is given and non-zero."""
+        return self.u_x not in (None, 0.0)
+
 
 @dataclass(frozen=True)
 class FlowOutcome:
@@ -408,7 +406,9 @@ class FlowOutcome:
     live holds the coordinates the flow integrated, in ascending order.
     trace holds (tau, carried vector) at the start and after each accepted
     step: position i of a carried vector is coordinate live[i], and every
-    other coordinate of the state is +0.0.
+    other coordinate of the state is +0.0.  A solved flow's lambda0 is the
+    transform value E exp(<u, W_T> + u_X log S_T) = exp(psi_empty(T) +
+    u_X log s0), inf where that overflows a float.
     """
 
     solved: bool
@@ -422,6 +422,7 @@ class FlowOutcome:
     rejected: int = 0
     min_step: float | None = None
     max_step: float | None = None
+    lambda0: float | None = None
 
     @property
     def carried(self) -> int:
@@ -446,39 +447,35 @@ _DP_ROWS = [np.array(row)[:, None] for row in (*_DP_A[1:], _DP_B5, _DP_B4)]
 STEP_FLOOR = 1e-12  # a step halved below this is an explosion verdict
 
 
-def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
-                   tol: float = 1e-8, explosion_threshold: float = 1e6,
-                   weight: Weight | None = None) -> FlowOutcome:
-    """Adaptive embedded 4/5 integration of d(psi)/dtau = R(psi).
+def integrate_flow(table: GeneratorTable, tol: float = 1e-10,
+                   explosion_threshold: float = 1e6) -> FlowOutcome:
+    """Adaptive embedded 4/5 integration of d(psi)/dtau = R(psi) from the table's start.
 
-    Declares Exploded once the weighted norm of the state passes the
-    threshold, or when step halving pushes the step below STEP_FLOOR.  The
-    horizon and tol must be finite and positive, the threshold positive or inf.
-    table is build_generator's table of a start whose closure holds u0's
-    support, normally u0 itself; the flow integrates its coordinates, and the
-    trace holds their vectors.  Each stage sums the weighted earlier stages
-    in order with np.add.reduce over the stacked rows, as a left-to-right
-    sum does, then scales the sum by h and adds the state: u + h * sum, bit
-    for bit.
+    Integrates the coordinates of build_generator's table, from its start
+    u0 to the model's horizon, and the trace holds their vectors.  Declares
+    Exploded once the norm of the state, weighted by the model's weight,
+    passes the threshold, or when step halving pushes the step below
+    STEP_FLOOR.  tol must be finite and positive, the threshold positive or
+    inf.  Each stage sums the weighted earlier stages in order with
+    np.add.reduce over the stacked rows, as a left-to-right sum does, then
+    scales the sum by h and adds the state: u + h * sum, bit for bit.
     """
-    if not 0.0 < horizon < math.inf:
-        raise ValueError("horizon must be finite and positive")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
     if not explosion_threshold > 0.0:
         raise ValueError("explosion threshold must be > 0 (inf disables it)")
-    u = table.vector(u0.sig, u0.u_x)
-    rhs, norm = table.field, table.norm_reader(weight)
+    u, horizon = table.u0, table.params.horizon
+    rhs, norm = table.field, table.norm_reader()
     live, n = rhs.live, len(rhs.live)
     t = 0.0
     h = horizon / 64.0
     accepted, rejected = [], 0  # accepted step sizes, count of rejected steps
     trace = [(0.0, u)]
 
-    def outcome(state=None, **failure) -> FlowOutcome:
+    def outcome(state=None, **fields) -> FlowOutcome:
         return FlowOutcome(state is not None, state, len(accepted), trace=trace,
                            rejected=rejected, min_step=min(accepted, default=None),
-                           max_step=max(accepted, default=None), live=live, **failure)
+                           max_step=max(accepted, default=None), live=live, **fields)
 
     ks = np.empty((7, n))  # the stages; row 0 is the FSAL slope
     products, stage = np.empty((7, n)), np.empty(n)
@@ -520,22 +517,11 @@ def integrate_flow(u0: RiccatiState, horizon: float, table: GeneratorTable,
                 return outcome(t_star=t, norm_at_detection=norm(u),
                                detail="step underflow below floor")
     sig, u_x = table.tensor(u)
-    return outcome(RiccatiState(sig, u_x, horizon))
-
-
-# ---------------------------------------------------------------------------
-# Shuffle window
-# ---------------------------------------------------------------------------
-
-
-def required_window(u0: RiccatiState, ell: GradedTensor | None) -> int:
-    """Shuffle-degree window of a flow from u0: 2*deg(u0), and when
-    price-extended the larger of 2*deg(u0) + deg(ell) and 2*deg(ell), the
-    degree of ell shuffle ell."""
-    need = 2 * u0.support_degree
-    if ell is not None:
-        need = max(need + ell.support_degree, 2 * ell.support_degree)
-    return need
+    try:  # at tau = 0 the signature is the unit e_empty and X is log s0
+        lambda0 = math.exp(sig[EMPTY_WORD] + u_x * math.log(table.params.s0))
+    except OverflowError:
+        lambda0 = math.inf
+    return outcome(RiccatiState(sig, u_x, horizon), lambda0=lambda0)
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +575,7 @@ def mc_transform(u0: RiccatiState, params: SigVolParams, n_paths: int, seed: int
     nothing of the generator table whose flow it checks.  Without u_x the
     price is not read, and a zero ell leaves the stepper only the words of u0.
     """
-    use_price = u0.u_x not in (None, 0.0)
-    if not use_price:
+    if not u0.x_live:
         params = replace(params, ell=GradedTensor.zero(params.dim, 0))
     moments = _Moments()
     for paths in stream_paths(params, n_paths, seed, u0.sig.coeffs):
@@ -599,7 +584,7 @@ def mc_transform(u0: RiccatiState, params: SigVolParams, n_paths: int, seed: int
         expo = np.zeros(paths.size)
         for w, c in u0.sig.coeffs.items():
             expo += c * paths.sig.coord(w)
-        if use_price:
+        if u0.x_live:
             expo += u0.u_x * (math.log(params.s0) + paths.log_s)
         moments.add(np.exp(expo))
     moments.finish()

@@ -220,7 +220,6 @@ class BrownianBatch:
 
     times: np.ndarray
     grid: np.ndarray
-    seed: int
     path_offset: int = 0
 
     def __len__(self) -> int:
@@ -318,4 +317,4 @@ def simulate_brownian_grid(d: int, horizon: float, steps: int, n_paths: int,
     # the cumulative sum over steps, in its order, on contiguous rows
     for k in range(2, steps + 1):
         grid[k] += grid[k - 1]
-    return BrownianBatch(times, grid, seed, path_offset)
+    return BrownianBatch(times, grid, path_offset)

@@ -16,18 +16,20 @@ streamed hedging design, and volatility_path the one for xi = <ell, W_t>:
 both read such sparse signatures, not the batch engine.  gkw_project_tall
 is the reference route for the one-factor GKW projection: tall ridge solves
 (ridge_lstsq, default_ridge) on the centred n-row design base_matrix, per
-depth of restrict_depth.  riccati_rhs
-evaluates a closure table's vector field on a RiccatiState.
+depth of restrict_depth.  flow_model and
+preset_model give a test flow its model, and riccati_rhs evaluates a closure
+table's vector field at the table's start.
 build_generator_by_label builds the whole generator table word by word into
 label-keyed dicts, compile_by_label sorts such terms by their labels, and
-full_table compiles them into a FullTable, whose closure() fixpoint is the
-reference for build_generator's closure table: the two routes, label table
-then fixpoint, and closure grown with its terms, must agree bit for bit.
-with_terms puts hand-built label-keyed terms into a FullTable, whose
-closure() is how they reach integrate_flow; integrate_flow_full steps every
-coordinate of a FullTable's state, the reference for the closure flow.
-transform_value, RiccatiExplosion and scalar_explosion_bound read a flow as
-a transform value and bound a scalar blow-up.  brownian_values is the path-major Brownian driver (one Philox draw
+full_table compiles them, for a model, into a FullTable, whose closure()
+fixpoint is the reference for build_generator's closure table: the two
+routes, label table then fixpoint, and closure grown with its terms, must
+agree bit for bit.  with_terms puts hand-built label-keyed terms into a
+FullTable, whose closure() is how they reach integrate_flow;
+integrate_flow_full steps every coordinate of a FullTable's state, the
+reference for the closure flow.  transform_value (the reference for a flow's
+lambda0), RiccatiExplosion and scalar_explosion_bound read a flow as a
+transform value and bound a scalar blow-up.  brownian_values is the path-major Brownian driver (one Philox draw
 per block, Box-Muller on all of it, a cumulative sum over steps), and
 path_major_steps steps the batch engine on its increments and takes the Ito
 sums with np.cumsum: the reference routes for the chunked, step-major driver
@@ -38,7 +40,7 @@ levels and to_tensor copy out an engine's carried coordinates.
 project_leq cuts a tensor to its levels <= a given length, and
 projection_compatibility checks exactly that build_generator's truncation-N
 vector field projects onto the truncation-M one on states inside the
-shuffle window.
+shuffle window, which build_generator enforces.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from scipy.stats import norm
 from sigvol.algebra import (
     EMPTY_WORD,
     GradedTensor,
+    Weight,
     concat_product,
     dual_pairing,
     shuffle_product,
@@ -70,6 +73,7 @@ from sigvol.hedging import (
     default_strikes,
     kappa_tail,
 )
+from sigvol.models import preset
 from sigvol.riccati import (
     _DP_A,
     _DP_B4,
@@ -79,15 +83,14 @@ from sigvol.riccati import (
     FlowOutcome,
     GeneratorTable,
     RiccatiState,
-    ShuffleWindowError,
     VectorField,
     _offset,
     _word_index,
     build_generator,
     integrate_flow,
-    required_window,
     weighted_norm,
 )
+from sigvol.sde import SigVolParams
 from sigvol.signature import BatchSignature, all_words
 
 
@@ -405,10 +408,25 @@ def volatility_path(params, sigs: list[GradedTensor]) -> np.ndarray:
     return np.array([dual_pairing(params.ell, s) for s in sigs])
 
 
-def riccati_rhs(state: RiccatiState, table: GeneratorTable) -> RiccatiState:
-    """Linear drift part plus half the quadratic carre-du-champ contraction, on a closure table."""
-    sig, u_x = table.tensor(table.field(table.vector(state.sig, state.u_x)))
-    return RiccatiState(sig, u_x, state.tau)
+def flow_model(d, ell=None, eta=None, horizon=1.0, weight=None, s0=1.0) -> SigVolParams:
+    """The model of a test flow over d letters: ell zero and eta e_1 unless given, the
+    constant weight unless given; the flow reads no step count, so it is 1."""
+    return SigVolParams(GradedTensor.zero(d, 0) if ell is None else ell,
+                        Weight.constant() if weight is None else weight, s0,
+                        np.eye(d)[0] if eta is None else eta, horizon, 1)
+
+
+def preset_model(name, horizon=1.0, s0=1.0, **sigmas) -> SigVolParams:
+    """The model of a preset, as the CLI resolves it."""
+    pre = preset(name, **sigmas)
+    return flow_model(pre.ell.dim, pre.ell, pre.eta, horizon, pre.weight, s0)
+
+
+def riccati_rhs(table: GeneratorTable) -> RiccatiState:
+    """Linear drift part plus half the quadratic carre-du-champ contraction, at a closure
+    table's start."""
+    sig, u_x = table.tensor(table.field(table.u0))
+    return RiccatiState(sig, u_x)
 
 
 def _label_key(label):
@@ -494,13 +512,14 @@ def compile_by_label(table: LabelTable) -> tuple[tuple, tuple]:
 
 @dataclass
 class FullTable:
-    """Every term of the generator at truncation N, compiled: the reference for build_generator.
+    """Every term of a model's generator at truncation N, compiled: the reference for
+    build_generator.
 
     drift holds (output, input, b) and quad (output, in1, in2, c) with
     in1 <= in2 and c = Gamma, halved when in1 == in2, both in canonical order
     of the coordinates: every word up to N, then the log-price coordinate X
-    when extended.  closure(start) cuts the table down to the closure of
-    start's support by a fixpoint: a drift term reaches its output when its
+    when extended, with the model's ell and eta.  closure(start) cuts the
+    table down to the closure of start's support by a fixpoint: a drift term reaches its output when its
     input is live, a Gamma term when both inputs are.  Every term it drops
     reads a coordinate that stays 0.0, so it adds +-0 to a sum that starts at
     +0.0, which leaves the sum unchanged: on the closure the full field is
@@ -511,11 +530,15 @@ class FullTable:
     """
 
     trunc: int
-    dim: int
+    params: SigVolParams
     extended: bool
     words: list
     drift: tuple
     quad: tuple
+
+    @property
+    def dim(self) -> int:
+        return self.params.dim
 
     @property
     def state_dim(self) -> int:
@@ -546,18 +569,19 @@ class FullTable:
     def tensor(self, u: np.ndarray):
         coeffs = {w: u[i] for i, w in enumerate(self.words) if u[i] != 0.0}
         sig = GradedTensor(self.dim, self.trunc, coeffs)
-        return sig, (float(u[self.x_index]) if self.extended else None)
+        return sig, (float(u[self.x_index]) if self.extended else 0.0)
 
-    def weighted_norm(self, u: np.ndarray, weight) -> float:
-        """sum_n w(n) |u_n|_2 over every level, plus |u_X| when extended."""
+    def weighted_norm(self, u: np.ndarray) -> float:
+        """sum_n w(n) |u_n|_2 over every level, w the model's weight, plus |u_X| when extended."""
         n = self.dim + 1
-        parts = [(1.0 if weight is None else weight(k),
-                  u[_offset(k, self.dim) : _offset(k, self.dim) + n**k]) for k in range(self.trunc + 1)]
+        parts = [(self.params.weight(k), u[_offset(k, self.dim) : _offset(k, self.dim) + n**k])
+                 for k in range(self.trunc + 1)]
         return weighted_norm(parts, float(u[self.x_index]) if self.extended else None)
 
     def closure(self, start: RiccatiState) -> GeneratorTable:
         """The closure table of start's support: its fixpoint, and the terms whose inputs lie in it."""
-        live = self.vector(start.sig, start.u_x) != 0.0
+        u0 = self.vector(start.sig, start.u_x)
+        live = u0 != 0.0
         forms = (self.drift, self.quad)
         while True:
             reached = live.copy()
@@ -577,13 +601,14 @@ class FullTable:
         field = VectorField(carried, np.concatenate([d_out, q_out + len(carried)]),
                             np.concatenate([d_in, q_in1]), q_in2, np.concatenate([d_c, q_c]))
         words = [self.words[i] for i in carried.tolist() if i < len(self.words)]
-        return GeneratorTable(self.trunc, self.dim, self.extended, words, field)
+        return GeneratorTable(self.trunc, self.params, words, field, u0[carried])
 
 
-def full_table(trunc, d, extended=None) -> FullTable:
-    """The label oracle's table, compiled: every term at truncation trunc."""
-    table = build_generator_by_label(trunc, d, extended)
-    return FullTable(trunc, d, extended is not None, table.words, *compile_by_label(table))
+def full_table(trunc, params, extended=False) -> FullTable:
+    """The label oracle's table of a model, compiled: every term at truncation trunc, and
+    the log-price block of the model's ell and eta when extended."""
+    table = build_generator_by_label(trunc, params.dim, (params.ell, params.eta) if extended else None)
+    return FullTable(trunc, params, extended, table.words, *compile_by_label(table))
 
 
 def with_terms(table: FullTable, b: dict, gamma: dict) -> FullTable:
@@ -600,21 +625,19 @@ class RiccatiExplosion(RuntimeError):
         self.norm = norm
 
 
-def transform_value(u0: RiccatiState, horizon: float, table,
-                    x0: float = 0.0, tol: float = 1e-10,
+def transform_value(table: GeneratorTable, tol: float = 1e-10,
                     explosion_threshold: float = 1e6) -> float:
-    """Lambda_0 = exp(psi_empty(T) + u_x * x0): at t=0 the signature is e_0.
+    """Lambda_0 = exp(psi_empty(T) + u_x * log s0) of the table's flow: at t=0 the
+    signature is e_0 and X is log s0; u_x is read only when X is carried.
 
     Raises RiccatiExplosion when the flow blows up before the horizon.
     """
-    outcome = integrate_flow(u0, horizon, table, tol=tol,
-                             explosion_threshold=explosion_threshold)
+    outcome = integrate_flow(table, tol=tol, explosion_threshold=explosion_threshold)
     if not outcome.solved:
         raise RiccatiExplosion(outcome.t_star, outcome.norm_at_detection, outcome.detail)
-    psi0 = outcome.state.sig[EMPTY_WORD]
-    exponent = psi0
-    if table.extended:
-        exponent += outcome.state.u_x * x0
+    exponent = outcome.state.sig[EMPTY_WORD]
+    if X_LABEL in table.labels:
+        exponent += outcome.state.u_x * math.log(table.params.s0)
     return math.exp(exponent)
 
 
@@ -635,10 +658,11 @@ def _full_rhs(u, table):
     return parts[0] + parts[1].astype(float)
 
 
-def integrate_flow_full(u0: RiccatiState, horizon: float, table, tol: float = 1e-8,
-                        explosion_threshold: float = 1e6, weight=None) -> FlowOutcome:
-    """The embedded 4/5 flow stepping every coordinate of the state, trace recorded."""
-    u = table.vector(u0.sig, u0.u_x)
+def integrate_flow_full(u0: RiccatiState, table: FullTable, tol: float = 1e-10,
+                        explosion_threshold: float = 1e6) -> FlowOutcome:
+    """The embedded 4/5 flow from u0 stepping every coordinate of the state to the model's
+    horizon, trace recorded."""
+    u, horizon = table.vector(u0.sig, u0.u_x), table.params.horizon
     t = 0.0
     h = horizon / 64.0
     accepted, rejected = [], 0
@@ -669,7 +693,7 @@ def integrate_flow_full(u0: RiccatiState, horizon: float, table, tol: float = 1e
             k1 = k7
             accepted.append(h)
             trace.append((t, u.copy()))
-            norm = table.weighted_norm(u, weight)
+            norm = table.weighted_norm(u)
             if norm > explosion_threshold:
                 return outcome(t_star=t, norm_at_detection=norm, detail="norm threshold crossed")
             h = h * min(2.0, 0.9 * (tol / err) ** 0.2 if err > 0.0 else 2.0)
@@ -677,7 +701,7 @@ def integrate_flow_full(u0: RiccatiState, horizon: float, table, tol: float = 1e
             rejected += 1
             h *= 0.5
             if h < STEP_FLOOR:
-                return outcome(t_star=t, norm_at_detection=table.weighted_norm(u, weight),
+                return outcome(t_star=t, norm_at_detection=table.weighted_norm(u),
                                detail="step underflow below floor")
     sig, u_x = table.tensor(u)
     return outcome(RiccatiState(sig, u_x, horizon))
@@ -771,23 +795,18 @@ def project_leq(a: GradedTensor, level: int) -> GradedTensor:
     return GradedTensor(a.dim, min(a.trunc, level), keep)
 
 
-def projection_compatibility(u0: RiccatiState, n: int, m: int, d: int, extended=None) -> bool:
+def projection_compatibility(u0: RiccatiState, n: int, m: int, params: SigVolParams) -> bool:
     """Exact check of pi_M R_N(u) == R_M(pi_M u) for u supported in <= M.
 
-    R_N and R_M are the fields of build_generator's closure tables of u0 at
-    truncations N and M, with extended = (ell, eta) or None for both; outside
-    its closure each full field is exactly 0.0.  The shuffle window
-    M >= required_window(u, ell) is enforced as a precondition; silent
+    R_N and R_M are the fields of build_generator's closure tables of u0 and
+    the model params at truncations N and M; outside its closure each full
+    field is exactly 0.0.  build_generator raises ShuffleWindowError when M
+    is below the shuffle window, which holds u's support too; silent
     truncation would change the vector field.
     """
     if m > n:
         raise ValueError("expected M <= N")
-    if u0.support_degree > m:
-        raise ShuffleWindowError("state must be supported in levels <= M")
-    window = required_window(u0, None if extended is None else extended[0])
-    if m < window:
-        raise ShuffleWindowError(f"window violated: need M >= {window}, got {m}")
-    r_n, r_m = ({label: v for label, v in zip(table.labels, table.field(table.vector(u0.sig, u0.u_x)))}
-                for table in (build_generator(trunc, d, u0, extended) for trunc in (n, m)))
+    r_n, r_m = ({label: v for label, v in zip(table.labels, table.field(table.u0))}
+                for table in (build_generator(u0, params, trunc) for trunc in (n, m)))
     proj = {label: v for label, v in r_n.items() if label == X_LABEL or len(label) <= m}
     return all(proj.get(label, 0.0) == r_m.get(label, 0.0) for label in proj.keys() | r_m.keys())

@@ -30,9 +30,11 @@ from sigvol.signature import BatchSignature, all_words, simulate_brownian_grid
 from _oracles import (
     brownian_values,
     build_generator_by_label,
+    flow_model,
     generator_regression,
     levels,
     lognormal_mgf,
+    preset_model,
     projection_compatibility,
     scalar_explosion_bound,
     transform_value,
@@ -148,13 +150,12 @@ def test_criterion_3_black_scholes_exactness():
 
 def test_criterion_4_riccati_scalar_check():
     sigma, u, horizon, s0 = 0.2, 2.0, 1.0, 1.0
-    ell = GradedTensor(1, 0, {(): sigma})
-    state = RiccatiState(GradedTensor.zero(1, 0), u_x=u)
-    table = build_generator(2, 1, state, (ell, np.array([1.0])))
-    out = integrate_flow(state, horizon, table, tol=1e-12)
+    params = flow_model(1, GradedTensor(1, 0, {(): sigma}), horizon=horizon, s0=s0)
+    table = build_generator(RiccatiState(GradedTensor.zero(1, 0), u_x=u), params)
+    out = integrate_flow(table, tol=1e-12)
     phi_expected = 0.5 * sigma**2 * (u**2 - u) * horizon
     phi_err = abs(out.state.sig[()] - phi_expected)
-    lam = transform_value(state, horizon, table, x0=math.log(s0))
+    lam = transform_value(table)
     mgf_rel = abs(lam - lognormal_mgf(u, s0, sigma, horizon)) / lognormal_mgf(u, s0, sigma, horizon)
     ok = phi_err <= 1e-8 and mgf_rel <= 1e-6
     report(4, "extended BS flow phi and lognormal MGF",
@@ -189,8 +190,7 @@ def test_criterion_6_explosion_detection():
     for _ in range(10):
         a = float(rng.uniform(0.4, 3.0))
         y0 = float(rng.uniform(0.4, 3.0))
-        out = integrate_flow(RiccatiState(GradedTensor(1, 0, {(): y0})), 50.0,
-                             scalar_quadratic_table(a), tol=1e-9,
+        out = integrate_flow(scalar_quadratic_table(a, y0, 50.0), tol=1e-9,
                              explosion_threshold=1e6)
         true_star = 1.0 / (a * y0)
         ok &= (not out.solved) and out.t_star < scalar_explosion_bound(a, y0)
@@ -203,18 +203,18 @@ def test_criterion_6_explosion_detection():
 
 def test_criterion_7_projection_compatibility():
     rng = np.random.default_rng(707)
-    pre = preset("first_order")
+    pure, priced = flow_model(2), preset_model("first_order")
     ok = True
     for k in range(50):
         if k % 2 == 0:
             coeffs = {(): rng.normal(), (0,): rng.normal(),
                       (1,): rng.normal(), (2,): rng.normal()}
             state = RiccatiState(GradedTensor(2, 1, coeffs))
-            ok &= projection_compatibility(state, 5, 3, 2)
+            ok &= projection_compatibility(state, 5, 3, pure)
         else:
             coeffs = {(): rng.normal(), (0,): rng.normal(), (1,): rng.normal()}
             state = RiccatiState(GradedTensor(1, 1, coeffs), u_x=float(rng.normal()))
-            ok &= projection_compatibility(state, 5, 3, 1, (pre.ell, pre.eta))
+            ok &= projection_compatibility(state, 5, 3, priced)
     report(7, "pi_M R_N = R_M pi_M exactly on 50 admissible inputs", ok)
 
 
@@ -322,8 +322,7 @@ def test_criterion_12_transform_vs_mc():
         RiccatiState(GradedTensor(1, 2, {(1, 1): 0.3})),
     ]
     for k, state in enumerate(bs_dirs):
-        table = build_generator(4, 1, state, (ell_bs, np.array([1.0])))
-        lam = transform_value(state, 1.0, table, x0=0.0, tol=1e-11)
+        lam = transform_value(build_generator(state, params_bs, 4), tol=1e-11)
         mc = mc_transform(state, params_bs, 100_000, seed=1200 + k)
         gap = abs(lam - mc.mean)
         details.append(f"bs{k}:{gap / mc.se:.1f}se")
@@ -339,10 +338,9 @@ def test_criterion_12_transform_vs_mc():
         RiccatiState(GradedTensor(1, 2, {(1, 1): 0.25})),
     ]
     for k, state in enumerate(fo_dirs):
-        table = build_generator(3, 1, state, (pre.ell, pre.eta))
-        lam = transform_value(state, 1.0, table, x0=0.0, tol=1e-11)
-        steps = 512 if state.u_x not in (None, 0.0) else 64
+        steps = 512 if state.x_live else 64
         params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, steps)
+        lam = transform_value(build_generator(state, params), tol=1e-11)
         mc = mc_transform(state, params, 100_000, seed=1300 + k)
         gap = abs(lam - mc.mean)
         details.append(f"fo{k}:{gap / mc.se:.1f}se")

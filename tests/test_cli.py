@@ -101,10 +101,13 @@ class TestValidation:
         assert code == 1
 
     def test_window_validated_before_compute(self, tmp_path, capsys):
-        code, out = run(capsys, "transform", "--out", str(tmp_path),
-                        "--model", "first_order", "--uX", "0.5", "--trunc", "0")
+        code = execute(["transform", "--out", str(tmp_path),
+                        "--model", "first_order", "--uX", "0.5", "--trunc", "0"])
+        out, err = capsys.readouterr()
         assert code == 1
-        assert status_line(out) == "status=invalid"
+        assert out == "status=invalid\n"
+        assert err == "error: truncation 0 below the shuffle window 2\n"
+        assert not (tmp_path / "transform.csv").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range(self, tmp_path, capsys, seed):
@@ -436,6 +439,25 @@ class TestTransform:
         final = (tmp_path / "transform.csv").read_text().splitlines()[-1]
         assert final.startswith("exploded_at=")
         assert float(final.split("=")[1]) == pytest.approx(2.0 / 3.0, rel=0.01)
+
+    def test_repeated_word_sums(self, tmp_path, capsys):
+        # "1:0.3,1:0.4" is the direction 0.7 e_1, as a repeated word of ell sums
+        runs = {}
+        for u in ("1:0.3,1:0.4", "1:0.7"):
+            code, out = run(capsys, "transform", "--out", str(tmp_path), "--model", "first_order",
+                            "--u", u)
+            assert code == 0
+            runs[u] = out, (tmp_path / "transform.csv").read_bytes()
+        assert runs["1:0.3,1:0.4"] == runs["1:0.7"]
+        assert "lambda0=1.0832870676749586\n" not in runs["1:0.7"][0]  # --u 1:0.4's value
+
+    def test_overflowing_lambda0(self, tmp_path, capsys):
+        # the flow solves, with psi_empty(T) = 800, and exp(800) is no float
+        code, out = run(capsys, "transform", "--out", str(tmp_path), "--model", "black_scholes",
+                        "--u", "0:800")
+        assert code == 0
+        assert out == "lambda0=inf\nstatus=ok\n"
+        assert (tmp_path / "transform.csv").read_text().endswith("lambda0=inf\n")
 
     def test_mc_check_runs(self, tmp_path, capsys):
         code, out = run(capsys, "transform", "--out", str(tmp_path),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -19,16 +20,18 @@ from sigvol.riccati import (
     integrate_flow,
     mc_transform,
 )
-from sigvol.sde import SigVolParams
 from sigvol.signature import all_words
 
 from _oracles import (
+    FullTable,
     RiccatiExplosion,
     build_generator_by_label,
+    flow_model,
     full_table,
     generator_regression,
     integrate_flow_full,
     lognormal_mgf,
+    preset_model,
     projection_compatibility,
     riccati_rhs,
     scalar_explosion_bound,
@@ -39,10 +42,12 @@ from _oracles import (
 )
 
 
-def scalar_quadratic_table(a: float) -> GeneratorTable:
-    """Synthetic closure table of the empty word encoding y' = a y^2 on it."""
-    table = with_terms(full_table(0, 1), {}, {(EMPTY_WORD, EMPTY_WORD, EMPTY_WORD): 2.0 * a})
-    return table.closure(RiccatiState(GradedTensor.unit(1, 0)))
+def scalar_quadratic_table(a: float, y0: float = 1.0, horizon: float = 2.0) -> GeneratorTable:
+    """Synthetic closure table of the empty word from y0, encoding y' = a y^2 on it up to
+    horizon."""
+    table = with_terms(full_table(0, flow_model(1, horizon=horizon)), {},
+                       {(EMPTY_WORD, EMPTY_WORD, EMPTY_WORD): 2.0 * a})
+    return table.closure(RiccatiState(GradedTensor(1, 0, {EMPTY_WORD: y0})))
 
 
 class TestBuildGenerator:
@@ -105,39 +110,71 @@ class TestBuildGenerator:
         assert table.gamma[((1,), (1,), X_LABEL)] == pytest.approx(0.1)
 
     def test_window_guard(self):
+        # with X live the window is 2*deg(ell) = 2 here, and the exact line the CLI prints
         ell = GradedTensor(1, 1, {(1,): 0.1})
-        with pytest.raises(ShuffleWindowError):
-            build_generator(1, 1, RiccatiState(GradedTensor.zero(1, 0), u_x=1.0),
-                            (ell, np.array([1.0])))
+        with pytest.raises(ShuffleWindowError, match=r"^truncation 1 below the shuffle window 2$"):
+            build_generator(RiccatiState(GradedTensor.zero(1, 0), u_x=1.0), flow_model(1, ell), 1)
+
+    @pytest.mark.parametrize("start, ell, window", [
+        (RiccatiState(GradedTensor(2, 2, {(1, 2): 1.0})), None, 4),
+        (RiccatiState(GradedTensor(1, 1, {(0,): 0.5})), None, 2),
+        (RiccatiState(GradedTensor(1, 1, {(1,): 1.0}), u_x=0.5), GradedTensor(1, 1, {(1,): 0.1}),
+         3),
+        (RiccatiState(GradedTensor.zero(1, 0), u_x=0.5), GradedTensor(1, 3, {(1, 0, 0): 0.1}), 6),
+        # ell is not read while X is not live
+        (RiccatiState(GradedTensor(1, 1, {(1,): 1.0}), u_x=0.0),
+         GradedTensor(1, 3, {(1, 0, 0): 0.1}), 2),
+    ], ids=["pure-deg2", "pure-deg1", "price-deg1", "price-ell-deg3", "X-not-live"])
+    def test_window_and_default_truncation(self, start, ell, window):
+        params = flow_model(start.sig.dim, ell)
+        with pytest.raises(ShuffleWindowError, match=rf"^truncation {window - 1} below the shuffle "
+                                                      rf"window {window}$"):
+            build_generator(start, params, window - 1)
+        assert build_generator(start, params, window).trunc == window
+        assert build_generator(start, params).trunc == max(window, 2)
+
+    def test_default_truncation_is_at_least_two(self):
+        params = flow_model(1)
+        for start in (RiccatiState(GradedTensor.zero(1, 0)), RiccatiState(GradedTensor.unit(1, 0))):
+            assert build_generator(start, params).trunc == 2
+        assert build_generator(RiccatiState(GradedTensor.zero(1, 0)), params, 0).trunc == 0
 
     @pytest.mark.parametrize("eta", [math.nan, math.inf, 1e308])
     def test_non_finite_eta_rejected(self, eta):
-        # eta * (ell shuffle e_J) is the one coefficient no tensor checks: the closure of
-        # e_1 and X holds Gamma(Y_1, X) = eta * 10 on the empty word, and 1e308 * 10 overflows
-        ell = GradedTensor(1, 0, {(): 10.0})
-        start = RiccatiState(GradedTensor(1, 1, {(1,): 1.0}), u_x=1.0)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="eta must be finite"):
-            build_generator(2, 1, start, (ell, np.array([eta])))
+        # the model takes only a unit eta, so no eta that would make eta * (ell shuffle e_J)
+        # overflow reaches a table
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="unit vector"):
+            flow_model(1, GradedTensor(1, 0, {(): 10.0}), np.array([eta]))
 
     def test_overflowing_ell_square_rejected(self):
         # ell shuffle ell = 1e400 on the empty word, built once X is live
         ell = GradedTensor(1, 0, {(): 1e200})
         with pytest.raises(ValueError, match="eta must be finite"):
-            build_generator(2, 1, RiccatiState(GradedTensor.zero(1, 0), u_x=0.5),
-                            (ell, np.array([1.0])))
+            build_generator(RiccatiState(GradedTensor.zero(1, 0), u_x=0.5), flow_model(1, ell), 2)
 
     def test_term_outside_the_closure_is_never_built(self):
-        # with X and no Brownian word live no eta * (ell shuffle e_J) term is built, so the
-        # overflowing eta * 10 of Gamma(Y_1, X) is never formed
+        # with X and no Brownian word live no eta * (ell shuffle e_J) term is built: the
+        # closure is the empty word and X, with the two terms of ell shuffle ell alone
         ell = GradedTensor(1, 0, {(): 10.0})
-        table = build_generator(2, 1, RiccatiState(GradedTensor.zero(1, 0), u_x=1.0),
-                                (ell, np.array([1e308])))
+        start = RiccatiState(GradedTensor.zero(1, 0), u_x=1.0)
+        table = build_generator(start, flow_model(1, ell), 2)
         assert table.labels == [(), X_LABEL]
+        assert len(table.field.coeffs) == 2 and len(table.gamma) == 1
 
-    def test_direction_outside_the_closure_rejected(self):
-        table = build_generator(2, 1, RiccatiState(GradedTensor(1, 1, {(1,): 1.0})))
-        with pytest.raises(ValueError, match="outside the table's closure"):
-            integrate_flow(RiccatiState(GradedTensor(1, 1, {(0,): 1.0})), 1.0, table)
+    def test_non_finite_u_x_rejected(self):
+        for u_x in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="u_x must be finite"):
+                build_generator(RiccatiState(GradedTensor.zero(1, 0), u_x=u_x), flow_model(1))
+
+    def test_start_vector_recorded(self):
+        # the table records the start's carried vector, X last, and the model
+        params = flow_model(1, GradedTensor(1, 0, {(): 0.2}))
+        start = RiccatiState(GradedTensor(1, 1, {(1,): -0.5, (0,): 0.25}), u_x=1.5)
+        table = build_generator(start, params)
+        assert table.params is params
+        got = dict(zip(table.labels, table.u0.tolist()))
+        assert {label: c for label, c in got.items() if c != 0.0} == {(0,): 0.25, (1,): -0.5,
+                                                                     X_LABEL: 1.5}
 
 
 def field_bytes(table: GeneratorTable) -> list:
@@ -153,34 +190,42 @@ def dense_start(d: int, trunc: int, u_x=None) -> RiccatiState:
 
 class TestCompileOrder:
     @pytest.mark.parametrize("d, trunc, extended", [
-        (1, 6, False), (2, 4, False), (3, 3, False), (1, 6, True), (2, 4, True), (3, 2, True)])
+        (1, 6, False), (2, 6, False), (1, 6, True), (2, 4, True), (3, 2, True)])
     def test_integer_sort_is_label_sort(self, d, trunc, extended):
-        # a dense start makes every coordinate live, so the closure field holds the whole
-        # table in the order of its labels
-        ell = GradedTensor(d, 1, {(): 0.2, (1,): 0.1, (d,): -0.05})
-        eta = np.eye(d)[d - 1]
-        ext = (ell, eta) if extended else None
-        start = dense_start(d, trunc, 1.0 if extended else None)
-        table = build_generator(trunc, d, start, ext)
-        oracle = full_table(trunc, d, ext)
+        # every coordinate is live, so the closure field holds the whole table in the order
+        # of its labels.  Without X a dense start of degree trunc / 2 >= 3 reaches every
+        # word; with X, ell on every word up to trunc / 2 does, through ell shuffle ell
+        ell = GradedTensor(d, trunc // 2, {w: 1.0 for w in all_words(d, trunc // 2)})
+        params = flow_model(d, ell, np.full(d, d**-0.5))
+        start = dense_start(d, trunc // 4 if extended else trunc // 2, 1.0 if extended else None)
+        table = build_generator(start, params, trunc)
+        oracle = full_table(trunc, params, extended)
         assert table.state_dim == oracle.state_dim
         assert field_bytes(table) == field_bytes(oracle.closure(start))
 
 
+# unit vectors, some with zero components, as the model takes them
+UNIT_ETAS = {1: [(1.0,), (-1.0,)], 2: [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (0.8, -0.6)],
+             3: [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.6, 0.8), (0.48, 0.6, -0.64)]}
+
+
 @st.composite
 def closure_cases(draw):
-    """Random (trunc, d, extended, start): sparse and dense supports, X with and without
-    words, ell words of one length, zero eta components, and ell sums that cancel."""
+    """Random (trunc, model, start) with trunc at or above the start's shuffle window:
+    sparse and dense supports, X with and without words, ell words of one length, zero eta
+    components, and ell sums that cancel."""
     d = draw(st.integers(1, 3))
     trunc = draw(st.integers(0, {1: 7, 2: 5, 3: 4}[d]))
+    extended = draw(st.booleans())
+    deg = draw(st.integers(0, trunc // 2)) if extended else 0
+    u_x = draw(st.sampled_from([None, 0.0, 0.7, -1.2])) if extended else None
+    # the window: twice the start's degree, plus deg(ell) when X is live
+    top = (trunc - deg) // 2 if u_x else trunc // 2
     if draw(st.booleans()):
-        coeffs = {w: 1.0 for w in all_words(d, draw(st.integers(0, trunc)))}
+        coeffs = {w: 1.0 for w in all_words(d, draw(st.integers(0, top)))}
     else:
-        words = st.lists(st.integers(0, d), max_size=trunc).map(tuple)
+        words = st.lists(st.integers(0, d), max_size=top).map(tuple)
         coeffs = draw(st.dictionaries(words, st.sampled_from([0.5, -2.0, 1.0]), max_size=3))
-    if not draw(st.booleans()):
-        return trunc, d, None, RiccatiState(GradedTensor(d, trunc, coeffs))
-    deg = draw(st.integers(0, trunc // 2))
     ell_words = st.lists(st.integers(0, d), max_size=deg).map(tuple)
     ell = draw(st.dictionaries(ell_words, st.floats(-2.0, 2.0).filter(bool), max_size=4))
     if deg >= 2 and draw(st.booleans()):
@@ -189,18 +234,16 @@ def closure_cases(draw):
         u = tuple(draw(st.lists(st.integers(0, d), min_size=2, max_size=deg)))
         c = draw(st.sampled_from([0.3, -1.5]))
         ell.update({u: c, u[::-1]: -c})
-    eta = draw(st.lists(st.sampled_from([0.0, 1.0, -0.5, 0.3]), min_size=d, max_size=d))
-    u_x = draw(st.sampled_from([None, 0.0, 0.7, -1.2]))
-    return (trunc, d, (GradedTensor(d, deg, ell), np.array(eta)),
-            RiccatiState(GradedTensor(d, trunc, coeffs), u_x))
+    eta = np.array(draw(st.sampled_from(UNIT_ETAS[d])))
+    return (trunc, flow_model(d, GradedTensor(d, deg, ell), eta),
+            RiccatiState(GradedTensor(d, top, coeffs), u_x))
 
 
 @cache
 def rough_bergomi_trunc12() -> GeneratorTable:
     """rough_bergomi_approx's closure table of --uX 0.3 at its shuffle window, trunc 12."""
-    pre = preset("rough_bergomi_approx")
-    return build_generator(12, 1, RiccatiState(GradedTensor.zero(1, 0), u_x=0.3),
-                           (pre.ell, pre.eta))
+    return build_generator(RiccatiState(GradedTensor.zero(1, 0), u_x=0.3),
+                           preset_model("rough_bergomi_approx"))
 
 
 class TestCompiledForms:
@@ -210,21 +253,22 @@ class TestCompiledForms:
     @settings(max_examples=60, deadline=None)
     @given(closure_cases())
     def test_bit_identical_to_label_oracle(self, case):
-        trunc, d, extended, start = case
-        table = build_generator(trunc, d, start, extended)
-        want = full_table(trunc, d, extended).closure(start)
+        trunc, params, start = case
+        table = build_generator(start, params, trunc)
+        want = full_table(trunc, params, extended=True).closure(start)
         assert field_bytes(table) == field_bytes(want)
-        assert table.labels == want.labels and table.extended == want.extended
+        assert table.labels == want.labels and table.u0.tobytes() == want.u0.tobytes()
 
     def test_cancelling_ell_sum_dropped(self):
         # (1.2 shuffle e_1) and (2.1 shuffle e_1) both hold 1.2.1 once, so with ell's
         # coefficients 0.3 and -0.3 Gamma(Y_1.1, X) has no term on 1.2.1
         ell = GradedTensor(2, 2, {(1, 2): 0.3, (2, 1): -0.3})
-        extended = (ell, np.array([1.0, 1.0]))
+        params = flow_model(2, ell, np.array([0.6, 0.8]))
         start = RiccatiState(GradedTensor(2, 2, {(1, 1): 1.0}), u_x=1.0)
-        assert ((1, 2, 1), (1, 1), X_LABEL) not in build_generator_by_label(6, 2, extended).gamma
-        table = build_generator(6, 2, start, extended)
-        assert field_bytes(table) == field_bytes(full_table(6, 2, extended).closure(start))
+        assert ((1, 2, 1), (1, 1), X_LABEL) not in build_generator_by_label(
+            6, 2, (ell, params.eta)).gamma
+        table = build_generator(start, params, 6)
+        assert field_bytes(table) == field_bytes(full_table(6, params, True).closure(start))
 
     def test_trunc12_rough_bergomi_closure_digest(self):
         # taken from the full table's closure fixpoint (59 coordinates, 439 terms, 330 Gamma)
@@ -240,9 +284,8 @@ class TestCompiledForms:
     @pytest.mark.parametrize("trunc", [13, 16])
     def test_rough_bergomi_closure_stops_growing(self, trunc):
         # past the window the closure is the same 59 coordinates and 439 terms
-        pre = preset("rough_bergomi_approx")
-        table = build_generator(trunc, 1, RiccatiState(GradedTensor.zero(1, 0), u_x=0.3),
-                                (pre.ell, pre.eta))
+        table = build_generator(RiccatiState(GradedTensor.zero(1, 0), u_x=0.3),
+                                preset_model("rough_bergomi_approx"), trunc)
         assert table.labels == rough_bergomi_trunc12().labels
         assert len(table.field.coeffs) == 439
 
@@ -279,20 +322,19 @@ class TestMCGeneratorOracle:
 
 class TestRhs:
     def test_zero_state(self):
-        state = RiccatiState(GradedTensor.zero(2, 2))
-        out = riccati_rhs(state, build_generator(2, 2, state))
+        out = riccati_rhs(build_generator(RiccatiState(GradedTensor.zero(2, 2)), flow_model(2), 2))
         assert not out.sig.coeffs
 
     def test_bs_empty_component(self):
         ell = GradedTensor(1, 0, {(): 0.2})
         state = RiccatiState(GradedTensor.zero(1, 0), u_x=2.0)
-        out = riccati_rhs(state, build_generator(2, 1, state, (ell, np.array([1.0]))))
+        out = riccati_rhs(build_generator(state, flow_model(1, ell), 2))
         assert out.sig[()] == pytest.approx(0.5 * 0.04 * (4.0 - 2.0))
         assert out.u_x == pytest.approx(0.0)
 
     def test_level1_quadratic_lands_on_level0(self):
         state = RiccatiState(GradedTensor(1, 1, {(1,): 3.0}))
-        out = riccati_rhs(state, build_generator(2, 1, state))
+        out = riccati_rhs(build_generator(state, flow_model(1), 2))
         # half * Gamma^empty_{(1),(1)} * 3 * 3 = 4.5
         assert out.sig[()] == pytest.approx(4.5)
         assert out.sig.support_degree == 0
@@ -301,31 +343,29 @@ class TestRhs:
 class TestIntegrateFlow:
     def test_linear_table_matches_matrix_exponential(self):
         rng = np.random.default_rng(21)
-        table = full_table(2, 1)
+        table = full_table(2, flow_model(1))
         n = table.state_dim
         mat = rng.normal(size=(n, n)) * 0.4
         with_terms(table, {(out, src): mat[i, j] for i, out in enumerate(table.words)
                            for j, src in enumerate(table.words)}, {})
         u0 = rng.normal(size=n)
         state = RiccatiState(GradedTensor(1, 2, {w: u0[i] for i, w in enumerate(table.words)}))
-        out = integrate_flow(state, 1.0, table.closure(state), tol=1e-11)
+        out = integrate_flow(table.closure(state), tol=1e-11)
         assert out.solved
         expected = scipy.linalg.expm(mat) @ u0
         got = table.vector(out.state.sig, out.state.u_x)
         assert np.max(np.abs(got - expected)) < 1e-8
 
     def test_scalar_blowup_time(self):
-        out = integrate_flow(RiccatiState(GradedTensor(1, 0, {(): 1.0})), 2.0,
-                             scalar_quadratic_table(1.0), tol=1e-10)
-        assert not out.solved
+        out = integrate_flow(scalar_quadratic_table(1.0), tol=1e-10)
+        assert not out.solved and out.lambda0 is None
         assert 0.99 <= out.t_star <= 1.0
         assert out.norm_at_detection > 1e6
 
     def test_bs_flow_value(self):
         ell = GradedTensor(1, 0, {(): 0.2})
         state = RiccatiState(GradedTensor.zero(1, 0), u_x=2.0)
-        table = build_generator(2, 1, state, (ell, np.array([1.0])))
-        out = integrate_flow(state, 1.0, table, tol=1e-12)
+        out = integrate_flow(build_generator(state, flow_model(1, ell), 2), tol=1e-12)
         assert out.solved
         assert out.state.sig[()] == pytest.approx(0.04, abs=1e-10)
         assert out.state.u_x == pytest.approx(2.0)
@@ -335,8 +375,7 @@ class TestIntegrateFlow:
         for _ in range(10):
             a = float(rng.uniform(0.5, 3.0))
             y0 = float(rng.uniform(0.5, 3.0))
-            out = integrate_flow(RiccatiState(GradedTensor(1, 0, {(): y0})), 10.0,
-                                 scalar_quadratic_table(a), tol=1e-9)
+            out = integrate_flow(scalar_quadratic_table(a, y0, 10.0), tol=1e-9)
             assert not out.solved
             true_star = 1.0 / (a * y0)
             assert out.t_star < scalar_explosion_bound(a, y0)
@@ -344,15 +383,13 @@ class TestIntegrateFlow:
 
     def test_trace_recorded(self):
         state = RiccatiState(GradedTensor(1, 1, {(0,): 0.5}))
-        out = integrate_flow(state, 1.0, build_generator(1, 1, state))
+        out = integrate_flow(build_generator(state, flow_model(1), 2), tol=1e-8)
         assert len(out.trace) == out.steps + 1
 
     def test_step_underflow_reported_as_exploded(self):
         # with the norm threshold disabled, the integrator rides the blow-up
         # until float overflow forces halving below the step floor
-        out = integrate_flow(RiccatiState(GradedTensor(1, 0, {(): 1.0})), 2.0,
-                             scalar_quadratic_table(1.0), tol=1e-9,
-                             explosion_threshold=math.inf)
+        out = integrate_flow(scalar_quadratic_table(1.0), tol=1e-9, explosion_threshold=math.inf)
         assert not out.solved
         assert "underflow" in out.detail
         assert out.t_star == pytest.approx(1.0, abs=1e-3)
@@ -360,20 +397,23 @@ class TestIntegrateFlow:
     def test_rough_bergomi_trunc12_pin(self):
         # transform --model rough_bergomi_approx --uX 0.3 --threshold inf, at its default
         # trunc 12 (the shuffle window): 59 of 8193 coordinates carried
-        out = integrate_flow(RiccatiState(GradedTensor.zero(1, 0), u_x=0.3), 1.0,
-                             rough_bergomi_trunc12(), tol=1e-10, explosion_threshold=math.inf,
-                             weight=preset("rough_bergomi_approx").weight)
+        out = integrate_flow(rough_bergomi_trunc12(), tol=1e-10, explosion_threshold=math.inf)
         assert out.solved and (out.steps, out.rejected, out.carried) == (426, 31, 59)
-        assert f"{math.exp(out.state.sig[EMPTY_WORD]):.17g}" == "0.99376763711576599"  # s0 = 1
+        assert f"{out.lambda0:.17g}" == "0.99376763711576599"  # s0 = 1
 
 
 @cache
-def flow_tables(d: int, trunc: int, extended: bool) -> tuple:
-    """(ell, eta) or None, and the full oracle table of it."""
+def flow_tables(d: int, trunc: int, extended: bool) -> FullTable:
+    """The full oracle table of a model over d letters, price-extended or not."""
     if not extended:
-        return None, full_table(trunc, d)
+        return full_table(trunc, flow_model(d))
     ell = GradedTensor(d, 1, {(): 0.2, (d,): 0.3}) if trunc >= 2 else GradedTensor(d, 0, {(): 0.2})
-    return (ell, np.eye(d)[0]), full_table(trunc, d, (ell, np.eye(d)[0]))
+    return full_table(trunc, flow_model(d, ell), True)
+
+
+def with_model(table: FullTable, **fields) -> FullTable:
+    """The oracle table with fields of its model replaced."""
+    return replace(table, params=replace(table.params, **fields))
 
 
 def assert_same_flow(got, want):
@@ -403,16 +443,18 @@ def flow_cases(draw):
     d = draw(st.sampled_from([1, 2]))
     trunc = draw(st.integers(0, 5 if d == 1 else 4))
     extended = draw(st.booleans())
-    words = st.lists(st.integers(0, d), max_size=trunc).map(tuple)
+    # within the window: twice the start's degree, plus deg(ell) (1 from trunc 2) with X
+    top = (trunc - (trunc >= 2)) // 2 if extended else trunc // 2
+    words = st.lists(st.integers(0, d), max_size=top).map(tuple)
     nonzero = st.floats(-4.0, 4.0).filter(bool)
     coeffs = draw(st.dictionaries(words, nonzero, min_size=1, max_size=3))
     u_x = draw(nonzero) if extended else None
     horizon = draw(st.floats(0.05, 2.0))
     threshold = draw(st.sampled_from([1e6, 10.0, 1.0]))
     # w(n) is fixed once per flow, the oracle calls it on every norm
-    weight = draw(st.one_of(st.none(), st.floats(1.0, 3.0).map(Weight.geometric),
-                            st.floats(0.0, 3.0).map(Weight.polynomial)))
-    state = RiccatiState(GradedTensor(d, trunc, coeffs), u_x)
+    weight = draw(st.sampled_from([Weight.constant()]) | st.floats(1.0, 3.0).map(Weight.geometric)
+                  | st.floats(0.0, 3.0).map(Weight.polynomial))
+    state = RiccatiState(GradedTensor(d, top, coeffs), u_x)
     return trunc, d, extended, state, horizon, threshold, weight
 
 
@@ -425,69 +467,84 @@ class TestFlowMatchesFullState:
     @given(flow_cases())
     def test_random_sparse_directions(self, case):
         trunc, d, extended, state, horizon, threshold, weight = case
-        ext, oracle = flow_tables(d, trunc, extended)
-        kwargs = dict(explosion_threshold=threshold, weight=weight)
-        assert_same_flow(integrate_flow(state, horizon, build_generator(trunc, d, state, ext),
-                                        **kwargs),
-                         integrate_flow_full(state, horizon, oracle, **kwargs))
+        oracle = with_model(flow_tables(d, trunc, extended), horizon=horizon, weight=weight)
+        kwargs = dict(tol=1e-8, explosion_threshold=threshold)
+        assert_same_flow(integrate_flow(build_generator(state, oracle.params, trunc), **kwargs),
+                         integrate_flow_full(state, oracle, **kwargs))
 
     def test_zero_direction(self):
-        ext, oracle = flow_tables(2, 4, True)
+        oracle = flow_tables(2, 4, True)
         # -0.0 is outside the support: the oracle's trace starts from it, the carried one
         # holds no coordinate
         state = RiccatiState(GradedTensor.zero(2, 0), u_x=-0.0)
-        got = integrate_flow(state, 1.0, build_generator(4, 2, state, ext))
+        got = integrate_flow(build_generator(state, oracle.params, 4), tol=1e-8)
         assert got.solved and got.carried == 0 and got.rejected == 0
-        assert_same_flow(got, integrate_flow_full(state, 1.0, oracle))
+        assert_same_flow(got, integrate_flow_full(state, oracle, tol=1e-8))
 
     def test_overflow_against_unreached_word(self):
         # u_(0) = 1 and u_(1) = 1 + tau.  The Gamma term reads u_(1) and the unreached empty
         # word; its coefficient times u_(1) overflows once u_(1) > 1.5.  integrate_flow_full
         # multiplies that inf by the empty word's 0.0, gets NaN and rejects every step from
         # tau = 0.5 on; the closure never carries the term and solves the exact flow
-        table = with_terms(full_table(1, 1), {((1,), (0,)): 1.0},
+        table = with_terms(full_table(1, flow_model(1, horizon=2.0)), {((1,), (0,)): 1.0},
                            {((), (1,), ()): np.finfo(float).max / 1.5})
         state = RiccatiState(GradedTensor(1, 1, {(0,): 1.0, (1,): 1.0}))
-        got = integrate_flow(state, 2.0, table.closure(state), explosion_threshold=math.inf)
+        got = integrate_flow(table.closure(state), tol=1e-8, explosion_threshold=math.inf)
         assert got.solved and got.carried == 2 and got.rejected == 0
         assert got.state.sig.coeffs == {(0,): 1.0, (1,): 3.0}
         with np.errstate(over="ignore", invalid="ignore"):
-            full = integrate_flow_full(state, 2.0, table, explosion_threshold=math.inf)
+            full = integrate_flow_full(state, table, tol=1e-8, explosion_threshold=math.inf)
         assert not full.solved and full.t_star == pytest.approx(0.5, abs=1e-6)
 
     def test_riccati_flows_blowup_config(self):
-        pre = preset("first_order")
+        params = preset_model("first_order")
         state = RiccatiState(GradedTensor(1, 2, {(1, 1): 2.0}))
-        kwargs = dict(tol=1e-10, explosion_threshold=1e6, weight=pre.weight)
-        got = integrate_flow(state, 1.0, build_generator(7, 1, state), **kwargs)
+        kwargs = dict(tol=1e-10, explosion_threshold=1e6)
+        got = integrate_flow(build_generator(state, params, 7), **kwargs)
         assert not got.solved and got.carried == 2
         assert got.min_step <= got.max_step
-        assert_same_flow(got, integrate_flow_full(state, 1.0, full_table(7, 1), **kwargs))
+        assert_same_flow(got, integrate_flow_full(state, full_table(7, params), **kwargs))
 
 
 class TestTransformValue:
     def test_zero_direction(self):
         state = RiccatiState(GradedTensor.zero(1, 0))
-        assert transform_value(state, 1.0, build_generator(2, 1, state)) == 1.0
+        assert transform_value(build_generator(state, flow_model(1))) == 1.0
 
     def test_bs_matches_lognormal_mgf(self):
         sigma, s0, horizon = 0.2, 1.3, 1.0
-        ell = GradedTensor(1, 0, {(): sigma})
+        params = flow_model(1, GradedTensor(1, 0, {(): sigma}), horizon=horizon, s0=s0)
         for u in (-1.0, 0.5, 2.0):
-            state = RiccatiState(GradedTensor.zero(1, 0), u_x=u)
-            table = build_generator(2, 1, state, (ell, np.array([1.0])))
-            got = transform_value(state, horizon, table, x0=math.log(s0))
+            table = build_generator(RiccatiState(GradedTensor.zero(1, 0), u_x=u), params)
+            got = transform_value(table)
             assert got == pytest.approx(lognormal_mgf(u, s0, sigma, horizon), rel=1e-8)
 
     def test_time_word_direction(self):
         state = RiccatiState(GradedTensor(1, 1, {(0,): 0.7}))
-        got = transform_value(state, 1.0, build_generator(2, 1, state))
+        got = transform_value(build_generator(state, flow_model(1)))
         assert got == pytest.approx(math.exp(0.7), rel=1e-9)
 
     def test_explosion_propagates(self):
         with pytest.raises(RiccatiExplosion):
-            transform_value(RiccatiState(GradedTensor(1, 0, {(): 1.0})), 2.0,
-                            scalar_quadratic_table(1.0))
+            transform_value(scalar_quadratic_table(1.0))
+
+    @pytest.mark.parametrize("s0", [1.3, 0.45])
+    @pytest.mark.parametrize("start", [
+        RiccatiState(GradedTensor(1, 1, {(1,): 0.4, (0,): -0.2})),
+        RiccatiState(GradedTensor(1, 1, {(1,): 0.4}), u_x=0.0),
+        RiccatiState(GradedTensor.zero(1, 0), u_x=-0.7),
+        RiccatiState(GradedTensor(1, 1, {(1,): 0.3, (0,): 0.2}), u_x=0.25),
+    ], ids=["pure", "pure-uX-0", "price", "price-and-words"])
+    def test_outcome_lambda0_is_the_transform_value(self, start, s0):
+        # the flow's own lambda0, bit for bit the oracle's exp(psi_empty(T) + u_x log s0)
+        table = build_generator(start, preset_model("first_order", s0=s0))
+        assert integrate_flow(table).lambda0 == transform_value(table)
+
+    def test_overflowing_lambda0_is_inf(self):
+        # psi_empty(T) = 800 T is finite, exp(800) is not a float
+        out = integrate_flow(build_generator(RiccatiState(GradedTensor(1, 1, {(0,): 800.0})),
+                                             flow_model(1)))
+        assert out.solved and out.state.sig[EMPTY_WORD] == 800.0 and out.lambda0 == math.inf
 
 
 class TestTransformVsMC:
@@ -495,12 +552,11 @@ class TestTransformVsMC:
         # E exp(c W_T^2 / 2) = (1 - c T)^(-1/2) and <e_11, W> = W^2/2
         c, horizon = 0.4, 1.0
         state = RiccatiState(GradedTensor(1, 2, {(1, 1): c}))
-        got = transform_value(state, horizon, build_generator(2, 1, state), tol=1e-11)
+        got = transform_value(build_generator(state, flow_model(1, horizon=horizon), 4), tol=1e-11)
         assert got == pytest.approx((1.0 - c * horizon) ** -0.5, rel=1e-8)
 
     def test_first_order_directions_within_mc_ci(self):
-        pre = preset("first_order")
-        params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 256)
+        params = replace(preset_model("first_order"), steps=256)
         directions = [
             RiccatiState(GradedTensor(1, 1, {(1,): 0.4}), u_x=0.0),
             RiccatiState(GradedTensor.zero(1, 0), u_x=0.5),
@@ -508,8 +564,7 @@ class TestTransformVsMC:
             RiccatiState(GradedTensor(1, 1, {(0,): 0.3}), u_x=0.25),
         ]
         for k, state in enumerate(directions):
-            table = build_generator(3, 1, state, (pre.ell, pre.eta))
-            lam = transform_value(state, 1.0, table, tol=1e-11)
+            lam = transform_value(build_generator(state, params, 3), tol=1e-11)
             mc = mc_transform(state, params, 30_000, seed=300 + k)
             assert abs(lam - mc.mean) <= 3.0 * mc.se, (lam, mc)
 
@@ -543,23 +598,21 @@ class TestTransformVsGaussianClosedForm:
     """Noise-free dual route: Riccati flow vs exact Gaussian quadratic form."""
 
     def test_first_order_machine_agreement(self):
-        pre = preset("first_order")
+        params = preset_model("first_order")
         for u in (0.5, -0.5, 1.5, 2.0, -1.0):
             state = RiccatiState(GradedTensor.zero(1, 0), u_x=u)
-            table = build_generator(3, 1, state, (pre.ell, pre.eta))
-            ric = transform_value(state, 1.0, table, x0=0.0, tol=1e-12)
+            ric = transform_value(build_generator(state, params, 3), tol=1e-12)
             grids = [_gauss_exact_transform(u, 0.2, 0.1, 1.0, m) for m in (128, 256, 512)]
             # quadratic-in-h extrapolation to the continuum
             extrap = grids[0] / 3.0 - 2.0 * grids[1] + 8.0 * grids[2] / 3.0
             assert abs(ric - extrap) / extrap < 1e-9, (u, ric, extrap)
 
     def test_explosion_classification_agrees(self):
-        pre = preset("first_order")
+        params = preset_model("first_order")
 
         def flow(u_x):
-            state = RiccatiState(GradedTensor.zero(1, 0), u_x=u_x)
-            return integrate_flow(state, 1.0, build_generator(3, 1, state, (pre.ell, pre.eta)),
-                                  tol=1e-10)
+            return integrate_flow(build_generator(RiccatiState(GradedTensor.zero(1, 0), u_x=u_x),
+                                                  params, 3), tol=1e-10)
 
         solvable = flow(10.0)
         assert solvable.solved
@@ -571,29 +624,29 @@ class TestTransformVsGaussianClosedForm:
 
 class TestProjectionCompatibility:
     def test_zero_state(self):
-        assert projection_compatibility(RiccatiState(GradedTensor.zero(2, 0)), 5, 3, 2)
+        assert projection_compatibility(RiccatiState(GradedTensor.zero(2, 0)), 5, 3, flow_model(2))
 
     @settings(max_examples=25)
     @given(st.fixed_dictionaries({w: st.floats(-3.0, 3.0) for w in [(), (1,), (2,), (0,)]}))
     def test_random_admissible_states_exact(self, coeffs):
-        assert projection_compatibility(RiccatiState(GradedTensor(2, 1, coeffs)), 5, 3, 2)
+        state = RiccatiState(GradedTensor(2, 1, coeffs))
+        assert projection_compatibility(state, 5, 3, flow_model(2))
 
     @settings(max_examples=25)
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     def test_extended_random_states_exact(self, c0, c1, u_x):
-        pre = preset("first_order")
         state = RiccatiState(GradedTensor(1, 1, {(): c0, (1,): c1}), u_x=u_x)
-        assert projection_compatibility(state, 5, 3, 1, (pre.ell, pre.eta))
+        assert projection_compatibility(state, 5, 3, preset_model("first_order"))
 
     def test_window_violation_raises(self):
         state = RiccatiState(GradedTensor(2, 2, {(1, 2): 1.0}))
         with pytest.raises(ShuffleWindowError):
-            projection_compatibility(state, 5, 2, 2)
+            projection_compatibility(state, 5, 2, flow_model(2))
 
     def test_support_above_m_rejected(self):
         state = RiccatiState(GradedTensor(2, 4, {(1, 1, 1, 1): 1.0}))
         with pytest.raises(ShuffleWindowError):
-            projection_compatibility(state, 5, 3, 2)
+            projection_compatibility(state, 8, 3, flow_model(2))
 
 
 class TestScalarExplosionBound:
