@@ -9,8 +9,10 @@ stores the median seconds of one call and the closure's coordinate and Gamma
 term counts in the benchmark's extra_info, and the blow-up flow its
 microseconds per accepted step; add --benchmark-json=FILE to keep them.  The
 cases are the closure builds of the riccati_flows workload's table op, of
-rough_bergomi_approx's --uX 0.3 at trunc 12, 13 and 16, and of a dense d = 2
-direction (every word of length <= 4 at trunc 8); then the blow-up flow, one
+rough_bergomi_approx's --uX 0.3 at trunc 12, 13 and 16, and of two dense
+d = 2 starts at trunc 8: every word of length <= 4, and every word of length
+<= 3 with X live under a degree-1 ell, whose one shuffle_product call per
+Brownian word dominates the build; then the blow-up flow, one
 call of its vector field, and the trunc-12 flow of rough_bergomi_approx.
 """
 
@@ -61,6 +63,15 @@ def test_closure_dense_d2_trunc8(benchmark):
     model = SigVolParams(GradedTensor.zero(2, 0), Weight.constant(), 1.0, np.array([1.0, 0.0]),
                          1.0, 1)
     table = benchmark.pedantic(build_generator, args=(state, model, 8), rounds=9, warmup_rounds=1)
+    _record(benchmark, table, trunc=8, d=2)
+
+
+def test_closure_dense_d2_trunc8_with_x(benchmark):
+    # every word of length <= 3 and X: the closure is every word up to 8, and X
+    state = RiccatiState(GradedTensor(2, 3, {w: 1.0 for w in all_words(2, 3)}), u_x=0.5)
+    ell = GradedTensor(2, 1, {(): 0.2, (0,): 0.05, (1,): 0.1, (2,): -0.03})
+    model = SigVolParams(ell, Weight.constant(), 1.0, np.array([0.6, 0.8]), 1.0, 1)
+    table = benchmark.pedantic(build_generator, args=(state, model, 8), rounds=5, warmup_rounds=1)
     _record(benchmark, table, trunc=8, d=2)
 
 

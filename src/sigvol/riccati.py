@@ -22,9 +22,8 @@ build_generator grows the closure and its terms together, in rounds over
 the words that have just become live, each pair of live words taken once.
 Gamma comes from one table per round of the prefix pairs it needs, grown
 with (u.x shuffle v.y) = (u shuffle v.y).x + (u.x shuffle v).y
-(Reutenauer, Free Lie Algebras, 1993); ell shuffle ell from
-shuffle_product; and eta_j * (ell shuffle e_J') from sums over ell's words
-in ell's order, shuffle_product's order, dropped when exactly 0.0.  The
+(Reutenauer, Free Lie Algebras, 1993).  ell shuffle ell and each new
+J'.j's eta_j * (ell shuffle e_J') come from shuffle_product.  The
 terms compile to one sparse form in canonical order, which the vector field
 contracts with one np.bincount over 2*n bins for n carried coordinates.  An
 overflowing ell shuffle ell or eta times ell shuffle e_J coefficient is
@@ -62,7 +61,7 @@ from .sde import SigVolParams, stream_paths
 from .signature import check_word_count
 
 X_LABEL = "X"
-_NON_FINITE = "eta must be finite, and so must ell shuffle ell and eta times ell shuffle e_J"
+_NON_FINITE = "ell is too large: ell shuffle ell or eta_j * (ell shuffle e_J) overflows a float"
 
 
 class ShuffleWindowError(ValueError):
@@ -83,7 +82,10 @@ def _word_index(word: Word, d: int) -> int:
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of an int array, ascending."""
+    """The distinct values of an int array, ascending.
+
+    np.unique gives the same, but numpy 2.4 hashes there, 4-17 times slower on 1e4 to 3e6
+    ints on a 2-core host, and its first call imports numpy.ma (12-18 ms a process)."""
     a = np.sort(a)
     return a[np.diff(a, prepend=a[:1] - 1) != 0]
 
@@ -245,7 +247,6 @@ class GeneratorTable:
         return norm
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite coefficient raises below instead
 def build_generator(start: RiccatiState, params: SigVolParams,
                     trunc: int | None = None) -> GeneratorTable:
     """The generator/carre-du-champ table of the model params on the closure of start.
@@ -278,20 +279,31 @@ def build_generator(start: RiccatiState, params: SigVolParams,
         k = np.searchsorted(offset, coords, side="right") - 1
         return k, coords - offset[k]
 
+    def words_of(coords) -> list[Word]:  # the words of ascending coordinates
+        k, code = split(coords)
+        words = []
+        for length in range(trunc + 1):
+            digits = code[k == length, None] // n ** np.arange(length - 1, -1, -1) % n
+            words += map(tuple, digits.tolist())
+        return words
+
+    def shuffled(a: GradedTensor, b: GradedTensor) -> tuple[np.ndarray, np.ndarray]:
+        """(coordinates, coefficients) of a shuffle b up to trunc."""
+        try:
+            coeffs = shuffle_product(a, b, trunc).coeffs
+        except ValueError:  # a sum overflowed
+            raise ValueError(_NON_FINITE) from None
+        return (np.array([_word_index(w, d) for w in coeffs], dtype=np.intp),
+                np.array(list(coeffs.values())))
+
     # blocks of (output, input, b) and (output, in1, in2, c) coordinates
     empty = np.zeros(0, dtype=np.intp)
     drift, quad = [(empty, empty, np.zeros(0))], [(empty, empty, empty, np.zeros(0))]
     support = np.array([_word_index(w, d) for w in start.sig.coeffs], dtype=np.intp)
     new = np.sort(support)
     if x_live:
-        ell_codes = [(len(w), _word_index(w, d) - _offset(len(w), d)) for w in ell.coeffs]
-        c_ell = np.array(list(ell.coeffs.values()))
-        try:
-            square = shuffle_product(ell, ell, trunc)
-        except ValueError:  # a sum overflowed
-            raise ValueError(_NON_FINITE) from None
-        out = np.array([_word_index(w, d) for w in square.coeffs], dtype=np.intp)
-        at_x, c = np.full(out.size, x), np.array(list(square.coeffs.values()))
+        out, c = shuffled(ell, ell)
+        at_x = np.full(out.size, x)
         drift.append((out, at_x, -0.5 * c))
         quad.append((out, at_x, at_x, 0.5 * c))
         new = _distinct(np.concatenate([new, out]))
@@ -325,34 +337,19 @@ def build_generator(start: RiccatiState, params: SigVolParams,
         quad.append((offset[a + b - 2][t] + w, in1[t], in2[t], m * np.where(in1 == in2, 0.5, 1.0)[t]))
         reached.append(quad[-1][0])
 
-        # X with each new J'.j: one pair per word of ell, whose rank orders the sum
+        # X with each new J'.j: eta_j * (ell shuffle e_J'), finite, as |eta_j| <= 1 + 1e-12 and a
+        # finite ell shuffle ell, which sums every c_u^2, bounds each |c_u| by 1.4e154
         if x_live:
-            takes = (last >= 1) & (eta[last - 1] != 0.0)
-            mixed = [np.flatnonzero(takes & (k - 1 + p <= trunc)) for p, _ in ell_codes]
-            rank = np.repeat(np.arange(len(ell_codes)), [s.size for s in mixed])
-            sel = np.concatenate([empty, *mixed])
-            (p, cu), q = np.array(ell_codes, dtype=np.intp).reshape(-1, 2)[rank].T, k[sel] - 1
-            t, w, m = _shuffles(cu, p, stem[sel], q, n)
-            order = np.argsort(rank[t], kind="stable")  # ell's order
-            keys, inverse = np.unique(_key([new[sel][t], offset[p + q][t] + w], x)[order],
-                                      return_inverse=True)
-            # each (J'.j, output) sums its terms in ell's order, from 0.0
-            sums = np.bincount(inverse, weights=(m * c_ell[rank[t]])[order])
-            kept = sums != 0.0
-            word, out = np.divmod(keys[kept], x)
-            c = eta[split(word)[1] % n - 1] * sums[kept]
-            if not np.isfinite(c).all():
-                raise ValueError(_NON_FINITE)
-            quad.append((out, word, np.full(out.size, x), c))
-            reached.append(out)
+            takes = np.flatnonzero((last >= 1) & (eta[last - 1] != 0.0))
+            stems = words_of(offset[k[takes] - 1] + stem[takes])
+            for word, j, stem_word in zip(new[takes].tolist(), last[takes].tolist(), stems):
+                out, c = shuffled(ell, GradedTensor.basis(d, trunc, stem_word))
+                quad.append((out, np.full(out.size, word), np.full(out.size, x), eta[j - 1] * c))
+                reached.append(out)
         new = _distinct(np.concatenate(reached))
         new = new[live[np.minimum(np.searchsorted(live, new), live.size - 1)] != new]
 
-    k, code = split(live)
-    words = []
-    for length in range(trunc + 1):
-        digits = code[k == length, None] // n ** np.arange(length - 1, -1, -1) % n
-        words += map(tuple, digits.tolist())
+    words = words_of(live)
     # each coordinate's position: a slot per word up to the last live one, then X's
     top = int(live[-1]) + 1 if live.size else 0
     slot = np.zeros(top + 1, dtype=np.intp)
@@ -363,7 +360,7 @@ def build_generator(start: RiccatiState, params: SigVolParams,
         u0[-1] = start.u_x
     slot[np.minimum(live, top)] = np.arange(live.size)
     forms = []
-    for blocks, arity in ((drift, 2), (quad, 3)):
+    for blocks in (drift, quad):
         cols = [np.concatenate(col) for col in zip(*blocks)]
         at = [slot[np.minimum(col, top)] for col in cols[:-1]]
         order = np.argsort(_key(at, live.size))  # by output, then inputs: the canonical order
@@ -385,7 +382,6 @@ class RiccatiState:
 
     sig: GradedTensor
     u_x: float | None = None
-    tau: float = 0.0
 
     @property
     def support_degree(self) -> int:
@@ -521,7 +517,7 @@ def integrate_flow(table: GeneratorTable, tol: float = 1e-10,
         lambda0 = math.exp(sig[EMPTY_WORD] + u_x * math.log(table.params.s0))
     except OverflowError:
         lambda0 = math.inf
-    return outcome(RiccatiState(sig, u_x, horizon), lambda0=lambda0)
+    return outcome(RiccatiState(sig, u_x), lambda0=lambda0)
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +577,7 @@ def mc_transform(u0: RiccatiState, params: SigVolParams, n_paths: int, seed: int
     for paths in stream_paths(params, n_paths, seed, u0.sig.coeffs):
         for _ in paths.steps():
             pass
-        expo = np.zeros(paths.size)
-        for w, c in u0.sig.coeffs.items():
-            expo += c * paths.sig.coord(w)
+        expo = paths.sig.pair(u0.sig)
         if u0.x_live:
             expo += u0.u_x * (math.log(params.s0) + paths.log_s)
         moments.add(np.exp(expo))

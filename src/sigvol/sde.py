@@ -58,7 +58,9 @@ class SigVolParams:
         eta = np.asarray(self.eta, dtype=float)
         if eta.ndim != 1 or eta.shape[0] != self.ell.dim:
             raise ValueError("eta must be a vector in R^d")
-        if not abs(np.linalg.norm(eta) - 1.0) <= 1e-12:  # NaN fails <=
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails the check
+            size = np.linalg.norm(eta)
+        if not abs(size - 1.0) <= 1e-12:  # NaN fails <=
             raise ValueError("eta must be a unit vector (within 1e-12)")
         if not 0.0 < self.s0 < math.inf:
             raise ValueError("s0 must be finite and positive")

@@ -29,8 +29,10 @@ FullTable, whose closure() is how they reach integrate_flow;
 integrate_flow_full steps every coordinate of a FullTable's state, the
 reference for the closure flow.  transform_value (the reference for a flow's
 lambda0), RiccatiExplosion and scalar_explosion_bound read a flow as a
-transform value and bound a scalar blow-up.  brownian_values is the path-major Brownian driver (one Philox draw
-per block, Box-Muller on all of it, a cumulative sum over steps), and
+transform value and bound a scalar blow-up; first_order_blowup_time is the
+closed-form time at which first_order's price moment E S_T^u explodes.
+brownian_values is the path-major Brownian driver (one Philox draw per
+block, Box-Muller on all of it, a cumulative sum over steps), and
 path_major_steps steps the batch engine on its increments and takes the Ito
 sums with np.cumsum: the reference routes for the chunked, step-major driver
 and the stepper's feed and sums.
@@ -641,6 +643,24 @@ def transform_value(table: GeneratorTable, tol: float = 1e-10,
     return math.exp(exponent)
 
 
+def first_order_blowup_time(u: float, sigma1: float) -> float:
+    """T*(u), the horizon at which E S_T^u explodes under first_order (eta = 1), inf if never.
+
+    With sigma_t = sigma0 + sigma1 W_t and Y = W + sigma0/sigma1, int sigma dW =
+    sigma1 (Y_T^2 - Y_0^2 - T)/2, so E S_T^u is a constant times E exp(alpha Y_T^2 -
+    beta int Y^2 dt), alpha = u sigma1/2 and beta = u sigma1^2/2.  The Feynman-Kac ansatz
+    exp(A y^2 + C) gives A' = 2A^2 - beta, A(0) = alpha, whose solution blows up at T*(u)
+    for u > 1 and u < 0, whatever sigma0 and s0 (Andersen and Piterbarg, Finance Stoch. 11,
+    2007, for the Stein-Stein form).
+    """
+    r = math.sqrt(abs(u))
+    if u > 1.0:
+        return math.log((r + 1.0) / (r - 1.0)) / (2.0 * sigma1 * r)
+    if u < 0.0:
+        return (math.pi / 2.0 + math.atan(r)) / (sigma1 * r)
+    return math.inf
+
+
 def scalar_explosion_bound(a: float, y0: float) -> float:
     """Comparison deadline 2/(a y0): 1/y_t <= 1/y0 - (a/2) t forces blow-up."""
     if a <= 0.0 or y0 <= 0.0:
@@ -704,7 +724,7 @@ def integrate_flow_full(u0: RiccatiState, table: FullTable, tol: float = 1e-10,
                 return outcome(t_star=t, norm_at_detection=table.weighted_norm(u),
                                detail="step underflow below floor")
     sig, u_x = table.tensor(u)
-    return outcome(RiccatiState(sig, u_x, horizon))
+    return outcome(RiccatiState(sig, u_x))
 
 
 def brownian_values(d, horizon, steps, n_paths, seed, path_offset=0) -> np.ndarray:

@@ -162,15 +162,12 @@ class TestValidation:
         (["hypotheses"], {"ell": LEVEL2_ELL, "d": 1,
                           "weight": {"kind": "polynomial", "alpha": math.inf}}),
         (["hypotheses"], {"ell": LEVEL2_ELL, "d": 1, "weight": {"kind": "geometric", "r": 1e200}}),
-        # a coefficient of the generator table that overflows: ell shuffle ell = 1e400 on ∅
-        (["transform", "--uX", "0.5"], {"ell": "word=∅ coeff=1e200", "d": 1}),
     ], ids=["simulate-T-nan", "simulate-s0-nan", "hypotheses-T-inf", "transform-T-nan",
             "transform-T-negative", "transform-T-inf", "transform-tol-nan", "hedge-T-nan",
             "hypotheses-lambda-nan", "hedge-ridge-nan", "hedge-strikes-nan", "hedge-strike-nan",
             "hedge-window-one-int", "transform-uX-nan", "transform-threshold-negative",
             "transform-threshold-zero", "simulate-eta-nan", "hedge-eta-nan",
-            "hypotheses-weight-nan", "hypotheses-weight-inf", "hypotheses-weight-overflow",
-            "transform-table-overflow"])
+            "hypotheses-weight-nan", "hypotheses-weight-inf", "hypotheses-weight-overflow"])
     def test_non_finite_input(self, tmp_path, argv, model):
         # a fresh process with a timeout: an unchecked infinite horizon never ends, and
         # LAPACK writes its complaints to the process's stdout
@@ -180,6 +177,22 @@ class TestValidation:
             argv = [*argv, "--config", str(cfg_path)]
         assert_invalid(fresh(*argv, "--seed", "1", "--paths", "100", "--steps", "4",
                              "--out", str(tmp_path)))
+
+    @pytest.mark.parametrize("command, model, error", [
+        # a coefficient of the generator table that overflows: ell shuffle ell = 1e400 on ∅
+        (["transform", "--uX", "0.5"], {"ell": "word=∅ coeff=1e200", "d": 1},
+         "ell is too large: ell shuffle ell or eta_j * (ell shuffle e_J) overflows a float"),
+        # |eta| overflows a float: numpy's overflow warning must not reach stderr
+        (["simulate"], {"ell": "word=∅ coeff=0.2", "d": 1, "eta": [1e308]},
+         "eta must be a unit vector (within 1e-12)"),
+    ], ids=["transform-table-overflow", "simulate-eta-norm-overflow"])
+    def test_overflow_is_one_error_line(self, tmp_path, command, model, error):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": model}))
+        proc = fresh(*command, "--config", str(cfg_path), "--seed", "1", "--paths", "100",
+                     "--steps", "4", "--out", str(tmp_path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "status=invalid\n",
+                                                               f"error: {error}\n")
 
     @pytest.mark.parametrize("argv, model", [
         (["--u", "1:0.4"], {"ell": "word=∅ coeff=0.2", "d": 1, "eta": [2.0]}),

@@ -26,6 +26,7 @@ from _oracles import (
     FullTable,
     RiccatiExplosion,
     build_generator_by_label,
+    first_order_blowup_time,
     flow_model,
     full_table,
     generator_regression,
@@ -149,7 +150,7 @@ class TestBuildGenerator:
     def test_overflowing_ell_square_rejected(self):
         # ell shuffle ell = 1e400 on the empty word, built once X is live
         ell = GradedTensor(1, 0, {(): 1e200})
-        with pytest.raises(ValueError, match="eta must be finite"):
+        with pytest.raises(ValueError, match="ell is too large"):
             build_generator(RiccatiState(GradedTensor.zero(1, 0), u_x=0.5), flow_model(1, ell), 2)
 
     def test_term_outside_the_closure_is_never_built(self):
@@ -620,6 +621,46 @@ class TestTransformVsGaussianClosedForm:
         exploding = flow(15.0)
         assert not exploding.solved
         assert _gauss_exact_transform(15.0, 0.2, 0.1, 1.0, 512) == math.inf
+
+
+class TestFirstOrderMomentExplosion:
+    """E S_T^u under first_order against its closed-form blow-up time T*(u)."""
+
+    @staticmethod
+    def flow(u, horizon, sigma0=0.2, sigma1=0.1, s0=1.0, **tolerances):
+        params = preset_model("first_order", horizon, s0, sigma0=sigma0, sigma1=sigma1)
+        return integrate_flow(build_generator(RiccatiState(GradedTensor.zero(1, 0), u_x=u),
+                                              params), **tolerances)
+
+    @pytest.mark.parametrize("sigma0, sigma1", [(0.2, 0.1), (0.5, 0.3)])
+    @pytest.mark.parametrize("u", [1.2, 2.0, 5.0, -0.5, -2.0])
+    def test_default_rule_crosses_just_before_blowup(self, u, sigma0, sigma1):
+        # the norm threshold crosses 3e-7 to 1.2e-5 relative early, the worst at sigma1 = 0.3, u = 5
+        t_star = first_order_blowup_time(u, sigma1)
+        out = self.flow(u, 1.5 * t_star, sigma0, sigma1)
+        assert not out.solved
+        assert 0.0 <= (t_star - out.t_star) / t_star <= 2e-5, out.t_star
+
+    @pytest.mark.parametrize("u, sigma0, sigma1", [(2.0, 0.2, 0.1), (-2.0, 0.5, 0.3)])
+    def test_step_floor_meets_blowup(self, u, sigma0, sigma1):
+        # without a threshold the step collapses to the floor about 11k steps in
+        t_star = first_order_blowup_time(u, sigma1)
+        out = self.flow(u, 1.5 * t_star, sigma0, sigma1, explosion_threshold=math.inf)
+        assert out.detail == "step underflow below floor"
+        assert abs(t_star - out.t_star) / t_star <= 1e-8, out.t_star
+
+    def test_solves_before_blowup(self):
+        out = self.flow(2.0, 0.9 * first_order_blowup_time(2.0, 0.1))
+        assert out.solved and out.lambda0 >= 1.0  # Jensen: E S_T^2 >= s0^2
+
+    @pytest.mark.parametrize("u", [0.3, 1.0])
+    def test_no_blowup_inside_the_unit_interval(self, u):
+        s0 = 1.3
+        assert first_order_blowup_time(u, 0.1) == math.inf
+        out = self.flow(u, 200.0, s0=s0)
+        assert out.solved
+        # E S_T = s0 exactly for the martingale S, and Jensen bounds E S_T^u for u in (0, 1)
+        assert out.lambda0 == s0 if u == 1.0 else out.lambda0 <= s0**u
 
 
 class TestProjectionCompatibility:
