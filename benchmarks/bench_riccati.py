@@ -9,11 +9,13 @@ stores the median seconds of one call and the closure's coordinate and Gamma
 term counts in the benchmark's extra_info, and the blow-up flow its
 microseconds per accepted step; add --benchmark-json=FILE to keep them.  The
 cases are the closure builds of the riccati_flows workload's table op, of
-rough_bergomi_approx's --uX 0.3 at trunc 12, 13 and 16, and of two dense
+rough_bergomi_approx's --uX 0.3 at trunc 12, 13 and 16, of two dense
 d = 2 starts at trunc 8: every word of length <= 4, and every word of length
 <= 3 with X live under a degree-1 ell, whose one shuffle_product call per
-Brownian word dominates the build; then the blow-up flow, one
-call of its vector field, and the trunc-12 flow of rough_bergomi_approx.
+Brownian word dominates the build, and of a dense d = 1 start at trunc 12,
+every word of length <= 5, whose 8191 coordinates and 1.76 M Gamma terms
+time the prefix-pair table at its largest; then the blow-up flow, one call
+of its vector field, and the trunc-12 flow of rough_bergomi_approx.
 """
 
 import math
@@ -73,6 +75,14 @@ def test_closure_dense_d2_trunc8_with_x(benchmark):
     model = SigVolParams(ell, Weight.constant(), 1.0, np.array([0.6, 0.8]), 1.0, 1)
     table = benchmark.pedantic(build_generator, args=(state, model, 8), rounds=5, warmup_rounds=1)
     _record(benchmark, table, trunc=8, d=2)
+
+
+def test_closure_dense_d1_trunc12(benchmark):
+    # every word of length <= 5 over two letters: the closure is every word up to 12
+    state = RiccatiState(GradedTensor(1, 5, {w: 1.0 for w in all_words(1, 5)}))
+    model = SigVolParams(GradedTensor.zero(1, 0), Weight.constant(), 1.0, np.array([1.0]), 1.0, 1)
+    table = benchmark.pedantic(build_generator, args=(state, model, 12), rounds=5, warmup_rounds=1)
+    _record(benchmark, table, trunc=12, d=1)
 
 
 def test_blowup_flow(benchmark):

@@ -259,7 +259,7 @@ def shuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
         acc[w + (u[-1],)] = acc.get(w + (u[-1],), 0) + m
     for w, m in shuffle_words(u, v[:-1]):
         acc[w + (v[-1],)] = acc.get(w + (v[-1],), 0) + m
-    return tuple(sorted(acc.items(), key=lambda kv: word_sort_key(kv[0])))
+    return tuple(sorted(acc.items()))  # one length |u| + |v|: canonical order
 
 
 # ---------------------------------------------------------------------------
@@ -272,45 +272,38 @@ def _check_dims(a: GradedTensor, b: GradedTensor) -> None:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def _by_length(b: GradedTensor) -> tuple[list, list[int]]:
-    """b's terms stably sorted by word length, and their lengths for bisection."""
-    terms = sorted(b.coeffs.items(), key=lambda kv: len(kv[0]))
-    return terms, [len(v) for v, _ in terms]
+def _bilinear(a: GradedTensor, b: GradedTensor, trunc: int,
+              product: Callable[[Word, Word], Iterable[tuple[Word, int]]]) -> GradedTensor:
+    """sum c_u c_v product(u, v) over the word pairs of a and b, truncated to length <= trunc.
 
-
-def shuffle_product(a: GradedTensor, b: GradedTensor, trunc: int) -> GradedTensor:
-    """Commutative shuffle product, truncated to words of length <= trunc.
-
-    Each left word walks only the right words short enough to keep; the
-    right words of one length, the only ones that reach a given output word
-    from it, stay in b's order, so every sum is taken in the order of the
-    untruncated double loop.
+    product gives the words of u times v, all of length |u| + |v|, with
+    their multiplicities.  Each left word walks only the right words short
+    enough to keep; the right words of one length, the only ones that reach
+    a given output word from it, stay in b's order, so every sum is taken in
+    the order of the untruncated double loop.
     """
     _check_dims(a, b)
-    terms, lengths = _by_length(b)
+    terms = sorted(b.coeffs.items(), key=lambda kv: len(kv[0]))
+    lengths = [len(v) for v, _ in terms]
     out: dict[Word, float] = {}
     for u, cu in a.coeffs.items():
         for v, cv in terms[: bisect_right(lengths, trunc - len(u))]:
             cuv = cu * cv
-            for w, m in shuffle_words(u, v):
+            for w, m in product(u, v):
                 out[w] = out.get(w, 0.0) + m * cuv
     return GradedTensor(a.dim, trunc, out)
+
+
+def shuffle_product(a: GradedTensor, b: GradedTensor, trunc: int) -> GradedTensor:
+    """Commutative shuffle product, truncated to words of length <= trunc."""
+    return _bilinear(a, b, trunc, shuffle_words)
 
 
 def concat_product(a: GradedTensor, b: GradedTensor, trunc: int) -> GradedTensor:
     """Concatenation (tensor) product, truncated to length <= trunc.
 
-    Each left word walks only the right words short enough to keep, and
-    reaches an output word at most once, so sums are those of the double loop.
-    """
-    _check_dims(a, b)
-    terms, lengths = _by_length(b)
-    out: dict[Word, float] = {}
-    for u, cu in a.coeffs.items():
-        for v, cv in terms[: bisect_right(lengths, trunc - len(u))]:
-            w = u + v
-            out[w] = out.get(w, 0.0) + cu * cv
-    return GradedTensor(a.dim, trunc, out)
+    Each term is 1 * (c_u c_v), which is exact, so the sums are the double loop's."""
+    return _bilinear(a, b, trunc, lambda u, v: ((u + v, 1),))
 
 
 def antipode(a: GradedTensor) -> GradedTensor:

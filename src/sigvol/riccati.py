@@ -258,7 +258,7 @@ def build_generator(start: RiccatiState, params: SigVolParams,
     the window the field would silently change, and ShuffleWindowError is
     raised instead."""
     d, x_live = params.dim, start.x_live
-    window = 2 * start.support_degree
+    window = 2 * start.sig.support_degree
     if x_live:
         ell, eta = params.ell, params.eta
         window = max(window + ell.support_degree, 2 * ell.support_degree)
@@ -382,10 +382,6 @@ class RiccatiState:
 
     sig: GradedTensor
     u_x: float | None = None
-
-    @property
-    def support_degree(self) -> int:
-        return self.sig.support_degree
 
     @property
     def x_live(self) -> bool:

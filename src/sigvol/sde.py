@@ -41,6 +41,7 @@ BLOCK_PATHS = 16384  # paths per driver block; a run holds one block's grid and 
 # paths per chunk of price CSV rows that one process formats; 64 raised peak RSS by 2 MB
 CSV_CHUNK_PATHS = 16
 _FRAME = struct.Struct("<q")  # a chunk's byte length on a row writer's pipe; < 0: error text
+PLATEAU_TOL = 1e-9  # relative mass in check_H1's last quarter of terms that is divergent
 
 
 @dataclass(frozen=True)
@@ -204,13 +205,13 @@ class H1Report:
 
 
 def check_H1(ell: GradedTensor | Callable[[int], float], weight: Weight,
-             tail_terms: int = 2000, plateau_tol: float = 1e-9) -> H1Report:
+             tail_terms: int = 2000) -> H1Report:
     """Evaluate sum_n w(n) |ell_n|^2.
 
     For a finitely supported GradedTensor the sum is exact and finite.  For
     an analytic coefficient rule (a callable n -> |ell_n|) the partial sums
     over tail_terms are scanned for a Cauchy plateau; divergent means the
-    last quarter of terms still adds more than plateau_tol relative mass.
+    last quarter of terms still adds more than PLATEAU_TOL relative mass.
     """
     if isinstance(ell, GradedTensor):
         levels = ell.level_norms()
@@ -229,7 +230,7 @@ def check_H1(ell: GradedTensor | Callable[[int], float], weight: Weight,
     terms = np.array([term(n) for n in range(tail_terms)])
     sums = np.cumsum(terms)
     window = terms[3 * tail_terms // 4 :].sum()
-    divergent = window > plateau_tol * (1.0 + abs(sums[-1]))
+    divergent = window > PLATEAU_TOL * (1.0 + abs(sums[-1]))
     return H1Report(float(sums[-1]), bool(divergent), sums)
 
 

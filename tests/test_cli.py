@@ -634,3 +634,18 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hedge", "--model", "first_order", "--payoff", "call:K=1", "--paths", "400", "--steps", "8"],
+    ["depth-report", "--model", "first_order", "--payoff", "asian:K=1", "--depths", "0,1",
+     "--paths", "400", "--steps", "8"],
+], ids=["hedge", "depth-report"])
+def test_hedging_commands_load_no_numpy_ma(tmp_path, argv):
+    # the default strikes come from one sort; np.quantile's np.unique would import numpy.ma
+    argv = argv + ["--seed", "7", "--out", str(tmp_path)]
+    code = ("import sys; from sigvol.cli import execute; "
+            f"code = execute({argv!r}); print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.splitlines()[-1] == "0 False"

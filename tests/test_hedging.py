@@ -150,6 +150,19 @@ class TestBuildDesign:
         strikes = default_strikes(terminal)
         assert strikes == pytest.approx(tuple(np.arange(1, 8)), rel=1e-3)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 1000, 50000])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_default_strikes_are_numpy_quantiles_bit_for_bit(self, n, ties):
+        terminal = np.random.default_rng(n).lognormal(0.0, 0.4, n)
+        if ties:
+            terminal = np.round(terminal, 1)
+        want = np.quantile(terminal, np.arange(1, 8) / 8)
+        got = np.array(default_strikes(terminal))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_default_strikes_of_a_nan_sample_are_nan(self):
+        assert all(math.isnan(k) for k in default_strikes(np.array([1.0, np.nan, 2.0])))
+
 
 class TestGkwProject:
     def test_constant_payoff(self, bs_dataset):

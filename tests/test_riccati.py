@@ -291,6 +291,49 @@ class TestCompiledForms:
         assert len(table.field.coeffs) == 439
 
 
+def flow_at(start, params, trunc, threshold):
+    """(closure size, lambda0, t*) of start's flow at trunc, at the default tol."""
+    table = build_generator(start, params, trunc)
+    out = integrate_flow(table, explosion_threshold=threshold)
+    return table.state_dim, out.lambda0, out.t_star
+
+
+class TestTruncationOfClosedClosures:
+    """A closure that closes below its default truncation N is invariant under the whole
+    generator, so its flow is the same bits at every larger N; one that does not close
+    grows with N and its value moves."""
+
+    PRICE = RiccatiState(GradedTensor.zero(1, 0), u_x=0.3)
+
+    @pytest.mark.parametrize("name, sigmas, start, threshold, size", [
+        ("first_order", {}, PRICE, math.inf, 4),
+        ("rough_bergomi_approx", {}, PRICE, math.inf, 59),
+        ("quintic_ou_approx", {}, PRICE, math.inf, 42),
+        ("guyon_lekeufack_approx", {}, PRICE, math.inf, 28),
+        # the riccati_flows table op, and its blow-up op at the default threshold
+        ("black_scholes", {"sigma": 0.2}, RiccatiState(GradedTensor(1, 1, {(1,): 0.3}), u_x=0.5),
+         1e6, 3),
+        ("first_order", {}, RiccatiState(GradedTensor(1, 2, {(1, 1): 2.0})), 1e6, 2),
+    ], ids=["first_order", "rough_bergomi", "quintic_ou", "guyon_lekeufack", "table_op",
+            "blowup_op"])
+    def test_closed_closure_is_the_same_bits_at_every_truncation(self, name, sigmas, start,
+                                                                 threshold, size):
+        params = preset_model(name, **sigmas)
+        n = build_generator(start, params).trunc
+        got = [flow_at(start, params, n + k, threshold) for k in (0, 2, 4)]
+        assert got[0][0] == size
+        assert got[1] == got[0] and got[2] == got[0]
+
+    def test_cut_closure_grows_and_moves(self):
+        # Gamma of two length-3 words reaches length 4, and so on up to N
+        start = RiccatiState(GradedTensor(1, 3, {(1, 1, 1): 0.1}))
+        params = preset_model("first_order")
+        n = build_generator(start, params).trunc
+        got = [flow_at(start, params, n + k, 1e6) for k in (0, 2, 4)]
+        assert [size for size, _, _ in got] == [7, 9, 11]
+        assert len({lam for _, lam, _ in got}) == 3
+
+
 class TestMCGeneratorOracle:
     # The 0.1 absolute floor covers multiple-comparison dust at this small
     # sample size (SE bands over ~1200 correlated entries with ~t(11) tails);
