@@ -5,14 +5,19 @@ Run from the repository root:
     PYTHONPATH=src python -m pytest benchmarks -o python_files='bench_*.py'
 
 These are pytest-benchmark cases; the Tier-1 suite collects only test_*.py,
-so it never runs them.  Each case stores in the benchmark's extra_info the
-median time of one call, the minor page faults (ru_minflt) of one call and
-the tracemalloc peak of one call, both taken after a warm-up call; add
---benchmark-json=FILE to keep them.
+so it never runs them.  Each in-process case stores in the benchmark's
+extra_info the median time of one call, the minor page faults (ru_minflt) of
+one call and the tracemalloc peak of one call, both taken after a warm-up
+call; the `transform --mc-check` child cases store the median wall time and
+peak RSS (ru_maxrss) of a fresh process instead.  Add --benchmark-json=FILE
+to keep them.
 """
 
 import os
 import resource
+import statistics
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -73,7 +78,8 @@ def test_chen_step_carried_words(benchmark):
 
 
 def test_stream_paths_block(benchmark):
-    # one 16384 x 128 block of the transform_mc stepper: draw, then step to the end
+    # a 16384-path, 128-step run of the transform_mc stepper (two 8192-path blocks): draw,
+    # then step to the end
     pre = preset("first_order")
     params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 128)
 
@@ -132,3 +138,38 @@ def test_simulate_streamed(benchmark, monkeypatch, blocks):
                 write_price_csv(simulate_price(paths), fh)
 
     _record(benchmark, one_run, 3, paths=blocks * block, block=block, steps=128, d=1)
+
+
+# The kernel keeps a process's RSS high-water mark across exec, so a child's ru_maxrss counts
+# the pages of whatever spawned it: the CLI is spawned from this small launcher, not from the
+# test process, whose RSS grows with the cases before it.
+_LAUNCHER = """
+import os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(time.perf_counter() - start, usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status))
+"""
+
+
+@pytest.mark.parametrize("steps", [128, 512, 2048])
+def test_transform_mc_check_child(benchmark, tmp_path, steps):
+    # a fresh `transform --mc-check` process of 16384 paths: a driver block holds at most
+    # 2**20 normals, so 8192 paths at 128 steps and 4096 at 512 and 2048 steps
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "sigvol.cli", "transform",
+            "--model", "first_order", "--uX", "0.25", "--mc-check", "--paths", "16384",
+            "--steps", str(steps), "--seed", "1", "--out", str(tmp_path)]
+    runs = []
+
+    def child():
+        wall, peak, code = subprocess.run(argv, env=env, capture_output=True, text=True,
+                                          check=True).stdout.split()
+        assert code == "0"
+        runs.append((float(wall), float(peak)))  # ru_maxrss is in KiB on Linux
+
+    benchmark.pedantic(child, rounds=3, warmup_rounds=1)
+    benchmark.extra_info.update(paths=16384, steps=steps, d=1,
+                                median_s=statistics.median(wall for wall, _ in runs),
+                                peak_rss_mb=statistics.median(peak for _, peak in runs))

@@ -58,7 +58,6 @@ import numpy as np
 # wraps it where riccati binds it
 from .algebra import EMPTY_WORD, GradedTensor, Word, shuffle_product, shuffle_words  # noqa: F401
 from .sde import SigVolParams, stream_paths
-from .signature import check_word_count
 
 X_LABEL = "X"
 _NON_FINITE = "ell is too large: ell shuffle ell or eta_j * (ell shuffle e_J) overflows a float"
@@ -266,7 +265,11 @@ def build_generator(start: RiccatiState, params: SigVolParams,
         trunc = max(window, 2)
     if trunc < window:
         raise ShuffleWindowError(f"truncation {trunc} below the shuffle window {window}")
-    check_word_count(d, trunc)  # the coordinates number every word up to trunc
+    # X's coordinate x numbers every word up to trunc, and the Gamma lookup keys a coordinate
+    # by its last letter as last * (x + 1) + coordinate: every key must fit an int64
+    if trunc * math.log2(d + 1) >= 63 or (d + 1) * (_offset(trunc + 1, d) + 1) > 2**63:
+        raise ValueError(f"truncation {trunc} is too deep: the coordinates of the words up to "
+                         f"that length over {d + 1} letters overflow int64")
     if start.sig.dim != d:
         raise ValueError("dimension mismatch with the model")
     if x_live and not math.isfinite(start.u_x):

@@ -17,6 +17,14 @@ a block's rows on every CPU in the affinity mask, in chunks of
 CSV_CHUNK_PATHS paths written in path order: the bytes are the same whatever
 that number, and at most one chunk per CPU is held beside the block.
 
+A block holds the paths whose increments number at most BLOCK_NORMALS
+(2**20 normals, 8 MiB), kept between BLOCK_PATHS // 4 and BLOCK_PATHS
+paths, so at d = 1 a run holds a grid of 8192 paths (8.5 MB) at 128 steps
+and of 4096 paths (67 MB) at 2048 steps.  A bound flat in the number of
+steps needs a step-major stream (a stream version of its own): each path's
+normals are contiguous in today's Philox stream, so a block draws all of its
+paths' steps at once.
+
 H3 (exponential integrability of the integrated variance) is reported via
 Monte Carlo, never asserted: finiteness of an exponential moment is not
 decidable from samples, so the report carries a heavy-tail flag instead.
@@ -37,7 +45,11 @@ from .algebra import GradedTensor, Weight
 from . import signature
 from .signature import BatchSignature, BrownianBatch
 
-BLOCK_PATHS = 16384  # paths per driver block; a run holds one block's grid and sums
+# A driver block holds the paths whose increments number at most BLOCK_NORMALS, and between
+# BLOCK_PATHS // 4 and BLOCK_PATHS paths: narrower blocks pay the stepper's per-call cost on
+# every step (512-path blocks took twice as long at 2048 steps)
+BLOCK_PATHS = 16384
+BLOCK_NORMALS = 2**20  # 8 MiB of float64 increments
 # paths per chunk of price CSV rows that one process formats; 64 raised peak RSS by 2 MB
 CSV_CHUNK_PATHS = 16
 _FRAME = struct.Struct("<q")  # a chunk's byte length on a row writer's pipe; < 0: error text
@@ -154,12 +166,18 @@ class PathBlock:
 
 
 def stream_paths(params: SigVolParams, n_paths: int, seed: int, words=()) -> Iterator[PathBlock]:
-    """The driver's path set for (seed, n_paths) as PathBlocks of BLOCK_PATHS, in path order.
+    """The driver's path set for (seed, n_paths) as PathBlocks, in path order.
 
-    The driver's arguments are checked on the call, before any block is
-    drawn, so a caller can reject a run before it opens its outputs.  A
-    block that has stepped to the end hands its grid back, and the next
-    block of the same shape is drawn into it, so a run holds one block grid.
+    A block holds the paths whose increments number at most BLOCK_NORMALS,
+    between BLOCK_PATHS // 4 and BLOCK_PATHS of them: at d = 1, 16384 paths
+    up to 64 steps, 8192 at 128 steps and 4096 from 256 steps on.  The
+    stream is counter-based, so the paths are the same bits whatever the
+    block size.  The driver's arguments are checked on the call, before any
+    block is drawn, so a caller can reject a run before it opens its
+    outputs.  A block that has stepped to the end hands its grid back, and
+    the next block of the same shape is drawn into it, so a run holds one
+    block grid: (steps+1) * d * block floats, 8.5 MB at 128 steps and 67 MB
+    at 2048 steps for d = 1.
     """
     signature.check_driver_args(params.dim, params.horizon, params.steps, n_paths, seed)
     return _blocks(params, n_paths, seed, words)
@@ -167,9 +185,10 @@ def stream_paths(params: SigVolParams, n_paths: int, seed: int, words=()) -> Ite
 
 def _blocks(params: SigVolParams, n_paths: int, seed: int, words) -> Iterator[PathBlock]:
     spare = None
-    for start in range(0, n_paths, BLOCK_PATHS):
+    size = min(BLOCK_PATHS, max(BLOCK_PATHS // 4, BLOCK_NORMALS // (params.steps * params.dim)))
+    for start in range(0, n_paths, size):
         current = PathBlock(params, signature.simulate_brownian_grid(
-            params.dim, params.horizon, params.steps, min(BLOCK_PATHS, n_paths - start), seed,
+            params.dim, params.horizon, params.steps, min(size, n_paths - start), seed,
             start, _into=spare), words)
         yield current
         spare, current._spent = current._spent, None

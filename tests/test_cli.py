@@ -334,16 +334,16 @@ class TestValidation:
                               "--steps", "100000000", "--out", str(tmp_path)))
 
     def test_word_list_too_large_to_hold(self, tmp_path):
-        # every word up to length 100 over two letters is rejected by its count before the
-        # list is built; the cap keeps a regression from filling the host's memory.  At
-        # length 100000 the table's level offsets alone would not fit under the cap, so the
-        # count must come first there too
-        for trunc, count in (100, 2**101 - 1), (100000, "about 10^30103"):
+        # words up to length 62 over two letters already number 2**63 - 1, so their int64
+        # coordinates are rejected before the table's level offsets are built; the cap keeps
+        # a regression from filling the host's memory.  At length 100000 the offsets alone
+        # would not fit under the cap, so the check must come first there too
+        for trunc in 62, 100, 100000:
             proc = capped("transform", "--model", "first_order", "--uX", "0.3", "--trunc",
                           str(trunc), "--out", str(tmp_path))
             assert_invalid(proc)
-            assert proc.stderr == (f"error: every word up to length {trunc} over 2 letters is "
-                                   f"{count} words, more than this host's memory can hold\n")
+            assert proc.stderr == (f"error: truncation {trunc} is too deep: the coordinates of "
+                                   "the words up to that length over 2 letters overflow int64\n")
 
     def test_depth_scan_word_list_too_large_to_hold(self, tmp_path):
         # depth 40 reads every word up to length 40

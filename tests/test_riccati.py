@@ -324,6 +324,14 @@ class TestTruncationOfClosedClosures:
         assert got[0][0] == size
         assert got[1] == got[0] and got[2] == got[0]
 
+    def test_deep_truncation_keeps_the_bits(self):
+        # no list of every word up to N is made, so N = 28 (536870911 words) and N = 61 (the
+        # deepest whose int64 coordinates fit over two letters) keep the trunc-12 bits
+        params = preset_model("rough_bergomi_approx")
+        got = [flow_at(self.PRICE, params, n, math.inf) for n in (12, 28, 61)]
+        assert got[0][1] == 0.99376763711576599
+        assert got[1] == got[0] and got[2] == got[0]
+
     def test_cut_closure_grows_and_moves(self):
         # Gamma of two length-3 words reaches length 4, and so on up to N
         start = RiccatiState(GradedTensor(1, 3, {(1, 1, 1): 0.1}))

@@ -272,6 +272,14 @@ class TestBlockSize:
         # asian:K=0 pays the time-average price itself
         assert np.array_equal(data_small.payoffs, data_large.payoffs)
 
+    @pytest.mark.parametrize("steps, d, size", [(16, 1, 16384), (128, 1, 8192), (64, 2, 8192),
+                                                (2048, 1, 4096)])
+    def test_block_holds_its_share_of_normals(self, steps, d, size):
+        # at most 2**20 increments a block, between 4096 and 16384 paths
+        ell = GradedTensor(d, 1, {(): 0.2, (d,): 0.1})
+        params = SigVolParams(ell, Weight.constant(), 1.0, np.full(d, d**-0.5), 1.0, steps)
+        assert next(stream_paths(params, 20000, 5)).size == size
+
 
 class TestStepMajorFeed:
     def test_stream_paths_matches_path_major_feed(self, monkeypatch):
@@ -343,12 +351,15 @@ class TestStepperMemory:
             tracemalloc.stop()
 
     def test_peak_bounded_by_one_block(self):
-        # bytes of a time-augmented (steps+1, d+1, paths) grid of one 16384 x 128 block, d = 1
+        # bytes of a time-augmented (steps+1, d+1, paths) grid of 16384 paths x 128 steps, d = 1
         augmented_grid = 129 * 2 * 16384 * 8
         one, four = self._stepping_peak(16384), self._stepping_peak(4 * 16384)
         assert one < 0.7 * augmented_grid
         assert four < 0.7 * augmented_grid
         assert abs(four - one) < 2**20
+        # at 128 steps a block holds 8192 paths: the run stays below 0.7 of that block's
+        # time-augmented grid
+        assert four < 0.7 * (129 * 2 * 8192 * 8)
 
 
 class TestCsvExport:
