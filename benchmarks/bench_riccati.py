@@ -14,11 +14,15 @@ d = 2 starts at trunc 8: every word of length <= 4, and every word of length
 <= 3 with X live under a degree-1 ell, whose one shuffle_product call per
 Brownian word dominates the build, and of a dense d = 1 start at trunc 12,
 every word of length <= 5, whose 8191 coordinates and 1.76 M Gamma terms
-time the prefix-pair table at its largest; then the blow-up flow, one call
-of its vector field, and the trunc-12 flow of rough_bergomi_approx.
+time the prefix-pair table at its largest, and of first_order's --u 1.1.1:0.1
+at trunc 26, a cut closure of 27 of the 2^27 - 1 words up to that length,
+with the build's tracemalloc peak; then the blow-up flow, one call of its
+vector field, the trunc-12 flow of rough_bergomi_approx, and the trunc-26
+--threshold inf flow of the cut closure.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +89,21 @@ def test_closure_dense_d1_trunc12(benchmark):
     _record(benchmark, table, trunc=12, d=1)
 
 
+def cut_closure_state() -> RiccatiState:
+    # transform --model first_order --u 1.1.1:0.1: its closure is the words 1^k, k <= trunc
+    return RiccatiState(GradedTensor(1, 3, {(1, 1, 1): 0.1}))
+
+
+def test_closure_cut_trunc26(benchmark):
+    args = (cut_closure_state(), _model("first_order"), 26)
+    tracemalloc.start()
+    build_generator(*args)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    table = benchmark.pedantic(build_generator, args=args, rounds=5, warmup_rounds=1)
+    _record(benchmark, table, trunc=26, d=1, build_peak_mb=peak / 1e6)
+
+
 def test_blowup_flow(benchmark):
     # E exp(2 <e_11, W_T>) blows up at T = 1/2
     state = RiccatiState(GradedTensor(1, 2, {(1, 1): 2.0}))
@@ -120,3 +139,15 @@ def test_flow_trunc12_rough_bergomi(benchmark):
     out = benchmark.pedantic(flow, rounds=5, warmup_rounds=1)
     _record(benchmark, table, trunc=12, d=1, accepted_steps=out.steps, rejected=out.rejected,
             carried=out.carried)
+
+
+def test_flow_cut_trunc26(benchmark):
+    # transform --model first_order --u 1.1.1:0.1 --threshold inf --trunc 26
+    table = build_generator(cut_closure_state(), _model("first_order"), 26)
+
+    def flow():
+        return integrate_flow(table, explosion_threshold=math.inf)
+
+    out = benchmark.pedantic(flow, rounds=5, warmup_rounds=1)
+    _record(benchmark, table, trunc=26, d=1, accepted_steps=out.steps, rejected=out.rejected,
+            carried=out.carried, lambda0=out.lambda0)

@@ -317,9 +317,8 @@ def _cmd_hedge(cfg: dict, out: str) -> int:
     hedge_cfg = cfg.get("hedge", {})
     if not isinstance(hedge_cfg, dict):
         raise ValueError(f"hedge must be a JSON object, got {hedge_cfg!r}")
-    depth = hedge_cfg.get("integrand_depth", 2)
-    basis = hedging.HedgeBasis(integrand_depth=depth,
-                               residual_window=hedge_cfg.get("residual_window", (depth, depth + 1)),
+    basis = hedging.HedgeBasis(integrand_depth=hedge_cfg.get("integrand_depth", 2),
+                               residual_window=hedge_cfg.get("residual_window"),
                                static_strikes=hedge_cfg.get("static_strikes"),
                                ridge=hedge_cfg.get("ridge"))
     data = hedging.simulate_hedge_dataset(params, basis, kind, pay_params, n_paths, seed)

@@ -52,7 +52,8 @@ class HedgeBasis:
 
     integrand_depth >= 0 bounds the word length of dynamic integrand features;
     residual_window = (n_low, m), 0 <= n_low < m, selects terminal words
-    n_low < |I| <= m; static_strikes None means 7 equally spaced quantiles
+    n_low < |I| <= m, None meaning (depth, depth + 1), the words just past
+    the integrand's; static_strikes None means 7 equally spaced quantiles
     of simulated S_T; ridge None means the default 1e-8 * trace(Gram)/dim
     regularisation.  The depth and window must be exact integers
     (algebra.exact_int: 1.9 is rejected, 2.0 read as 2), strikes and ridge
@@ -60,13 +61,14 @@ class HedgeBasis:
     """
 
     integrand_depth: int
-    residual_window: tuple[int, int]
+    residual_window: tuple[int, int] | None = None
     static_strikes: tuple[float, ...] | None = None
     ridge: float | None = None
 
     def __post_init__(self):
         depth = exact_int(self.integrand_depth, "integrand_depth")
-        window = tuple(exact_int(k, "residual_window") for k in self.residual_window)
+        window = (depth, depth + 1) if self.residual_window is None else tuple(
+            exact_int(k, "residual_window") for k in self.residual_window)
         strikes = self.static_strikes
         strikes = None if strikes is None else tuple(float(k) for k in strikes)
         ridge = None if self.ridge is None else float(self.ridge)
@@ -167,13 +169,9 @@ def _static_block(terminal: np.ndarray, strikes) -> tuple[np.ndarray, list]:
     # regression constant and the underlying payoff is exactly the constant
     # plus the empty-word gain column (S_T = s0 + sum dS), so only the call
     # columns add directions and a separate S_T column would be redundant.
-    cols = []
-    labels: list = []
-    for k in strikes:
-        cols.append(np.maximum(terminal - k, 0.0))
-        labels.append(f"K={k:.17g}")
-    block = np.column_stack(cols) if cols else np.zeros((terminal.shape[0], 0))
-    return block, labels
+    block = terminal[:, None] - np.asarray(strikes, float)
+    # in place: a second (paths, strikes) array would raise the depth scan's peak memory
+    return np.maximum(block, 0.0, out=block), [f"K={k:.17g}" for k in strikes]
 
 
 @dataclass
@@ -402,7 +400,7 @@ def depth_scan(params: SigVolParams, payoff_kind: str, payoff_params: dict,
     if not depths or depths[0] < 0:
         raise ValueError("depth scan needs at least one depth, each >= 0")
     if basis is None:
-        basis = HedgeBasis(depths[-1], (depths[-1], depths[-1] + 1))
+        basis = HedgeBasis(depths[-1])
     full_basis = replace(basis, integrand_depth=max(depths[-1], basis.integrand_depth))
     data = simulate_hedge_dataset(params, full_basis, payoff_kind, payoff_params,
                                   n_paths, seed)

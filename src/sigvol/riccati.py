@@ -47,7 +47,6 @@ so the check stays independent of the flow it checks.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -89,11 +88,15 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[np.diff(a, prepend=a[:1] - 1) != 0]
 
 
-def _key(cols: list[np.ndarray], size: int) -> np.ndarray:
-    """One int64 per row of columns with values in range(size), in the rows' lexicographic order."""
-    if size ** len(cols) > 2**63:
-        raise ValueError(f"{len(cols)} columns of {size} values are too many to order as one key")
-    return functools.reduce(lambda key, col: key * size + col, cols)
+def _key(cols: list[np.ndarray], sizes: list[int]) -> np.ndarray:
+    """One int64 per row of columns, column i in range(sizes[i]), in the rows' lexicographic order."""
+    if math.prod(sizes) > 2**63:
+        raise ValueError(f"columns of {' x '.join(map(str, sizes))} values are too many to "
+                         "order as one key")
+    key = 0
+    for col, size in zip(cols, sizes):
+        key = key * size + col
+    return key
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,8 +136,8 @@ def _shuffles(u, a, v, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     owner, idx = _ranges(pstarts[i], pstarts[i + 1])
                     parts.append((owner, pw[idx] * n + letter[owner], pm[idx]))
                 owner, w, m = (np.concatenate(col) for col in zip(*parts))
-                # keys and words both lie in range(n**(p + q))
-                row = _key([owner, w], n ** (p + q))
+                # words lie in range(n**(p + q))
+                row = _key([owner, w], [keys.size, n ** (p + q)])
                 order = np.argsort(row)
                 row, m = row[order], m[order]
                 at = np.flatnonzero(np.diff(row, prepend=row[:1] - 1))  # the first row of each
@@ -151,11 +154,16 @@ def _shuffles(u, a, v, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def weighted_norm(parts: list[tuple[float, np.ndarray]], x: float | None) -> float:
-    """sum_n w(n) |u_n|_2 over the (w(n), level u_n) parts in order, plus |x| when given."""
+    """sum_n w(n) |u_n|_2 over the (w(n), level u_n) parts in order, plus |x| when given.
+
+    Each |u_n|^2 is the correctly rounded sum of the squares (math.fsum), so a level's zeros,
+    and which of its words are held at all, cannot move a bit; inf where that overflows."""
     total = 0.0
-    for w, level in parts:
-        # the dot over the whole level, zeros included: dropping them can move the last bit
-        total += w * math.sqrt(float(np.dot(level, level)))
+    try:
+        for w, level in parts:
+            total += w * math.sqrt(math.fsum([c * c for c in level.tolist()]))
+    except OverflowError:  # finite squares whose sum overflows
+        return math.inf
     return total if x is None else total + abs(x)
 
 
@@ -226,22 +234,17 @@ class GeneratorTable:
     def norm_reader(self) -> Callable[[np.ndarray], float]:
         """weighted_norm of a carried vector, sum_n w(n) |u_n|_2 plus |u_X|, w the model's weight.
 
-        Each level that holds a carried word is one zero-padded copy of the
-        whole level, into which the reader writes the carried entries; the
-        layout and each w(n) are fixed here, once."""
-        d, weight = self.params.dim, self.params.weight
-        n, m = d + 1, len(self.words)
-        levels = sorted({len(w) for w in self.words})
-        first = dict(zip(levels, np.cumsum([0] + [n**k for k in levels]).tolist()))
-        padded = np.zeros(sum(n**k for k in levels))
-        spots = np.array([first[len(w)] + i - _offset(len(w), d)
-                          for w, i in zip(self.words, self.field.live.tolist())], dtype=np.intp)
-        parts = [(weight(k), padded[first[k] : first[k] + n**k]) for k in levels]
+        Canonical order keeps each level's carried words contiguous, so a level is one slice
+        of the carried vector; the slices and each w(n) are fixed here, once."""
+        weight, m = self.params.weight, len(self.words)
+        lengths = [len(w) for w in self.words]
+        levels = sorted(set(lengths))
+        bounds = [lengths.index(k) for k in levels] + [m]
+        cuts = [(weight(k), slice(a, b)) for k, a, b in zip(levels, bounds, bounds[1:])]
         has_x = self.state_dim > m
 
         def norm(u: np.ndarray) -> float:
-            padded[spots] = u[:m]
-            return weighted_norm(parts, float(u[m]) if has_x else None)
+            return weighted_norm([(w, u[at]) for w, at in cuts], float(u[m]) if has_x else None)
 
         return norm
 
@@ -353,20 +356,17 @@ def build_generator(start: RiccatiState, params: SigVolParams,
         new = new[live[np.minimum(np.searchsorted(live, new), live.size - 1)] != new]
 
     words = words_of(live)
-    # each coordinate's position: a slot per word up to the last live one, then X's
-    top = int(live[-1]) + 1 if live.size else 0
-    slot = np.zeros(top + 1, dtype=np.intp)
     u0 = np.zeros(live.size + x_live)
     u0[np.searchsorted(live, support)] = list(start.sig.coeffs.values())
-    if x_live:
+    if x_live:  # X's coordinate is the largest, so live stays sorted
         live = np.append(live, x)
         u0[-1] = start.u_x
-    slot[np.minimum(live, top)] = np.arange(live.size)
     forms = []
     for blocks in (drift, quad):
         cols = [np.concatenate(col) for col in zip(*blocks)]
-        at = [slot[np.minimum(col, top)] for col in cols[:-1]]
-        order = np.argsort(_key(at, live.size))  # by output, then inputs: the canonical order
+        at = [np.searchsorted(live, col) for col in cols[:-1]]  # each position, its index in live
+        # by output, then inputs: the canonical order
+        order = np.argsort(_key(at, [live.size] * len(at)))
         forms.append([col[order] for col in at + cols[-1:]])
     (d_out, d_in, d_c), (q_out, q_in1, q_in2, q_c) = forms
     field = VectorField(live, np.concatenate([d_out, q_out + live.size]),

@@ -492,6 +492,21 @@ class TestTransform:
         assert line in proc.stdout.splitlines()
         assert proc.stdout.endswith("status=ok\n")
 
+    def test_deep_cut_closure_under_the_cap(self, tmp_path, capsys):
+        # the closure of e_111 is the words 1^k, k <= trunc: a few dozen coordinates, whose
+        # positions and norm levels are sized by the closure, not by the 2^(trunc + 1) words
+        argv = ["--model", "first_order", "--u", "1.1.1:0.1", "--threshold", "inf"]
+        code, out = run(capsys, "transform", *argv, "--trunc", "20", "--out", str(tmp_path))
+        assert code == 0
+        lam20 = float(out.splitlines()[0].removeprefix("lambda0="))
+        assert lam20 == pytest.approx(1.0021178290362, abs=1e-12)
+        for trunc in 26, 34:
+            proc = capped("transform", *argv, "--trunc", str(trunc), "--out", str(tmp_path))
+            assert proc.returncode == 0, proc.stderr
+            lam, status = proc.stdout.splitlines()
+            assert status == "status=ok"
+            assert float(lam.removeprefix("lambda0=")) == pytest.approx(lam20, abs=1e-12)
+
 
 class TestHedge:
     def test_report_sections(self, tmp_path, capsys):
@@ -514,6 +529,22 @@ class TestHedge:
         code, out = run(capsys, "hedge", "--config", str(cfg_path),
                         "--out", str(tmp_path), "--paths", "500")
         assert code == 0
+
+    def test_window_default(self, tmp_path, capsys):
+        # the window defaults to (depth, depth + 1), a null one too, worked out from the depth
+        # only once the depth is checked
+        argv = ["--model", "first_order", "--seed", "3", "--paths", "500", "--steps", "8"]
+        cfg_path, csvs = tmp_path / "cfg.json", []
+        for window in {}, {"residual_window": None}, {"residual_window": [1, 2]}:
+            cfg_path.write_text(json.dumps({"hedge": {"integrand_depth": 1, **window}}))
+            code, _ = run(capsys, "hedge", "--config", str(cfg_path), *argv, "--out", str(tmp_path))
+            assert code == 0
+            csvs.append((tmp_path / "hedge.csv").read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
+        cfg_path.write_text(json.dumps({"hedge": {"integrand_depth": "2"}}))
+        code = execute(["hedge", "--config", str(cfg_path), *argv, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: integrand_depth must be an integer, got '2'\n"
 
 
 class TestDepthReport:

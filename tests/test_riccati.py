@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 from functools import cache
 
@@ -19,6 +20,7 @@ from sigvol.riccati import (
     build_generator,
     integrate_flow,
     mc_transform,
+    weighted_norm,
 )
 from sigvol.signature import all_words
 
@@ -452,6 +454,40 @@ class TestIntegrateFlow:
         out = integrate_flow(rough_bergomi_trunc12(), tol=1e-10, explosion_threshold=math.inf)
         assert out.solved and (out.steps, out.rejected, out.carried) == (426, 31, 59)
         assert f"{out.lambda0:.17g}" == "0.99376763711576599"  # s0 = 1
+
+
+@st.composite
+def norm_parts_padded(draw):
+    """Weighted levels, and the same levels with zeros of either sign put anywhere into them."""
+    parts, padded = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        w, level = draw(st.floats(0.5, 1e3)), draw(st.lists(st.floats(-1e150, 1e150), max_size=40))
+        more = list(level)
+        for at, zero in draw(st.lists(st.tuples(st.integers(0, 80), st.sampled_from([0.0, -0.0])),
+                                      max_size=40)):
+            more.insert(at % (len(more) + 1), zero)
+        parts.append((w, np.array(level, dtype=float)))
+        padded.append((w, np.array(more, dtype=float)))
+    return parts, padded
+
+
+class TestWeightedNorm:
+    """The flow's norm reads only the closure's words of a level, the full-state oracle the
+    whole level: both are this one weighted_norm, which zeros cannot move."""
+
+    @settings(max_examples=200)
+    @given(norm_parts_padded(), st.none() | st.floats(-10.0, 10.0))
+    def test_zeros_leave_every_bit(self, case, x):
+        parts, padded = case
+        assert weighted_norm(parts, x).hex() == weighted_norm(padded, x).hex()
+
+    @pytest.mark.parametrize("level", [[1e200], [-1e200, 0.0, 3.0], [1e154, -1e154]],
+                             ids=["square-overflows", "negative", "sum-overflows"])
+    def test_overflow_is_inf_and_silent(self, capfd, level):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert weighted_norm([(2.0, np.array([1.0])), (4.0, np.array(level))], 0.5) == math.inf
+        assert capfd.readouterr() == ("", "")
 
 
 @cache
