@@ -18,7 +18,10 @@ time the prefix-pair table at its largest, and of first_order's --u 1.1.1:0.1
 at trunc 26, a cut closure of 27 of the 2^27 - 1 words up to that length,
 with the build's tracemalloc peak; then the blow-up flow, one call of its
 vector field, the trunc-12 flow of rough_bergomi_approx, and the trunc-26
---threshold inf flow of the cut closure.
+--threshold inf flow of the cut closure.  Last, a fresh `transform` process
+of the cut closure at --trunc 34 with --threshold inf, whose transform.csv
+is streamed one trace entry at a time, stores the median wall time and peak
+RSS (ru_maxrss) of the process, as bench_stepper.py's child cases do.
 """
 
 import math
@@ -32,6 +35,8 @@ from sigvol.models import preset
 from sigvol.riccati import RiccatiState, build_generator, integrate_flow
 from sigvol.sde import SigVolParams
 from sigvol.signature import all_words
+
+from bench_stepper import record_children
 
 
 def _model(name, **sigmas):
@@ -151,3 +156,10 @@ def test_flow_cut_trunc26(benchmark):
     out = benchmark.pedantic(flow, rounds=5, warmup_rounds=1)
     _record(benchmark, table, trunc=26, d=1, accepted_steps=out.steps, rejected=out.rejected,
             carried=out.carried, lambda0=out.lambda0)
+
+
+def test_transform_cut_trunc34_child(benchmark, tmp_path):
+    # the whole command: closure build, flow, and transform.csv written entry by entry
+    record_children(benchmark, ["transform", "--model", "first_order", "--u", "1.1.1:0.1",
+                                "--threshold", "inf", "--trunc", "34", "--out", str(tmp_path)],
+                    trunc=34, d=1)

@@ -152,24 +152,29 @@ print(time.perf_counter() - start, usage.ru_maxrss / 1024, os.waitstatus_to_exit
 """
 
 
-@pytest.mark.parametrize("steps", [128, 512, 2048])
-def test_transform_mc_check_child(benchmark, tmp_path, steps):
-    # a fresh `transform --mc-check` process of 16384 paths: a driver block holds at most
-    # 2**20 normals, so 8192 paths at 128 steps and 4096 at 512 and 2048 steps
+def record_children(benchmark, argv: list[str], **params) -> None:
+    """Run the CLI's argv in fresh processes; store their median wall time and peak RSS."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "sigvol.cli", "transform",
-            "--model", "first_order", "--uX", "0.25", "--mc-check", "--paths", "16384",
-            "--steps", str(steps), "--seed", "1", "--out", str(tmp_path)]
+    cmd = [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "sigvol.cli", *argv]
     runs = []
 
     def child():
-        wall, peak, code = subprocess.run(argv, env=env, capture_output=True, text=True,
+        wall, peak, code = subprocess.run(cmd, env=env, capture_output=True, text=True,
                                           check=True).stdout.split()
         assert code == "0"
         runs.append((float(wall), float(peak)))  # ru_maxrss is in KiB on Linux
 
     benchmark.pedantic(child, rounds=3, warmup_rounds=1)
-    benchmark.extra_info.update(paths=16384, steps=steps, d=1,
-                                median_s=statistics.median(wall for wall, _ in runs),
+    benchmark.extra_info.update(params, median_s=statistics.median(wall for wall, _ in runs),
                                 peak_rss_mb=statistics.median(peak for _, peak in runs))
+
+
+@pytest.mark.parametrize("steps", [128, 512, 2048])
+def test_transform_mc_check_child(benchmark, tmp_path, steps):
+    # a fresh `transform --mc-check` process of 16384 paths: a driver block holds at most
+    # 2**20 normals, so 8192 paths at 128 steps and 4096 at 512 and 2048 steps
+    record_children(benchmark, ["transform", "--model", "first_order", "--uX", "0.25",
+                                "--mc-check", "--paths", "16384", "--steps", str(steps),
+                                "--seed", "1", "--out", str(tmp_path)],
+                    paths=16384, steps=steps, d=1)

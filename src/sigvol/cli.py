@@ -3,13 +3,15 @@
 Config files are JSON; flags override file values.  All randomness flows
 from the single --seed through the counter-based driver, so identical
 (config, seed) pairs produce byte-identical CSV outputs.  Exit codes:
-0 success, 1 validation error, 2 numerical degeneracy; the last stdout
-line is always machine readable: status=<ok|invalid|degenerate>.
+0 success (--help too), 1 validation error (a bad flag too), 2 numerical
+degeneracy; only `execute` prints the last stdout line, always machine
+readable: status=<ok|invalid|degenerate>.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -43,11 +45,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: str, header: list[str], rows: list[tuple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _line(**values) -> str:
+    """One machine-readable line of key=value pairs, each value as _fmt writes it."""
+    return " ".join(f"{key}={_fmt(value)}" for key, value in values.items())
+
+
+@contextlib.contextmanager
+def _output(path: str):
+    """path, written as path + ".part": renamed once the body ends, removed if it raises."""
+    partial = path + ".part"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+
+
+def _write_rows(fh, header: list[str], rows: list[tuple]) -> None:
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +121,11 @@ def resolve_model(cfg: dict) -> tuple[sde.SigVolParams, str]:
         spec = {"name": spec}
     if not isinstance(spec, dict):
         raise ValueError(f"bad model spec {spec!r}")
+    # a preset's own defaults stand for the sigmas that are not set
+    sigmas = {key: float(cfg[key]) for key in ("sigma", "sigma0", "sigma1") if key in cfg}
     if "ell_file" in spec or "ell" in spec:
+        if sigmas:
+            raise ValueError(f"an inline model reads no sigma, not {', '.join(sigmas)}")
         d = exact_int(spec.get("d", 1), "d")
         if "ell_file" in spec:
             with open(spec["ell_file"], "r", encoding="utf-8") as fh:
@@ -114,9 +138,7 @@ def resolve_model(cfg: dict) -> tuple[sde.SigVolParams, str]:
         name = "inline"
     else:
         name = spec.get("name", cfg["model"])
-        # the preset's own defaults stand for the sigmas that are not set
-        pre = models.preset(name, **{key: float(cfg[key]) for key in ("sigma", "sigma0", "sigma1")
-                                     if key in cfg})
+        pre = models.preset(name, **sigmas)
         if pre.metadata_only:
             raise ValueError(f"preset {name} is metadata-only and cannot be simulated")
         ell, eta, weight = pre.ell, pre.eta, pre.weight
@@ -190,7 +212,6 @@ def _cmd_selftest(cfg: dict, out: str) -> int:
         banach = weighted_norms(concat_product(a, b, trunc), w)[0] <= na * nb + 1e-12
         cs = abs(dual_pairing(a, b)) <= weighted_norms(a, w)[1] * weighted_norms(b, w)[2] + 1e-12
         if not (ok and assoc and inv and unit and banach and cs):
-            print("status=invalid")
             return 1
     checks.append(("shuffle_concat_antipode_norms", True))
     # Chen's identity on the engine the commands use: a path against its two halves
@@ -207,13 +228,9 @@ def _cmd_selftest(cfg: dict, out: str) -> int:
     checks.append(("chen_identity", chen.allclose(signature(inc), 1e-12)))
     rep = weight_check(Weight.geometric(2.0), 10)
     checks.append(("weight_check", rep.monotone and rep.w0_is_one))
-    rows = [(name, "1" if ok else "0") for name, ok in checks]
-    _write_rows(os.path.join(out, "selftest.csv"), ["check", "ok"], rows)
-    if all(ok for _, ok in checks):
-        print("status=ok")
-        return 0
-    print("status=invalid")
-    return 1
+    with _output(os.path.join(out, "selftest.csv")) as fh:
+        _write_rows(fh, ["check", "ok"], [(name, "1" if ok else "0") for name, ok in checks])
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 def _cmd_simulate(cfg: dict, out: str) -> int:
@@ -224,24 +241,14 @@ def _cmd_simulate(cfg: dict, out: str) -> int:
     if n_paths < 2:  # the martingale check after the last block needs two
         raise ValueError("need at least 2 paths")
     terminal = np.empty(n_paths)
-    # the rows go to a partial file that becomes paths.csv only once every block is written
-    path = os.path.join(out, "paths.csv")
-    partial = path + ".part"
-    try:
-        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
-            for block in blocks:
-                prices = sde.simulate_price(block)
-                sde.write_price_csv(prices, fh)
-                terminal[block.offset : block.offset + block.size] = prices.terminal_price
-                del prices  # one block's price paths at a time: free them before the next is drawn
-        os.replace(partial, path)
-    except BaseException:
-        if os.path.exists(partial):
-            os.remove(partial)
-        raise
-    report = sde.martingale_check(terminal, params.s0)
-    print(f"mean_ST={report.mean_terminal:.17g} se={report.se:.17g} z={report.z_score:.17g}")
-    print("status=ok")
+    with _output(os.path.join(out, "paths.csv")) as fh:
+        for block in blocks:
+            prices = sde.simulate_price(block)
+            sde.write_price_csv(prices, fh)
+            terminal[block.offset : block.offset + block.size] = prices.terminal_price
+            del prices  # one block's price paths at a time: free them before the next is drawn
+        report = sde.martingale_check(terminal, params.s0)
+    print(_line(mean_ST=report.mean_terminal, se=report.se, z=report.z_score))
     return 0
 
 
@@ -252,8 +259,6 @@ def _cmd_hypotheses(cfg: dict, out: str) -> int:
     lam = float(cfg.get("lambda", 1.0))
     h3 = sde.estimate_H3(params, lam, exact_int(cfg["paths"], "paths"), seed)
     mart = sde.martingale_check(h3.terminal_price[:20000], params.s0)
-    with open(os.path.join(out, "ell.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_tensor(params.ell))
     rows = [
         ("model", name, ""),
         ("H1.value", h1.value, "exact for finite support"),
@@ -266,8 +271,10 @@ def _cmd_hypotheses(cfg: dict, out: str) -> int:
         ("martingale.se", mart.se, ""),
         ("martingale.z", mart.z_score, ""),
     ]
-    _write_rows(os.path.join(out, "hypotheses.csv"), ["key", "value", "note"], rows)
-    print("status=ok")
+    with (_output(os.path.join(out, "ell.txt")) as ell_fh,
+          _output(os.path.join(out, "hypotheses.csv")) as fh):
+        ell_fh.write(format_tensor(params.ell))
+        _write_rows(fh, ["key", "value", "note"], rows)
     return 0
 
 
@@ -281,32 +288,23 @@ def _cmd_transform(cfg: dict, out: str) -> int:
                                                      ("explosion_threshold", "threshold"))
               if key in cfg}
     outcome = riccati.integrate_flow(table, **limits)
-    lines = ["tau,component_word,psi_value"]
+    verdict = (_line(lambda0=outcome.lambda0) if outcome.solved
+               else _line(exploded_at=outcome.t_star))
     # the carried coordinates, in coordinate order; a trace entry holds their values
     words = [label if label == riccati.X_LABEL else format_word(label) for label in table.labels]
-    for tau, vec in outcome.trace:
-        at = f"{tau:.17g}"
-        lines += [f"{at},{word},{value:.17g}"
-                  for word, value in zip(words, vec.tolist()) if value != 0.0]
-    lam0 = outcome.lambda0
-    if outcome.solved:
-        lines.append(f"lambda0={lam0:.17g}")
-    else:
-        lines.append(f"exploded_at={outcome.t_star:.17g}")
-    with open(os.path.join(out, "transform.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    if outcome.solved and cfg.get("mc_check"):
-        seed = _require_seed(cfg)
-        mc = riccati.mc_transform(state, params, exact_int(cfg["paths"], "paths"), seed)
-        print(f"lambda0={lam0:.17g} mc={mc.mean:.17g} mc_se={mc.se:.17g}")
-    elif outcome.solved:
-        print(f"lambda0={lam0:.17g}")
-    if not outcome.solved:
-        print(f"exploded_at={outcome.t_star:.17g}")
-        print("status=degenerate")
-        return 2
-    print("status=ok")
-    return 0
+    with _output(os.path.join(out, "transform.csv")) as fh:
+        fh.write("tau,component_word,psi_value\n")
+        for tau, vec in outcome.trace:  # one entry's rows at a time, never the whole trace's
+            at = f"{tau:.17g}"
+            fh.writelines([f"{at},{word},{value:.17g}\n"
+                           for word, value in zip(words, vec.tolist()) if value != 0.0])
+        fh.write(verdict + "\n")
+        if outcome.solved and cfg.get("mc_check"):
+            mc = riccati.mc_transform(state, params, exact_int(cfg["paths"], "paths"),
+                                      _require_seed(cfg))
+            verdict = _line(lambda0=outcome.lambda0, mc=mc.mean, mc_se=mc.se)
+    print(verdict)
+    return 0 if outcome.solved else 2
 
 
 def _cmd_hedge(cfg: dict, out: str) -> int:
@@ -337,9 +335,9 @@ def _cmd_hedge(cfg: dict, out: str) -> int:
              ("diagnostic", "payoff_l2", result.payoff_l2),
              ("diagnostic", "dropped_words",
               ";".join(format_word(w) for w in result.dropped_words) or "none")]
-    _write_rows(os.path.join(out, "hedge.csv"), ["section", "key", "value"], rows)
-    print(f"price={result.price:.17g} residual_norm={result.residual_norm:.17g}")
-    print("status=ok")
+    with _output(os.path.join(out, "hedge.csv")) as fh:
+        _write_rows(fh, ["section", "key", "value"], rows)
+    print(_line(price=result.price, residual_norm=result.residual_norm))
     return 0
 
 
@@ -357,8 +355,8 @@ def _cmd_depth_report(cfg: dict, out: str) -> int:
         rows.append(("scan", f"depth_{row.depth}.se", row.se))
     rows.append(("meta", "model", name))
     rows.append(("meta", "payoff", kind))
-    _write_rows(os.path.join(out, "depth_report.csv"), ["section", "key", "value"], rows)
-    print("status=ok")
+    with _output(os.path.join(out, "depth_report.csv")) as fh:
+        _write_rows(fh, ["section", "key", "value"], rows)
     return 0
 
 
@@ -433,30 +431,31 @@ _COMMANDS = {
 }
 
 
+_STATUS = ("ok", "invalid", "degenerate")  # by exit code
+
+
 def execute(argv: list[str]) -> int:
-    parser = build_parser()
+    """Run one command line and print its status line; return the exit code."""
     try:
-        flags = vars(parser.parse_args(argv))
-    except SystemExit:
-        print("status=invalid")
-        return 1
-    command = flags.pop("command")
-    try:
+        flags = vars(build_parser().parse_args(argv))
+        command = flags.pop("command")
         cfg = _merge_flags(load_config(flags.pop("config", None)), flags)
         out = cfg.get("out") or "."
         os.makedirs(out, exist_ok=True)
-        return _COMMANDS[command](cfg, out)
+        code = _COMMANDS[command](cfg, out)
+    except SystemExit as exc:  # argparse's: 0 after --help, 2 after printing a usage error
+        code = 1 if exc.code else 0
     except (ValueError, TypeError, OSError, MemoryError) as exc:
         # TypeError: a config value of the wrong JSON type, e.g. "u": 5; OSError: an
         # unreadable input or an --out that cannot be made; MemoryError: a run too large to
         # hold, often raised without a message, so an empty one is named by its type
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        print("status=invalid")
-        return 1
+        code = 1
     except hedging.DegenerateGram as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
-        print("status=degenerate")
-        return 2
+        code = 2
+    print(_line(status=_STATUS[code]))
+    return code
 
 
 def main() -> None:

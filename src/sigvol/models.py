@@ -16,6 +16,7 @@ the words (j, 0^k).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -26,19 +27,9 @@ from .algebra import GradedTensor, Weight, Word
 INF = float("inf")
 KERNEL_DEPENDENT = "kernel_dependent"
 
-PRESET_NAMES = (
-    "black_scholes",
-    "first_order",
-    "heston_meta",
-    "rough_bergomi_approx",
-    "quintic_ou_approx",
-    "guyon_lekeufack_approx",
-)
-
 
 @dataclass(frozen=True)
 class ModelPreset:
-    name: str
     ell: GradedTensor | None
     eta: np.ndarray | None
     weight: Weight
@@ -93,46 +84,78 @@ def kernel_expansion(kind: str, degree: int, brownian_letter: int, scale: float,
     return GradedTensor(j, degree + 1, coeffs)
 
 
-def preset(name: str, sigma: float = 0.2, sigma0: float = 0.2,
-           sigma1: float = 0.1) -> ModelPreset:
+def _black_scholes(sigma: float = 0.2) -> ModelPreset:
+    ell = GradedTensor(1, 0, {(): sigma})
+    return ModelPreset(ell, _unit(1, 1), Weight.geometric(2.0), (0, 1),
+                       "constant volatility; dynamically complete")
+
+
+def _first_order(sigma0: float = 0.2, sigma1: float = 0.1) -> ModelPreset:
+    ell = GradedTensor(1, 1, {(): sigma0, (1,): sigma1})
+    return ModelPreset(ell, _unit(1, 1), Weight.geometric(2.0), (1, 2),
+                       "volatility sigma0 + sigma1 * W^1; one static completion")
+
+
+def _heston_meta() -> ModelPreset:
+    return ModelPreset(None, None, Weight.geometric(2.0), (2, 4),
+                       "metadata only: no explicit tensor embedding is published")
+
+
+def _rough_bergomi_approx(sigma0: float = 0.2, sigma1: float = 0.1) -> ModelPreset:
+    ell = kernel_expansion("power", 5, 1, sigma1)
+    ell = GradedTensor(1, ell.trunc, {(): sigma0, **ell.coeffs})
+    return ModelPreset(ell, _unit(1, 1), Weight.geometric(2.0), (INF, INF),
+                       "power-kernel expansion; demonstration only, the "
+                       "polynomial approximation is poor near zero lag and "
+                       "no finite depth is exact")
+
+
+def _quintic_ou_approx(sigma0: float = 0.2, sigma1: float = 0.1) -> ModelPreset:
+    ell = kernel_expansion("exponential", 4, 1, sigma1, kappa=1.0)
+    ell = GradedTensor(1, ell.trunc, {(): sigma0, **ell.coeffs})
+    return ModelPreset(ell, _unit(1, 1), Weight.geometric(2.0), (5, None),
+                       "exponential-kernel expansion with support up to depth "
+                       "five; terminal static degree undocumented")
+
+
+def _guyon_lekeufack_approx(sigma0: float = 0.2, sigma1: float = 0.1) -> ModelPreset:
+    fast = kernel_expansion("exponential", 3, 1, sigma1, kappa=8.0)
+    slow = kernel_expansion("exponential", 3, 1, 0.5 * sigma1, kappa=1.0)
+    ell = GradedTensor(1, 4, {(): sigma0})
+    ell = ell + fast + slow
+    return ModelPreset(ell, _unit(1, 1), Weight.geometric(2.0),
+                       (KERNEL_DEPENDENT, KERNEL_DEPENDENT),
+                       "two-timescale exponential past-return kernels; depth "
+                       "is kernel dependent, infinite for the untruncated family")
+
+
+# each preset's builder; its keyword parameters are the sigmas the preset reads
+_BUILDERS = {
+    "black_scholes": _black_scholes,
+    "first_order": _first_order,
+    "heston_meta": _heston_meta,
+    "rough_bergomi_approx": _rough_bergomi_approx,
+    "quintic_ou_approx": _quintic_ou_approx,
+    "guyon_lekeufack_approx": _guyon_lekeufack_approx,
+}
+PRESET_NAMES = tuple(_BUILDERS)
+
+
+def preset(name: str, **sigmas: float) -> ModelPreset:
     """Named model presets, all over one Brownian letter (d = 1).
 
-    The sigma defaults are configuration, not ground truth.
+    A preset takes only the sigmas it reads; the sigma defaults are
+    configuration, not ground truth.
     """
-    if name == "black_scholes":
-        ell = GradedTensor(1, 0, {(): sigma})
-        return ModelPreset(name, ell, _unit(1, 1), Weight.geometric(2.0), (0, 1),
-                           "constant volatility; dynamically complete")
-    if name == "first_order":
-        ell = GradedTensor(1, 1, {(): sigma0, (1,): sigma1})
-        return ModelPreset(name, ell, _unit(1, 1), Weight.geometric(2.0), (1, 2),
-                           "volatility sigma0 + sigma1 * W^1; one static completion")
-    if name == "heston_meta":
-        return ModelPreset(name, None, None, Weight.geometric(2.0), (2, 4),
-                           "metadata only: no explicit tensor embedding is published")
-    if name == "rough_bergomi_approx":
-        ell = kernel_expansion("power", 5, 1, sigma1)
-        ell = GradedTensor(1, ell.trunc, {(): sigma0, **ell.coeffs})
-        return ModelPreset(name, ell, _unit(1, 1), Weight.geometric(2.0), (INF, INF),
-                           "power-kernel expansion; demonstration only, the "
-                           "polynomial approximation is poor near zero lag and "
-                           "no finite depth is exact")
-    if name == "quintic_ou_approx":
-        ell = kernel_expansion("exponential", 4, 1, sigma1, kappa=1.0)
-        ell = GradedTensor(1, ell.trunc, {(): sigma0, **ell.coeffs})
-        return ModelPreset(name, ell, _unit(1, 1), Weight.geometric(2.0), (5, None),
-                           "exponential-kernel expansion with support up to depth "
-                           "five; terminal static degree undocumented")
-    if name == "guyon_lekeufack_approx":
-        fast = kernel_expansion("exponential", 3, 1, sigma1, kappa=8.0)
-        slow = kernel_expansion("exponential", 3, 1, 0.5 * sigma1, kappa=1.0)
-        ell = GradedTensor(1, 4, {(): sigma0})
-        ell = ell + fast + slow
-        return ModelPreset(name, ell, _unit(1, 1), Weight.geometric(2.0),
-                           (KERNEL_DEPENDENT, KERNEL_DEPENDENT),
-                           "two-timescale exponential past-return kernels; depth "
-                           "is kernel dependent, infinite for the untruncated family")
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    build = _BUILDERS[name]
+    own = list(inspect.signature(build).parameters)
+    unread = [key for key in sigmas if key not in own]
+    if unread:
+        raise ValueError(f"preset {name} reads {' and '.join(own) or 'no sigma'}, "
+                         f"not {', '.join(unread)}")
+    return build(**sigmas)
 
 
 def _unit(d: int, j: int) -> np.ndarray:

@@ -572,8 +572,11 @@ def mc_transform(u0: RiccatiState, params: SigVolParams, n_paths: int, seed: int
     """
     if not u0.x_live:
         params = replace(params, ell=GradedTensor.zero(params.dim, 0))
+    blocks = stream_paths(params, n_paths, seed, u0.sig.coeffs)
+    if n_paths < 2:  # the standard error needs two
+        raise ValueError("need at least 2 paths")
     moments = _Moments()
-    for paths in stream_paths(params, n_paths, seed, u0.sig.coeffs):
+    for paths in blocks:
         for _ in paths.steps():
             pass
         expo = paths.sig.pair(u0.sig)
@@ -581,5 +584,5 @@ def mc_transform(u0: RiccatiState, params: SigVolParams, n_paths: int, seed: int
             expo += u0.u_x * (math.log(params.s0) + paths.log_s)
         moments.add(np.exp(expo))
     moments.finish()
-    var = moments.m2 / max(moments.count - 1, 1)
+    var = moments.m2 / (moments.count - 1)
     return TransformMC(moments.mean, math.sqrt(var / moments.count), moments.count)

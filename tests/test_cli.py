@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sigvol import sde, signature
+from sigvol import riccati, sde, signature
 from sigvol.cli import execute
 
 
@@ -45,6 +46,26 @@ def capped(*argv) -> subprocess.CompletedProcess:
 
     env = dict(source_env(), OPENBLAS_NUM_THREADS="1")
     return fresh(*argv, env=env, preexec_fn=cap_address_space)
+
+
+# The kernel keeps a process's RSS high-water mark across exec, so the CLI is spawned from this
+# small launcher, whose own RSS is small, not from the test process.
+PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024)
+"""
+
+
+def peak_rss_mb(*argv) -> float:
+    """The peak RSS in MB of the CLI in a fresh process, which must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_LAUNCHER, sys.executable, "-m",
+                           "sigvol.cli", *argv], env=source_env(), capture_output=True, text=True,
+                          timeout=60, check=True)
+    code, peak = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return float(peak)  # ru_maxrss is in KiB on Linux
 
 
 def assert_invalid(proc: subprocess.CompletedProcess) -> None:
@@ -100,6 +121,37 @@ class TestValidation:
                         "--model", "heston_meta")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [["--help"], ["transform", "--help"]], ids=["top", "command"])
+    def test_help_is_ok(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert status_line(out) == "status=ok"
+
+    @pytest.mark.parametrize("argv, error", [
+        (["simulate", "--model", "first_order", "--sigma", "0.5"],
+         "preset first_order reads sigma0 and sigma1, not sigma"),
+        (["transform", "--model", "black_scholes", "--uX", "0.5", "--sigma0", "0.5"],
+         "preset black_scholes reads sigma, not sigma0"),
+        (["hedge", "--model", "rough_bergomi_approx", "--sigma", "0.3", "--sigma1", "0.2"],
+         "preset rough_bergomi_approx reads sigma0 and sigma1, not sigma"),
+        (["transform", "--model", "heston_meta", "--uX", "0.5", "--sigma", "0.2"],
+         "preset heston_meta reads no sigma, not sigma"),
+        (["simulate", "--sigma1", "0.1"], "an inline model reads no sigma, not sigma1"),
+    ], ids=["first_order-sigma", "black_scholes-sigma0", "rough_bergomi-sigma", "heston-sigma",
+            "inline-sigma1"])
+    def test_unread_sigma_rejected(self, tmp_path, capsys, argv, error):
+        # a sigma the model does not read used to be ignored without a word
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"ell": "word=∅ coeff=0.2", "d": 1}}))
+        if argv[1] != "--model":
+            argv = [argv[0], "--config", str(cfg_path), *argv[1:]]
+        out_dir = tmp_path / "out"
+        code = execute([*argv, "--seed", "1", "--paths", "50", "--steps", "4",
+                        "--out", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "status=invalid\n", f"error: {error}\n")
+        assert os.listdir(out_dir) == []
+
     def test_window_validated_before_compute(self, tmp_path, capsys):
         code = execute(["transform", "--out", str(tmp_path),
                         "--model", "first_order", "--uX", "0.5", "--trunc", "0"])
@@ -133,7 +185,7 @@ class TestValidation:
         assert code == 1
         assert status_line(out) == "status=invalid"
         assert err == "error: d, steps and n_paths must be >= 1\n"
-        assert not (tmp_path / "paths.csv").exists()
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv, model", [
         (["simulate", "--T", "nan"], None),
@@ -472,6 +524,39 @@ class TestTransform:
         assert out == "lambda0=inf\nstatus=ok\n"
         assert (tmp_path / "transform.csv").read_text().endswith("lambda0=inf\n")
 
+    @pytest.mark.parametrize("argv, error", [
+        ([], "seed is mandatory: pass --seed or set it in the config"),
+        (["--seed", "1", "--paths", "1"], "need at least 2 paths"),
+    ], ids=["no-seed", "one-path"])
+    def test_failed_mc_check_leaves_no_csv(self, tmp_path, capsys, argv, error):
+        # the check runs before transform.csv is renamed into place; one path's SE would be 0
+        code = execute(["transform", "--model", "first_order", "--uX", "0.3", "--mc-check",
+                        "--steps", "4", *argv, "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "status=invalid\n", f"error: {error}\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_write_leaves_no_csv(self, tmp_path, capsys, monkeypatch):
+        # the write fails once the first trace entry's rows went to transform.csv.part
+        integrate, listed = riccati.integrate_flow, []
+
+        def failing_trace(trace):
+            yield trace[0]
+            listed.append(os.listdir(tmp_path))
+            raise OSError("no space left on device")
+
+        def flow(table, **limits):
+            outcome = integrate(table, **limits)
+            return dataclasses.replace(outcome, trace=failing_trace(outcome.trace))
+
+        monkeypatch.setattr(riccati, "integrate_flow", flow)
+        code = execute(["transform", "--model", "first_order", "--u", "1:0.4",
+                        "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "status=invalid\n", "error: no space left on device\n")
+        assert listed == [["transform.csv.part"]]
+        assert os.listdir(tmp_path) == []
+
     def test_mc_check_runs(self, tmp_path, capsys):
         code, out = run(capsys, "transform", "--out", str(tmp_path),
                         "--model", "first_order", "--u", "1:0.4", "--seed", "5",
@@ -506,6 +591,13 @@ class TestTransform:
             lam, status = proc.stdout.splitlines()
             assert status == "status=ok"
             assert float(lam.removeprefix("lambda0=")) == pytest.approx(lam20, abs=1e-12)
+
+    def test_peak_memory_follows_the_trace(self, tmp_path):
+        # transform.csv is written one trace entry at a time, so its rows are never all held
+        argv = ["transform", "--model", "first_order", "--u", "1.1.1:0.1", "--threshold", "inf",
+                "--out", str(tmp_path)]
+        low, high = peak_rss_mb(*argv, "--trunc", "26"), peak_rss_mb(*argv, "--trunc", "34")
+        assert high < 1.5 * low, (low, high)
 
 
 class TestHedge:
