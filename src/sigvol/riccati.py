@@ -34,9 +34,9 @@ weight), and its start once, to build_generator, which owns the shuffle
 window and the default truncation and records both in the table.
 integrate_flow takes only the table and its tolerances.  The flow
 d(psi)/dtau = R(psi) is integrated with an explicit embedded 4/5 pair with
-adaptive steps; finite-time blow-up is the object of study, so the
-integrator detects explosion (weighted norm above a threshold, or step
-underflow) instead of trying to continue through it.  A solved flow carries
+steps sized by a relative error norm; finite-time blow-up is the object of
+study, so the integrator detects explosion (weighted norm above a threshold,
+or step underflow) instead of trying to continue through it.  A solved flow carries
 the transform value lambda0.
 
 mc_transform checks a transform value on the price engine's paths.  It
@@ -55,7 +55,7 @@ import numpy as np
 
 # riccati does not call shuffle_words; it is bound here only for perfbench/tracing.py, which
 # wraps it where riccati binds it
-from .algebra import EMPTY_WORD, GradedTensor, Word, shuffle_product, shuffle_words  # noqa: F401
+from .algebra import GradedTensor, Word, shuffle_product, shuffle_words  # noqa: F401
 from .sde import SigVolParams, stream_paths
 
 X_LABEL = "X"
@@ -224,12 +224,6 @@ class GeneratorTable:
         f = self.field
         in1, c = f.in1[f.in1.size - f.in2.size :], f.coeffs[f.coeffs.size - f.in2.size :]
         return np.where(in1 == f.in2, 2.0 * c, c)
-
-    def tensor(self, u: np.ndarray) -> tuple[GradedTensor, float]:
-        coeffs = {w: u[i] for i, w in enumerate(self.words) if u[i] != 0.0}
-        # X outside the closure stays 0.0
-        u_x = float(u[-1]) if self.state_dim > len(self.words) else 0.0
-        return GradedTensor(self.params.dim, self.trunc, coeffs), u_x
 
     def norm_reader(self) -> Callable[[np.ndarray], float]:
         """weighted_norm of a carried vector, sum_n w(n) |u_n|_2 plus |u_X|, w the model's weight.
@@ -401,13 +395,13 @@ class FlowOutcome:
     live holds the coordinates the flow integrated, in ascending order.
     trace holds (tau, carried vector) at the start and after each accepted
     step: position i of a carried vector is coordinate live[i], and every
-    other coordinate of the state is +0.0.  A solved flow's lambda0 is the
+    other coordinate of the state is +0.0; a solved flow's last entry is its
+    state at the horizon.  A solved flow's lambda0 is the
     transform value E exp(<u, W_T> + u_X log S_T) = exp(psi_empty(T) +
     u_X log s0), inf where that overflows a float.
     """
 
     solved: bool
-    state: RiccatiState | None
     steps: int
     live: np.ndarray
     t_star: float | None = None
@@ -439,7 +433,7 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 210
 # the stage rows, then the weights of the 5th- and 4th-order sums, as columns, to weigh the
 # stacked stages k_1..k_i at once
 _DP_ROWS = [np.array(row)[:, None] for row in (*_DP_A[1:], _DP_B5, _DP_B4)]
-STEP_FLOOR = 1e-12  # a step halved below this is an explosion verdict
+STEP_FLOOR = 1e-12  # a proposed step below this is an explosion verdict
 
 
 def integrate_flow(table: GeneratorTable, tol: float = 1e-10,
@@ -447,13 +441,22 @@ def integrate_flow(table: GeneratorTable, tol: float = 1e-10,
     """Adaptive embedded 4/5 integration of d(psi)/dtau = R(psi) from the table's start.
 
     Integrates the coordinates of build_generator's table, from its start
-    u0 to the model's horizon, and the trace holds their vectors.  Declares
+    u0 to the model's horizon, and the trace holds their vectors.  A step h
+    from u is accepted when err = max_i |u4_i - u5_i| / (tol + tol *
+    max(|u_i|, |u5_i|)) <= 1, the scaled error norm of Hairer, Norsett and
+    Wanner (Solving ODEs I, II.4), and the next step is h * min(2, 0.9 *
+    err^(-1/5)); a rejected one is retried at h * max(0.2, 0.9 * err^(-1/5)),
+    or at h / 2 when err is not finite.  The first step is horizon / 64, and
+    a step only shortened to end on the horizon proposes nothing.  Declares
     Exploded once the norm of the state, weighted by the model's weight,
-    passes the threshold, or when step halving pushes the step below
-    STEP_FLOOR.  tol must be finite and positive, the threshold positive or
+    passes the threshold, or when a proposed step, accepted or rejected, is
+    below STEP_FLOOR (or below the first step, on a horizon shorter than 64
+    floors).  tol must be finite and positive, the threshold positive or
     inf.  Each stage sums the weighted earlier stages in order with
     np.add.reduce over the stacked rows, as a left-to-right sum does, then
-    scales the sum by h and adds the state: u + h * sum, bit for bit.
+    scales the sum by the step and adds the state: u + step * sum, bit for
+    bit.  A stage or an error ratio that overflows on the way to a blow-up
+    is rejected, silently.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
@@ -463,14 +466,15 @@ def integrate_flow(table: GeneratorTable, tol: float = 1e-10,
     rhs, norm = table.field, table.norm_reader()
     live, n = rhs.live, len(rhs.live)
     t = 0.0
-    h = horizon / 64.0
+    h = horizon / 64.0  # the proposed step
+    floor = min(STEP_FLOOR, h)
     accepted, rejected = [], 0  # accepted step sizes, count of rejected steps
     trace = [(0.0, u)]
 
-    def outcome(state=None, **fields) -> FlowOutcome:
-        return FlowOutcome(state is not None, state, len(accepted), trace=trace,
-                           rejected=rejected, min_step=min(accepted, default=None),
-                           max_step=max(accepted, default=None), live=live, **fields)
+    def outcome(solved=False, **fields) -> FlowOutcome:
+        return FlowOutcome(solved, len(accepted), live, trace=trace, rejected=rejected,
+                           min_step=min(accepted, default=None),
+                           max_step=max(accepted, default=None), **fields)
 
     ks = np.empty((7, n))  # the stages; row 0 is the FSAL slope
     products, stage = np.empty((7, n)), np.empty(n)
@@ -479,44 +483,48 @@ def integrate_flow(table: GeneratorTable, tol: float = 1e-10,
     multiply, add, reduce = np.multiply, np.add, np.add.reduce
 
     def advance(k: int, out: np.ndarray) -> np.ndarray:
-        """u + h * (sum k of the stages) into out."""
+        """u + step * (sum k of the stages) into out."""
         row, stages, terms = sums[k]
         reduce(multiply(row, stages, terms), 0, None, out)
-        multiply(out, h, out)
+        multiply(out, step, out)
         return add(out, u, out)
 
     rhs(u, ks[0])
     while t < horizon:
-        h = min(h, horizon - t)
-        for i in range(1, 6):
-            rhs(advance(i - 1, stage), ks[i])
-        u5 = advance(5, np.empty(n))
-        rhs(u5, ks[6])
-        u4 = advance(6, stage)
-        # a non-finite u5 makes the difference inf or NaN, and either fails the test
-        err = float(np.abs(u4 - u5).max(initial=0.0))
-        if err <= tol:
-            t += h
+        if h < floor:
+            return outcome(t_star=t, norm_at_detection=norm(u), detail="step underflow below floor")
+        step = min(h, horizon - t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, 6):
+                rhs(advance(i - 1, stage), ks[i])
+            u5 = advance(5, np.empty(n))
+            rhs(u5, ks[6])
+            u4 = advance(6, stage)
+            # a non-finite u5 makes a ratio inf or NaN, and either fails the test
+            scale = tol + tol * np.maximum(np.abs(u), np.abs(u5))
+            err = float((np.abs(u4 - u5) / scale).max(initial=0.0))
+        if err <= 1.0:
+            t += step
             u = u5
             ks[0] = ks[6]  # FSAL
-            accepted.append(h)
+            accepted.append(step)
             trace.append((t, u))
             size = norm(u)
             if size > explosion_threshold:
                 return outcome(t_star=t, norm_at_detection=size, detail="norm threshold crossed")
-            h = h * min(2.0, 0.9 * (tol / err) ** 0.2 if err > 0.0 else 2.0)
+            h = step * (min(2.0, 0.9 * err**-0.2) if err > 0.0 else 2.0)
         else:
             rejected += 1
-            h *= 0.5
-            if h < STEP_FLOOR:
-                return outcome(t_star=t, norm_at_detection=norm(u),
-                               detail="step underflow below floor")
-    sig, u_x = table.tensor(u)
-    try:  # at tau = 0 the signature is the unit e_empty and X is log s0
-        lambda0 = math.exp(sig[EMPTY_WORD] + u_x * math.log(table.params.s0))
+            h = step * (max(0.2, 0.9 * err**-0.2) if err < math.inf else 0.5)
+    # at tau = 0 the signature is the unit e_empty and X is log s0: the empty word is position
+    # 0 when it is carried, X the last position
+    psi = float(u[0]) if n and live[0] == 0 else 0.0
+    u_x = float(u[-1]) if n > len(table.words) else 0.0
+    try:
+        lambda0 = math.exp(psi + u_x * math.log(table.params.s0))
     except OverflowError:
         lambda0 = math.inf
-    return outcome(RiccatiState(sig, u_x), lambda0=lambda0)
+    return outcome(True, lambda0=lambda0)
 
 
 # ---------------------------------------------------------------------------

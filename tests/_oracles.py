@@ -31,6 +31,10 @@ reference for the closure flow.  transform_value (the reference for a flow's
 lambda0), RiccatiExplosion and scalar_explosion_bound read a flow as a
 transform value and bound a scalar blow-up; first_order_blowup_time is the
 closed-form time at which first_order's price moment E S_T^u explodes.
+gaussian_transform is E S_T^u on a model's n-step Monte Carlo scheme, exactly,
+from the Gaussian quadratic-form formula, and richardson extrapolates it to
+the continuum: the truth for a preset's flow, and, at the Monte Carlo's own n,
+for mc_transform.
 brownian_values is the path-major Brownian driver (one Philox draw per
 block, Box-Muller on all of it, a cumulative sum over steps), and
 path_major_steps steps the batch engine on its increments and takes the Ito
@@ -52,6 +56,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
 from sigvol.algebra import (
@@ -424,11 +429,24 @@ def preset_model(name, horizon=1.0, s0=1.0, **sigmas) -> SigVolParams:
     return flow_model(pre.ell.dim, pre.ell, pre.eta, horizon, pre.weight, s0)
 
 
+def tensor(table: GeneratorTable, u: np.ndarray) -> RiccatiState:
+    """The state of a closure table's carried vector u: its non-zero words, and u_x, 0.0 when
+    X is outside the closure."""
+    coeffs = {w: u[i] for i, w in enumerate(table.words) if u[i] != 0.0}
+    u_x = float(u[-1]) if table.state_dim > len(table.words) else 0.0
+    return RiccatiState(GradedTensor(table.params.dim, table.trunc, coeffs), u_x)
+
+
+def final_state(table: GeneratorTable, outcome: FlowOutcome) -> RiccatiState:
+    """A solved flow's state at the horizon, from its trace's last entry."""
+    assert outcome.solved
+    return tensor(table, outcome.trace[-1][1])
+
+
 def riccati_rhs(table: GeneratorTable) -> RiccatiState:
     """Linear drift part plus half the quadratic carre-du-champ contraction, at a closure
     table's start."""
-    sig, u_x = table.tensor(table.field(table.u0))
-    return RiccatiState(sig, u_x)
+    return tensor(table, table.field(table.u0))
 
 
 def _label_key(label):
@@ -568,11 +586,6 @@ class FullTable:
             raise ValueError("u_x supplied but the table is not price-extended")
         return u
 
-    def tensor(self, u: np.ndarray):
-        coeffs = {w: u[i] for i, w in enumerate(self.words) if u[i] != 0.0}
-        sig = GradedTensor(self.dim, self.trunc, coeffs)
-        return sig, (float(u[self.x_index]) if self.extended else 0.0)
-
     def weighted_norm(self, u: np.ndarray) -> float:
         """sum_n w(n) |u_n|_2 over every level, w the model's weight, plus |u_X| when extended."""
         n = self.dim + 1
@@ -637,9 +650,10 @@ def transform_value(table: GeneratorTable, tol: float = 1e-10,
     outcome = integrate_flow(table, tol=tol, explosion_threshold=explosion_threshold)
     if not outcome.solved:
         raise RiccatiExplosion(outcome.t_star, outcome.norm_at_detection, outcome.detail)
-    exponent = outcome.state.sig[EMPTY_WORD]
+    state = final_state(table, outcome)
+    exponent = state.sig[EMPTY_WORD]
     if X_LABEL in table.labels:
-        exponent += outcome.state.u_x * math.log(table.params.s0)
+        exponent += state.u_x * math.log(table.params.s0)
     return math.exp(exponent)
 
 
@@ -659,6 +673,56 @@ def first_order_blowup_time(u: float, sigma1: float) -> float:
     if u < 0.0:
         return (math.pi / 2.0 + math.atan(r)) / (sigma1 * r)
     return math.inf
+
+
+def gaussian_transform(params: SigVolParams, T: float, n: int, u_x: float) -> float:
+    """E exp(u_x log S_T) on the model's n-step left-point scheme over [0, T], exactly; inf
+    where it is infinite.
+
+    For a model over one letter with ell = sigma0 + sum_k c_k e_(1,0^k), as every preset's,
+    xi_t = sigma0 + int_0^t g(t - s) dW_s with g(v) = sum_k c_k v^k / k!.  On the
+    piecewise-linear path, <e_(1,0^k), W_t> weighs each increment by the step average of
+    (t - s)^k / k!, so with z the n normalised increments the scheme's log S_T = log s0 +
+    sum_m xi_m eta dW_m - (1/2) sum_m xi_m^2 dt makes u_x log S_T = z'Az + b'z + c, and
+    E exp(z'Az + b'z + c) = det(I - 2A)^(-1/2) exp(b'(I - 2A)^(-1) b / 2 + c) when I - 2A is
+    positive definite, +inf otherwise.  The error against the continuum is O(1/n).
+    """
+    if params.dim != 1:
+        raise ValueError("the Gaussian form is over one Brownian letter")
+    sigma0, c = 0.0, {}
+    for word, coeff in params.ell.coeffs.items():
+        if word == ():
+            sigma0 = coeff
+        else:
+            k = len(word) - 1
+            if word != (1,) + (0,) * k:
+                raise ValueError(f"ell is not affine in the Brownian path: word {word}")
+            c[k] = coeff
+    dt, eta = T / n, float(params.eta[0])
+    # the integral of g from 0 to each lag i dt, and g's average over each lag step
+    lags = np.arange(n + 1) * dt
+    g_int = sum((ck * lags ** (k + 1) / math.factorial(k + 1) for k, ck in c.items()),
+                np.zeros(n + 1))
+    average = np.diff(g_int) / dt
+    # xi_m = sigma0 + (K z)_m, K[m, j] = sqrt(dt) * average[m - j - 1] for j < m
+    lag = np.arange(n)[:, None] - np.arange(n)[None, :] - 1
+    k_mat = np.where(lag >= 0, average[np.maximum(lag, 0)], 0.0) * math.sqrt(dt)
+    a = np.full(n, sigma0)
+    quad = u_x * (0.5 * eta * math.sqrt(dt) * (k_mat + k_mat.T) - 0.5 * dt * (k_mat.T @ k_mat))
+    lin = u_x * (eta * math.sqrt(dt) * a - dt * (k_mat.T @ a))
+    const = u_x * math.log(params.s0) - 0.5 * u_x * dt * float(a @ a)
+    try:
+        chol = np.linalg.cholesky(np.eye(n) - 2.0 * quad)
+    except np.linalg.LinAlgError:
+        return math.inf
+    y = solve_triangular(chol, lin, lower=True)
+    return math.exp(const - float(np.log(np.diag(chol)).sum()) + 0.5 * float(y @ y))
+
+
+def richardson(value, n: int = 250) -> float:
+    """value(n) extrapolated to n -> inf from n, 2n and 4n, cancelling errors in 1/n and 1/n^2:
+    (8 v(4n) - 6 v(2n) + v(n)) / 3."""
+    return (8.0 * value(4 * n) - 6.0 * value(2 * n) + value(n)) / 3.0
 
 
 def scalar_explosion_bound(a: float, y0: float) -> float:
@@ -681,50 +745,52 @@ def _full_rhs(u, table):
 def integrate_flow_full(u0: RiccatiState, table: FullTable, tol: float = 1e-10,
                         explosion_threshold: float = 1e6) -> FlowOutcome:
     """The embedded 4/5 flow from u0 stepping every coordinate of the state to the model's
-    horizon, trace recorded."""
+    horizon, trace recorded, under integrate_flow's step rule: accepted when
+    max |u4 - u5| / (tol + tol max(|u|, |u5|)) <= 1, a proposed step below the floor an
+    underflow."""
     u, horizon = table.vector(u0.sig, u0.u_x), table.params.horizon
     t = 0.0
     h = horizon / 64.0
+    floor = min(STEP_FLOOR, h)
     accepted, rejected = [], 0
     trace = [(0.0, u.copy())]
 
-    def outcome(state=None, **failure):
-        return FlowOutcome(state is not None, state, len(accepted), trace=trace,
+    def outcome(solved=False, **failure):
+        return FlowOutcome(solved, len(accepted), np.arange(table.state_dim), trace=trace,
                            rejected=rejected, min_step=min(accepted, default=None),
-                           max_step=max(accepted, default=None),
-                           live=np.arange(table.state_dim), **failure)
+                           max_step=max(accepted, default=None), **failure)
 
     k1 = _full_rhs(u, table)
     while t < horizon:
-        h = min(h, horizon - t)
+        if h < floor:
+            return outcome(t_star=t, norm_at_detection=table.weighted_norm(u),
+                           detail="step underflow below floor")
+        step = min(h, horizon - t)
         ks = [k1]
         for row in _DP_A[1:]:
-            stage = u + h * sum(a * k for a, k in zip(row, ks))
+            stage = u + step * sum(a * k for a, k in zip(row, ks))
             ks.append(_full_rhs(stage, table))
-        u5 = u + h * sum(b * k for b, k in zip(_DP_B5, ks))
+        u5 = u + step * sum(b * k for b, k in zip(_DP_B5, ks))
         k7 = _full_rhs(u5, table)
-        u4 = u + h * sum(b * k for b, k in zip(_DP_B4, ks + [k7]))
+        u4 = u + step * sum(b * k for b, k in zip(_DP_B4, ks + [k7]))
         err_vec = u5 - u4
         finite = np.all(np.isfinite(u5)) and np.all(np.isfinite(err_vec))
-        err = float(np.max(np.abs(err_vec))) if finite else math.inf
-        if err <= tol:
-            t += h
+        err = (float(np.max(np.abs(err_vec) / (tol + tol * np.maximum(np.abs(u), np.abs(u5))),
+                            initial=0.0)) if finite else math.inf)
+        if err <= 1.0:
+            t += step
             u = u5
             k1 = k7
-            accepted.append(h)
+            accepted.append(step)
             trace.append((t, u.copy()))
             norm = table.weighted_norm(u)
             if norm > explosion_threshold:
                 return outcome(t_star=t, norm_at_detection=norm, detail="norm threshold crossed")
-            h = h * min(2.0, 0.9 * (tol / err) ** 0.2 if err > 0.0 else 2.0)
+            h = step * (min(2.0, 0.9 * err**-0.2) if err > 0.0 else 2.0)
         else:
             rejected += 1
-            h *= 0.5
-            if h < STEP_FLOOR:
-                return outcome(t_star=t, norm_at_detection=table.weighted_norm(u),
-                               detail="step underflow below floor")
-    sig, u_x = table.tensor(u)
-    return outcome(RiccatiState(sig, u_x))
+            h = step * (max(0.2, 0.9 * err**-0.2) if math.isfinite(err) else 0.5)
+    return outcome(True)
 
 
 def brownian_values(d, horizon, steps, n_paths, seed, path_offset=0) -> np.ndarray:

@@ -30,6 +30,7 @@ from sigvol.signature import BatchSignature, all_words, simulate_brownian_grid
 from _oracles import (
     brownian_values,
     build_generator_by_label,
+    final_state,
     flow_model,
     generator_regression,
     levels,
@@ -154,7 +155,7 @@ def test_criterion_4_riccati_scalar_check():
     table = build_generator(RiccatiState(GradedTensor.zero(1, 0), u_x=u), params)
     out = integrate_flow(table, tol=1e-12)
     phi_expected = 0.5 * sigma**2 * (u**2 - u) * horizon
-    phi_err = abs(out.state.sig[()] - phi_expected)
+    phi_err = abs(final_state(table, out).sig[()] - phi_expected)
     lam = transform_value(table)
     mgf_rel = abs(lam - lognormal_mgf(u, s0, sigma, horizon)) / lognormal_mgf(u, s0, sigma, horizon)
     ok = phi_err <= 1e-8 and mgf_rel <= 1e-6
