@@ -53,7 +53,7 @@ def _record(benchmark, table, **info):
 
 def test_closure_riccati_flows_table(benchmark):
     # transform --model black_scholes --sigma 0.2 --u 1:0.3 --uX 0.5 --trunc 9
-    state = RiccatiState(GradedTensor(1, 1, {(1,): 0.3}), u_x=0.5)
+    state = RiccatiState(GradedTensor(1, {(1,): 0.3}), u_x=0.5)
     table = benchmark.pedantic(build_generator, args=(state, _model("black_scholes", sigma=0.2), 9),
                                rounds=50, warmup_rounds=1)
     _record(benchmark, table, trunc=9, d=1)
@@ -62,7 +62,7 @@ def test_closure_riccati_flows_table(benchmark):
 @pytest.mark.parametrize("trunc", [12, 13, 16])
 def test_closure_rough_bergomi(benchmark, trunc):
     # transform --model rough_bergomi_approx --uX 0.3 --trunc N; 12 is its shuffle window
-    state = RiccatiState(GradedTensor.zero(1, 0), u_x=0.3)
+    state = RiccatiState(GradedTensor.zero(1), u_x=0.3)
     table = benchmark.pedantic(build_generator, args=(state, _model("rough_bergomi_approx"), trunc),
                                rounds=20, warmup_rounds=1)
     _record(benchmark, table, trunc=trunc, d=1)
@@ -70,8 +70,8 @@ def test_closure_rough_bergomi(benchmark, trunc):
 
 def test_closure_dense_d2_trunc8(benchmark):
     # every word of length <= 4 over three letters: the closure is every word up to 8
-    state = RiccatiState(GradedTensor(2, 4, {w: 1.0 for w in all_words(2, 4)}))
-    model = SigVolParams(GradedTensor.zero(2, 0), Weight.constant(), 1.0, np.array([1.0, 0.0]),
+    state = RiccatiState(GradedTensor(2, {w: 1.0 for w in all_words(2, 4)}))
+    model = SigVolParams(GradedTensor.zero(2), Weight.constant(), 1.0, np.array([1.0, 0.0]),
                          1.0, 1)
     table = benchmark.pedantic(build_generator, args=(state, model, 8), rounds=9, warmup_rounds=1)
     _record(benchmark, table, trunc=8, d=2)
@@ -79,8 +79,8 @@ def test_closure_dense_d2_trunc8(benchmark):
 
 def test_closure_dense_d2_trunc8_with_x(benchmark):
     # every word of length <= 3 and X: the closure is every word up to 8, and X
-    state = RiccatiState(GradedTensor(2, 3, {w: 1.0 for w in all_words(2, 3)}), u_x=0.5)
-    ell = GradedTensor(2, 1, {(): 0.2, (0,): 0.05, (1,): 0.1, (2,): -0.03})
+    state = RiccatiState(GradedTensor(2, {w: 1.0 for w in all_words(2, 3)}), u_x=0.5)
+    ell = GradedTensor(2, {(): 0.2, (0,): 0.05, (1,): 0.1, (2,): -0.03})
     model = SigVolParams(ell, Weight.constant(), 1.0, np.array([0.6, 0.8]), 1.0, 1)
     table = benchmark.pedantic(build_generator, args=(state, model, 8), rounds=5, warmup_rounds=1)
     _record(benchmark, table, trunc=8, d=2)
@@ -88,15 +88,15 @@ def test_closure_dense_d2_trunc8_with_x(benchmark):
 
 def test_closure_dense_d1_trunc12(benchmark):
     # every word of length <= 5 over two letters: the closure is every word up to 12
-    state = RiccatiState(GradedTensor(1, 5, {w: 1.0 for w in all_words(1, 5)}))
-    model = SigVolParams(GradedTensor.zero(1, 0), Weight.constant(), 1.0, np.array([1.0]), 1.0, 1)
+    state = RiccatiState(GradedTensor(1, {w: 1.0 for w in all_words(1, 5)}))
+    model = SigVolParams(GradedTensor.zero(1), Weight.constant(), 1.0, np.array([1.0]), 1.0, 1)
     table = benchmark.pedantic(build_generator, args=(state, model, 12), rounds=5, warmup_rounds=1)
     _record(benchmark, table, trunc=12, d=1)
 
 
 def cut_closure_state() -> RiccatiState:
     # transform --model first_order --u 1.1.1:0.1: its closure is the words 1^k, k <= trunc
-    return RiccatiState(GradedTensor(1, 3, {(1, 1, 1): 0.1}))
+    return RiccatiState(GradedTensor(1, {(1, 1, 1): 0.1}))
 
 
 def test_closure_cut_trunc26(benchmark):
@@ -111,7 +111,7 @@ def test_closure_cut_trunc26(benchmark):
 
 def test_blowup_flow(benchmark):
     # E exp(2 <e_11, W_T>) blows up at T = 1/2
-    state = RiccatiState(GradedTensor(1, 2, {(1, 1): 2.0}))
+    state = RiccatiState(GradedTensor(1, {(1, 1): 2.0}))
     table = build_generator(state, _model("first_order"), 7)
 
     def flow():
@@ -125,7 +125,7 @@ def test_blowup_flow(benchmark):
 
 def test_vector_field_call(benchmark):
     # the field the blow-up flow steps: the closure of e_11 and its terms
-    state = RiccatiState(GradedTensor(1, 2, {(1, 1): 2.0}))
+    state = RiccatiState(GradedTensor(1, {(1, 1): 2.0}))
     table = build_generator(state, _model("first_order"), 7)
     rhs = table.field
     benchmark.pedantic(rhs, args=(table.u0,), rounds=200, iterations=10,
@@ -135,7 +135,7 @@ def test_vector_field_call(benchmark):
 
 def test_flow_trunc12_rough_bergomi(benchmark):
     # transform --model rough_bergomi_approx --uX 0.3 --threshold inf, its closure built once
-    table = build_generator(RiccatiState(GradedTensor.zero(1, 0), u_x=0.3),
+    table = build_generator(RiccatiState(GradedTensor.zero(1), u_x=0.3),
                             _model("rough_bergomi_approx"), 12)
 
     def flow():

@@ -27,7 +27,7 @@ from sigvol import sde, signature
 from sigvol.algebra import GradedTensor, Weight
 from sigvol.models import preset
 from sigvol.sde import PathBlock, SigVolParams, simulate_price, stream_paths, write_price_csv
-from sigvol.signature import BatchSignature, simulate_brownian_grid
+from sigvol.signature import BatchSignature, all_words, simulate_brownian_grid
 
 
 def _record(benchmark, fn, rounds: int, **params) -> None:
@@ -57,14 +57,14 @@ def _step(sig: BatchSignature, seed: int):
 def test_chen_step_all_words(benchmark):
     # the hedge_depth_scan engine: every word up to depth 4 is read
     n_paths, d, depth = 20000, 1, 4
-    _record(benchmark, _step(BatchSignature(n_paths, d, depth), 2), 30,
+    _record(benchmark, _step(BatchSignature(n_paths, d, all_words(d, depth)), 2), 30,
             paths=n_paths, d=d, depth=depth, words=2**(depth + 1) - 1)
 
 
 def test_chen_step_all_words_d2(benchmark):
     # every word up to depth 3 over three letters: each split is an outer product
     n_paths, d, depth = 20000, 2, 3
-    _record(benchmark, _step(BatchSignature(n_paths, d, depth), 4), 30,
+    _record(benchmark, _step(BatchSignature(n_paths, d, all_words(d, depth)), 4), 30,
             paths=n_paths, d=d, depth=depth, words=(3 ** (depth + 1) - 1) // 2)
 
 
@@ -72,7 +72,7 @@ def test_chen_step_carried_words(benchmark):
     # the price_paths_deep engine: a depth-6 symbol that reads 7 words
     ell = preset("rough_bergomi_approx").ell
     n_paths, depth = 1024, max(map(len, ell.coeffs))
-    sig = BatchSignature(n_paths, 1, depth, list(ell.coeffs))
+    sig = BatchSignature(n_paths, 1, list(ell.coeffs))
     _record(benchmark, _step(sig, 3), 200, paths=n_paths, d=1, depth=depth,
             words=len(ell.coeffs))
 
@@ -95,7 +95,7 @@ def test_stream_paths_block(benchmark):
 def test_path_block_steps(benchmark, d):
     # the pairing and log-price step over one drawn 16384-path block: eta . dW, the Ito
     # sums and xi = <ell, sig> per step, under a depth-1 symbol whose Chen step is small
-    ell = GradedTensor(d, 1, {(): 0.2, (d,): 0.1})
+    ell = GradedTensor(d, {(): 0.2, (d,): 0.1})
     params = SigVolParams(ell, Weight.constant(), 1.0, np.full(d, d**-0.5), 1.0, 32)
     paths = simulate_brownian_grid(d, 1.0, 32, 16384, 1)
 

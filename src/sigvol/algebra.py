@@ -1,10 +1,10 @@
 """Exact arithmetic in the truncated weighted free tensor algebra.
 
 Words are tuples of small integer letters over the alphabet {0, 1, ..., d},
-with 0 reserved for the time coordinate of the prolonged path.  Elements are
-stored sparsely as word -> coefficient maps; every value carries its
-truncation level and products truncate eagerly.  All values are immutable
-after construction and all operations are pure functions.
+with 0 reserved for the time coordinate of the prolonged path.  A tensor is
+its words and coefficients, stored sparsely as a word -> coefficient map;
+products take the truncation they apply and truncate eagerly.  All values
+are immutable after construction and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -149,28 +149,24 @@ def weight_check(w: Weight | Callable[[int], float], n_max: int) -> WeightCheckR
 
 @dataclass(frozen=True)
 class GradedTensor:
-    """Truncated element of the weighted tensor algebra.
+    """Finitely supported element of the weighted tensor algebra.
 
-    Sparse map from words over {0, ..., dim} to real coefficients; no stored
-    word is longer than trunc.  Exact zeros are pruned on construction, which
-    is observationally irrelevant.  Also used for finitely supported dual
-    elements (the volatility symbol ell lives here).
+    A tensor is its words and coefficients: a sparse map from words over
+    {0, ..., dim} to real coefficients.  Products take the truncation they
+    apply.  Exact zeros are pruned on construction, which is observationally
+    irrelevant.  Also used for finitely supported dual elements (the
+    volatility symbol ell lives here).
     """
 
     dim: int
-    trunc: int
     coeffs: Mapping[Word, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        if self.trunc < 0:
-            raise ValueError("truncation must be >= 0")
         clean: dict[Word, float] = {}
         for word, c in self.coeffs.items():
             word = tuple(int(i) for i in word)
-            if len(word) > self.trunc:
-                raise ValueError(f"word {word} exceeds truncation {self.trunc}")
             if any(i < 0 or i > self.dim for i in word):
                 raise ValueError(f"word {word} has letters outside [0, {self.dim}]")
             c = float(c)
@@ -183,16 +179,16 @@ class GradedTensor:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, dim: int, trunc: int) -> "GradedTensor":
-        return cls(dim, trunc, {})
+    def zero(cls, dim: int) -> "GradedTensor":
+        return cls(dim, {})
 
     @classmethod
-    def unit(cls, dim: int, trunc: int) -> "GradedTensor":
-        return cls(dim, trunc, {EMPTY_WORD: 1.0})
+    def unit(cls, dim: int) -> "GradedTensor":
+        return cls(dim, {EMPTY_WORD: 1.0})
 
     @classmethod
-    def basis(cls, dim: int, trunc: int, word: Iterable[int], coeff: float = 1.0) -> "GradedTensor":
-        return cls(dim, trunc, {tuple(word): coeff})
+    def basis(cls, dim: int, word: Iterable[int], coeff: float = 1.0) -> "GradedTensor":
+        return cls(dim, {tuple(word): coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -208,13 +204,13 @@ class GradedTensor:
         return max((len(w) for w in self.coeffs), default=0)
 
     def level_norms(self) -> np.ndarray:
-        """Euclidean norm |a_n| of each level's coefficient vector, n <= trunc."""
-        out = np.zeros(self.trunc + 1)
+        """Euclidean norm |a_n| of each level's coefficient vector, n <= support_degree."""
+        out = np.zeros(self.support_degree + 1)
         for word, c in self.coeffs.items():
             out[len(word)] += c * c
         return np.sqrt(out)
 
-    # -- arithmetic sugar (exact, no truncation change) ----------------------
+    # -- arithmetic sugar (exact, no truncation) ------------------------------
 
     def __add__(self, other: "GradedTensor") -> "GradedTensor":
         if self.dim != other.dim:
@@ -222,14 +218,13 @@ class GradedTensor:
         merged = dict(self.coeffs)
         for w, c in other.coeffs.items():
             merged[w] = merged.get(w, 0.0) + c
-        return GradedTensor(self.dim, max(self.trunc, other.trunc), merged)
+        return GradedTensor(self.dim, merged)
 
     def __sub__(self, other: "GradedTensor") -> "GradedTensor":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: float) -> "GradedTensor":
-        return GradedTensor(self.dim, self.trunc,
-                            {w: c * scalar for w, c in self.coeffs.items()})
+        return GradedTensor(self.dim, {w: c * scalar for w, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -239,7 +234,7 @@ class GradedTensor:
 
     def __repr__(self):
         terms = ", ".join(f"{format_word(w)}: {c:g}" for w, c in self.items())
-        return f"GradedTensor(d={self.dim}, N={self.trunc}, {{{terms}}})"
+        return f"GradedTensor(d={self.dim}, {{{terms}}})"
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +286,7 @@ def _bilinear(a: GradedTensor, b: GradedTensor, trunc: int,
             cuv = cu * cv
             for w, m in product(u, v):
                 out[w] = out.get(w, 0.0) + m * cuv
-    return GradedTensor(a.dim, trunc, out)
+    return GradedTensor(a.dim, out)
 
 
 def shuffle_product(a: GradedTensor, b: GradedTensor, trunc: int) -> GradedTensor:
@@ -310,7 +305,7 @@ def antipode(a: GradedTensor) -> GradedTensor:
     """Word reversal with sign (-1)**|I|; an involution."""
     out = {tuple(reversed(w)): (c if len(w) % 2 == 0 else -c)
            for w, c in a.coeffs.items()}
-    return GradedTensor(a.dim, a.trunc, out)
+    return GradedTensor(a.dim, out)
 
 
 def weighted_norms(a: GradedTensor, w: Weight) -> tuple[float, float, float]:
@@ -351,7 +346,7 @@ def format_tensor(a: GradedTensor) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 def parse_tensor(text: str, dim: int) -> GradedTensor:
-    """The tensor of format_tensor's lines, truncated at its longest word."""
+    """The tensor of format_tensor's lines; a repeated word sums its coefficients."""
     if not isinstance(text, str):
         raise TypeError(f"tensor text must be a string, got {text!r}")
     coeffs: dict[Word, float] = {}
@@ -365,4 +360,4 @@ def parse_tensor(text: str, dim: int) -> GradedTensor:
         word = parse_word(parts[0][len("word="):])
         coeff = float(parts[1][len("coeff="):])
         coeffs[word] = coeffs.get(word, 0.0) + coeff
-    return GradedTensor(dim, max((len(w) for w in coeffs), default=0), coeffs)
+    return GradedTensor(dim, coeffs)

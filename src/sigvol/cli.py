@@ -177,9 +177,7 @@ def _parse_direction(cfg: dict, d: int) -> riccati.RiccatiState:
             # a repeated word sums its coefficients, as parse_tensor does
             word = parse_word(str(word_text))
             pairs[word] = pairs.get(word, 0.0) + float(coeff)
-    deg = max((len(w) for w in pairs), default=0)
-    sig = GradedTensor(d, deg, pairs)
-    return riccati.RiccatiState(sig, None if u_x is None else float(u_x))
+    return riccati.RiccatiState(GradedTensor(d, pairs), None if u_x is None else float(u_x))
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +189,11 @@ def _cmd_selftest(cfg: dict, out: str) -> int:
     rng = np.random.default_rng(12345)
     d, trunc = 2, 4
 
-    def random_tensor(max_len=2):
+    def random_tensor():
         words = [()] + [tuple(rng.integers(0, d + 1, size=n)) for n in (1, 2) for _ in range(2)]
-        return GradedTensor(d, max_len, {w: float(rng.normal()) for w in words[: max_len + 2]})
+        return GradedTensor(d, {w: float(rng.normal()) for w in words[:4]})
 
-    e1 = GradedTensor.basis(d, 1, (1,))
+    e1 = GradedTensor.basis(d, (1,))
     checks = [("shuffle_normalisation", shuffle_product(e1, e1, 2).coeffs == {(1, 1): 2.0})]
     for _ in range(20):
         a, b = random_tensor(), random_tensor()
@@ -206,7 +204,7 @@ def _cmd_selftest(cfg: dict, out: str) -> int:
         assoc = shuffle_product(lhs, c, trunc).allclose(
             shuffle_product(a, shuffle_product(b, c, trunc), trunc), 1e-12)
         inv = antipode(antipode(a)).allclose(a)
-        unit = concat_product(GradedTensor.unit(d, trunc), a, trunc).allclose(a)
+        unit = concat_product(GradedTensor.unit(d), a, trunc).allclose(a)
         w = Weight.geometric(2.0)
         na, nb = weighted_norms(a, w)[0], weighted_norms(b, w)[0]
         banach = weighted_norms(concat_product(a, b, trunc), w)[0] <= na * nb + 1e-12
@@ -216,13 +214,13 @@ def _cmd_selftest(cfg: dict, out: str) -> int:
     checks.append(("shuffle_concat_antipode_norms", True))
     # Chen's identity on the engine the commands use: a path against its two halves
     inc = np.column_stack([np.full(8, 0.125), rng.normal(size=(8, d)) * 0.3])
+    words = all_words(d, trunc)
 
     def signature(steps):
-        sig = BatchSignature(1, d, trunc)
+        sig = BatchSignature(1, d, words)
         for dx in steps:
             sig.chen_step(dx[None, :])
-        words = all_words(d, trunc)
-        return GradedTensor(d, trunc, dict(zip(words, sig.coords(words)[0].tolist())))
+        return GradedTensor(d, dict(zip(words, sig.coords(words)[0].tolist())))
 
     chen = concat_product(signature(inc[:4]), signature(inc[4:]), trunc)
     checks.append(("chen_identity", chen.allclose(signature(inc), 1e-12)))

@@ -191,8 +191,9 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
     one row per word, (words, paths): each step adds coord(word) * dS to
     each row, the same product and sum per element as one (paths, words)
     update, and the rows are transposed into `dynamic` once per block.  The
-    payoff is checked before any path is drawn: a kind of PAYOFF_KINDS, and
-    a finite payoff_params["strike"] for every kind but variance_swap.
+    payoff, then the driver's arguments, are checked before any per-path
+    array: a kind of PAYOFF_KINDS, and a finite payoff_params["strike"] for
+    every kind but variance_swap.
     """
     if payoff_kind not in PAYOFF_KINDS:
         raise ValueError(f"unknown payoff kind {payoff_kind!r}; choose from {PAYOFF_KINDS}")
@@ -202,12 +203,13 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
     n_low, m = basis.residual_window
     dyn_words = all_words(params.dim, basis.integrand_depth)
     res_words = _window_words(params.dim, n_low, m)
+    blocks = stream_paths(params, n_paths, seed, dyn_words + res_words)
     dynamic = np.zeros((n_paths, len(dyn_words)))
     residual = np.zeros((n_paths, len(res_words)))
     terminal = np.zeros(n_paths)
     bracket = np.zeros(n_paths)
     asian = np.zeros(n_paths)
-    for paths in stream_paths(params, n_paths, seed, dyn_words + res_words):
+    for paths in blocks:
         nb = paths.size
         s_prev = np.full(nb, params.s0)
         avg = np.zeros(nb)

@@ -81,17 +81,17 @@ def kernel_expansion(kind: str, degree: int, brownian_letter: int, scale: float,
             coeffs[(j,) + (0,) * k] = scale * poly[k] * math.factorial(k)
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    return GradedTensor(j, degree + 1, coeffs)
+    return GradedTensor(j, coeffs)
 
 
 def _black_scholes(sigma: float = 0.2) -> ModelPreset:
-    ell = GradedTensor(1, 0, {(): sigma})
+    ell = GradedTensor(1, {(): sigma})
     return ModelPreset(ell, _unit(1, 1), Weight.geometric(2.0), (0, 1),
                        "constant volatility; dynamically complete")
 
 
 def _first_order(sigma0: float = 0.2, sigma1: float = 0.1) -> ModelPreset:
-    ell = GradedTensor(1, 1, {(): sigma0, (1,): sigma1})
+    ell = GradedTensor(1, {(): sigma0, (1,): sigma1})
     return ModelPreset(ell, _unit(1, 1), Weight.geometric(2.0), (1, 2),
                        "volatility sigma0 + sigma1 * W^1; one static completion")
 
@@ -103,7 +103,7 @@ def _heston_meta() -> ModelPreset:
 
 def _rough_bergomi_approx(sigma0: float = 0.2, sigma1: float = 0.1) -> ModelPreset:
     ell = kernel_expansion("power", 5, 1, sigma1)
-    ell = GradedTensor(1, ell.trunc, {(): sigma0, **ell.coeffs})
+    ell = GradedTensor(1, {(): sigma0, **ell.coeffs})
     return ModelPreset(ell, _unit(1, 1), Weight.geometric(2.0), (INF, INF),
                        "power-kernel expansion; demonstration only, the "
                        "polynomial approximation is poor near zero lag and "
@@ -112,7 +112,7 @@ def _rough_bergomi_approx(sigma0: float = 0.2, sigma1: float = 0.1) -> ModelPres
 
 def _quintic_ou_approx(sigma0: float = 0.2, sigma1: float = 0.1) -> ModelPreset:
     ell = kernel_expansion("exponential", 4, 1, sigma1, kappa=1.0)
-    ell = GradedTensor(1, ell.trunc, {(): sigma0, **ell.coeffs})
+    ell = GradedTensor(1, {(): sigma0, **ell.coeffs})
     return ModelPreset(ell, _unit(1, 1), Weight.geometric(2.0), (5, None),
                        "exponential-kernel expansion with support up to depth "
                        "five; terminal static degree undocumented")
@@ -121,7 +121,7 @@ def _quintic_ou_approx(sigma0: float = 0.2, sigma1: float = 0.1) -> ModelPreset:
 def _guyon_lekeufack_approx(sigma0: float = 0.2, sigma1: float = 0.1) -> ModelPreset:
     fast = kernel_expansion("exponential", 3, 1, sigma1, kappa=8.0)
     slow = kernel_expansion("exponential", 3, 1, 0.5 * sigma1, kappa=1.0)
-    ell = GradedTensor(1, 4, {(): sigma0})
+    ell = GradedTensor(1, {(): sigma0})
     ell = ell + fast + slow
     return ModelPreset(ell, _unit(1, 1), Weight.geometric(2.0),
                        (KERNEL_DEPENDENT, KERNEL_DEPENDENT),

@@ -343,7 +343,7 @@ def build_generator(start: RiccatiState, params: SigVolParams,
             takes = np.flatnonzero((last >= 1) & (eta[last - 1] != 0.0))
             stems = words_of(offset[k[takes] - 1] + stem[takes])
             for word, j, stem_word in zip(new[takes].tolist(), last[takes].tolist(), stems):
-                out, c = shuffled(ell, GradedTensor.basis(d, trunc, stem_word))
+                out, c = shuffled(ell, GradedTensor.basis(d, stem_word))
                 quad.append((out, np.full(out.size, word), np.full(out.size, x), eta[j - 1] * c))
                 reached.append(out)
         new = _distinct(np.concatenate(reached))
@@ -579,7 +579,7 @@ def mc_transform(u0: RiccatiState, params: SigVolParams, n_paths: int, seed: int
     price is not read, and a zero ell leaves the stepper only the words of u0.
     """
     if not u0.x_live:
-        params = replace(params, ell=GradedTensor.zero(params.dim, 0))
+        params = replace(params, ell=GradedTensor.zero(params.dim))
     blocks = stream_paths(params, n_paths, seed, u0.sig.coeffs)
     if n_paths < 2:  # the standard error needs two
         raise ValueError("need at least 2 paths")

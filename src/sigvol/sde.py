@@ -131,7 +131,7 @@ class PathBlock:
         self.dt = np.diff(paths.times)
         self._grid = paths.grid  # (steps+1, d, n_paths)
         self._spent = None
-        self.sig = BatchSignature(self.size, params.dim, max(map(len, words), default=0), words)
+        self.sig = BatchSignature(self.size, params.dim, words)
         self.xi = self.sig.pair(params.ell)
         # -0.0 + x is x bit for bit, -0.0 included: each sum is its increments' cumulative sum
         self.driver, self.mart, self.qv = (np.full(self.size, -0.0) for _ in range(3))
@@ -272,19 +272,23 @@ def estimate_H3(params: SigVolParams, lam: float, n_paths: int, seed: int) -> H3
     The heavy-tail flag trips when the largest 0.1% of the samples carry
     more than half of the estimate.  The same pass gives the terminal prices
     of the paths, equal to those of simulate_price on the same path set.
+    The driver's arguments are checked first, then the two paths an SE needs.
     """
     if not 0.0 < lam < math.inf:
         raise ValueError("lambda must be finite and positive")
+    blocks = stream_paths(params, n_paths, seed)
+    if n_paths < 2:  # the standard error needs two
+        raise ValueError("need at least 2 paths")
     samples = np.empty(n_paths)
     terminal = np.empty(n_paths)
-    for paths in stream_paths(params, n_paths, seed):
+    for paths in blocks:
         for _ in paths.steps():
             pass
         block = slice(paths.offset, paths.offset + paths.size)
         samples[block] = np.exp(lam * paths.qv)
         terminal[block] = params.s0 * np.exp(paths.mart - 0.5 * paths.qv)
     mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    se = float(samples.std(ddof=1) / math.sqrt(n_paths))
     k = max(1, int(math.ceil(0.001 * n_paths)))
     top = np.sort(samples)[-k:].sum()
     heavy = bool(top > 0.5 * samples.sum())

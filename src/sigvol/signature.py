@@ -41,10 +41,10 @@ from .algebra import EMPTY_WORD, GradedTensor, Word
 # ---------------------------------------------------------------------------
 
 
-def check_word_count(d: int, max_len: int) -> None:
-    """Reject, with a ValueError, the words over {0..d} up to max_len when their list cannot
-    fit in this host's physical memory: each word but the empty one is a tuple of its own, of
-    at least one letter, held by one list slot."""
+def all_words(d: int, max_len: int) -> list[Word]:
+    """Every word over {0..d} with length <= max_len, in canonical order, or a ValueError when
+    their list cannot fit in this host's physical memory: each word but the empty one is a tuple
+    of its own, of at least one letter, held by one list slot."""
     if max_len * math.log2(d + 1) < 256:
         count = ((d + 1) ** (max_len + 1) - 1) // d
         least = (count - 1) * (sys.getsizeof((0,)) + struct.calcsize("P"))
@@ -54,11 +54,6 @@ def check_word_count(d: int, max_len: int) -> None:
     if not fits:
         raise ValueError(f"every word up to length {max_len} over {d + 1} letters is {count} "
                          "words, more than this host's memory can hold")
-
-
-def all_words(d: int, max_len: int) -> list[Word]:
-    """Every word over {0..d} with length <= max_len, in canonical order, once they fit."""
-    check_word_count(d, max_len)
     words: list[Word] = [EMPTY_WORD]
     level: list[Word] = [EMPTY_WORD]
     for _ in range(max_len):
@@ -118,26 +113,28 @@ class BatchSignature:
 
     By Chen's identity a word's coordinate needs only its prefixes' coordinates
     and the segment exponential on its suffixes, so the engine carries the
-    prefix closure of `words` (default: every word up to trunc).  Level n is
-    stored as (carried words of length n, n_paths), words in canonical, i.e.
-    row-major, order.  The split of level m at 0 < k < m multiplies prefix
-    level k by segment level m - k, and segment level j is segment level
-    j - 1 times the letters of dx.  Where the rows are every prefix row times
-    every suffix row, as on every word up to a depth, the split is one outer
-    product of the two levels; elsewhere, as on a chain of single words, the
-    two factors' rows are gathered with precomputed indices.  Each split is
-    summed in a fixed order and each element is the same product either way,
-    so a coordinate is bit-identical whichever other words are carried.  The
-    levels are updated in place: coord() is a read-only view that is valid
-    until the next chen_step, while coords() and pair() copy.
+    prefix closure of `words`, which alone parametrise it: `trunc` is the
+    longest carried word.  Level n is stored as (carried words of length n,
+    n_paths), words in canonical, i.e. row-major, order.  The split of level
+    m at 0 < k < m multiplies prefix level k by segment level m - k, and
+    segment level j is segment level j - 1 times the letters of dx.  Where
+    the rows are every prefix row times every suffix row, as on every word
+    up to a depth, the split is one outer product of the two levels;
+    elsewhere, as on a chain of single words, the two factors' rows are
+    gathered with precomputed indices.  Each split is summed in a fixed
+    order and each element is the same product either way, so a coordinate
+    is bit-identical whichever other words are carried.  The levels are
+    updated in place: coord() is a read-only view that is valid until the
+    next chen_step, while coords() and pair() copy.
     """
 
-    def __init__(self, n_paths: int, d: int, trunc: int, words=None):
-        self.d, self.trunc, self.n_letters, self.n_paths = d, trunc, d + 1, n_paths
-        words = all_words(d, trunc) if words is None else [tuple(w) for w in words]
-        if any(len(w) > trunc or not all(0 <= a <= d for a in w) for w in words):
-            raise ValueError(f"words must be over {{0..{d}}} with length <= {trunc}")
+    def __init__(self, n_paths: int, d: int, words):
+        self.d, self.n_letters, self.n_paths = d, d + 1, n_paths
+        words = [tuple(w) for w in words]
+        if any(not 0 <= a <= d for w in words for a in w):
+            raise ValueError(f"words must be over {{0..{d}}}")
         carried = _by_level(words)
+        self.trunc = len(carried) - 1
         seg_words = _by_level([w[k:] for lvl in carried for w in lvl for k in range(len(w))])
         self._pos = {w: i for lvl in carried for i, w in enumerate(lvl)}
         pos = [{w: i for i, w in enumerate(lvl)} for lvl in carried]

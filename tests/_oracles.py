@@ -115,7 +115,7 @@ def _accumulate_group(d, steps, n_paths, seed, horizon, design_words, target_wor
     dt = horizon / steps
     n_words = len(design_words)
     trunc = max(len(w) for w in target_words)
-    sig = BatchSignature(n_paths, d, trunc)
+    sig = BatchSignature(n_paths, d, all_words(d, trunc))
     n_drift = len(target_words) + (1 if extended else 0)
     n_cov = len(cov_pairs)
     xtx = np.zeros((n_words, n_words))
@@ -261,32 +261,32 @@ def sparse_signatures(values: np.ndarray, trunc: int) -> list[GradedTensor]:
     Chen's identity chains the segments on the right.
     """
     dim = values.shape[1] - 1
-    out = [GradedTensor.unit(dim, trunc)]
+    out = [GradedTensor.unit(dim)]
     for dx in np.diff(values, axis=0):
         letters = [j for j in range(dim + 1) if dx[j] != 0.0]
         level = seg = {EMPTY_WORD: 1.0}
         for n in range(1, trunc + 1):
             level = {w + (j,): c * dx[j] / n for w, c in level.items() for j in letters}
             seg = {**seg, **level}
-        out.append(concat_product(out[-1], GradedTensor(dim, trunc, seg), trunc))
+        out.append(concat_product(out[-1], GradedTensor(dim, seg), trunc))
     return out
 
 
-def build_design(dataset, basis: HedgeBasis) -> HedgeDesign:
-    """Per-path reference route for the hedging design, from (price row, sparse_signatures) pairs.
+def build_design(dataset, basis: HedgeBasis, trunc: int) -> HedgeDesign:
+    """Per-path reference route for the hedging design, from (price row, signatures) pairs.
 
-    Dynamic gain columns are left-point sums G_K = sum_k <e_K, W_{t_k}> dS_k,
-    added in time order from 0.0; residual columns are terminal coordinates
-    in the residual window.
+    Each path's signatures are sparse_signatures(path, trunc), or tensors of
+    every word up to trunc.  Dynamic gain columns are left-point sums
+    G_K = sum_k <e_K, W_{t_k}> dS_k, added in time order from 0.0; residual
+    columns are terminal coordinates in the residual window.
     """
     dataset = list(dataset)
     if not dataset:
         raise ValueError("empty dataset")
     n_low, m = basis.residual_window
-    first = dataset[0][1][0]
-    d = first.dim
-    if first.trunc < m:
-        raise ValueError(f"signature truncation {first.trunc} < residual window top {m}")
+    d = dataset[0][1][0].dim
+    if trunc < m:
+        raise ValueError(f"signature truncation {trunc} < residual window top {m}")
     dyn_words = all_words(d, basis.integrand_depth)
     res_words = _window_words(d, n_low, m)
     n = len(dataset)
@@ -406,19 +406,18 @@ class TruncationTooLow(ValueError):
     """Signature truncation below the support degree of ell."""
 
 
-def volatility_path(params, sigs: list[GradedTensor]) -> np.ndarray:
-    """xi_t = <ell, W_t> along a path's sparse signatures."""
-    if sigs[0].trunc < params.ell.support_degree:
+def volatility_path(params, sigs: list[GradedTensor], trunc: int) -> np.ndarray:
+    """xi_t = <ell, W_t> along a path's sparse_signatures(path, trunc)."""
+    if trunc < params.ell.support_degree:
         raise TruncationTooLow(
-            f"signature truncation {sigs[0].trunc} < ell support "
-            f"{params.ell.support_degree}")
+            f"signature truncation {trunc} < ell support {params.ell.support_degree}")
     return np.array([dual_pairing(params.ell, s) for s in sigs])
 
 
 def flow_model(d, ell=None, eta=None, horizon=1.0, weight=None, s0=1.0) -> SigVolParams:
     """The model of a test flow over d letters: ell zero and eta e_1 unless given, the
     constant weight unless given; the flow reads no step count, so it is 1."""
-    return SigVolParams(GradedTensor.zero(d, 0) if ell is None else ell,
+    return SigVolParams(GradedTensor.zero(d) if ell is None else ell,
                         Weight.constant() if weight is None else weight, s0,
                         np.eye(d)[0] if eta is None else eta, horizon, 1)
 
@@ -434,7 +433,7 @@ def tensor(table: GeneratorTable, u: np.ndarray) -> RiccatiState:
     X is outside the closure."""
     coeffs = {w: u[i] for i, w in enumerate(table.words) if u[i] != 0.0}
     u_x = float(u[-1]) if table.state_dim > len(table.words) else 0.0
-    return RiccatiState(GradedTensor(table.params.dim, table.trunc, coeffs), u_x)
+    return RiccatiState(GradedTensor(table.params.dim, coeffs), u_x)
 
 
 def final_state(table: GeneratorTable, outcome: FlowOutcome) -> RiccatiState:
@@ -518,7 +517,7 @@ def build_generator_by_label(trunc, d, extended=None) -> LabelTable:
             scale = eta[J[-1] - 1]
             if scale == 0.0:
                 continue
-            mixed = shuffle_product(ell, GradedTensor.basis(d, trunc, J[:-1]), trunc)
+            mixed = shuffle_product(ell, GradedTensor.basis(d, J[:-1]), trunc)
             for w, c in mixed.coeffs.items():
                 table.gamma[(w, J, X_LABEL)] = table.gamma.get((w, J, X_LABEL), 0.0) + scale * c
     return table
@@ -675,9 +674,9 @@ def first_order_blowup_time(u: float, sigma1: float) -> float:
     return math.inf
 
 
-def gaussian_transform(params: SigVolParams, T: float, n: int, u_x: float) -> float:
-    """E exp(u_x log S_T) on the model's n-step left-point scheme over [0, T], exactly; inf
-    where it is infinite.
+def gaussian_transform(params: SigVolParams, T: float, n: int, u_x: float, lam: float = 0.0) -> float:
+    """E exp(u_x log S_T + lam sum_m xi_m^2 dt) on the model's n-step left-point scheme over
+    [0, T], exactly; inf where it is infinite.  At u_x = 0 it is H3's E exp(lam int xi^2 dt).
 
     For a model over one letter with ell = sigma0 + sum_k c_k e_(1,0^k), as every preset's,
     xi_t = sigma0 + int_0^t g(t - s) dW_s with g(v) = sum_k c_k v^k / k!.  On the
@@ -685,7 +684,8 @@ def gaussian_transform(params: SigVolParams, T: float, n: int, u_x: float) -> fl
     (t - s)^k / k!, so with z the n normalised increments the scheme's log S_T = log s0 +
     sum_m xi_m eta dW_m - (1/2) sum_m xi_m^2 dt makes u_x log S_T = z'Az + b'z + c, and
     E exp(z'Az + b'z + c) = det(I - 2A)^(-1/2) exp(b'(I - 2A)^(-1) b / 2 + c) when I - 2A is
-    positive definite, +inf otherwise.  The error against the continuum is O(1/n).
+    positive definite, +inf otherwise.  With xi = a + Kz, lam sum_m xi_m^2 dt adds the form
+    z'(lam dt K'K)z + (2 lam dt K'a)'z + lam dt a'a.  The error against the continuum is O(1/n).
     """
     if params.dim != 1:
         raise ValueError("the Gaussian form is over one Brownian letter")
@@ -708,9 +708,10 @@ def gaussian_transform(params: SigVolParams, T: float, n: int, u_x: float) -> fl
     lag = np.arange(n)[:, None] - np.arange(n)[None, :] - 1
     k_mat = np.where(lag >= 0, average[np.maximum(lag, 0)], 0.0) * math.sqrt(dt)
     a = np.full(n, sigma0)
-    quad = u_x * (0.5 * eta * math.sqrt(dt) * (k_mat + k_mat.T) - 0.5 * dt * (k_mat.T @ k_mat))
-    lin = u_x * (eta * math.sqrt(dt) * a - dt * (k_mat.T @ a))
-    const = u_x * math.log(params.s0) - 0.5 * u_x * dt * float(a @ a)
+    kk, ka, aa = k_mat.T @ k_mat, k_mat.T @ a, float(a @ a)
+    quad = u_x * (0.5 * eta * math.sqrt(dt) * (k_mat + k_mat.T) - 0.5 * dt * kk) + lam * dt * kk
+    lin = u_x * (eta * math.sqrt(dt) * a - dt * ka) + 2.0 * lam * dt * ka
+    const = u_x * math.log(params.s0) - 0.5 * u_x * dt * aa + lam * dt * aa
     try:
         chol = np.linalg.cholesky(np.eye(n) - 2.0 * quad)
     except np.linalg.LinAlgError:
@@ -820,7 +821,7 @@ def path_major_steps(params, values: np.ndarray, words=()):
     carried = list(params.ell.coeffs) + words
     inc = np.diff(values, axis=1)
     dt = np.diff(values[0, :, 0])
-    sig = BatchSignature(len(values), params.dim, max(map(len, carried), default=0), carried)
+    sig = BatchSignature(len(values), params.dim, carried)
     xi = sig.pair(params.ell)
     log_s = np.zeros(len(values))
     dbs, xis, log_ss, coords = [], [], [], [sig.coords(words)]
@@ -872,13 +873,13 @@ def levels(sig: BatchSignature) -> list[np.ndarray]:
 def to_tensor(sig: BatchSignature, path: int) -> GradedTensor:
     """One path's carried coordinates as a sparse tensor (zeros pruned)."""
     coeffs = {w: float(sig._lv[len(w)][i, path]) for w, i in sig._pos.items()}
-    return GradedTensor(sig.d, sig.trunc, {w: c for w, c in coeffs.items() if c != 0.0})
+    return GradedTensor(sig.d, {w: c for w, c in coeffs.items() if c != 0.0})
 
 
 def project_leq(a: GradedTensor, level: int) -> GradedTensor:
     """Canonical projection onto tensor levels of length <= level."""
     keep = {w: c for w, c in a.coeffs.items() if len(w) <= level}
-    return GradedTensor(a.dim, min(a.trunc, level), keep)
+    return GradedTensor(a.dim, keep)
 
 
 def projection_compatibility(u0: RiccatiState, n: int, m: int, params: SigVolParams) -> bool:

@@ -55,7 +55,7 @@ def _random_piecewise_path_coords(rng, d, trunc):
     n_seg = int(rng.integers(3, 7))
     inc = rng.normal(size=(n_seg, d)) * rng.uniform(0.2, 0.6)
     dt = rng.uniform(0.05, 0.4, size=n_seg)
-    sig = BatchSignature(1, d, trunc)
+    sig = BatchSignature(1, d, all_words(d, trunc))
     for k in range(n_seg):
         sig.chen_step(np.concatenate([[dt[k]], inc[k]])[None, :])
     return sig
@@ -84,9 +84,9 @@ def test_criterion_1_algebraic_identity_suite():
         for p in range(n_paths):
             dx[p, : n_seg[p], 0] = rng.uniform(0.05, 0.4, size=n_seg[p])
             dx[p, : n_seg[p], 1:] = rng.normal(size=(n_seg[p], d)) * 0.5
-        full = BatchSignature(n_paths, d, trunc)
-        prefix = BatchSignature(n_paths, d, trunc)
-        suffix = BatchSignature(n_paths, d, trunc)
+        full = BatchSignature(n_paths, d, all_words(d, trunc))
+        prefix = BatchSignature(n_paths, d, all_words(d, trunc))
+        suffix = BatchSignature(n_paths, d, all_words(d, trunc))
         for k in range(max_seg):
             full.chen_step(dx[:, k, :])
             before = (k < split)[:, None]
@@ -121,14 +121,14 @@ def test_criterion_1_algebraic_identity_suite():
 
 
 def test_criterion_2_normalisation_and_antipode():
-    e1 = GradedTensor.basis(2, 1, (1,))
+    e1 = GradedTensor.basis(2, (1,))
     sq = shuffle_product(e1, e1, 2)
     norm_ok = sq.coeffs == {(1, 1): 2.0}
     rng = np.random.default_rng(7)
     inv_ok = True
     for _ in range(50):
         words = [tuple(rng.integers(0, 3, size=n)) for n in rng.integers(0, 4, size=5)]
-        a = GradedTensor(2, 3, {w: float(rng.normal()) for w in words})
+        a = GradedTensor(2, {w: float(rng.normal()) for w in words})
         double = antipode(antipode(a))
         inv_ok &= double.coeffs == a.coeffs
     report(2, "e1 shuffle e1 = 2 e11 exactly; antipode involution exact",
@@ -151,8 +151,8 @@ def test_criterion_3_black_scholes_exactness():
 
 def test_criterion_4_riccati_scalar_check():
     sigma, u, horizon, s0 = 0.2, 2.0, 1.0, 1.0
-    params = flow_model(1, GradedTensor(1, 0, {(): sigma}), horizon=horizon, s0=s0)
-    table = build_generator(RiccatiState(GradedTensor.zero(1, 0), u_x=u), params)
+    params = flow_model(1, GradedTensor(1, {(): sigma}), horizon=horizon, s0=s0)
+    table = build_generator(RiccatiState(GradedTensor.zero(1), u_x=u), params)
     out = integrate_flow(table, tol=1e-12)
     phi_expected = 0.5 * sigma**2 * (u**2 - u) * horizon
     phi_err = abs(final_state(table, out).sig[()] - phi_expected)
@@ -210,11 +210,11 @@ def test_criterion_7_projection_compatibility():
         if k % 2 == 0:
             coeffs = {(): rng.normal(), (0,): rng.normal(),
                       (1,): rng.normal(), (2,): rng.normal()}
-            state = RiccatiState(GradedTensor(2, 1, coeffs))
+            state = RiccatiState(GradedTensor(2, coeffs))
             ok &= projection_compatibility(state, 5, 3, pure)
         else:
             coeffs = {(): rng.normal(), (0,): rng.normal(), (1,): rng.normal()}
-            state = RiccatiState(GradedTensor(1, 1, coeffs), u_x=float(rng.normal()))
+            state = RiccatiState(GradedTensor(1, coeffs), u_x=float(rng.normal()))
             ok &= projection_compatibility(state, 5, 3, priced)
     report(7, "pi_M R_N = R_M pi_M exactly on 50 admissible inputs", ok)
 
@@ -288,7 +288,7 @@ def test_criterion_11_quotient_gram():
 
     # sample Gram equals the shuffle-coordinate expectation within 3 SE
     inc = np.diff(brownian_values(1, 1.0, 32, 5000, seed=1112), axis=1)
-    sig = BatchSignature(5000, 1, 4)
+    sig = BatchSignature(5000, 1, all_words(1, 4))
     for k in range(32):
         sig.chen_step(inc[:, k, :])
     shuffle_ok = True
@@ -312,15 +312,15 @@ def test_criterion_12_transform_vs_mc():
     details = []
     # Black-Scholes model: price-extended and pure-signature directions
     sigma = 0.2
-    ell_bs = GradedTensor(1, 0, {(): sigma})
+    ell_bs = GradedTensor(1, {(): sigma})
     params_bs = SigVolParams(ell_bs, Weight.geometric(2.0), 1.0, np.array([1.0]), 1.0, 64)
     bs_dirs = [
-        RiccatiState(GradedTensor.zero(1, 0), u_x=0.5),
-        RiccatiState(GradedTensor.zero(1, 0), u_x=-0.5),
-        RiccatiState(GradedTensor.zero(1, 0), u_x=2.0),
-        RiccatiState(GradedTensor(1, 1, {(0,): 0.4, (1,): 0.2})),
-        RiccatiState(GradedTensor(1, 1, {(1,): 0.3})),
-        RiccatiState(GradedTensor(1, 2, {(1, 1): 0.3})),
+        RiccatiState(GradedTensor.zero(1), u_x=0.5),
+        RiccatiState(GradedTensor.zero(1), u_x=-0.5),
+        RiccatiState(GradedTensor.zero(1), u_x=2.0),
+        RiccatiState(GradedTensor(1, {(0,): 0.4, (1,): 0.2})),
+        RiccatiState(GradedTensor(1, {(1,): 0.3})),
+        RiccatiState(GradedTensor(1, {(1, 1): 0.3})),
     ]
     for k, state in enumerate(bs_dirs):
         lam = transform_value(build_generator(state, params_bs, 4), tol=1e-11)
@@ -332,11 +332,11 @@ def test_criterion_12_transform_vs_mc():
     # first-order model
     pre = preset("first_order")
     fo_dirs = [
-        RiccatiState(GradedTensor.zero(1, 0), u_x=0.5),
-        RiccatiState(GradedTensor.zero(1, 0), u_x=-0.5),
-        RiccatiState(GradedTensor(1, 1, {(1,): 0.3})),
-        RiccatiState(GradedTensor(1, 1, {(0,): 0.4, (1,): 0.1}), u_x=0.25),
-        RiccatiState(GradedTensor(1, 2, {(1, 1): 0.25})),
+        RiccatiState(GradedTensor.zero(1), u_x=0.5),
+        RiccatiState(GradedTensor.zero(1), u_x=-0.5),
+        RiccatiState(GradedTensor(1, {(1,): 0.3})),
+        RiccatiState(GradedTensor(1, {(0,): 0.4, (1,): 0.1}), u_x=0.25),
+        RiccatiState(GradedTensor(1, {(1, 1): 0.25})),
     ]
     for k, state in enumerate(fo_dirs):
         steps = 512 if state.x_live else 64

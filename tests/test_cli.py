@@ -94,7 +94,7 @@ class TestSelftest:
         from sigvol import cli
         from sigvol.algebra import GradedTensor
 
-        monkeypatch.setattr(cli, "shuffle_product", lambda a, b, trunc: GradedTensor.zero(a.dim, trunc))
+        monkeypatch.setattr(cli, "shuffle_product", lambda a, b, trunc: GradedTensor.zero(a.dim))
         code, out = run(capsys, "selftest", "--out", str(tmp_path))
         assert code == 1
         assert status_line(out) == "status=invalid"
@@ -173,14 +173,18 @@ class TestValidation:
             assert err == "error: seed must be an integer in [0, 2**64)\n"
             assert not (tmp_path / "paths.csv").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate"],
-        ["transform", "--model", "first_order", "--u", "1:0.4", "--mc-check"],
-        ["hedge", "--model", "first_order", "--payoff", "call:K=1"],
-        ["depth-report", "--model", "first_order", "--payoff", "asian:K=1"],
-    ], ids=["simulate", "transform", "hedge", "depth-report"])
-    def test_zero_paths(self, tmp_path, capsys, argv):
-        code = execute([*argv, "--paths", "0", "--seed", "1", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("argv, paths", [
+        pytest.param(argv, paths, id=name if paths == "0" else f"{name}-{paths}")
+        for name, argv in {
+            "simulate": ["simulate"],
+            "transform": ["transform", "--model", "first_order", "--u", "1:0.4", "--mc-check"],
+            "hedge": ["hedge", "--model", "first_order", "--payoff", "call:K=1"],
+            "depth-report": ["depth-report", "--model", "first_order", "--payoff", "asian:K=1"],
+            "hypotheses": ["hypotheses", "--model", "first_order"],
+        }.items() for paths in ("0", "-5")])
+    def test_zero_paths(self, tmp_path, capsys, argv, paths):
+        # the driver rejects an empty or negative path set before any per-path array
+        code = execute([*argv, "--paths", paths, "--seed", "1", "--out", str(tmp_path)])
         out, err = capsys.readouterr()
         assert code == 1
         assert status_line(out) == "status=invalid"

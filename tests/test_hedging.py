@@ -73,7 +73,7 @@ class TestPayoff:
 class TestBuildDesign:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            build_design([], HedgeBasis(1, (0, 1)))
+            build_design([], HedgeBasis(1, (0, 1)), 1)
 
     def test_truncation_too_low(self):
         _, params = make_params()
@@ -82,7 +82,7 @@ class TestBuildDesign:
         prices = simulate_price(PathBlock(params, paths))
         dataset = [(prices.price[i], sparse_signatures(values[i], 1)) for i in range(3)]
         with pytest.raises(ValueError):
-            build_design(dataset, HedgeBasis(1, (0, 3)))
+            build_design(dataset, HedgeBasis(1, (0, 3)), 1)
 
     def test_constant_feature_telescopes(self):
         _, params = make_params("first_order")
@@ -90,18 +90,18 @@ class TestBuildDesign:
         values = brownian_values(1, 1.0, 16, 6, seed=47)
         prices = simulate_price(PathBlock(params, paths))
         dataset = [(prices.price[i], sparse_signatures(values[i], 2)) for i in range(6)]
-        design = build_design(dataset, HedgeBasis(1, (1, 2), static_strikes=(1.0,)))
+        design = build_design(dataset, HedgeBasis(1, (1, 2), static_strikes=(1.0,)), 2)
         idx = design.dyn_words.index(())
         assert design.dynamic[:, idx] == pytest.approx(prices.price[:, -1] - 1.0, abs=1e-12)
 
     def test_zero_ell_zero_dynamics(self):
-        ell = GradedTensor.zero(1, 1)
+        ell = GradedTensor.zero(1)
         params = SigVolParams(ell, Weight.geometric(2.0), 1.0, np.array([1.0]), 1.0, 8)
         paths = simulate_brownian_grid(1, 1.0, 8, 4, seed=48)
         values = brownian_values(1, 1.0, 8, 4, seed=48)
         prices = simulate_price(PathBlock(params, paths))
         dataset = [(prices.price[i], sparse_signatures(values[i], 2)) for i in range(4)]
-        design = build_design(dataset, HedgeBasis(1, (1, 2), static_strikes=(0.9,)))
+        design = build_design(dataset, HedgeBasis(1, (1, 2), static_strikes=(0.9,)), 2)
         assert np.all(design.dynamic == 0.0)
 
     def test_streaming_matches_per_path_reference(self):
@@ -112,7 +112,7 @@ class TestBuildDesign:
         values = brownian_values(1, 1.0, 16, 40, seed=49)
         prices = simulate_price(PathBlock(params, paths))
         dataset = [(prices.price[i], sparse_signatures(values[i], 3)) for i in range(40)]
-        ref = build_design(dataset, basis)
+        ref = build_design(dataset, basis, 3)
         assert np.max(np.abs(ref.dynamic - data.design.dynamic)) < 1e-10
         assert np.max(np.abs(ref.residual - data.design.residual)) < 1e-10
         assert np.max(np.abs(ref.static - data.design.static)) < 1e-10
@@ -126,7 +126,7 @@ class TestBuildDesign:
         if model == "first_order":
             params = make_params("first_order", steps=16)[1]
         else:
-            ell = GradedTensor(2, 2, {(): 0.2, (1,): 0.1, (2, 0): -0.05, (2,): 0.07})
+            ell = GradedTensor(2, {(): 0.2, (1,): 0.1, (2, 0): -0.05, (2,): 0.07})
             params = SigVolParams(ell, Weight.geometric(2.0), 1.0, np.array([0.6, 0.8]), 1.0, 16)
         monkeypatch.setattr(sde, "BLOCK_PATHS", 64)
         basis = HedgeBasis(depth, (depth - 1, depth + 1))
@@ -135,9 +135,9 @@ class TestBuildDesign:
         _, _, _, log_s, coords = path_major_steps(params, brownian_values(params.dim, 1.0, 16, 150, 50),
                                                   words)
         prices = np.vstack([np.full(150, params.s0), params.s0 * np.exp(log_s)]).T
-        dataset = [(prices[i], [GradedTensor(params.dim, depth + 1, dict(zip(words, c)))
+        dataset = [(prices[i], [GradedTensor(params.dim, dict(zip(words, c)))
                                 for c in coords[:, i]]) for i in range(150)]
-        ref = build_design(dataset, basis)
+        ref = build_design(dataset, basis, depth + 1)
         got = data.design
         assert (got.dyn_words, got.res_words, got.static_labels) == (
             ref.dyn_words, ref.res_words, ref.static_labels)
@@ -221,15 +221,15 @@ class TestGkwProject:
         # expectation pathwise; cross-checks the two code paths
         d, trunc = 1, 4
         inc = np.diff(brownian_values(d, 1.0, 32, 3000, seed=73), axis=1)
-        sig = BatchSignature(3000, d, trunc)
+        sig = BatchSignature(3000, d, all_words(d, trunc))
         for k in range(32):
             sig.chen_step(inc[:, k, :])
         words = [w for w in all_words(d, 2) if w]
         for i, iw in enumerate(words):
             for jw in words[i:]:
                 lhs = (sig.coord(iw) * sig.coord(jw)).mean()
-                sh = shuffle_product(GradedTensor.basis(d, len(iw), iw),
-                                     GradedTensor.basis(d, len(jw), jw), trunc)
+                sh = shuffle_product(GradedTensor.basis(d, iw),
+                                     GradedTensor.basis(d, jw), trunc)
                 rhs_samples = np.zeros(3000)
                 for w, c in sh.coeffs.items():
                     rhs_samples += c * sig.coord(w)
@@ -393,7 +393,7 @@ class TestDepthScan:
             assert row.residual_norm < 0.05
 
     def test_zero_ell_residual_zero(self):
-        ell = GradedTensor.zero(1, 1)
+        ell = GradedTensor.zero(1)
         params = SigVolParams(ell, Weight.geometric(2.0), 1.0, np.array([1.0]), 1.0, 16)
         rows = depth_scan(params, "call", {"strike": 0.5}, [0, 1], 500, seed=75)
         for row in rows:

@@ -5,7 +5,7 @@ import pytest
 
 from sigvol.models import INF, PRESET_NAMES, kernel_expansion, preset
 from sigvol.sde import check_H1
-from sigvol.signature import BatchSignature
+from sigvol.signature import BatchSignature, all_words
 
 from _oracles import brownian_values
 
@@ -89,7 +89,7 @@ class TestKernelExpansion:
         values = brownian_values(1, horizon, steps, n_paths, seed=31)
         inc = np.diff(values, axis=1)
         dt = horizon / steps
-        sig = BatchSignature(n_paths, 1, degree + 1)
+        sig = BatchSignature(n_paths, 1, all_words(1, degree + 1))
         for k in range(steps):
             sig.chen_step(inc[:, k, :])
         approx = sig.pair(ell)

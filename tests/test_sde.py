@@ -20,13 +20,16 @@ from sigvol.sde import (
     stream_paths,
     write_price_csv,
 )
-from sigvol.signature import simulate_brownian_grid
+from sigvol.signature import all_words, simulate_brownian_grid
 
 from _oracles import (
     TruncationTooLow,
     brownian_values,
+    gaussian_transform,
     path_major_steps,
+    preset_model,
     project_leq,
+    richardson,
     sparse_signatures,
     volatility_path,
 )
@@ -40,12 +43,12 @@ def make_params(name="black_scholes", steps=32, horizon=1.0, s0=1.0, **kw):
 
 class TestParams:
     def test_eta_must_be_unit(self):
-        ell = GradedTensor(2, 0, {(): 0.2})
+        ell = GradedTensor(2, {(): 0.2})
         with pytest.raises(ValueError):
             SigVolParams(ell, Weight.geometric(2.0), 1.0, np.array([1.0, 0.5]), 1.0, 8)
 
     def test_s0_positive(self):
-        ell = GradedTensor(1, 0, {(): 0.2})
+        ell = GradedTensor(1, {(): 0.2})
         with pytest.raises(ValueError):
             SigVolParams(ell, Weight.geometric(2.0), -1.0, np.array([1.0]), 1.0, 8)
 
@@ -54,25 +57,25 @@ class TestVolatilityPath:
     def test_constant_sigma(self):
         params = make_params(sigma=0.3)
         path = brownian_values(1, 1.0, 8, 1, seed=1)[0]
-        assert volatility_path(params, sparse_signatures(path, 1)) == pytest.approx([0.3] * 9)
+        assert volatility_path(params, sparse_signatures(path, 1), 1) == pytest.approx([0.3] * 9)
 
     def test_first_order_is_affine_in_w(self):
         params = make_params("first_order", sigma0=0.2, sigma1=0.1)
         path = brownian_values(1, 1.0, 8, 1, seed=2)[0]
         expected = (0.2 + 0.1 * path[:, 1]).tolist()
-        assert volatility_path(params, sparse_signatures(path, 2)) == pytest.approx(expected)
+        assert volatility_path(params, sparse_signatures(path, 2), 2) == pytest.approx(expected)
 
     def test_zero_ell(self):
-        ell = GradedTensor.zero(1, 1)
+        ell = GradedTensor.zero(1)
         params = SigVolParams(ell, Weight.geometric(2.0), 1.0, np.array([1.0]), 1.0, 8)
         path = brownian_values(1, 1.0, 8, 1, seed=3)[0]
-        assert volatility_path(params, sparse_signatures(path, 1)) == pytest.approx([0.0] * 9)
+        assert volatility_path(params, sparse_signatures(path, 1), 1) == pytest.approx([0.0] * 9)
 
     def test_truncation_too_low(self):
         params = make_params("first_order")
         path = brownian_values(1, 1.0, 4, 1, seed=4)[0]
         with pytest.raises(TruncationTooLow):
-            volatility_path(params, sparse_signatures(path, 0))
+            volatility_path(params, sparse_signatures(path, 0), 0)
 
 
 class TestSimulatePrice:
@@ -84,7 +87,7 @@ class TestSimulatePrice:
         assert np.max(np.abs(prices.price - closed)) < 1e-12
 
     def test_zero_ell_constant_price(self):
-        ell = GradedTensor.zero(1, 0)
+        ell = GradedTensor.zero(1)
         params = SigVolParams(ell, Weight.geometric(2.0), 2.5, np.array([1.0]), 1.0, 16)
         paths = simulate_brownian_grid(1, 1.0, 16, 50, seed=6)
         prices = simulate_price(PathBlock(params, paths))
@@ -103,26 +106,24 @@ class TestSimulatePrice:
         assert np.all(np.diff(prices.bracket, axis=1) >= -1e-15)
 
     def test_finite_support_truncation_is_exact(self):
-        # padding ell with zero high-level coefficients cannot change paths
+        # carrying every word up to depth 4, past ell's support, cannot change paths
         pre = preset("first_order")
-        padded = GradedTensor(1, 4, dict(pre.ell.coeffs))
+        params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 16)
         paths = simulate_brownian_grid(1, 1.0, 16, 40, seed=9)
-        base = simulate_price(PathBlock(SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 16),
-                                        paths))
-        pad = simulate_price(PathBlock(SigVolParams(padded, pre.weight, 1.0, pre.eta, 1.0, 16),
-                                       paths))
+        base = simulate_price(PathBlock(params, paths))
+        pad = simulate_price(PathBlock(params, paths, all_words(1, 4)))
         assert np.array_equal(base.price, pad.price)
 
     def test_projected_ell_identical_beyond_support(self):
         # ell supported up to level 3: price paths under project_leq(ell, N)
         # are identical for every N >= 3
-        ell = GradedTensor(1, 3, {(): 0.2, (1,): 0.05, (1, 1): 0.02, (0, 1, 1): 0.01})
+        ell = GradedTensor(1, {(): 0.2, (1,): 0.05, (1, 1): 0.02, (0, 1, 1): 0.01})
         w = Weight.geometric(2.0)
         eta = np.array([1.0])
         paths = simulate_brownian_grid(1, 1.0, 16, 30, seed=20)
         reference = None
         for level in (3, 4, 6):
-            cut = GradedTensor(1, level, dict(project_leq(ell, level).coeffs))
+            cut = project_leq(ell, level)
             prices = simulate_price(PathBlock(SigVolParams(cut, w, 1.0, eta, 1.0, 16), paths))
             if reference is None:
                 reference = prices.price
@@ -159,7 +160,7 @@ class TestSimulatePrice:
 
 class TestH1:
     def test_constant_ell(self):
-        ell = GradedTensor(1, 0, {(): 0.7})
+        ell = GradedTensor(1, {(): 0.7})
         rep = check_H1(ell, Weight.geometric(2.0))
         assert rep.value == pytest.approx(0.49)
         assert not rep.divergent
@@ -176,7 +177,7 @@ class TestH1:
         assert rep.value == pytest.approx(sum(1.5**n * 4.0**-n for n in range(200)), rel=1e-9)
 
     def test_finite_support_hand_sum(self):
-        ell = GradedTensor(1, 2, {(): 0.5, (1,): 0.3, (1, 1): 0.2})
+        ell = GradedTensor(1, {(): 0.5, (1,): 0.3, (1, 1): 0.2})
         rep = check_H1(ell, Weight.geometric(2.0))
         assert rep.value == pytest.approx(0.25 + 2 * 0.09 + 4 * 0.04)
 
@@ -190,7 +191,7 @@ class TestH3:
         assert not rep.suspicious_heavy_tail
 
     def test_zero_ell(self):
-        ell = GradedTensor.zero(1, 0)
+        ell = GradedTensor.zero(1)
         params = SigVolParams(ell, Weight.geometric(2.0), 1.0, np.array([1.0]), 1.0, 8)
         rep = estimate_H3(params, 1.0, 32, seed=13)
         assert rep.mean == pytest.approx(1.0)
@@ -209,6 +210,41 @@ class TestH3:
         rep = estimate_H3(params, 6.0, 20_000, seed=33)
         assert rep.suspicious_heavy_tail
 
+    def test_one_path_rejected(self):
+        # a standard error needs two paths; bad driver arguments keep the driver's message
+        params = make_params("first_order", steps=8)
+        with pytest.raises(ValueError, match="^need at least 2 paths$"):
+            estimate_H3(params, 1.0, 1, seed=1)
+        with pytest.raises(ValueError, match="^d, steps and n_paths must be >= 1$"):
+            estimate_H3(params, 1.0, -5, seed=1)
+
+
+class TestH3GaussianOracle:
+    """E exp(lam int xi^2 dt) from the Gaussian quadratic-form oracle: at the Monte Carlo's
+    own step count against estimate_H3, and extrapolated to the continuum."""
+
+    @pytest.mark.parametrize("name", ["first_order", "rough_bergomi_approx", "quintic_ou_approx"])
+    def test_oracle_at_n_steps_is_the_mc_mean(self, name):
+        params = replace(preset_model(name), steps=16)
+        rep = estimate_H3(params, 1.0, 65536, seed=41)
+        want = gaussian_transform(params, 1.0, 16, 0.0, lam=1.0)
+        assert abs(rep.mean - want) <= 3.0 * rep.ci_halfwidth / 1.96, (rep, want)
+
+    def test_first_order_matches_cameron_martin(self):
+        # E exp(beta int_0^T (a + W)^2) = (cos gT)^(-1/2) exp(a^2 g tan(gT) / 2), g = sqrt(2 beta),
+        # with a = sigma0 / sigma1 = 2 and beta = lam sigma1^2 = 0.01: 1.0463266204129
+        g = math.sqrt(0.02)
+        closed = math.cos(g) ** -0.5 * math.exp(4.0 * g * math.tan(g) / 2.0)
+        got = richardson(lambda n: gaussian_transform(preset_model("first_order"), 1.0, n, 0.0,
+                                                      lam=1.0))
+        assert got == pytest.approx(closed, abs=1e-10)
+
+    def test_guyon_lekeufack_outside_h3(self):
+        # 2 lam mu_max is about 1.0485 > 1 at T = 1, while hypotheses' Monte Carlo prints a
+        # finite mean with heavy_tail 0
+        params = preset_model("guyon_lekeufack_approx")
+        assert gaussian_transform(params, 1.0, 1000, 0.0, lam=1.0) == math.inf
+
 
 class TestMartingaleCheck:
     def test_constant_sigma_unbiased(self):
@@ -219,7 +255,7 @@ class TestMartingaleCheck:
         assert abs(rep.z_score) < 3.0
 
     def test_zero_ell_exact(self):
-        ell = GradedTensor.zero(1, 0)
+        ell = GradedTensor.zero(1)
         params = SigVolParams(ell, Weight.geometric(2.0), 1.0, np.array([1.0]), 1.0, 8)
         paths = simulate_brownian_grid(1, 1.0, 8, 100, seed=17)
         prices = simulate_price(PathBlock(params, paths))
@@ -254,7 +290,7 @@ class TestBlockSize:
                     pass
                 batches.append((paths.offset, (paths.xi, paths.driver, paths.mart, paths.qv,
                                                paths.log_s, paths.sig.coords(words))))
-            state = RiccatiState(GradedTensor(1, 2, {(1,): 0.3, (1, 0): 0.1}), 0.25)
+            state = RiccatiState(GradedTensor(1, {(1,): 0.3, (1, 0): 0.1}), 0.25)
             # more paths than one moment chunk, so chunks straddle blocks of 7
             mc = mc_transform(state, params, 4100, seed=22)
             data = simulate_hedge_dataset(params, HedgeBasis(1, (1, 2), static_strikes=(1.0,)),
@@ -276,7 +312,7 @@ class TestBlockSize:
                                                 (2048, 1, 4096)])
     def test_block_holds_its_share_of_normals(self, steps, d, size):
         # at most 2**20 increments a block, between 4096 and 16384 paths
-        ell = GradedTensor(d, 1, {(): 0.2, (d,): 0.1})
+        ell = GradedTensor(d, {(): 0.2, (d,): 0.1})
         params = SigVolParams(ell, Weight.constant(), 1.0, np.full(d, d**-0.5), 1.0, steps)
         assert next(stream_paths(params, 20000, 5)).size == size
 
@@ -285,11 +321,11 @@ class TestStepMajorFeed:
     def test_stream_paths_matches_path_major_feed(self, monkeypatch):
         # d = 3 and eta mixes every letter, so each dB sums three coordinates; under
         # ell = e_1, xi_0 = 0 starts M with -0.0 on every path whose first dB is negative
-        mixed = SigVolParams(GradedTensor(3, 2, {(): 0.2, (1,): 0.1, (2, 3): -0.05, (3,): 0.07,
+        mixed = SigVolParams(GradedTensor(3, {(): 0.2, (1,): 0.1, (2, 3): -0.05, (3,): 0.07,
                                                  (0, 2): 0.02}),
                              Weight.constant(), s0=1.0, eta=np.array([0.48, 0.6, 0.64]),
                              horizon=1.0, steps=9)
-        e_1 = SigVolParams(GradedTensor(1, 1, {(1,): 1.0}), Weight.constant(), s0=1.0,
+        e_1 = SigVolParams(GradedTensor(1, {(1,): 1.0}), Weight.constant(), s0=1.0,
                            eta=np.array([1.0]), horizon=1.0, steps=9)
         monkeypatch.setattr(sde, "BLOCK_PATHS", 128)
         for params, words in ((mixed, [(1, 3, 2), (2, 0)]), (e_1, [(1, 0)])):

@@ -29,7 +29,8 @@ def random_path(rng, d=2, steps=6, horizon=1.0, scale=0.5):
 
 def engine_signatures(values: np.ndarray, trunc: int) -> list[GradedTensor]:
     """The batch engine's signatures of one path (m+1, d+1) at its grid times."""
-    sig = BatchSignature(1, values.shape[1] - 1, trunc)
+    d = values.shape[1] - 1
+    sig = BatchSignature(1, d, all_words(d, trunc))
     out = [to_tensor(sig, 0)]
     for dx in np.diff(values, axis=0):
         sig.chen_step(dx[None, :])
@@ -107,8 +108,8 @@ class TestPiecewiseLinearSignature:
                     if len(iw) + len(jw) > 6:
                         continue
                     lhs = sig[iw] * sig[jw]
-                    sh = shuffle_product(GradedTensor.basis(d, len(iw), iw),
-                                         GradedTensor.basis(d, len(jw), jw), 6)
+                    sh = shuffle_product(GradedTensor.basis(d, iw),
+                                         GradedTensor.basis(d, jw), 6)
                     assert abs(lhs - dual_pairing(sh, sig)) < 1e-10
 
     def test_grid_violation(self):
@@ -129,14 +130,14 @@ class TestBatchEngine:
 
     def test_levels_are_row_major(self):
         # with every word carried, column i of level n is the word of row-major index i
-        sig = BatchSignature(4, 2, 3)
+        sig = BatchSignature(4, 2, all_words(2, 3))
         sig.chen_step(np.random.default_rng(3).normal(size=(4, 3)))
         for w in all_words(2, 3):
             index = sum(a * 3 ** (len(w) - 1 - j) for j, a in enumerate(w))
             assert np.array_equal(levels(sig)[len(w)][:, index], sig.coord(w))
 
     def test_coords_column_order(self):
-        batch = BatchSignature(2, 1, 2)
+        batch = BatchSignature(2, 1, all_words(1, 2))
         batch.chen_step(np.array([[0.1, 0.2], [0.3, -0.1]]))
         out = batch.coords([(1,), (0,)])
         assert out[:, 0] == pytest.approx(batch.coord((1,)))
@@ -157,8 +158,8 @@ class TestCarriedWords:
     def test_bit_identical_to_all_words(self, case, seed):
         d, trunc, words = case
         rng = np.random.default_rng(seed)
-        full = BatchSignature(5, d, trunc)
-        part = BatchSignature(5, d, trunc, words)
+        full = BatchSignature(5, d, all_words(d, trunc))
+        part = BatchSignature(5, d, words)
         for _ in range(4):
             dx = rng.normal(size=(5, d + 1)) * rng.uniform(0.1, 2.0)
             full.chen_step(dx)
@@ -168,12 +169,12 @@ class TestCarriedWords:
                 assert np.array_equal(part.coord(w[:k]), full.coord(w[:k]))
 
     def test_only_prefix_closure_carried(self):
-        sig = BatchSignature(3, 1, 4, [(1, 0, 0)])
+        sig = BatchSignature(3, 1, [(1, 0, 0)])
         assert [lv.shape for lv in levels(sig)] == [(3, 1), (3, 1), (3, 1), (3, 1)]
         with pytest.raises(ValueError):
             sig.coord((0,))
         with pytest.raises(ValueError):
-            BatchSignature(3, 1, 2, [(2,)])
+            BatchSignature(3, 1, [(2,)])
 
 
 def _increments(draw, d: int) -> np.ndarray:
@@ -188,12 +189,12 @@ def _increments(draw, d: int) -> np.ndarray:
 
 @st.composite
 def chained_steps(draw):
-    """An engine's (d, trunc, words) and >= 4 steps of increments with exact +-0.0 entries."""
+    """An engine's (d, words) and >= 4 steps of increments with exact +-0.0 entries."""
     d = draw(st.integers(1, 3))
     trunc = draw(st.integers(0, 5))
     word = st.lists(st.integers(0, d), max_size=trunc).map(tuple)
-    words = draw(st.one_of(st.none(), st.lists(word, max_size=6)))
-    return d, trunc, words, _increments(draw, d)
+    words = draw(st.one_of(st.just(all_words(d, trunc)), st.lists(word, max_size=6)))
+    return d, words, _increments(draw, d)
 
 
 @st.composite
@@ -212,7 +213,7 @@ def mixed_steps(draw):
     else:
         j, a, degree = draw(st.integers(1, d)), draw(st.integers(0, d)), draw(st.integers(0, 6))
         words = [(j,) + (a,) * i for i in range(degree + 1)]
-    return d, max(map(len, words)), words, _increments(draw, d)
+    return d, words, _increments(draw, d)
 
 
 def _array_attrs(sig: BatchSignature) -> list[np.ndarray]:
@@ -230,9 +231,9 @@ class TestBufferedChenStep:
     @settings(max_examples=80, deadline=None)
     @given(chained_steps())
     def test_bit_identical_to_reference(self, case):
-        d, trunc, words, dx = case
-        got = BatchSignature(dx.shape[1], d, trunc, words)
-        ref = BatchSignature(dx.shape[1], d, trunc, words)
+        d, words, dx = case
+        got = BatchSignature(dx.shape[1], d, words)
+        ref = BatchSignature(dx.shape[1], d, words)
         for step in dx:
             got.chen_step(step)
             reference_chen_step(ref, step)
@@ -242,7 +243,7 @@ class TestBufferedChenStep:
     def test_coords_survive_a_step_and_coord_is_read_only(self):
         rng = np.random.default_rng(5)
         words = [(1,), (2, 1), (1, 0, 2)]
-        sig = BatchSignature(4, 2, 3, words)
+        sig = BatchSignature(4, 2, words)
         sig.chen_step(rng.normal(size=(4, 3)))
         before = sig.coords(words)
         kept = before.copy()
@@ -255,12 +256,12 @@ class TestBufferedChenStep:
     def test_engines_share_no_buffer(self):
         rng = np.random.default_rng(6)
         dx_a, dx_b = rng.normal(size=(2, 4, 3, 3))
-        a, b = BatchSignature(3, 2, 4), BatchSignature(3, 2, 4)
+        a, b = BatchSignature(3, 2, all_words(2, 4)), BatchSignature(3, 2, all_words(2, 4))
         for step_a, step_b in zip(dx_a, dx_b):
             a.chen_step(step_a)
             b.chen_step(step_b)
         for mine, theirs in ((a, dx_a), (b, dx_b)):
-            alone = BatchSignature(3, 2, 4)
+            alone = BatchSignature(3, 2, all_words(2, 4))
             for step in theirs:
                 alone.chen_step(step)
             assert all(np.array_equal(x, y) for x, y in zip(levels(mine), levels(alone)))
@@ -278,9 +279,9 @@ class TestProductSplits:
     @settings(max_examples=80, deadline=None)
     @given(mixed_steps())
     def test_bit_identical_to_reference(self, case):
-        d, trunc, words, dx = case
-        got = BatchSignature(dx.shape[1], d, trunc, words)
-        ref = BatchSignature(dx.shape[1], d, trunc, words)
+        d, words, dx = case
+        got = BatchSignature(dx.shape[1], d, words)
+        ref = BatchSignature(dx.shape[1], d, words)
         for step in dx:
             got.chen_step(step)
             reference_chen_step(ref, step)
@@ -290,7 +291,7 @@ class TestProductSplits:
     def test_one_engine_mixes_both_forms(self):
         rng = np.random.default_rng(8)
         words = all_words(2, 2) + [(1, 0, 2), (2, 2, 1, 0)]
-        got, ref = BatchSignature(6, 2, 4, words), BatchSignature(6, 2, 4, words)
+        got, ref = BatchSignature(6, 2, words), BatchSignature(6, 2, words)
         products = [shape is not None for shape, _, _ in _splits(got)]
         assert any(products) and not all(products)
         for _ in range(5):
@@ -303,7 +304,7 @@ class TestProductSplits:
 
     @pytest.mark.parametrize("d, depth", [(1, 4), (2, 3)])
     def test_full_engines_gather_no_row(self, d, depth):
-        sig = BatchSignature(3, d, depth)
+        sig = BatchSignature(3, d, all_words(d, depth))
         assert sig._letters is None and all(idx is None for idx in sig._whole)
         assert all(shape is not None and pre is None and suf is None for shape, pre, suf in _splits(sig))
 
@@ -341,7 +342,7 @@ class TestBrownianDriver:
         with pytest.raises(ValueError):
             simulate_brownian_grid(0, 1.0, 4, 4, seed=0)
         # an empty path set is rejected before any block is drawn
-        params = SigVolParams(GradedTensor(1, 0, {(): 0.2}), Weight.constant(), 1.0,
+        params = SigVolParams(GradedTensor(1, {(): 0.2}), Weight.constant(), 1.0,
                               np.array([1.0]), 1.0, 4)
         with pytest.raises(ValueError):
             next(stream_paths(params, 0, seed=0))
