@@ -1,4 +1,4 @@
-"""Per-layer cost of the Chen step, the block stepper, the price CSV and streamed `simulate`.
+"""Per-layer cost of the Chen step, the block stepper, path ranges, the price CSV and `simulate`.
 
 Run from the repository root:
 
@@ -25,9 +25,10 @@ import pytest
 
 from sigvol import sde, signature
 from sigvol.algebra import GradedTensor, Weight
+from sigvol.hedging import HedgeBasis, simulate_hedge_dataset
 from sigvol.models import preset
 from sigvol.sde import PathBlock, SigVolParams, simulate_price, stream_paths, write_price_csv
-from sigvol.signature import BatchSignature, all_words, simulate_brownian_grid
+from sigvol.signature import BatchSignature, all_words, engine_rows, simulate_brownian_grid
 
 
 def _record(benchmark, fn, rounds: int, **params) -> None:
@@ -77,6 +78,11 @@ def test_chen_step_carried_words(benchmark):
             words=len(ell.coeffs))
 
 
+def _step_to_end(block: PathBlock) -> None:
+    for _ in block.steps():
+        pass
+
+
 def test_stream_paths_block(benchmark):
     # a 16384-path, 128-step run of the transform_mc stepper (two 8192-path blocks): draw,
     # then step to the end
@@ -84,11 +90,56 @@ def test_stream_paths_block(benchmark):
     params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 128)
 
     def one_pass():
-        for block in stream_paths(params, 16384, 1):
-            for _ in block.steps():
-                pass
+        for _ in stream_paths(params, 16384, 1, _step_to_end):
+            pass
 
     _record(benchmark, one_pass, 7, paths=16384, steps=128, d=1)
+
+
+def _ranges(monkeypatch, split: str) -> int:
+    """Walk every block as one range, or as one range per CPU; the number of ranges a block."""
+    monkeypatch.setattr(sde, "SPLIT_ROW_PATHS", 0 if split == "ranges" else float("inf"))
+    return signature._WORKERS if split == "ranges" else 1
+
+
+# the engines of the workloads: transform_mc (first_order), price_paths_deep (rough_bergomi)
+# and the depth-report scan (every word up to depth 4), and one between the last two
+_ENGINES = {"first_order": (preset("first_order").ell, []),
+            "rough_bergomi": (preset("rough_bergomi_approx").ell, []),
+            "words_3": (preset("first_order").ell, all_words(1, 3)),
+            "words_4": (preset("first_order").ell, all_words(1, 4))}
+
+
+@pytest.mark.parametrize("split", ["one", "ranges"])
+@pytest.mark.parametrize("paths", [4096, 8192, 12288, 16384])
+@pytest.mark.parametrize("engine", list(_ENGINES))
+def test_path_range_crossover(benchmark, monkeypatch, engine, paths, split):
+    # one block drawn and stepped to the end, 32 steps, as one range or one range per CPU;
+    # sde.SPLIT_ROW_PATHS is where `ranges` starts to win, in engine rows x block paths
+    ell, words = _ENGINES[engine]
+    params = SigVolParams(ell, Weight.constant(), 1.0, np.array([1.0]), 1.0, 32)
+    ranges = _ranges(monkeypatch, split)
+
+    def one_block():
+        for _ in stream_paths(params, paths, 1, _step_to_end, words):
+            pass
+
+    rows = engine_rows([*ell.coeffs, *words])
+    _record(benchmark, one_block, 15, engine=engine, rows=rows, paths=paths,
+            rows_x_paths=rows * paths, steps=32, d=1, ranges=ranges)
+
+
+@pytest.mark.parametrize("split", ["one", "ranges"])
+def test_hedge_block(benchmark, monkeypatch, split):
+    # the hedge_depth_scan block: 16384 paths, 16 steps, every word up to depth 4 carried
+    # (61 engine rows) and the gains of the words up to depth 3 summed per step; drawn, then
+    # walked as one range or one range per CPU
+    pre = preset("first_order")
+    params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 16)
+    ranges = _ranges(monkeypatch, split)
+    _record(benchmark, lambda: simulate_hedge_dataset(params, HedgeBasis(3), "asian",
+                                                      {"strike": 1.0}, 16384, 1),
+            15, paths=16384, steps=16, d=1, depth=4, rows=61, ranges=ranges)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -113,7 +164,7 @@ def test_write_price_csv(benchmark, monkeypatch, workers):
     # traced peak is this process's only, not the forked row writers'
     pre = preset("rough_bergomi_approx")
     params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 128)
-    prices = simulate_price(next(stream_paths(params, 1024, 1)))
+    prices = next(stream_paths(params, 1024, 1, simulate_price))
     monkeypatch.setattr(signature, "_WORKERS", workers)
 
     def one_block():
@@ -134,8 +185,8 @@ def test_simulate_streamed(benchmark, monkeypatch, blocks):
 
     def one_run():
         with open(os.devnull, "w", encoding="utf-8", newline="\n") as fh:
-            for paths in stream_paths(params, blocks * block, 1):
-                write_price_csv(simulate_price(paths), fh)
+            for prices in stream_paths(params, blocks * block, 1, simulate_price):
+                write_price_csv(prices, fh)
 
     _record(benchmark, one_run, 3, paths=blocks * block, block=block, steps=128, d=1)
 

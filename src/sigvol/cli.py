@@ -235,15 +235,15 @@ def _cmd_simulate(cfg: dict, out: str) -> int:
     seed = _require_seed(cfg)
     params, _ = resolve_model(cfg)
     n_paths = exact_int(cfg["paths"], "paths")
-    blocks = sde.stream_paths(params, n_paths, seed)  # rejects a bad run before paths.csv exists
+    # rejects a bad run before paths.csv exists
+    ranges = sde.stream_paths(params, n_paths, seed, sde.simulate_price)
     if n_paths < 2:  # the martingale check after the last block needs two
         raise ValueError("need at least 2 paths")
     terminal = np.empty(n_paths)
     with _output(os.path.join(out, "paths.csv")) as fh:
-        for block in blocks:
-            prices = sde.simulate_price(block)
+        for prices in ranges:
             sde.write_price_csv(prices, fh)
-            terminal[block.offset : block.offset + block.size] = prices.terminal_price
+            terminal[prices.offset : prices.offset + len(prices)] = prices.terminal_price
             del prices  # one block's price paths at a time: free them before the next is drawn
         report = sde.martingale_check(terminal, params.s0)
     print(_line(mean_ST=report.mean_terminal, se=report.se, z=report.z_score))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import Weight, Word, exact_int, format_word
-from .sde import SigVolParams, stream_paths
+from .sde import PathBlock, SigVolParams, stream_paths
 from .signature import all_words
 
 DROP_TOL = 1e-6
@@ -187,13 +187,14 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
     """Simulate paths in blocks and accumulate the design without storing grids.
 
     Produces the columns of the per-path reference route (build_design in
-    the tests' oracles) on the same driver paths.  A block's gains are held
-    one row per word, (words, paths): each step adds coord(word) * dS to
-    each row, the same product and sum per element as one (paths, words)
-    update, and the rows are transposed into `dynamic` once per block.  The
-    payoff, then the driver's arguments, are checked before any per-path
-    array: a kind of PAYOFF_KINDS, and a finite payoff_params["strike"] for
-    every kind but variance_swap.
+    the tests' oracles) on the same driver paths.  Each path range of a
+    block (sde.stream_paths) writes its own rows of the design.  A range's
+    gains are held one row per word, (words, paths): each step adds
+    coord(word) * dS to each row, the same product and sum per element as
+    one (paths, words) update, and the rows are transposed into `dynamic`
+    once per range.  The payoff, then the driver's arguments, are checked
+    before any per-path array: a kind of PAYOFF_KINDS, and a finite
+    payoff_params["strike"] for every kind but variance_swap.
     """
     if payoff_kind not in PAYOFF_KINDS:
         raise ValueError(f"unknown payoff kind {payoff_kind!r}; choose from {PAYOFF_KINDS}")
@@ -203,13 +204,8 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
     n_low, m = basis.residual_window
     dyn_words = all_words(params.dim, basis.integrand_depth)
     res_words = _window_words(params.dim, n_low, m)
-    blocks = stream_paths(params, n_paths, seed, dyn_words + res_words)
-    dynamic = np.zeros((n_paths, len(dyn_words)))
-    residual = np.zeros((n_paths, len(res_words)))
-    terminal = np.zeros(n_paths)
-    bracket = np.zeros(n_paths)
-    asian = np.zeros(n_paths)
-    for paths in blocks:
+
+    def walk(paths: PathBlock) -> None:
         nb = paths.size
         s_prev = np.full(nb, params.s0)
         avg = np.zeros(nb)
@@ -227,6 +223,16 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
         terminal[sl] = s_prev
         bracket[sl] = paths.qv
         asian[sl] = avg / params.horizon
+
+    ranges = stream_paths(params, n_paths, seed, walk, dyn_words + res_words)
+    # each range writes its own rows
+    dynamic = np.zeros((n_paths, len(dyn_words)))
+    residual = np.zeros((n_paths, len(res_words)))
+    terminal = np.zeros(n_paths)
+    bracket = np.zeros(n_paths)
+    asian = np.zeros(n_paths)
+    for _ in ranges:
+        pass
     strikes = basis.static_strikes if basis.static_strikes is not None else default_strikes(terminal)
     static, labels = _static_block(terminal, strikes)
     design = HedgeDesign(dyn_words, labels, res_words, dynamic, static,

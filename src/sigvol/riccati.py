@@ -56,7 +56,7 @@ import numpy as np
 # riccati does not call shuffle_words; it is bound here only for perfbench/tracing.py, which
 # wraps it where riccati binds it
 from .algebra import GradedTensor, Word, shuffle_product, shuffle_words  # noqa: F401
-from .sde import SigVolParams, stream_paths
+from .sde import PathBlock, SigVolParams, stream_paths
 
 X_LABEL = "X"
 _NON_FINITE = "ell is too large: ell shuffle ell or eta_j * (ell shuffle e_J) overflows a float"
@@ -580,17 +580,21 @@ def mc_transform(u0: RiccatiState, params: SigVolParams, n_paths: int, seed: int
     """
     if not u0.x_live:
         params = replace(params, ell=GradedTensor.zero(params.dim))
-    blocks = stream_paths(params, n_paths, seed, u0.sig.coeffs)
-    if n_paths < 2:  # the standard error needs two
-        raise ValueError("need at least 2 paths")
-    moments = _Moments()
-    for paths in blocks:
+
+    def walk(paths: PathBlock) -> np.ndarray:
         for _ in paths.steps():
             pass
         expo = paths.sig.pair(u0.sig)
         if u0.x_live:
             expo += u0.u_x * (math.log(params.s0) + paths.log_s)
-        moments.add(np.exp(expo))
+        return np.exp(expo)
+
+    ranges = stream_paths(params, n_paths, seed, walk, u0.sig.coeffs)
+    if n_paths < 2:  # the standard error needs two
+        raise ValueError("need at least 2 paths")
+    moments = _Moments()
+    for samples in ranges:  # in path order, which the moments' fixed chunks follow
+        moments.add(samples)
     moments.finish()
     var = moments.m2 / (moments.count - 1)
     return TransformMC(moments.mean, math.sqrt(var / moments.count), moments.count)

@@ -5,17 +5,33 @@ xi dB, xi_t = <ell, W_t> and B = eta . W.  Exponentiating the Doleans-Dade
 form once per step keeps every path strictly positive and reproduces the
 Black-Scholes closed form exactly on shared grids.
 
-Every Monte Carlo consumer, the price paths of `simulate` included, steps
-paths through PathBlock, one driver block at a time, as stream_paths hands
-them out; it reuses one block grid for a whole run.  PathBlock is the one
-place the Ito sums are taken: per step it adds dB, xi dB and xi^2 dt to the
-running B, M and <M>, and their difference to the log-price, so every
-consumer reads the same sums.  simulate_price records them at every grid
-time, and with write_price_csv it prices and writes one block, so memory is
-bounded by one block whatever the number of paths.  write_price_csv formats
-a block's rows on every CPU in the affinity mask, in chunks of
-CSV_CHUNK_PATHS paths written in path order: the bytes are the same whatever
-that number, and at most one chunk per CPU is held beside the block.
+Every Monte Carlo consumer, the price paths of `simulate` included, hands
+stream_paths a function walk(PathBlock) that steps one path range to the
+end, and reads the results in path order; a run reuses one block grid.
+PathBlock is the one place the Ito sums are taken: per step it adds dB,
+xi dB and xi^2 dt to the running B, M and <M>, and their difference to the
+log-price, so every consumer reads the same sums.  simulate_price records
+them at every grid time, and with write_price_csv it prices and writes one
+range at a time, so memory is bounded by one block whatever the number of
+paths.  write_price_csv formats a block's rows on every CPU in the
+affinity mask, in chunks of CSV_CHUNK_PATHS paths written in path order:
+the bytes are the same whatever that number, and at most one chunk per CPU
+is held beside the block.
+
+A block whose engine rows (carried plus segment words) times paths reach
+SPLIT_ROW_PATHS is stepped on every CPU in the affinity mask: in one
+contiguous path range per CPU, each with an engine of its own, on a thread
+of its own.  Any other block is one range, stepped in the calling thread.
+The constant is the crossover measured on a 2-core host
+(benchmarks/bench_stepper.py): a block drawn and stepped in two ranges took
+1.34 times as long as in one at 18 rows x 16384 paths (294912) and 1.12
+times at 29 x 8192, but 0.55 times at 29 x 12288 (356352) and 0.52 to 0.75
+times on every larger shape measured.  A small step is interpreter-bound,
+and its threads contend for the GIL.  So the depth-report scan's blocks
+are split (61 rows x 16384 paths at depth 4), and the transform check's
+(3 x 8192) and the deep price paths' (18 x 1024) are not.  A path's
+arithmetic is the same in any range, so every output is the same bits
+either way.
 
 A block holds the paths whose increments number at most BLOCK_NORMALS
 (2**20 normals, 8 MiB), kept between BLOCK_PATHS // 4 and BLOCK_PATHS
@@ -37,7 +53,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -50,10 +66,14 @@ from .signature import BatchSignature, BrownianBatch
 # every step (512-path blocks took twice as long at 2048 steps)
 BLOCK_PATHS = 16384
 BLOCK_NORMALS = 2**20  # 8 MiB of float64 increments
+# engine rows x paths from which a block is stepped in one path range per CPU: the measured
+# crossover of the module docstring
+SPLIT_ROW_PATHS = 20 * 2**14
 # paths per chunk of price CSV rows that one process formats; 64 raised peak RSS by 2 MB
 CSV_CHUNK_PATHS = 16
 _FRAME = struct.Struct("<q")  # a chunk's byte length on a row writer's pipe; < 0: error text
 PLATEAU_TOL = 1e-9  # relative mass in check_H1's last quarter of terms that is divergent
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -116,8 +136,8 @@ class PathBlock:
     log-price log(S_t / s0) = sum (xi dB - xi^2 dt / 2).  steps() yields k
     with sig and xi still at t_k and the sums already at t_{k+1}.  The block
     reads its driver grid in place: each step's increments are differenced
-    into one reused (d+1, n_paths) buffer, and the grid is handed back when
-    the block has stepped to the end.
+    into one reused (d+1, n_paths) buffer, and the block is done, its grid
+    free for the next block, only once it has stepped to the end.
     """
 
     def __init__(self, params: SigVolParams, paths: BrownianBatch, words=()):
@@ -130,7 +150,7 @@ class PathBlock:
         self.times = paths.times
         self.dt = np.diff(paths.times)
         self._grid = paths.grid  # (steps+1, d, n_paths)
-        self._spent = None
+        self._done = False
         self.sig = BatchSignature(self.size, params.dim, words)
         self.xi = self.sig.pair(params.ell)
         # -0.0 + x is x bit for bit, -0.0 included: each sum is its increments' cumulative sum
@@ -138,7 +158,7 @@ class PathBlock:
         self.log_s = np.zeros(self.size)
 
     def steps(self) -> Iterator[int]:
-        # the block steps once, and hands its grid back only after the last step
+        # the block steps once, and is done only after the last step
         grid, self._grid = self._grid, None
         eta = self.params.eta
         inc = np.empty((self.params.dim + 1, self.size))
@@ -162,36 +182,55 @@ class PathBlock:
             yield k
             self.sig.chen_step(inc.T)
             self.xi = self.sig.pair(self.params.ell)
-        self._spent = grid
+        self._done = True
 
 
-def stream_paths(params: SigVolParams, n_paths: int, seed: int, words=()) -> Iterator[PathBlock]:
-    """The driver's path set for (seed, n_paths) as PathBlocks, in path order.
+def stream_paths(params: SigVolParams, n_paths: int, seed: int,
+                 walk: Callable[[PathBlock], T], words=()) -> Iterator[T]:
+    """walk(range) for each path range of the driver's path set for (seed, n_paths), in path order.
 
     A block holds the paths whose increments number at most BLOCK_NORMALS,
     between BLOCK_PATHS // 4 and BLOCK_PATHS of them: at d = 1, 16384 paths
     up to 64 steps, 8192 at 128 steps and 4096 from 256 steps on.  The
     stream is counter-based, so the paths are the same bits whatever the
-    block size.  The driver's arguments are checked on the call, before any
-    block is drawn, so a caller can reject a run before it opens its
-    outputs.  A block that has stepped to the end hands its grid back, and
-    the next block of the same shape is drawn into it, so a run holds one
-    block grid: (steps+1) * d * block floats, 8.5 MB at 128 steps and 67 MB
-    at 2048 steps for d = 1.
+    block size.  A block whose engine rows (signature.engine_rows of ell's
+    words plus `words`) times its paths reach SPLIT_ROW_PATHS is cut into
+    contiguous ranges, one per CPU in the affinity mask (signature._WORKERS),
+    each a PathBlock over its columns of the block grid with an engine of its
+    own, and walked on a thread of its own (signature.fan_out); any other
+    block is one range, walked in the calling thread.  A path's arithmetic is
+    the same in any range, so walk sees the same bits either way, and work
+    that depends on the order of paths belongs to the caller, on the results.
+    The driver's arguments are checked on the call, before any block is
+    drawn, so a caller can reject a run before it opens its outputs.  Once
+    every range of a block has stepped to the end, the block hands its grid
+    back, and the next block of the same shape is drawn into it, so a run
+    holds one block grid: (steps+1) * d * block floats, 8.5 MB at 128 steps
+    and 67 MB at 2048 steps for d = 1.
     """
     signature.check_driver_args(params.dim, params.horizon, params.steps, n_paths, seed)
-    return _blocks(params, n_paths, seed, words)
+    return _ranges(params, n_paths, seed, walk, words)
 
 
-def _blocks(params: SigVolParams, n_paths: int, seed: int, words) -> Iterator[PathBlock]:
+def _ranges(params: SigVolParams, n_paths: int, seed: int, walk: Callable[[PathBlock], T],
+            words) -> Iterator[T]:
     spare = None
     size = min(BLOCK_PATHS, max(BLOCK_PATHS // 4, BLOCK_NORMALS // (params.steps * params.dim)))
+    rows = signature.engine_rows([*params.ell.coeffs, *words])
     for start in range(0, n_paths, size):
-        current = PathBlock(params, signature.simulate_brownian_grid(
-            params.dim, params.horizon, params.steps, min(size, n_paths - start), seed,
-            start, _into=spare), words)
-        yield current
-        spare, current._spent = current._spent, None
+        block = signature.simulate_brownian_grid(params.dim, params.horizon, params.steps,
+                                                 min(size, n_paths - start), seed, start,
+                                                 _into=spare)
+        n = len(block)
+        runs = min(signature._WORKERS, n) if rows * n >= SPLIT_ROW_PATHS else 1
+        bounds = [n * i // runs for i in range(runs + 1)]
+        ranges = [PathBlock(params, BrownianBatch(block.times, block.grid[:, :, lo:hi], start + lo),
+                            words) for lo, hi in zip(bounds, bounds[1:])]
+        results = signature.fan_out(walk, ranges)
+        spare = block.grid if all(paths._done for paths in ranges) else None
+        del block, ranges  # the ranges' engines go before the next block's are built
+        while results:  # held by the caller alone once handed over
+            yield results.pop(0)
 
 
 def simulate_price(block: PathBlock) -> PriceBatch:
@@ -276,17 +315,21 @@ def estimate_H3(params: SigVolParams, lam: float, n_paths: int, seed: int) -> H3
     """
     if not 0.0 < lam < math.inf:
         raise ValueError("lambda must be finite and positive")
-    blocks = stream_paths(params, n_paths, seed)
-    if n_paths < 2:  # the standard error needs two
-        raise ValueError("need at least 2 paths")
-    samples = np.empty(n_paths)
-    terminal = np.empty(n_paths)
-    for paths in blocks:
+
+    def walk(paths: PathBlock) -> None:
         for _ in paths.steps():
             pass
-        block = slice(paths.offset, paths.offset + paths.size)
-        samples[block] = np.exp(lam * paths.qv)
-        terminal[block] = params.s0 * np.exp(paths.mart - 0.5 * paths.qv)
+        rows = slice(paths.offset, paths.offset + paths.size)
+        samples[rows] = np.exp(lam * paths.qv)
+        terminal[rows] = params.s0 * np.exp(paths.mart - 0.5 * paths.qv)
+
+    ranges = stream_paths(params, n_paths, seed, walk)
+    if n_paths < 2:  # the standard error needs two
+        raise ValueError("need at least 2 paths")
+    samples = np.empty(n_paths)  # each range writes its own rows
+    terminal = np.empty(n_paths)
+    for _ in ranges:
+        pass
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(n_paths))
     k = max(1, int(math.ceil(0.001 * n_paths)))

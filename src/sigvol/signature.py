@@ -30,10 +30,13 @@ import struct
 import sys
 import threading
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .algebra import EMPTY_WORD, GradedTensor, Word
+
+T, R = TypeVar("T"), TypeVar("R")
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +69,20 @@ def _by_level(words) -> list[list[Word]]:
     """Prefix closure of words, in canonical order per level; level 0 is the empty word."""
     closed = sorted({tuple(w[:k]) for w in words for k in range(len(w) + 1)} | {EMPTY_WORD})
     return [[w for w in closed if len(w) == n] for n in range(max(map(len, closed)) + 1)]
+
+
+def _closures(words) -> tuple[list[list[Word]], list[list[Word]]]:
+    """The words an engine over words carries, and the segment words its Chen step builds,
+    each by level: the prefix closure of words, and that of their carried words' suffixes."""
+    carried = _by_level(words)
+    return carried, _by_level([w[k:] for lvl in carried for w in lvl for k in range(len(w))])
+
+
+def engine_rows(words) -> int:
+    """Coefficient rows per path of a BatchSignature over words: its carried words, and its
+    segment words but the empty one, whose row the engine never stores."""
+    carried, seg_words = _closures(words)
+    return sum(map(len, carried)) + sum(map(len, seg_words[1:]))
 
 
 def _gather(index: list[int], rows: int) -> np.ndarray | None:
@@ -133,9 +150,8 @@ class BatchSignature:
         words = [tuple(w) for w in words]
         if any(not 0 <= a <= d for w in words for a in w):
             raise ValueError(f"words must be over {{0..{d}}}")
-        carried = _by_level(words)
+        carried, seg_words = _closures(words)
         self.trunc = len(carried) - 1
-        seg_words = _by_level([w[k:] for lvl in carried for w in lvl for k in range(len(w))])
         self._pos = {w: i for lvl in carried for i, w in enumerate(lvl)}
         pos = [{w: i for i, w in enumerate(lvl)} for lvl in carried]
         seg_pos = [{w: i for i, w in enumerate(lvl)} for lvl in seg_words]
@@ -202,9 +218,44 @@ _INV_2_53 = 2.0**-53
 # temporaries stay in cache and are reused; larger chunks measured more page
 # faults and no gain in speed.
 _CHUNK_OUTPUTS = 2**14
-# threads that draw a block's chunks, and processes that format a block's price CSV
-# rows (sde.write_price_csv): one per CPU in the affinity mask
+# threads that draw a block's chunks and step its path ranges (sde.stream_paths), and
+# processes that format a block's price CSV rows (sde.write_price_csv): one per CPU in the
+# affinity mask
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def fan_out(work: Callable[[T], R], parts: list[T]) -> list[R]:
+    """[work(part) for part in parts], each part on a thread of its own; parts is not empty.
+
+    The calling thread works the first part and one thread per further part
+    works the rest; every thread is joined before fan_out returns or raises.
+    An error of the calling thread's part propagates; otherwise the error of
+    the first part whose thread raised is re-raised.  Parts overlap only in
+    code that releases the GIL, as numpy's ufuncs and Philox do.
+    """
+    results: list = [None] * len(parts)
+    errors: list = [None] * len(parts)
+
+    def worker(i: int) -> None:
+        try:
+            results[i] = work(parts[i])
+        except BaseException as exc:  # re-raised by the calling thread after the join
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, len(parts)):
+            thread = threading.Thread(target=worker, args=(i,))
+            thread.start()
+            started.append(thread)
+        results[0] = work(parts[0])
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 @dataclass(frozen=True)
@@ -271,9 +322,9 @@ def simulate_brownian_grid(d: int, horizon: float, steps: int, n_paths: int,
     starts = range(0, n_paths, chunk)
     runs = min(_WORKERS, len(starts))
     bounds = [starts[len(starts) * i // runs] for i in range(runs)] + [n_paths]
-    errors = []
 
-    def draw(first: int, end: int) -> None:
+    def draw(run: tuple[int, int]) -> None:
+        first, end = run
         # a chunk is whole paths, i.e. whole counter blocks, so reading the stream
         # on starts each chunk at its first path's counter
         bitgen = np.random.Philox(key=np.uint64(seed))
@@ -292,25 +343,8 @@ def simulate_brownian_grid(d: int, horizon: float, steps: int, n_paths: int,
             w *= np.cos(angle, out=angle)
             np.multiply(w.reshape(n, steps, d).transpose(1, 2, 0), scale, out=grid[1:, :, lo : lo + n])
 
-    def worker(first: int, end: int) -> None:
-        try:
-            draw(first, end)
-        except BaseException as exc:  # re-raised by the calling thread after the join
-            errors.append(exc)
-
     # numpy's ufuncs and Philox release the GIL, so the runs are drawn in parallel
-    threads = [threading.Thread(target=worker, args=bounds[i : i + 2]) for i in range(1, runs)]
-    started = []
-    try:
-        for thread in threads:
-            thread.start()
-            started.append(thread)
-        draw(bounds[0], bounds[1])
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
+    fan_out(draw, list(zip(bounds, bounds[1:])))
     # the cumulative sum over steps, in its order, on contiguous rows
     for k in range(2, steps + 1):
         grid[k] += grid[k - 1]

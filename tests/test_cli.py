@@ -379,6 +379,31 @@ class TestValidation:
         assert err == "error: no room for the chunks\n"
         assert not (tmp_path / "paths.csv").exists()
 
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", "--paths", "4096", "--steps", "8"], "paths.csv"),
+        (["depth-report", "--depths", "0,1", "--paths", "400", "--steps", "8"], "depth_report.csv"),
+    ], ids=["simulate", "depth-report"])
+    def test_error_in_a_stepping_thread_is_invalid(self, tmp_path, capsys, monkeypatch, argv, name):
+        # a MemoryError raised while a second thread steps its range of a block
+        monkeypatch.setattr(sde, "SPLIT_ROW_PATHS", 0)
+        monkeypatch.setattr(signature, "_WORKERS", 2)
+        stepped_here = threading.get_ident()
+        chen_step = signature.BatchSignature.chen_step
+
+        def step(sig, dx):
+            if threading.get_ident() != stepped_here:
+                raise MemoryError("no room for the levels")
+            return chen_step(sig, dx)
+
+        monkeypatch.setattr(signature.BatchSignature, "chen_step", step)
+        code = execute([*argv, "--model", "first_order", "--seed", "1", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == "status=invalid\n"
+        assert err == "error: no room for the levels\n"
+        assert not (tmp_path / name).exists()
+        assert os.listdir(tmp_path) == []
+
     def test_out_not_a_directory(self, tmp_path):
         (tmp_path / "file").write_text("")
         assert_invalid(fresh("selftest", "--out", str(tmp_path / "file" / "sub")))
@@ -715,6 +740,18 @@ PINNED_CSVS = [
         "hedge.csv", CALL_HEDGE_DIGEST, 0, id="hedge_call_object.csv"),
 ]
 
+# inline models whose eta mixes every letter, digests taken before the
+# step-major driver feed; only d = 3 tells the summation orders of eta . dW
+# apart (at d = 2 both orders add the same two products)
+PINNED_INLINE = [
+    (2, "word=∅ coeff=0.2\nword=1 coeff=0.1\nword=2 coeff=-0.05\nword=1.2 coeff=0.03\n"
+        "word=0.2 coeff=0.02\n", [0.6, 0.8],
+     "ae8db9a9f67b60eaae40f2142b4381874bf8f6e0519373cbb21e35c2f5376334"),
+    (3, "word=∅ coeff=0.2\nword=1 coeff=0.1\nword=3 coeff=-0.05\nword=2.3 coeff=0.03\n"
+        "word=0.2 coeff=0.02\n", [0.48, 0.6, 0.64],
+     "4f0a4449081fa5ed32e42c5a695ee1337c998c7e334ed265b670d2cd726fe314"),
+]
+
 
 class TestReproducibility:
     @pytest.mark.parametrize("argv, name, digest, exit_code", PINNED_CSVS)
@@ -723,17 +760,30 @@ class TestReproducibility:
         assert code == exit_code
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
-    # inline models whose eta mixes every letter, digests taken before the
-    # step-major driver feed; only d = 3 tells the summation orders of eta . dW
-    # apart (at d = 2 both orders add the same two products)
-    @pytest.mark.parametrize("d, ell, eta, digest", [
-        (2, "word=∅ coeff=0.2\nword=1 coeff=0.1\nword=2 coeff=-0.05\nword=1.2 coeff=0.03\n"
-            "word=0.2 coeff=0.02\n", [0.6, 0.8],
-         "ae8db9a9f67b60eaae40f2142b4381874bf8f6e0519373cbb21e35c2f5376334"),
-        (3, "word=∅ coeff=0.2\nword=1 coeff=0.1\nword=3 coeff=-0.05\nword=2.3 coeff=0.03\n"
-            "word=0.2 coeff=0.02\n", [0.48, 0.6, 0.64],
-         "4f0a4449081fa5ed32e42c5a695ee1337c998c7e334ed265b670d2cd726fe314"),
-    ], ids=["d2", "d3"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("argv, name, digest, exit_code",
+                             [p for p in PINNED_CSVS if "--paths" in p.values[0]])
+    def test_pinned_csv_digest_in_path_ranges(self, tmp_path, capsys, monkeypatch, argv, name,
+                                              digest, exit_code, workers):
+        # every block walked as `workers` path ranges, each on a thread of its own
+        monkeypatch.setattr(sde, "SPLIT_ROW_PATHS", 0)
+        monkeypatch.setattr(signature, "_WORKERS", workers)
+        self.test_pinned_csv_digest(tmp_path, capsys, argv, name, digest, exit_code)
+
+    def test_mc_check_in_path_ranges(self, tmp_path, capsys, monkeypatch):
+        # 3000 paths in blocks of 1000: the moments' 4096-sample chunks span every range
+        monkeypatch.setattr(sde, "BLOCK_PATHS", 1000)
+        argv = ["transform", "--model", "first_order", "--u", "1:0.2", "--uX", "0.25",
+                "--mc-check", "--paths", "3000", "--steps", "8", "--seed", "4",
+                "--out", str(tmp_path)]
+        one = run(capsys, *argv), (tmp_path / "transform.csv").read_bytes()
+        assert one[0][0] == 0
+        monkeypatch.setattr(sde, "SPLIT_ROW_PATHS", 0)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(signature, "_WORKERS", workers)
+            assert (run(capsys, *argv), (tmp_path / "transform.csv").read_bytes()) == one
+
+    @pytest.mark.parametrize("d, ell, eta, digest", PINNED_INLINE, ids=["d2", "d3"])
     def test_pinned_csv_digest_inline(self, tmp_path, capsys, d, ell, eta, digest):
         cfg = {"model": {"ell": ell, "d": d, "eta": eta}, "seed": 5, "paths": 24, "steps": 16}
         cfg_path = tmp_path / "cfg.json"
@@ -741,6 +791,15 @@ class TestReproducibility:
         code, _ = run(capsys, "simulate", "--config", str(cfg_path), "--out", str(tmp_path))
         assert code == 0
         assert hashlib.sha256((tmp_path / "paths.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("d, ell, eta, digest", PINNED_INLINE, ids=["d2", "d3"])
+    def test_pinned_csv_digest_inline_in_path_ranges(self, tmp_path, capsys, monkeypatch, d, ell,
+                                                     eta, digest, workers):
+        # at d = 3 each range's eta . dW is a BLAS gemv over that range's paths alone
+        monkeypatch.setattr(sde, "SPLIT_ROW_PATHS", 0)
+        monkeypatch.setattr(signature, "_WORKERS", workers)
+        self.test_pinned_csv_digest_inline(tmp_path, capsys, d, ell, eta, digest)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         out_a = tmp_path / "a"

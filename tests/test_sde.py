@@ -1,6 +1,8 @@
 import io
 import math
 import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -9,7 +11,9 @@ import pytest
 
 from sigvol import sde, signature
 from sigvol.algebra import GradedTensor, Weight
+from sigvol.hedging import HedgeBasis, simulate_hedge_dataset
 from sigvol.models import preset
+from sigvol.riccati import RiccatiState, mc_transform
 from sigvol.sde import (
     PathBlock,
     SigVolParams,
@@ -28,11 +32,15 @@ from _oracles import (
     gaussian_transform,
     path_major_steps,
     preset_model,
-    project_leq,
     richardson,
     sparse_signatures,
     volatility_path,
 )
+
+
+def step_to_end(paths: PathBlock) -> None:
+    for _ in paths.steps():
+        pass
 
 
 def make_params(name="black_scholes", steps=32, horizon=1.0, s0=1.0, **kw):
@@ -105,30 +113,17 @@ class TestSimulatePrice:
         prices = simulate_price(PathBlock(params, paths))
         assert np.all(np.diff(prices.bracket, axis=1) >= -1e-15)
 
-    def test_finite_support_truncation_is_exact(self):
-        # carrying every word up to depth 4, past ell's support, cannot change paths
-        pre = preset("first_order")
-        params = SigVolParams(pre.ell, pre.weight, 1.0, pre.eta, 1.0, 16)
+    @pytest.mark.parametrize("ell, pad", [
+        (preset("first_order").ell, 4),
+        (GradedTensor(1, {(): 0.2, (1,): 0.05, (1, 1): 0.02, (0, 1, 1): 0.01}), 6),
+    ], ids=["first_order", "level_3"])
+    def test_finite_support_truncation_is_exact(self, ell, pad):
+        # carrying every word up to depth `pad`, past ell's support, cannot change paths
+        params = SigVolParams(ell, Weight.geometric(2.0), 1.0, np.array([1.0]), 1.0, 16)
         paths = simulate_brownian_grid(1, 1.0, 16, 40, seed=9)
         base = simulate_price(PathBlock(params, paths))
-        pad = simulate_price(PathBlock(params, paths, all_words(1, 4)))
-        assert np.array_equal(base.price, pad.price)
-
-    def test_projected_ell_identical_beyond_support(self):
-        # ell supported up to level 3: price paths under project_leq(ell, N)
-        # are identical for every N >= 3
-        ell = GradedTensor(1, {(): 0.2, (1,): 0.05, (1, 1): 0.02, (0, 1, 1): 0.01})
-        w = Weight.geometric(2.0)
-        eta = np.array([1.0])
-        paths = simulate_brownian_grid(1, 1.0, 16, 30, seed=20)
-        reference = None
-        for level in (3, 4, 6):
-            cut = project_leq(ell, level)
-            prices = simulate_price(PathBlock(SigVolParams(cut, w, 1.0, eta, 1.0, 16), paths))
-            if reference is None:
-                reference = prices.price
-            else:
-                assert np.array_equal(prices.price, reference)
+        padded = simulate_price(PathBlock(params, paths, all_words(1, pad)))
+        assert np.array_equal(base.price.view(np.uint64), padded.price.view(np.uint64))
 
     def test_qv_stable_under_refinement(self):
         pre = preset("first_order")
@@ -276,20 +271,18 @@ class TestBlockSize:
     """Results of the block-streaming consumers do not depend on the block size."""
 
     def test_streaming_consumers_block_invariant(self, monkeypatch):
-        from sigvol.hedging import HedgeBasis, simulate_hedge_dataset
-        from sigvol.riccati import RiccatiState, mc_transform
-
         params = make_params("first_order", steps=8)
         words = [(1, 0), (0, 1, 1)]
         runs = {}
         for block in (7, 16384):
             monkeypatch.setattr(sde, "BLOCK_PATHS", block)
-            batches = []
-            for paths in stream_paths(params, 40, 21, words):
-                for _ in paths.steps():
-                    pass
-                batches.append((paths.offset, (paths.xi, paths.driver, paths.mart, paths.qv,
-                                               paths.log_s, paths.sig.coords(words))))
+
+            def final(paths: PathBlock):
+                step_to_end(paths)
+                return paths.offset, (paths.xi, paths.driver, paths.mart, paths.qv,
+                                      paths.log_s, paths.sig.coords(words))
+
+            batches = list(stream_paths(params, 40, 21, final, words))
             state = RiccatiState(GradedTensor(1, {(1,): 0.3, (1, 0): 0.1}), 0.25)
             # more paths than one moment chunk, so chunks straddle blocks of 7
             mc = mc_transform(state, params, 4100, seed=22)
@@ -310,11 +303,12 @@ class TestBlockSize:
 
     @pytest.mark.parametrize("steps, d, size", [(16, 1, 16384), (128, 1, 8192), (64, 2, 8192),
                                                 (2048, 1, 4096)])
-    def test_block_holds_its_share_of_normals(self, steps, d, size):
-        # at most 2**20 increments a block, between 4096 and 16384 paths
+    def test_block_holds_its_share_of_normals(self, monkeypatch, steps, d, size):
+        # at most 2**20 increments a block, between 4096 and 16384 paths; one range a block
+        monkeypatch.setattr(signature, "_WORKERS", 1)
         ell = GradedTensor(d, {(): 0.2, (d,): 0.1})
         params = SigVolParams(ell, Weight.constant(), 1.0, np.full(d, d**-0.5), 1.0, steps)
-        assert next(stream_paths(params, 20000, 5)).size == size
+        assert next(stream_paths(params, 20000, 5, lambda paths: paths.size)) == size
 
 
 class TestStepMajorFeed:
@@ -329,8 +323,8 @@ class TestStepMajorFeed:
                            eta=np.array([1.0]), horizon=1.0, steps=9)
         monkeypatch.setattr(sde, "BLOCK_PATHS", 128)
         for params, words in ((mixed, [(1, 3, 2), (2, 0)]), (e_1, [(1, 0)])):
-            blocks = 0
-            for block in stream_paths(params, 300, 2**64 - 1, words):
+
+            def check(block: PathBlock):
                 values = brownian_values(params.dim, 1.0, 9, block.size, 2**64 - 1,
                                          path_offset=block.offset)
                 fields = ("driver", "mart", "qv", "log_s")
@@ -344,8 +338,11 @@ class TestStepMajorFeed:
                 refs = path_major_steps(params, values, words)
                 for seq, ref in zip([*got.values(), coords], refs):
                     assert np.array_equal(np.array(seq).view(np.uint64), ref.view(np.uint64))
-                blocks += 1
-            assert blocks == 3
+                return refs
+
+            blocks = list(stream_paths(params, 300, 2**64 - 1, check, words))
+            assert len(blocks) == 3
+        refs = blocks[-1]
         first_m = refs[1][0]  # M after one step of the last e_1 block
         assert np.all(first_m == 0.0) and np.signbit(first_m).any()
 
@@ -356,7 +353,8 @@ class TestStepMajorFeed:
         pre = preset("first_order")
         params = SigVolParams(pre.ell, pre.weight, s0=1.0, eta=np.array([eta]), horizon=1.0, steps=9)
         monkeypatch.setattr(sde, "BLOCK_PATHS", 128)
-        for block in stream_paths(params, 300, 7):
+
+        def check(block: PathBlock) -> None:
             values = brownian_values(1, 1.0, 9, block.size, 7, path_offset=block.offset)
             inc = np.diff(values[:, :, 1:], axis=1)
             driver, mart = np.full(block.size, -0.0), np.full(block.size, -0.0)
@@ -370,6 +368,127 @@ class TestStepMajorFeed:
                 for got, want in ((block.driver, driver), (block.mart, mart), (block.log_s, log_s)):
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+        assert len(list(stream_paths(params, 300, 7, check))) == 3
+
+
+class TestPathRanges:
+    """A block walked as one path range per CPU gives the bits of one range."""
+
+    # d = 3 with eta mixing every letter, so each dB is a BLAS gemv over the range's paths
+    MIXED = SigVolParams(GradedTensor(3, {(): 0.2, (1,): 0.1, (2, 3): -0.05, (3,): 0.07,
+                                          (0, 2): 0.02}),
+                         Weight.constant(), s0=1.0, eta=np.array([0.48, 0.6, 0.64]),
+                         horizon=1.0, steps=6)
+
+    @staticmethod
+    def _runs(monkeypatch, compute):
+        """compute() as one range a block, then with every block split over 1, 2 and 3 ranges."""
+        monkeypatch.setattr(sde, "SPLIT_ROW_PATHS", math.inf)
+        one = compute()
+        monkeypatch.setattr(sde, "SPLIT_ROW_PATHS", 0)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(signature, "_WORKERS", workers)
+            runs.append(compute())
+        return one, runs
+
+    @staticmethod
+    def _bits(*arrays):
+        return [np.asarray(a).view(np.uint64).tolist() for a in arrays]
+
+    def test_ranges_split_each_block(self, monkeypatch):
+        # blocks of 40 of 90 paths; three ranges of a 40-path block hold 13, 13 and 14 paths
+        monkeypatch.setattr(sde, "BLOCK_PATHS", 40)
+        one, runs = self._runs(monkeypatch, lambda: list(stream_paths(
+            self.MIXED, 90, 3, lambda paths: (paths.offset, paths.size))))
+        assert one == runs[0] == [(0, 40), (40, 40), (80, 10)]
+        assert runs[1] == [(0, 20), (20, 20), (40, 20), (60, 20), (80, 5), (85, 5)]
+        assert runs[2][:3] == [(0, 13), (13, 13), (26, 14)]
+
+    def test_hedge_dataset(self, monkeypatch):
+        monkeypatch.setattr(sde, "BLOCK_PATHS", 40)
+        params = make_params("first_order", steps=8)
+        basis = HedgeBasis(2, (2, 3), static_strikes=(1.0,))
+
+        def dataset():
+            data = simulate_hedge_dataset(params, basis, "asian", {"strike": 0.95}, 90, seed=23)
+            design = data.design
+            return self._bits(design.dynamic, design.static, design.residual,
+                              design.terminal_price, data.payoffs)
+
+        one, runs = self._runs(monkeypatch, dataset)
+        assert all(run == one for run in runs)
+
+    def test_many_ranges_under_fast_thread_switching(self, monkeypatch):
+        # more ranges than CPUs, each writing its rows of the shared design while the
+        # interpreter switches threads every microsecond
+        monkeypatch.setattr(sde, "BLOCK_PATHS", 40)
+        params = make_params("first_order", steps=8)
+        basis = HedgeBasis(2, (2, 3), static_strikes=(1.0,))
+
+        def dataset():
+            data = simulate_hedge_dataset(params, basis, "call", {"strike": 1.0}, 90, seed=29)
+            return self._bits(data.design.dynamic, data.design.residual, data.payoffs)
+
+        one = dataset()
+        monkeypatch.setattr(sde, "SPLIT_ROW_PATHS", 0)
+        monkeypatch.setattr(signature, "_WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert dataset() == one
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_h3(self, monkeypatch):
+        monkeypatch.setattr(sde, "BLOCK_PATHS", 40)
+
+        def h3():
+            rep = estimate_H3(self.MIXED, 0.5, 90, seed=12)
+            return rep.mean, rep.ci_halfwidth, rep.suspicious_heavy_tail, self._bits(rep.terminal_price)
+
+        one, runs = self._runs(monkeypatch, h3)
+        assert all(run == one for run in runs)
+
+    def test_mc_transform(self, monkeypatch):
+        # blocks of 1500 of 4100 paths: the moments' 4096-sample chunks straddle blocks and ranges
+        monkeypatch.setattr(sde, "BLOCK_PATHS", 1500)
+        params = make_params("first_order", steps=4)
+        state = RiccatiState(GradedTensor(1, {(1,): 0.3, (1, 0): 0.1}), 0.25)
+        one, runs = self._runs(monkeypatch, lambda: mc_transform(state, params, 4100, seed=22))
+        assert all(run == one for run in runs)
+
+    def test_price_csv(self, monkeypatch):
+        # ranges end 16-path CSV chunks mid-way
+        monkeypatch.setattr(sde, "BLOCK_PATHS", 40)
+
+        def csv():
+            fh = io.StringIO()
+            for prices in stream_paths(self.MIXED, 90, 19, simulate_price):
+                write_price_csv(prices, fh)
+            return fh.getvalue()
+
+        one, runs = self._runs(monkeypatch, csv)
+        assert one.count("\n") == 1 + 90 * 7
+        assert all(run == one for run in runs)
+
+    def test_error_on_a_stepping_thread_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(sde, "SPLIT_ROW_PATHS", 0)
+        monkeypatch.setattr(signature, "_WORKERS", 2)
+        stepped_here = threading.get_ident()
+        chen_step = signature.BatchSignature.chen_step
+
+        def step(sig, dx):
+            if threading.get_ident() != stepped_here:
+                raise MemoryError("no room for the levels")
+            return chen_step(sig, dx)
+
+        monkeypatch.setattr(signature.BatchSignature, "chen_step", step)
+        with pytest.raises(MemoryError, match="no room"):
+            for _ in stream_paths(make_params("first_order", steps=4), 64, 1, step_to_end):
+                pass
+        assert threading.active_count() == 1
+
 
 class TestStepperMemory:
     """Stepping holds one block grid, however many blocks a run has."""
@@ -379,9 +498,8 @@ class TestStepperMemory:
         params = make_params("first_order", steps=128)
         tracemalloc.start()
         try:
-            for block in stream_paths(params, n_paths, 31, [(1,), (1, 1)]):
-                for _ in block.steps():
-                    pass
+            for _ in stream_paths(params, n_paths, 31, step_to_end, [(1,), (1, 1)]):
+                pass
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -420,8 +538,8 @@ class TestCsvExport:
             monkeypatch.setattr(sde, "BLOCK_PATHS", block)
             monkeypatch.setattr(signature, "_WORKERS", workers)
             fh = io.StringIO()
-            for paths in stream_paths(params, 90, 19):
-                write_price_csv(simulate_price(paths), fh)
+            for prices in stream_paths(params, 90, 19, simulate_price):
+                write_price_csv(prices, fh)
             return fh.getvalue()
 
         one = csv(16384, 1)
@@ -433,7 +551,7 @@ class TestCsvExport:
         # fh fails on the third chunk, while both row writers still have chunks to send
         monkeypatch.setattr(signature, "_WORKERS", 3)
         params = make_params("first_order", steps=4)
-        prices = simulate_price(next(stream_paths(params, 160, 19)))
+        prices = next(stream_paths(params, 160, 19, simulate_price))
 
         class FailingFile(io.StringIO):
             def write(self, text):

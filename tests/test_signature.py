@@ -168,6 +168,16 @@ class TestCarriedWords:
             for k in range(len(w) + 1):
                 assert np.array_equal(part.coord(w[:k]), full.coord(w[:k]))
 
+    @settings(max_examples=30, deadline=None)
+    @given(word_sets())
+    def test_engine_rows_are_the_rows_it_stores(self, case):
+        # the split rule of sde.stream_paths reads engine_rows before any engine is built
+        d, _, words = case
+        sig = BatchSignature(2, d, words)
+        rows = sum(lv.shape[0] for lvs in (sig._lv, sig._seg_lv) for lv in lvs if lv is not None)
+        assert signature.engine_rows(words) == rows
+        assert signature.engine_rows(all_words(1, 4)) == 61
+
     def test_only_prefix_closure_carried(self):
         sig = BatchSignature(3, 1, [(1, 0, 0)])
         assert [lv.shape for lv in levels(sig)] == [(3, 1), (3, 1), (3, 1), (3, 1)]
@@ -345,7 +355,7 @@ class TestBrownianDriver:
         params = SigVolParams(GradedTensor(1, {(): 0.2}), Weight.constant(), 1.0,
                               np.array([1.0]), 1.0, 4)
         with pytest.raises(ValueError):
-            next(stream_paths(params, 0, seed=0))
+            stream_paths(params, 0, 0, lambda paths: None)
 
     def test_level1_ito_isometry(self):
         batch = simulate_brownian_grid(1, 0.7, 16, 60_000, seed=77)
