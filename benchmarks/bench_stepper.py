@@ -221,11 +221,13 @@ def record_children(benchmark, argv: list[str], **params) -> None:
                                 peak_rss_mb=statistics.median(peak for _, peak in runs))
 
 
+@pytest.mark.parametrize("paths", [16384, 12000])
 @pytest.mark.parametrize("steps", [128, 512, 2048])
-def test_transform_mc_check_child(benchmark, tmp_path, steps):
-    # a fresh `transform --mc-check` process of 16384 paths: a driver block holds at most
-    # 2**20 normals, so 8192 paths at 128 steps and 4096 at 512 and 2048 steps
+def test_transform_mc_check_child(benchmark, tmp_path, steps, paths):
+    # a fresh `transform --mc-check` process: a driver block holds at most 2**20 normals, so
+    # 8192 paths at 128 steps and 4096 at 512 and 2048 steps; 16384 paths are whole blocks,
+    # 12000 end on a short block of 3808 paths, drawn into the same grid
     record_children(benchmark, ["transform", "--model", "first_order", "--uX", "0.25",
-                                "--mc-check", "--paths", "16384", "--steps", str(steps),
+                                "--mc-check", "--paths", str(paths), "--steps", str(steps),
                                 "--seed", "1", "--out", str(tmp_path)],
-                    paths=16384, steps=steps, d=1)
+                    paths=paths, steps=steps, d=1)

@@ -489,7 +489,8 @@ def integrate_flow(table: GeneratorTable, tol: float = 1e-10,
         multiply(out, step, out)
         return add(out, u, out)
 
-    rhs(u, ks[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing slope is rejected below
+        rhs(u, ks[0])
     while t < horizon:
         if h < floor:
             return outcome(t_star=t, norm_at_detection=norm(u), detail="step underflow below floor")

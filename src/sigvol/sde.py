@@ -7,7 +7,7 @@ Black-Scholes closed form exactly on shared grids.
 
 Every Monte Carlo consumer, the price paths of `simulate` included, hands
 stream_paths a function walk(PathBlock) that steps one path range to the
-end, and reads the results in path order; a run reuses one block grid.
+end, and reads the results in path order; a run holds one block grid.
 PathBlock is the one place the Ito sums are taken: per step it adds dB,
 xi dB and xi^2 dt to the running B, M and <M>, and their difference to the
 log-price, so every consumer reads the same sums.  simulate_price records
@@ -136,8 +136,8 @@ class PathBlock:
     log-price log(S_t / s0) = sum (xi dB - xi^2 dt / 2).  steps() yields k
     with sig and xi still at t_k and the sums already at t_{k+1}.  The block
     reads its driver grid in place: each step's increments are differenced
-    into one reused (d+1, n_paths) buffer, and the block is done, its grid
-    free for the next block, only once it has stepped to the end.
+    into one reused (d+1, n_paths) buffer.  The grid is the run's
+    (stream_paths), overwritten by the next block once the walk returns.
     """
 
     def __init__(self, params: SigVolParams, paths: BrownianBatch, words=()):
@@ -150,7 +150,6 @@ class PathBlock:
         self.times = paths.times
         self.dt = np.diff(paths.times)
         self._grid = paths.grid  # (steps+1, d, n_paths)
-        self._done = False
         self.sig = BatchSignature(self.size, params.dim, words)
         self.xi = self.sig.pair(params.ell)
         # -0.0 + x is x bit for bit, -0.0 included: each sum is its increments' cumulative sum
@@ -158,8 +157,7 @@ class PathBlock:
         self.log_s = np.zeros(self.size)
 
     def steps(self) -> Iterator[int]:
-        # the block steps once, and is done only after the last step
-        grid, self._grid = self._grid, None
+        grid, self._grid = self._grid, None  # the block steps once
         eta = self.params.eta
         inc = np.empty((self.params.dim + 1, self.size))
         for k, dt in enumerate(self.dt):
@@ -182,7 +180,6 @@ class PathBlock:
             yield k
             self.sig.chen_step(inc.T)
             self.xi = self.sig.pair(self.params.ell)
-        self._done = True
 
 
 def stream_paths(params: SigVolParams, n_paths: int, seed: int,
@@ -191,22 +188,21 @@ def stream_paths(params: SigVolParams, n_paths: int, seed: int,
 
     A block holds the paths whose increments number at most BLOCK_NORMALS,
     between BLOCK_PATHS // 4 and BLOCK_PATHS of them: at d = 1, 16384 paths
-    up to 64 steps, 8192 at 128 steps and 4096 from 256 steps on.  The
-    stream is counter-based, so the paths are the same bits whatever the
-    block size.  A block whose engine rows (signature.engine_rows of ell's
-    words plus `words`) times its paths reach SPLIT_ROW_PATHS is cut into
-    contiguous ranges, one per CPU in the affinity mask (signature._WORKERS),
-    each a PathBlock over its columns of the block grid with an engine of its
-    own, and walked on a thread of its own (signature.fan_out); any other
-    block is one range, walked in the calling thread.  A path's arithmetic is
-    the same in any range, so walk sees the same bits either way, and work
-    that depends on the order of paths belongs to the caller, on the results.
-    The driver's arguments are checked on the call, before any block is
-    drawn, so a caller can reject a run before it opens its outputs.  Once
-    every range of a block has stepped to the end, the block hands its grid
-    back, and the next block of the same shape is drawn into it, so a run
-    holds one block grid: (steps+1) * d * block floats, 8.5 MB at 128 steps
-    and 67 MB at 2048 steps for d = 1.
+    up to 64 steps, 8192 at 128 steps and 4096 from 256 steps on.  A run
+    draws every block into one grid of (steps+1) * d * min(n_paths, block)
+    floats, a short last block into its leading columns, so walk must keep
+    neither its PathBlock nor a view of its grid once it returns.  The stream
+    is counter-based, so the paths are the same bits whatever the block size.
+    A block whose engine rows (signature.engine_rows of ell's words plus
+    `words`) times its paths reach SPLIT_ROW_PATHS is cut into contiguous
+    ranges, one per CPU in the affinity mask (signature._WORKERS), each a
+    PathBlock over its columns of the block grid with an engine of its own,
+    and walked on a thread of its own (signature.fan_out); any other block is
+    one range, walked in the calling thread.  A path's arithmetic is the same
+    in any range, so walk sees the same bits either way, and work that
+    depends on the order of paths belongs to the caller, on the results.  The
+    driver's arguments are checked on the call, before any block is drawn, so
+    a caller can reject a run before it opens its outputs.
     """
     signature.check_driver_args(params.dim, params.horizon, params.steps, n_paths, seed)
     return _ranges(params, n_paths, seed, walk, words)
@@ -214,21 +210,19 @@ def stream_paths(params: SigVolParams, n_paths: int, seed: int,
 
 def _ranges(params: SigVolParams, n_paths: int, seed: int, walk: Callable[[PathBlock], T],
             words) -> Iterator[T]:
-    spare = None
     size = min(BLOCK_PATHS, max(BLOCK_PATHS // 4, BLOCK_NORMALS // (params.steps * params.dim)))
+    grid = np.empty((params.steps + 1, params.dim, min(size, n_paths)))  # the run's one grid
     rows = signature.engine_rows([*params.ell.coeffs, *words])
     for start in range(0, n_paths, size):
-        block = signature.simulate_brownian_grid(params.dim, params.horizon, params.steps,
-                                                 min(size, n_paths - start), seed, start,
-                                                 _into=spare)
-        n = len(block)
+        n = min(size, n_paths - start)
+        block = signature.simulate_brownian_grid(params.dim, params.horizon, params.steps, n,
+                                                 seed, start, _into=grid[:, :, :n])
         runs = min(signature._WORKERS, n) if rows * n >= SPLIT_ROW_PATHS else 1
         bounds = [n * i // runs for i in range(runs + 1)]
         ranges = [PathBlock(params, BrownianBatch(block.times, block.grid[:, :, lo:hi], start + lo),
                             words) for lo, hi in zip(bounds, bounds[1:])]
         results = signature.fan_out(walk, ranges)
-        spare = block.grid if all(paths._done for paths in ranges) else None
-        del block, ranges  # the ranges' engines go before the next block's are built
+        del ranges  # the ranges' engines go before the next block's are built
         while results:  # held by the caller alone once handed over
             yield results.pop(0)
 
@@ -320,7 +314,8 @@ def estimate_H3(params: SigVolParams, lam: float, n_paths: int, seed: int) -> H3
         for _ in paths.steps():
             pass
         rows = slice(paths.offset, paths.offset + paths.size)
-        samples[rows] = np.exp(lam * paths.qv)
+        with np.errstate(over="ignore"):  # inf, silently; set on the walk's own thread
+            samples[rows] = np.exp(lam * paths.qv)
         terminal[rows] = params.s0 * np.exp(paths.mart - 0.5 * paths.qv)
 
     ranges = stream_paths(params, n_paths, seed, walk)
@@ -330,8 +325,9 @@ def estimate_H3(params: SigVolParams, lam: float, n_paths: int, seed: int) -> H3
     terminal = np.empty(n_paths)
     for _ in ranges:
         pass
-    mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(n_paths))
+    with np.errstate(invalid="ignore"):  # an inf sample makes the SE NaN
+        mean = float(samples.mean())
+        se = float(samples.std(ddof=1) / math.sqrt(n_paths))
     k = max(1, int(math.ceil(0.001 * n_paths)))
     top = np.sort(samples)[-k:].sum()
     heavy = bool(top > 0.5 * samples.sum())
@@ -353,6 +349,8 @@ def martingale_check(terminal: np.ndarray, s0: float) -> MartingaleReport:
     mean = float(terminal.mean())
     se = float(terminal.std(ddof=1) / math.sqrt(terminal.size))
     z = (mean - s0) / se if se > 0.0 else 0.0
+    if se == 0.0 and mean != s0:  # a zero SE puts a mean off S_0 infinitely many SEs away
+        z = math.copysign(math.inf, mean - s0)
     return MartingaleReport(mean, se, z, terminal.size)
 
 

@@ -312,8 +312,9 @@ def simulate_brownian_grid(d: int, horizon: float, steps: int, n_paths: int,
     """
     check_driver_args(d, horizon, steps, n_paths, seed)
     times = np.linspace(0.0, horizon, steps + 1)
-    shape = (steps + 1, d, n_paths)
-    grid = _into if _into is not None and _into.shape == shape else np.empty(shape)
+    grid = np.empty((steps + 1, d, n_paths)) if _into is None else _into
+    if grid.shape != (steps + 1, d, n_paths):
+        raise ValueError(f"_into has shape {grid.shape}, not {(steps + 1, d, n_paths)}")
     grid[0] = 0.0
     used = 2 * steps * d
     per_path = used + (-used) % 4

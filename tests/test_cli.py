@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -510,6 +511,23 @@ class TestHypotheses:
         assert code == 0
         text = (tmp_path / "hypotheses.csv").read_text()
         assert "H1.value" in text and "H3.mean" in text and "not decidable" in text
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_sample_is_silent(self, tmp_path, capfd, monkeypatch, workers):
+        # at sigma = 40 exp(lambda <M>_T) overflows on every path; with two workers the second
+        # path range steps, and overflows, on a thread of its own.  Every S_T is below 1e-300,
+        # so their squared deviations underflow: the SE is 0 with the mean far below s0
+        monkeypatch.setattr(sde, "SPLIT_ROW_PATHS", 0)
+        monkeypatch.setattr(signature, "_WORKERS", workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = execute(["hypotheses", "--model", "black_scholes", "--sigma", "40", "--paths",
+                            "200", "--steps", "8", "--seed", "3", "--out", str(tmp_path)])
+        assert (code, capfd.readouterr()) == (0, ("status=ok\n", ""))
+        rows = dict(line.split(",")[:2]
+                    for line in (tmp_path / "hypotheses.csv").read_text().splitlines())
+        assert (rows["H3.mean"], rows["H3.ci_halfwidth"], rows["martingale.se"],
+                rows["martingale.z"]) == ("inf", "nan", "0", "-inf")
 
 
 class TestTransform:

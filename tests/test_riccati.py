@@ -458,10 +458,11 @@ class TestIntegrateFlow:
         assert out.t_star == pytest.approx(1.0, abs=1e-3)
         assert out.min_step >= STEP_FLOOR
 
-    def test_overflowing_blowup_is_silent(self, capfd):
-        # y' = y^2 from 1e100: the first stages square 1e200 to inf, and every step is rejected
-        # down to the floor without a numpy warning
-        table = scalar_quadratic_table(1.0, 1e100, 1.0)
+    @pytest.mark.parametrize("y0", [1e100, 1e200])
+    def test_overflowing_blowup_is_silent(self, capfd, y0):
+        # y' = y^2 from 1e100: the first stages square 1e200 to inf, and from 1e200 the first
+        # slope does; every step is rejected down to the floor without a numpy warning
+        table = scalar_quadratic_table(1.0, y0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = integrate_flow(table, explosion_threshold=math.inf)

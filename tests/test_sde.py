@@ -257,6 +257,12 @@ class TestMartingaleCheck:
         rep = martingale_check(prices.terminal_price, prices.s0)
         assert rep.mean_terminal == 1.0 and rep.se == 0.0 and rep.z_score == 0.0
 
+    @pytest.mark.parametrize("level, z", [(2.0, math.inf), (0.5, -math.inf), (1.0, 0.0)])
+    def test_zero_se(self, level, z):
+        # every path ends at the same price: infinitely many SEs from s0 unless it is s0
+        rep = martingale_check(np.full(5, level), 1.0)
+        assert (rep.mean_terminal, rep.se, rep.z_score) == (level, 0.0, z)
+
     def test_drift_injection_detected(self):
         # negative control: a deterministic drift exp(0.05 t) on the price
         params = make_params(sigma=0.2, steps=16)
@@ -514,6 +520,10 @@ class TestStepperMemory:
         # at 128 steps a block holds 8192 paths: the run stays below 0.7 of that block's
         # time-augmented grid
         assert four < 0.7 * (129 * 2 * 8192 * 8)
+
+    def test_short_last_block_shares_the_grid(self):
+        # 16384 + 8000 paths: the third block, 8000 paths, is drawn into the run's grid
+        assert abs(self._stepping_peak(16384 + 8000) - self._stepping_peak(16384)) < 2**20
 
 
 class TestCsvExport:

@@ -357,6 +357,20 @@ class TestBrownianDriver:
         with pytest.raises(ValueError):
             stream_paths(params, 0, 0, lambda paths: None)
 
+    def test_drawn_into_as_given(self):
+        # a view of a wider buffer is drawn into, the same bits as a fresh grid; any other shape
+        # is rejected, never replaced
+        buffer = np.full((9, 2, 20), np.nan)
+        batch = simulate_brownian_grid(2, 1.0, 8, 13, seed=5, path_offset=7,
+                                       _into=buffer[:, :, :13])
+        assert np.shares_memory(batch.grid, buffer)
+        fresh = simulate_brownian_grid(2, 1.0, 8, 13, seed=5, path_offset=7)
+        assert np.array_equal(_bits(buffer[:, :, :13]), _bits(fresh.grid))
+        assert np.isnan(buffer[:, :, 13:]).all()
+        for into in (buffer, buffer[:, :1, :13], buffer[1:, :, :13]):
+            with pytest.raises(ValueError, match="shape"):
+                simulate_brownian_grid(2, 1.0, 8, 13, seed=5, _into=into)
+
     def test_level1_ito_isometry(self):
         batch = simulate_brownian_grid(1, 0.7, 16, 60_000, seed=77)
         w_t = batch.grid[-1, 0]
