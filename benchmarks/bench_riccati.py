@@ -17,14 +17,14 @@ every word of length <= 5, whose 8191 coordinates and 1.76 M Gamma terms
 time the prefix-pair table at its largest, and of first_order's --u 1.1.1:0.1
 at trunc 26, a cut closure of 27 of the 2^27 - 1 words up to that length,
 with the build's tracemalloc peak; then the blow-up flow, one call of its
-vector field, the trunc-12 flow of rough_bergomi_approx, and the trunc-26
---threshold inf flow of the cut closure.  Last, a fresh `transform` process
-of the cut closure at --trunc 34 with --threshold inf, whose transform.csv
+vector field, the trunc-12 flow of rough_bergomi_approx, the trunc-26 flow of
+the cut closure, and a preset's moment blow-up, guyon_lekeufack_approx at
+--uX 2.  Last, a fresh `transform` process of the cut closure at --trunc 34,
+whose transform.csv
 is streamed one trace entry at a time, stores the median wall time and peak
 RSS (ru_maxrss) of the process, as bench_stepper.py's child cases do.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -134,32 +134,34 @@ def test_vector_field_call(benchmark):
 
 
 def test_flow_trunc12_rough_bergomi(benchmark):
-    # transform --model rough_bergomi_approx --uX 0.3 --threshold inf, its closure built once
+    # transform --model rough_bergomi_approx --uX 0.3, its closure built once
     table = build_generator(RiccatiState(GradedTensor.zero(1), u_x=0.3),
                             _model("rough_bergomi_approx"), 12)
-
-    def flow():
-        return integrate_flow(table, explosion_threshold=math.inf)
-
-    out = benchmark.pedantic(flow, rounds=5, warmup_rounds=1)
+    out = benchmark.pedantic(integrate_flow, args=(table,), rounds=5, warmup_rounds=1)
     _record(benchmark, table, trunc=12, d=1, accepted_steps=out.steps, rejected=out.rejected,
             carried=out.carried)
 
 
 def test_flow_cut_trunc26(benchmark):
-    # transform --model first_order --u 1.1.1:0.1 --threshold inf --trunc 26
+    # transform --model first_order --u 1.1.1:0.1 --trunc 26
     table = build_generator(cut_closure_state(), _model("first_order"), 26)
-
-    def flow():
-        return integrate_flow(table, explosion_threshold=math.inf)
-
-    out = benchmark.pedantic(flow, rounds=5, warmup_rounds=1)
+    out = benchmark.pedantic(integrate_flow, args=(table,), rounds=5, warmup_rounds=1)
     _record(benchmark, table, trunc=26, d=1, accepted_steps=out.steps, rejected=out.rejected,
             carried=out.carried, lambda0=out.lambda0)
+
+
+def test_flow_preset_blowup(benchmark):
+    # transform --model guyon_lekeufack_approx --uX 2: E S_T^2 is infinite from T = 0.98473,
+    # where the proposed step falls below the floor
+    table = build_generator(RiccatiState(GradedTensor.zero(1), u_x=2.0),
+                            _model("guyon_lekeufack_approx"))
+    out = benchmark.pedantic(integrate_flow, args=(table,), rounds=5, warmup_rounds=1)
+    _record(benchmark, table, trunc=table.trunc, d=1, accepted_steps=out.steps,
+            rejected=out.rejected, carried=out.carried, exploded_at=out.t_star)
 
 
 def test_transform_cut_trunc34_child(benchmark, tmp_path):
     # the whole command: closure build, flow, and transform.csv written entry by entry
     record_children(benchmark, ["transform", "--model", "first_order", "--u", "1.1.1:0.1",
-                                "--threshold", "inf", "--trunc", "34", "--out", str(tmp_path)],
+                                "--trunc", "34", "--out", str(tmp_path)],
                     trunc=34, d=1)

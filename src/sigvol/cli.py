@@ -237,8 +237,6 @@ def _cmd_simulate(cfg: dict, out: str) -> int:
     n_paths = exact_int(cfg["paths"], "paths")
     # rejects a bad run before paths.csv exists
     ranges = sde.stream_paths(params, n_paths, seed, sde.simulate_price)
-    if n_paths < 2:  # the martingale check after the last block needs two
-        raise ValueError("need at least 2 paths")
     terminal = np.empty(n_paths)
     with _output(os.path.join(out, "paths.csv")) as fh:
         for prices in ranges:
@@ -281,11 +279,9 @@ def _cmd_transform(cfg: dict, out: str) -> int:
     state = _parse_direction(cfg, params.dim)
     trunc = None if cfg.get("trunc") is None else exact_int(cfg["trunc"], "trunc")
     table = riccati.build_generator(state, params, trunc)
-    # the flow's own defaults stand for the limits that are not set
-    limits = {arg: float(cfg[key]) for arg, key in (("tol", "tol"),
-                                                     ("explosion_threshold", "threshold"))
-              if key in cfg}
-    outcome = riccati.integrate_flow(table, **limits)
+    # the flow's own default stands for a tol that is not set
+    tol = {"tol": float(cfg["tol"])} if "tol" in cfg else {}
+    outcome = riccati.integrate_flow(table, **tol)
     verdict = (_line(lambda0=outcome.lambda0) if outcome.solved
                else _line(exploded_at=outcome.t_star))
     # the carried coordinates, in coordinate order; a trace entry holds their values
@@ -395,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--uX", type=float)
             p.add_argument("--u")
             p.add_argument("--tol", type=float)
-            p.add_argument("--threshold", type=float)
             p.add_argument("--mc-check", action="store_true")
         if name in ("hedge", "depth-report"):
             p.add_argument("--payoff")

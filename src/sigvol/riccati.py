@@ -32,12 +32,14 @@ rejected among the terms of the closure, the only ones built.
 A flow is given its model once, as SigVolParams (ell, eta, s0, T and the
 weight), and its start once, to build_generator, which owns the shuffle
 window and the default truncation and records both in the table.
-integrate_flow takes only the table and its tolerances.  The flow
+integrate_flow takes only the table and its tolerance.  The flow
 d(psi)/dtau = R(psi) is integrated with an explicit embedded 4/5 pair with
 steps sized by a relative error norm; finite-time blow-up is the object of
-study, so the integrator detects explosion (weighted norm above a threshold,
-or step underflow) instead of trying to continue through it.  A solved flow carries
-the transform value lambda0.
+study, so the integrator declares explosion, and only then, when its
+proposed step collapses below STEP_FLOOR: near a blow-up at t* the step
+stays near kappa (t* - t).  A threshold on a norm of the state could not
+tell a blow-up from a large value, as all norms of a finite closure are
+equivalent.  A solved flow carries the transform value lambda0.
 
 mc_transform checks a transform value on the price engine's paths.  It
 reads the model (ell, eta, s0, T, steps) from SigVolParams, the value the
@@ -48,7 +50,6 @@ so the check stays independent of the flow it checks.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -153,20 +154,6 @@ def _shuffles(u, a, v, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.concatenate(col) for col in zip((empty,) * 3, *found))
 
 
-def weighted_norm(parts: list[tuple[float, np.ndarray]], x: float | None) -> float:
-    """sum_n w(n) |u_n|_2 over the (w(n), level u_n) parts in order, plus |x| when given.
-
-    Each |u_n|^2 is the correctly rounded sum of the squares (math.fsum), so a level's zeros,
-    and which of its words are held at all, cannot move a bit; inf where that overflows."""
-    total = 0.0
-    try:
-        for w, level in parts:
-            total += w * math.sqrt(math.fsum([c * c for c in level.tolist()]))
-    except OverflowError:  # finite squares whose sum overflows
-        return math.inf
-    return total if x is None else total + abs(x)
-
-
 @dataclass(frozen=True)
 class VectorField:
     """R(psi), the drift plus the quadratic part, on the coordinates of a closure.
@@ -224,23 +211,6 @@ class GeneratorTable:
         f = self.field
         in1, c = f.in1[f.in1.size - f.in2.size :], f.coeffs[f.coeffs.size - f.in2.size :]
         return np.where(in1 == f.in2, 2.0 * c, c)
-
-    def norm_reader(self) -> Callable[[np.ndarray], float]:
-        """weighted_norm of a carried vector, sum_n w(n) |u_n|_2 plus |u_X|, w the model's weight.
-
-        Canonical order keeps each level's carried words contiguous, so a level is one slice
-        of the carried vector; the slices and each w(n) are fixed here, once."""
-        weight, m = self.params.weight, len(self.words)
-        lengths = [len(w) for w in self.words]
-        levels = sorted(set(lengths))
-        bounds = [lengths.index(k) for k in levels] + [m]
-        cuts = [(weight(k), slice(a, b)) for k, a, b in zip(levels, bounds, bounds[1:])]
-        has_x = self.state_dim > m
-
-        def norm(u: np.ndarray) -> float:
-            return weighted_norm([(w, u[at]) for w, at in cuts], float(u[m]) if has_x else None)
-
-        return norm
 
 
 def build_generator(start: RiccatiState, params: SigVolParams,
@@ -405,7 +375,6 @@ class FlowOutcome:
     steps: int
     live: np.ndarray
     t_star: float | None = None
-    norm_at_detection: float | None = None
     detail: str = ""
     trace: list | None = None
     rejected: int = 0
@@ -436,8 +405,7 @@ _DP_ROWS = [np.array(row)[:, None] for row in (*_DP_A[1:], _DP_B5, _DP_B4)]
 STEP_FLOOR = 1e-12  # a proposed step below this is an explosion verdict
 
 
-def integrate_flow(table: GeneratorTable, tol: float = 1e-10,
-                   explosion_threshold: float = 1e6) -> FlowOutcome:
+def integrate_flow(table: GeneratorTable, tol: float = 1e-10) -> FlowOutcome:
     """Adaptive embedded 4/5 integration of d(psi)/dtau = R(psi) from the table's start.
 
     Integrates the coordinates of build_generator's table, from its start
@@ -448,22 +416,18 @@ def integrate_flow(table: GeneratorTable, tol: float = 1e-10,
     err^(-1/5)); a rejected one is retried at h * max(0.2, 0.9 * err^(-1/5)),
     or at h / 2 when err is not finite.  The first step is horizon / 64, and
     a step only shortened to end on the horizon proposes nothing.  Declares
-    Exploded once the norm of the state, weighted by the model's weight,
-    passes the threshold, or when a proposed step, accepted or rejected, is
-    below STEP_FLOOR (or below the first step, on a horizon shorter than 64
-    floors).  tol must be finite and positive, the threshold positive or
-    inf.  Each stage sums the weighted earlier stages in order with
-    np.add.reduce over the stacked rows, as a left-to-right sum does, then
-    scales the sum by the step and adds the state: u + step * sum, bit for
-    bit.  A stage or an error ratio that overflows on the way to a blow-up
+    Exploded when a proposed step, accepted or rejected, is below STEP_FLOOR
+    (or below the first step, on a horizon shorter than 64 floors), and only
+    then.  tol must be finite and positive.  Each stage sums the weighted
+    earlier stages in order with np.add.reduce over the stacked rows, as a
+    left-to-right sum does, then scales the sum by the step and adds the
+    state: u + step * sum, bit for bit.  A stage or an error ratio that overflows on the way to a blow-up
     is rejected, silently.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
-    if not explosion_threshold > 0.0:
-        raise ValueError("explosion threshold must be > 0 (inf disables it)")
     u, horizon = table.u0, table.params.horizon
-    rhs, norm = table.field, table.norm_reader()
+    rhs = table.field
     live, n = rhs.live, len(rhs.live)
     t = 0.0
     h = horizon / 64.0  # the proposed step
@@ -493,7 +457,7 @@ def integrate_flow(table: GeneratorTable, tol: float = 1e-10,
         rhs(u, ks[0])
     while t < horizon:
         if h < floor:
-            return outcome(t_star=t, norm_at_detection=norm(u), detail="step underflow below floor")
+            return outcome(t_star=t, detail="step underflow below floor")
         step = min(h, horizon - t)
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, 6):
@@ -510,9 +474,6 @@ def integrate_flow(table: GeneratorTable, tol: float = 1e-10,
             ks[0] = ks[6]  # FSAL
             accepted.append(step)
             trace.append((t, u))
-            size = norm(u)
-            if size > explosion_threshold:
-                return outcome(t_star=t, norm_at_detection=size, detail="norm threshold crossed")
             h = step * (min(2.0, 0.9 * err**-0.2) if err > 0.0 else 2.0)
         else:
             rejected += 1
@@ -591,8 +552,6 @@ def mc_transform(u0: RiccatiState, params: SigVolParams, n_paths: int, seed: int
         return np.exp(expo)
 
     ranges = stream_paths(params, n_paths, seed, walk, u0.sig.coeffs)
-    if n_paths < 2:  # the standard error needs two
-        raise ValueError("need at least 2 paths")
     moments = _Moments()
     for samples in ranges:  # in path order, which the moments' fixed chunks follow
         moments.add(samples)

@@ -202,9 +202,12 @@ def stream_paths(params: SigVolParams, n_paths: int, seed: int,
     in any range, so walk sees the same bits either way, and work that
     depends on the order of paths belongs to the caller, on the results.  The
     driver's arguments are checked on the call, before any block is drawn, so
-    a caller can reject a run before it opens its outputs.
+    a caller can reject a run before it opens its outputs.  A run needs at
+    least two paths, as every consumer reads a standard error off them.
     """
     signature.check_driver_args(params.dim, params.horizon, params.steps, n_paths, seed)
+    if n_paths < 2:
+        raise ValueError("need at least 2 paths")
     return _ranges(params, n_paths, seed, walk, words)
 
 
@@ -319,8 +322,6 @@ def estimate_H3(params: SigVolParams, lam: float, n_paths: int, seed: int) -> H3
         terminal[rows] = params.s0 * np.exp(paths.mart - 0.5 * paths.qv)
 
     ranges = stream_paths(params, n_paths, seed, walk)
-    if n_paths < 2:  # the standard error needs two
-        raise ValueError("need at least 2 paths")
     samples = np.empty(n_paths)  # each range writes its own rows
     terminal = np.empty(n_paths)
     for _ in ranges:
@@ -330,7 +331,8 @@ def estimate_H3(params: SigVolParams, lam: float, n_paths: int, seed: int) -> H3
         se = float(samples.std(ddof=1) / math.sqrt(n_paths))
     k = max(1, int(math.ceil(0.001 * n_paths)))
     top = np.sort(samples)[-k:].sum()
-    heavy = bool(top > 0.5 * samples.sum())
+    # an overflowing top sample makes both sides inf, and the moment it estimates is infinite
+    heavy = bool(not math.isfinite(top) or top > 0.5 * samples.sum())
     return H3Report(mean, 1.96 * se, heavy, lam, n_paths, terminal)
 
 
@@ -347,7 +349,11 @@ def martingale_check(terminal: np.ndarray, s0: float) -> MartingaleReport:
     if terminal.size < 2:
         raise ValueError("need at least 2 paths")
     mean = float(terminal.mean())
-    se = float(terminal.std(ddof=1) / math.sqrt(terminal.size))
+    # the spread of the prices scaled by 2^-e, e the exponent of the largest, scaled back:
+    # unscaled, squared deviations below about 1e-154 underflow to 0 and above 1e154 overflow.
+    # A power of two scales a normal float exactly, so every other SE keeps its bits
+    e = math.frexp(float(np.abs(terminal).max()))[1]
+    se = math.ldexp(float(np.ldexp(terminal, -e).std(ddof=1)), e) / math.sqrt(terminal.size)
     z = (mean - s0) / se if se > 0.0 else 0.0
     if se == 0.0 and mean != s0:  # a zero SE puts a mean off S_0 infinitely many SEs away
         z = math.copysign(math.inf, mean - s0)

@@ -95,7 +95,6 @@ from sigvol.riccati import (
     _word_index,
     build_generator,
     integrate_flow,
-    weighted_norm,
 )
 from sigvol.sde import SigVolParams
 from sigvol.signature import BatchSignature, all_words
@@ -585,13 +584,6 @@ class FullTable:
             raise ValueError("u_x supplied but the table is not price-extended")
         return u
 
-    def weighted_norm(self, u: np.ndarray) -> float:
-        """sum_n w(n) |u_n|_2 over every level, w the model's weight, plus |u_X| when extended."""
-        n = self.dim + 1
-        parts = [(self.params.weight(k), u[_offset(k, self.dim) : _offset(k, self.dim) + n**k])
-                 for k in range(self.trunc + 1)]
-        return weighted_norm(parts, float(u[self.x_index]) if self.extended else None)
-
     def closure(self, start: RiccatiState) -> GeneratorTable:
         """The closure table of start's support: its fixpoint, and the terms whose inputs lie in it."""
         u0 = self.vector(start.sig, start.u_x)
@@ -633,22 +625,20 @@ def with_terms(table: FullTable, b: dict, gamma: dict) -> FullTable:
 
 
 class RiccatiExplosion(RuntimeError):
-    def __init__(self, t_star: float, norm: float, detail: str = ""):
-        super().__init__(f"Riccati flow exploded at t*={t_star:.6g} (norm {norm:.3g}) {detail}")
+    def __init__(self, t_star: float, detail: str = ""):
+        super().__init__(f"Riccati flow exploded at t*={t_star:.6g} {detail}")
         self.t_star = t_star
-        self.norm = norm
 
 
-def transform_value(table: GeneratorTable, tol: float = 1e-10,
-                    explosion_threshold: float = 1e6) -> float:
+def transform_value(table: GeneratorTable, tol: float = 1e-10) -> float:
     """Lambda_0 = exp(psi_empty(T) + u_x * log s0) of the table's flow: at t=0 the
     signature is e_0 and X is log s0; u_x is read only when X is carried.
 
     Raises RiccatiExplosion when the flow blows up before the horizon.
     """
-    outcome = integrate_flow(table, tol=tol, explosion_threshold=explosion_threshold)
+    outcome = integrate_flow(table, tol=tol)
     if not outcome.solved:
-        raise RiccatiExplosion(outcome.t_star, outcome.norm_at_detection, outcome.detail)
+        raise RiccatiExplosion(outcome.t_star, outcome.detail)
     state = final_state(table, outcome)
     exponent = state.sig[EMPTY_WORD]
     if X_LABEL in table.labels:
@@ -743,8 +733,7 @@ def _full_rhs(u, table):
     return parts[0] + parts[1].astype(float)
 
 
-def integrate_flow_full(u0: RiccatiState, table: FullTable, tol: float = 1e-10,
-                        explosion_threshold: float = 1e6) -> FlowOutcome:
+def integrate_flow_full(u0: RiccatiState, table: FullTable, tol: float = 1e-10) -> FlowOutcome:
     """The embedded 4/5 flow from u0 stepping every coordinate of the state to the model's
     horizon, trace recorded, under integrate_flow's step rule: accepted when
     max |u4 - u5| / (tol + tol max(|u|, |u5|)) <= 1, a proposed step below the floor an
@@ -764,8 +753,7 @@ def integrate_flow_full(u0: RiccatiState, table: FullTable, tol: float = 1e-10,
     k1 = _full_rhs(u, table)
     while t < horizon:
         if h < floor:
-            return outcome(t_star=t, norm_at_detection=table.weighted_norm(u),
-                           detail="step underflow below floor")
+            return outcome(t_star=t, detail="step underflow below floor")
         step = min(h, horizon - t)
         ks = [k1]
         for row in _DP_A[1:]:
@@ -784,9 +772,6 @@ def integrate_flow_full(u0: RiccatiState, table: FullTable, tol: float = 1e-10,
             k1 = k7
             accepted.append(step)
             trace.append((t, u.copy()))
-            norm = table.weighted_norm(u)
-            if norm > explosion_threshold:
-                return outcome(t_star=t, norm_at_detection=norm, detail="norm threshold crossed")
             h = step * (min(2.0, 0.9 * err**-0.2) if err > 0.0 else 2.0)
         else:
             rejected += 1

@@ -191,8 +191,7 @@ def test_criterion_6_explosion_detection():
     for _ in range(10):
         a = float(rng.uniform(0.4, 3.0))
         y0 = float(rng.uniform(0.4, 3.0))
-        out = integrate_flow(scalar_quadratic_table(a, y0, 50.0), tol=1e-9,
-                             explosion_threshold=1e6)
+        out = integrate_flow(scalar_quadratic_table(a, y0, 50.0), tol=1e-9)
         true_star = 1.0 / (a * y0)
         ok &= (not out.solved) and out.t_star < scalar_explosion_bound(a, y0)
         rel = abs(out.t_star - true_star) / true_star

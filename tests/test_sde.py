@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigvol import sde, signature
 from sigvol.algebra import GradedTensor, Weight
@@ -205,11 +207,21 @@ class TestH3:
         rep = estimate_H3(params, 6.0, 20_000, seed=33)
         assert rep.suspicious_heavy_tail
 
+    def test_infinite_moment_is_heavy_tailed(self):
+        # at sigma = 40 exp(lam <M>_T) overflows on every path, so the top samples and their
+        # sum are both inf, and inf > 0.5 * inf is False
+        with np.errstate(over="ignore"):
+            rep = estimate_H3(make_params(sigma=40.0, steps=8), 1.0, 200, seed=3)
+        assert rep.mean == math.inf and rep.suspicious_heavy_tail
+
     def test_one_path_rejected(self):
-        # a standard error needs two paths; bad driver arguments keep the driver's message
+        # a standard error needs two paths; bad driver arguments keep the driver's message.
+        # The driver's stream checks both, for every Monte Carlo consumer
         params = make_params("first_order", steps=8)
         with pytest.raises(ValueError, match="^need at least 2 paths$"):
             estimate_H3(params, 1.0, 1, seed=1)
+        with pytest.raises(ValueError, match="^need at least 2 paths$"):
+            stream_paths(params, 1, 1, step_to_end)
         with pytest.raises(ValueError, match="^d, steps and n_paths must be >= 1$"):
             estimate_H3(params, 1.0, -5, seed=1)
 
@@ -262,6 +274,23 @@ class TestMartingaleCheck:
         # every path ends at the same price: infinitely many SEs from s0 unless it is s0
         rep = martingale_check(np.full(5, level), 1.0)
         assert (rep.mean_terminal, rep.se, rep.z_score) == (level, 0.0, z)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=40))
+    def test_se_keeps_its_bits_in_the_normal_range(self, prices):
+        # the SE is taken on the prices scaled by a power of two, which scales them exactly
+        terminal = np.array(prices)
+        want = float(terminal.std(ddof=1) / math.sqrt(terminal.size))
+        assert martingale_check(terminal, 1.0).se.hex() == want.hex()
+
+    @pytest.mark.parametrize("exponent", [-1000, -600, 600])
+    def test_se_of_prices_whose_squares_leave_the_floats(self, exponent):
+        # below about 1e-154 the squared deviations underflow and above 1e154 they overflow:
+        # the SE is the one of the same prices at 1, scaled back exactly
+        base = np.array([0.0, 0.75, 0.5, 0.125])
+        at_one = martingale_check(base, 1.0).se
+        rep = martingale_check(np.ldexp(base, exponent), 1.0)
+        assert rep.se == math.ldexp(at_one, exponent) and math.isfinite(rep.z_score)
 
     def test_drift_injection_detected(self):
         # negative control: a deterministic drift exp(0.05 t) on the price
