@@ -78,54 +78,63 @@ _DEFAULTS = {
     "T": 1.0,
     "steps": 128,
     "paths": 4096,
-    "trunc": None,
     "s0": 1.0,
-    "seed": None,
-    "out": ".",
     "model": "black_scholes",
 }
 
 
 def load_config(path: str | None) -> dict:
-    cfg = dict(_DEFAULTS)
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValueError("config root must be a JSON object")
-        cfg.update(data)
-    return cfg
+    """The JSON object of the config file at path, {} for no path."""
+    if not path:
+        return {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError("config root must be a JSON object")
+    return data
+
+
+def _read(spec: dict, keys, reader: str) -> dict:
+    """spec, every key of which reader reads: a key it does not read is rejected, never ignored."""
+    unread = sorted(set(spec) - set(keys))
+    if unread:
+        raise ValueError(f"{reader} reads no key {', '.join(map(repr, unread))}")
+    return spec
 
 
 def _weight_from_spec(spec) -> Weight:
     if spec is None:
         return Weight.geometric(2.0)
-    if isinstance(spec, dict):
-        kind = spec.get("kind")
-        if kind == "geometric":
-            return Weight.geometric(float(spec.get("r", 2.0)))
-        if kind == "polynomial":
-            return Weight.polynomial(float(spec.get("alpha", 1.0)))
-        if kind == "constant":
-            return Weight.constant()
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind == "constant":
+        _read(spec, ["kind"], "a constant weight")
+        return Weight.constant()
+    if kind in ("geometric", "polynomial"):
+        key, default = ("r", 2.0) if kind == "geometric" else ("alpha", 1.0)
+        _read(spec, ["kind", key], f"a {kind} weight")
+        return getattr(Weight, kind)(float(spec.get(key, default)))
     raise ValueError(f"bad weight spec {spec!r}")
 
 
 def resolve_model(cfg: dict) -> tuple[sde.SigVolParams, str]:
     """The checked model of a config and its name: a preset, or "inline" for a given ell."""
     spec = cfg["model"]
-    if isinstance(spec, str):
-        spec = {"name": spec}
-    if not isinstance(spec, dict):
-        raise ValueError(f"bad model spec {spec!r}")
     # a preset's own defaults stand for the sigmas that are not set
     sigmas = {key: float(cfg[key]) for key in ("sigma", "sigma0", "sigma1") if key in cfg}
-    if "ell_file" in spec or "ell" in spec:
+    if isinstance(spec, str):
+        pre = models.preset(spec, **sigmas)
+        if pre.metadata_only:
+            raise ValueError(f"preset {spec} is metadata-only and cannot be simulated")
+        ell, eta, weight, name = pre.ell, pre.eta, pre.weight, spec
+    elif isinstance(spec, dict):
         if sigmas:
             raise ValueError(f"an inline model reads no sigma, not {', '.join(sigmas)}")
+        _read(spec, ["ell", "ell_file", "d", "eta", "weight"], "an inline model")
+        if ("ell" in spec) == ("ell_file" in spec):
+            raise ValueError("an inline model takes one of ell and ell_file")
         d = exact_int(spec.get("d", 1), "d")
         if "ell_file" in spec:
             with open(spec["ell_file"], "r", encoding="utf-8") as fh:
@@ -137,11 +146,7 @@ def resolve_model(cfg: dict) -> tuple[sde.SigVolParams, str]:
         weight = _weight_from_spec(spec.get("weight"))
         name = "inline"
     else:
-        name = spec.get("name", cfg["model"])
-        pre = models.preset(name, **sigmas)
-        if pre.metadata_only:
-            raise ValueError(f"preset {name} is metadata-only and cannot be simulated")
-        ell, eta, weight = pre.ell, pre.eta, pre.weight
+        raise ValueError(f"bad model spec {spec!r}")
     params = sde.SigVolParams(ell=ell, weight=weight, s0=float(cfg["s0"]), eta=eta,
                               horizon=float(cfg["T"]), steps=exact_int(cfg["steps"], "steps"))
     return params, name
@@ -167,16 +172,14 @@ def _parse_payoff(spec) -> tuple[str, dict]:
 
 def _parse_direction(cfg: dict, d: int) -> riccati.RiccatiState:
     u_x = cfg.get("uX")
+    raw = cfg.get("u", "")
+    if not isinstance(raw, str):
+        raise ValueError(f"u must be a string such as \"1:0.4,1.1:0.2\", got {raw!r}")
     pairs: dict = {}
-    raw = cfg.get("u")
-    if raw:
-        if isinstance(raw, str):
-            entries = [item for item in raw.split(",") if item.strip()]
-            raw = [item.partition(":")[::2] for item in entries]
-        for word_text, coeff in raw:
-            # a repeated word sums its coefficients, as parse_tensor does
-            word = parse_word(str(word_text))
-            pairs[word] = pairs.get(word, 0.0) + float(coeff)
+    for word_text, _, coeff in (item.partition(":") for item in raw.split(",") if item.strip()):
+        # a repeated word sums its coefficients, as parse_tensor does
+        word = parse_word(word_text)
+        pairs[word] = pairs.get(word, 0.0) + float(coeff)
     return riccati.RiccatiState(GradedTensor(d, pairs), None if u_x is None else float(u_x))
 
 
@@ -254,7 +257,7 @@ def _cmd_hypotheses(cfg: dict, out: str) -> int:
     h1 = sde.check_H1(params.ell, params.weight)
     lam = float(cfg.get("lambda", 1.0))
     h3 = sde.estimate_H3(params, lam, exact_int(cfg["paths"], "paths"), seed)
-    mart = sde.martingale_check(h3.terminal_price[:20000], params.s0)
+    mart = sde.martingale_check(h3.terminal_price, params.s0)
     rows = [
         ("model", name, ""),
         ("H1.value", h1.value, "exact for finite support"),
@@ -306,13 +309,8 @@ def _cmd_hedge(cfg: dict, out: str) -> int:
     params, name = resolve_model(cfg)
     n_paths = exact_int(cfg["paths"], "paths")
     kind, pay_params = _parse_payoff(cfg.get("payoff", "call:K=1.0"))
-    hedge_cfg = cfg.get("hedge", {})
-    if not isinstance(hedge_cfg, dict):
-        raise ValueError(f"hedge must be a JSON object, got {hedge_cfg!r}")
-    basis = hedging.HedgeBasis(integrand_depth=hedge_cfg.get("integrand_depth", 2),
-                               residual_window=hedge_cfg.get("residual_window"),
-                               static_strikes=hedge_cfg.get("static_strikes"),
-                               ridge=hedge_cfg.get("ridge"))
+    basis = hedging.HedgeBasis(cfg.get("integrand_depth", 2), cfg.get("window"),
+                               cfg.get("strikes"), cfg.get("ridge"))
     data = hedging.simulate_hedge_dataset(params, basis, kind, pay_params, n_paths, seed)
     result = hedging.gkw_project(data.payoffs, data.design, basis, weight=params.weight)
     rows = [("meta", "model", name), ("meta", "payoff", kind),
@@ -368,13 +366,13 @@ def _floats(text: str) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each flag's dest is the config key it sets; "hedge.ridge" sets cfg["hedge"]["ridge"]."""
+    """Each flag's dest is the config key it sets, and a command reads no other key."""
     parser = argparse.ArgumentParser(prog="sigvol",
                                      description="signature volatility model toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        # a flag that is not passed sets no key, so the config file's value stands
-        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        # a flag that is not passed is None, so the config file's value stands
+        p = sub.add_parser(name)
         p.add_argument("--config")
         p.add_argument("--out")
         if name == "selftest":
@@ -391,27 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--uX", type=float)
             p.add_argument("--u")
             p.add_argument("--tol", type=float)
-            p.add_argument("--mc-check", action="store_true")
+            p.add_argument("--mc-check", action="store_true", default=None)
         if name in ("hedge", "depth-report"):
             p.add_argument("--payoff")
         if name == "hedge":
-            p.add_argument("--integrand-depth", type=int, dest="hedge.integrand_depth", metavar="N")
-            p.add_argument("--window", type=_ints, dest="hedge.residual_window", metavar="LOW,HIGH")
-            p.add_argument("--ridge", type=float, dest="hedge.ridge", metavar="RIDGE")
-            p.add_argument("--strikes", type=_floats, dest="hedge.static_strikes", metavar="K,...")
+            p.add_argument("--integrand-depth", type=int, metavar="N")
+            p.add_argument("--window", type=_ints, metavar="LOW,HIGH")
+            p.add_argument("--ridge", type=float)
+            p.add_argument("--strikes", type=_floats, metavar="K,...")
         if name == "depth-report":
             p.add_argument("--depths", type=_ints, help="comma separated depths")
         if name == "hypotheses":
             p.add_argument("--lambda", type=float)
     return parser
-
-
-def _merge_flags(cfg: dict, flags: dict) -> dict:
-    for dest in [dest for dest in flags if "." in dest]:
-        section, _, key = dest.partition(".")
-        cfg[section] = {**cfg.get(section, {}), key: flags.pop(dest)}
-    cfg.update(flags)
-    return cfg
 
 
 _COMMANDS = {
@@ -431,15 +421,17 @@ def execute(argv: list[str]) -> int:
     """Run one command line and print its status line; return the exit code."""
     try:
         flags = vars(build_parser().parse_args(argv))
-        command = flags.pop("command")
-        cfg = _merge_flags(load_config(flags.pop("config", None)), flags)
+        command, path = flags.pop("command"), flags.pop("config")
+        # the keys a config file may set are the dests of the command's flags, --config's aside
+        cfg = {**_DEFAULTS, **_read(load_config(path), flags, f"a {command} config"),
+               **{key: value for key, value in flags.items() if value is not None}}
         out = cfg.get("out") or "."
         os.makedirs(out, exist_ok=True)
         code = _COMMANDS[command](cfg, out)
     except SystemExit as exc:  # argparse's: 0 after --help, 2 after printing a usage error
         code = 1 if exc.code else 0
     except (ValueError, TypeError, OSError, MemoryError) as exc:
-        # TypeError: a config value of the wrong JSON type, e.g. "u": 5; OSError: an
+        # TypeError: a config value of the wrong JSON type, e.g. "sigma": [0.2]; OSError: an
         # unreadable input or an --out that cannot be made; MemoryError: a run too large to
         # hold, often raised without a message, so an empty one is named by its type
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
@@ -447,7 +439,12 @@ def execute(argv: list[str]) -> int:
     except hedging.DegenerateGram as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
         code = 2
-    print(_line(status=_STATUS[code]))
+    try:
+        print(_line(status=_STATUS[code]), flush=True)
+    except BrokenPipeError:
+        # stdout's reader left: the flush at exit goes to os.devnull, and the unread status fails
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     return code
 
 

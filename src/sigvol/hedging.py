@@ -193,11 +193,14 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
     coord(word) * dS to each row, the same product and sum per element as
     one (paths, words) update, and the rows are transposed into `dynamic`
     once per range.  The payoff, then the driver's arguments, are checked
-    before any per-path array: a kind of PAYOFF_KINDS, and a finite
-    payoff_params["strike"] for every kind but variance_swap.
+    before any per-path array: a kind of PAYOFF_KINDS, a finite
+    payoff_params["strike"] for every kind but variance_swap, and no other parameter.
     """
     if payoff_kind not in PAYOFF_KINDS:
         raise ValueError(f"unknown payoff kind {payoff_kind!r}; choose from {PAYOFF_KINDS}")
+    unread = sorted(set(payoff_params) - ({"strike"} if payoff_kind != "variance_swap" else set()))
+    if unread:
+        raise ValueError(f"payoff {payoff_kind} reads no parameter {', '.join(map(repr, unread))}")
     strike = payoff_params.get("strike", math.nan)
     if payoff_kind != "variance_swap" and not math.isfinite(strike):
         raise ValueError(f"payoff {payoff_kind} needs a finite strike, e.g. {payoff_kind}:K=1.0")

@@ -292,6 +292,61 @@ class TestValidation:
         assert proc.returncode == 1
         assert proc.stdout == "status=invalid\n"
 
+    @pytest.mark.parametrize("command, cfg, key, value", [
+        ("transform", {"model": "first_order", "u": "1:0.4"}, "threshold", 10),
+        ("transform", {"model": "first_order", "u": "1:0.4", "mc_check": True, "seed": 1,
+                       "paths": 50, "steps": 4}, "mc_paths", 100),
+        ("simulate", {"seed": 1, "paths": 50, "steps": 4}, "bogus", 3),
+        ("hedge", {"model": "first_order", "seed": 1, "paths": 50, "steps": 4}, "hedge",
+         {"window": [1, 2]}),
+        ("selftest", {}, "config", "other.json"),
+        ("depth-report", {"model": "first_order", "depths": [0, 1], "seed": 1, "paths": 50,
+                          "steps": 4}, "ridge", 1e-6),
+    ], ids=["transform-threshold", "transform-mc-paths", "simulate-bogus", "hedge-hedge",
+            "selftest-config", "depth-report-ridge"])
+    def test_unread_config_key_rejected(self, tmp_path, capsys, command, cfg, key, value):
+        # the config twin of test_unread_flag_rejected: a key that no flag of the command sets
+        # used to be ignored, and the run ended status=ok without it
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({**cfg, key: value}))
+        code = execute([command, "--config", str(cfg_path), "--out", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "status=invalid\n",
+                                    f"error: a {command} config reads no key '{key}'\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command, cfg, error", [
+        ("simulate", {"model": {"ell": "word=∅ coeff=0.2", "d": 1, "sigma": 0.3}},
+         "an inline model reads no key 'sigma'"),
+        ("simulate", {"model": {"ell": "word=∅ coeff=0.2", "ell_file": "ell.txt", "d": 1}},
+         "an inline model takes one of ell and ell_file"),
+        ("simulate", {"model": {"name": "first_order"}}, "an inline model reads no key 'name'"),
+        ("hypotheses", {"model": {"ell": LEVEL2_ELL, "weight": {"kind": "geometric", "alpha": 3}}},
+         "a geometric weight reads no key 'alpha'"),
+        ("hypotheses", {"model": {"ell": LEVEL2_ELL, "weight": {"kind": "polynomial", "r": 3}}},
+         "a polynomial weight reads no key 'r'"),
+        ("hedge", {"payoff": "call:K=1,foo=2"}, "payoff call reads no parameter 'foo'"),
+        ("hedge", {"payoff": "variance_swap:K=1"},
+         "payoff variance_swap reads no parameter 'strike'"),
+        ("depth-report", {"payoff": {"kind": "asian", "K": 1, "cap": 2}},
+         "payoff asian reads no parameter 'cap'"),
+        ("transform", {"u": [["1", 0.4]]}, 'u must be a string such as "1:0.4,1.1:0.2", '
+                                           "got [['1', 0.4]]"),
+    ], ids=["inline-sigma", "ell-and-ell-file", "model-name", "geometric-alpha", "polynomial-r",
+            "call-foo", "variance-swap-strike", "asian-object-cap", "u-list"])
+    def test_unread_nested_key_rejected(self, tmp_path, capsys, monkeypatch, command, cfg, error):
+        # each of these used to end status=ok: the key was ignored, ell_file won over ell, and
+        # the {"name": preset} model and the list form of u were forms no document named
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ell.txt").write_text("word=∅ coeff=0.25\n")
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({"model": "first_order", "seed": 1, "paths": 50,
+                                        "steps": 4, **cfg}))
+        code = execute([command, "--config", str(cfg_path), "--out", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "status=invalid\n", f"error: {error}\n")
+        assert os.listdir(out_dir) == []
+
     @pytest.mark.parametrize("setting", ['"seed": 1.9', '"paths": 1e400', '"steps": true',
                                          '"seed": "1"'],
                              ids=["seed-fraction", "paths-overflow", "steps-bool", "seed-string"])
@@ -304,8 +359,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("command, cfg", [
         ("simulate", {"model": {"ell": "word=∅ coeff=0.2", "d": 1.9}}),
-        ("hedge", {"hedge": {"integrand_depth": 1.9}}),
-        ("hedge", {"hedge": {"integrand_depth": 1, "residual_window": [1.9, 3]}}),
+        ("hedge", {"integrand_depth": 1.9}),
+        ("hedge", {"integrand_depth": 1, "window": [1.9, 3]}),
         ("depth-report", {"depths": [0, 1.9]}),
     ], ids=["model-d", "integrand-depth", "residual-window", "depths"])
     def test_model_and_hedge_integers_exact(self, tmp_path, capsys, command, cfg):
@@ -453,13 +508,13 @@ class TestValidation:
         ("depth-report", {"depths": 5}),
         ("hedge", {"payoff": {"strike": 1}}),
         ("transform", {"u": 5}),
-        ("hedge", {"hedge": [1, 2]}),
+        ("hedge", {"hedge": {"window": [1, 2]}}),
         ("hedge", {"payoff": {"kind": "call"}}),
-        ("hedge", {"hedge": {"residual_window": [3]}}),
-        ("hedge", {"hedge": {"integrand_depth": -1, "residual_window": [0, 1]}}),
+        ("hedge", {"window": [3]}),
+        ("hedge", {"integrand_depth": -1, "window": [0, 1]}),
         ("simulate", {"model": {"ell": 5}}),
         ("depth-report", {"depths": [-1, 0]}),
-    ], ids=["paths-null", "depths-int", "payoff-no-kind", "u-int", "hedge-list",
+    ], ids=["paths-null", "depths-int", "payoff-no-kind", "u-int", "hedge-object",
             "payoff-no-strike", "window-one-int", "depth-negative", "ell-int", "depths-negative"])
     def test_malformed_config_value(self, tmp_path, capsys, command, cfg):
         cfg_path = tmp_path / "cfg.json"
@@ -544,6 +599,20 @@ class TestHypotheses:
         assert (rows["H3.mean"], rows["H3.ci_halfwidth"], rows["H3.heavy_tail"],
                 rows["martingale.se"], rows["martingale.z"]) == (
             "inf", "nan", "1", "1.6140248283122818e-304", "-6.1956915560317503e+303")
+
+    def test_martingale_rows_read_every_path(self, tmp_path, capsys):
+        # the martingale rows are simulate's stdout; they used to read the first 20000 paths only
+        argv = ["--model", "first_order", "--paths", "20001", "--steps", "8", "--seed", "4",
+                "--out", str(tmp_path)]
+        code, out = run(capsys, "simulate", *argv)
+        assert code == 0
+        mean, se, z = (item.partition("=")[2] for item in out.splitlines()[0].split())
+        code, _ = run(capsys, "hypotheses", *argv)
+        assert code == 0
+        rows = dict(line.split(",")[:2]
+                    for line in (tmp_path / "hypotheses.csv").read_text().splitlines())
+        assert (rows["martingale.mean_ST"], rows["martingale.se"], rows["martingale.z"]) == (
+            mean, se, z)
 
 
 class TestTransform:
@@ -697,8 +766,7 @@ class TestHedge:
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = {"model": "first_order", "paths": 1000, "steps": 16, "seed": 9,
-               "payoff": "asian:K=1.0", "hedge": {"integrand_depth": 1,
-                                                  "residual_window": [1, 2]}}
+               "payoff": "asian:K=1.0", "integrand_depth": 1, "window": [1, 2]}
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(cfg))
         code, out = run(capsys, "hedge", "--config", str(cfg_path),
@@ -710,13 +778,13 @@ class TestHedge:
         # only once the depth is checked
         argv = ["--model", "first_order", "--seed", "3", "--paths", "500", "--steps", "8"]
         cfg_path, csvs = tmp_path / "cfg.json", []
-        for window in {}, {"residual_window": None}, {"residual_window": [1, 2]}:
-            cfg_path.write_text(json.dumps({"hedge": {"integrand_depth": 1, **window}}))
+        for window in {}, {"window": None}, {"window": [1, 2]}:
+            cfg_path.write_text(json.dumps({"integrand_depth": 1, **window}))
             code, _ = run(capsys, "hedge", "--config", str(cfg_path), *argv, "--out", str(tmp_path))
             assert code == 0
             csvs.append((tmp_path / "hedge.csv").read_bytes())
         assert csvs[0] == csvs[1] == csvs[2]
-        cfg_path.write_text(json.dumps({"hedge": {"integrand_depth": "2"}}))
+        cfg_path.write_text(json.dumps({"integrand_depth": "2"}))
         code = execute(["hedge", "--config", str(cfg_path), *argv, "--out", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err == "error: integrand_depth must be an integer, got '2'\n"
@@ -895,3 +963,21 @@ def test_hedging_commands_load_no_numpy_ma(tmp_path, argv):
     out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("unbuffered, err", [("1", "error: [Errno 32] Broken pipe\n"), ("", "")],
+                         ids=["unbuffered", "buffered"])
+def test_closed_stdout_is_not_a_traceback(tmp_path, unbuffered, err):
+    # the read end of stdout is closed before the CLI starts, so its first write there fails:
+    # unbuffered, the verdict's own print, an error of the command; buffered, the status line's
+    # flush.  Either way the run ends with exit code 1, and no traceback
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sigvol.cli", "transform", "--model",
+                               "first_order", "--uX", "15", "--out", str(tmp_path)],
+                              env=dict(source_env(), PYTHONUNBUFFERED=unbuffered), stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, err)
