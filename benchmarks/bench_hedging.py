@@ -7,11 +7,13 @@ Run from the repository root:
 The Tier-1 suite collects only test_*.py, so it never runs these.  The
 design is the one of the hedge_depth_scan workload: first_order, an Asian
 call, 20000 paths x 16 steps, integrand depth 3 and residual window (3, 4),
-so 40 columns.  Each case stores the median time of one call and the
-tracemalloc peak of one call in the benchmark's extra_info; add
+so 40 columns.  Each in-process case stores the median time of one call and
+the tracemalloc peak of one call in the benchmark's extra_info; add
 --benchmark-json=FILE to keep them.  The dataset case builds that design
 from its paths; the reference case runs the tall per-depth solves of the
-tests' oracle on the same design.
+tests' oracle on the same design.  The child cases run that workload's
+`depth-report` in fresh processes at 20000, 80000 and 320000 paths and store
+their median wall time and peak RSS (ru_maxrss), as bench_stepper.py's do.
 """
 
 import os
@@ -26,6 +28,7 @@ from sigvol.sde import SigVolParams
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tests"))
 from _oracles import gkw_project_tall, restrict_depth  # noqa: E402
+from bench_stepper import record_children  # noqa: E402
 
 PATHS, STEPS, DEPTHS = 20000, 16, (0, 1, 2, 3)
 
@@ -47,8 +50,7 @@ def _record(benchmark, fn, rounds: int, data) -> None:
     finally:
         tracemalloc.stop()
     benchmark.pedantic(fn, rounds=rounds, warmup_rounds=1)
-    design = data.design
-    columns = 2 + design.dynamic.shape[1] + design.static.shape[1] + design.residual.shape[1]
+    columns = data.design.z.shape[1]
     # stats is None under --benchmark-disable, which runs each case once untimed
     benchmark.extra_info.update(paths=PATHS, steps=STEPS, depths=len(DEPTHS), columns=columns,
                                 median_s=benchmark.stats and benchmark.stats.stats.median,
@@ -66,13 +68,13 @@ def test_simulate_hedge_dataset(benchmark, scan_data):
 def test_depth_scan_projection(benchmark, scan_data):
     # what depth_scan does after the dataset: one factor, then every depth read from it
     pre, basis, data = scan_data
-    design = data.design
+    design, x = data.design, data.payoffs
 
     def scan():
-        z, r = _factor(data.payoffs, design)
+        r = _factor(x, design)
         for depth in DEPTHS:
             keep = [i for i, w in enumerate(design.dyn_words) if len(w) <= depth]
-            _project(z, r, keep, design, basis, pre.weight)
+            _project(x, r, keep, design, basis, pre.weight)
 
     _record(benchmark, scan, 15, data)
 
@@ -86,3 +88,13 @@ def test_depth_scan_projection_tall_reference(benchmark, scan_data):
             gkw_project_tall(data.payoffs, restrict_depth(data.design, depth), basis, pre.weight)
 
     _record(benchmark, scan, 7, data)
+
+
+@pytest.mark.parametrize("paths", [20000, 80000, 320000])
+def test_depth_report_child(benchmark, tmp_path, paths):
+    # hedge_depth_scan's command in a fresh process: the held design grows with --paths
+    record_children(benchmark, ["depth-report", "--model", "first_order", "--payoff",
+                                "asian:K=1.0", "--depths", ",".join(map(str, DEPTHS)),
+                                "--paths", str(paths), "--steps", str(STEPS), "--seed", "1",
+                                "--out", str(tmp_path)],
+                    paths=paths, steps=STEPS, depths=len(DEPTHS))

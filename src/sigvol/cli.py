@@ -159,7 +159,8 @@ def _require_seed(cfg: dict) -> int:
 
 
 def _parse_payoff(spec) -> tuple[str, dict]:
-    """(kind, params) of "kind:K=1.0,..." or {"kind": ..., "K": 1.0}; K stands for strike."""
+    """(kind, params) of "kind:K=1.0,..." or {"kind": ..., "K": 1.0}; K stands for strike,
+    and a parameter given twice, under either name, is rejected."""
     if isinstance(spec, dict):
         kind = spec.get("kind")
         items = [(key, val) for key, val in spec.items() if key != "kind"]
@@ -167,7 +168,13 @@ def _parse_payoff(spec) -> tuple[str, dict]:
         kind, _, rest = str(spec).partition(":")
         kind = kind.strip()
         items = [item.partition("=")[::2] for item in rest.split(",")] if rest else []
-    return kind, {{"K": "strike"}.get(key.strip(), key.strip()): float(val) for key, val in items}
+    params: dict = {}
+    for key, val in items:
+        name = {"K": "strike"}.get(key.strip(), key.strip())
+        if name in params:
+            raise ValueError(f"payoff {kind} gives the parameter {name!r} twice")
+        params[name] = float(val)
+    return kind, params
 
 
 def _parse_direction(cfg: dict, d: int) -> riccati.RiccatiState:

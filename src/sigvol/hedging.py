@@ -5,11 +5,17 @@ algorithm: assemble terminal coordinates, remove the span of constants,
 dynamic gains and static payoffs, solve the quotient Gram normal equations
 on the surviving residual directions, and measure the final remainder.
 
-Every number but the remainder's sampling error is an inner product of the
-columns z = [1 | dynamic | static | residual | X], so each is read from R in
-z = QR, factored once (tall-skinny QR: Demmel, Grigori, Hoemmen and Langou,
-SIAM J. Sci. Comput. 34(1), 2012).  A depth restriction re-factors R's kept
-columns; one matvec with z gives the per-path remainder.
+The design is held once: one C-ordered (paths, P) array
+z = [1 | dynamic | static | residual | X], whose rows each path range of the
+walk writes in place, with the column groups as views of it.  With the
+terminal price, bracket and time-average it costs (P + 3) floats a path,
+344 bytes at P = 40.  Every number but the remainder's sampling error is an
+inner product of z's columns, so each is read from R in z = QR.  R is
+reduced over ROW_CHUNK-row chunks in row order (tall-skinny QR: Demmel,
+Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34(1), 2012), so no copy
+of z is made; up to ROW_CHUNK paths it is one QR of z itself.  A depth
+restriction re-factors R's kept columns; one matvec with z gives the
+per-path remainder.
 
 Dynamic integrands are spanned by time-t signature features: the gain
 column for a word K is the left-point sum of <e_K, W_t> dS_t, which
@@ -31,10 +37,12 @@ import numpy as np
 
 from .algebra import Weight, Word, exact_int, format_word
 from .sde import PathBlock, SigVolParams, stream_paths
-from .signature import all_words
+from .signature import all_words, physical_memory
 
 DROP_TOL = 1e-6
 RIDGE_SCALE = 1e-8
+DEFAULT_STRIKES = 7  # equally spaced quantiles of S_T when no strikes are given
+ROW_CHUNK = 4096  # rows of z factored in one TSQR step
 
 
 class DegenerateGram(RuntimeError):
@@ -53,9 +61,9 @@ class HedgeBasis:
     integrand_depth >= 0 bounds the word length of dynamic integrand features;
     residual_window = (n_low, m), 0 <= n_low < m, selects terminal words
     n_low < |I| <= m, None meaning (depth, depth + 1), the words just past
-    the integrand's; static_strikes None means 7 equally spaced quantiles
-    of simulated S_T; ridge None means the default 1e-8 * trace(Gram)/dim
-    regularisation.  The depth and window must be exact integers
+    the integrand's; static_strikes None means DEFAULT_STRIKES equally
+    spaced quantiles of simulated S_T; ridge None means the default
+    1e-8 * trace(Gram)/dim regularisation.  The depth and window must be exact integers
     (algebra.exact_int: 1.9 is rejected, 2.0 read as 2), strikes and ridge
     are converted to floats and must be finite.
     """
@@ -117,7 +125,7 @@ def _settle(kind: str, params: dict, terminal: np.ndarray, qv: np.ndarray,
     if kind == "digital":
         return (terminal >= params["strike"]).astype(float)
     if kind == "variance_swap":
-        return qv.copy()
+        return qv
     return np.maximum(average - params["strike"], 0.0)  # asian
 
 
@@ -132,28 +140,44 @@ def _window_words(d: int, n_low: int, m: int) -> list[Word]:
 
 @dataclass
 class HedgeDesign:
-    """Column groups of the hedging regression, one row per path."""
+    """The hedging regression's columns z = [1 | dynamic | static | residual | X], one row per path.
+
+    z is one (paths, P) array and the column groups are views of it.  X is
+    the payoff the paths were simulated for; gkw_project takes its own.
+    """
 
     dyn_words: list
     static_labels: list
     res_words: list
-    dynamic: np.ndarray
-    static: np.ndarray
-    residual: np.ndarray
+    z: np.ndarray
     terminal_price: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.dynamic.shape[0]
+        return self.z.shape[0]
+
+    @property
+    def dynamic(self) -> np.ndarray:
+        return self.z[:, 1 : 1 + len(self.dyn_words)]
+
+    @property
+    def static(self) -> np.ndarray:
+        lo = 1 + len(self.dyn_words)
+        return self.z[:, lo : lo + len(self.static_labels)]
+
+    @property
+    def residual(self) -> np.ndarray:
+        hi = self.z.shape[1] - 1
+        return self.z[:, hi - len(self.res_words) : hi]
 
 
 def default_strikes(terminal: np.ndarray) -> tuple[float, ...]:
-    """The 7 equally spaced quantiles of the simulated terminal-price law.
+    """The DEFAULT_STRIKES equally spaced quantiles of the simulated terminal-price law.
 
     np.quantile's linear rule, bit for bit, read from one sort: np.quantile
     calls np.unique, whose first call imports numpy.ma (16-20 ms a process)."""
     a = np.sort(terminal)
-    at = (a.size - 1) * (np.arange(1, 8) / 8)  # the virtual indexes
+    at = (a.size - 1) * (np.arange(1, DEFAULT_STRIKES + 1) / (DEFAULT_STRIKES + 1))  # indexes
     lo = np.floor(at)
     t, lo = at - lo, lo.astype(np.intp)
     below, above = a[lo], a[np.minimum(lo + 1, a.size - 1)]
@@ -164,37 +188,45 @@ def default_strikes(terminal: np.ndarray) -> tuple[float, ...]:
     return tuple(qs.tolist())
 
 
-def _static_block(terminal: np.ndarray, strikes) -> tuple[np.ndarray, list]:
+def _static_block(terminal: np.ndarray, strikes, out: np.ndarray) -> list:
+    """The call strip max(S_T - K, 0) written into out, (paths, strikes); returns its labels."""
     # Cash + underlying + call strip is the static basis; cash is the
     # regression constant and the underlying payoff is exactly the constant
     # plus the empty-word gain column (S_T = s0 + sum dS), so only the call
     # columns add directions and a separate S_T column would be redundant.
-    block = terminal[:, None] - np.asarray(strikes, float)
-    # in place: a second (paths, strikes) array would raise the depth scan's peak memory
-    return np.maximum(block, 0.0, out=block), [f"K={k:.17g}" for k in strikes]
+    np.subtract(terminal[:, None], np.asarray(strikes, float), out=out)
+    np.maximum(out, 0.0, out=out)
+    return [f"K={k:.17g}" for k in strikes]
 
 
 @dataclass
 class HedgeDataset:
-    """Streaming-accumulated design plus payoff ingredients."""
+    """The design of a simulated path set, whose payoffs are z's last column."""
 
     design: HedgeDesign
-    payoffs: np.ndarray
+
+    @property
+    def payoffs(self) -> np.ndarray:
+        return self.design.z[:, -1]
 
 
 def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind: str,
                            payoff_params: dict, n_paths: int, seed: int) -> HedgeDataset:
-    """Simulate paths in blocks and accumulate the design without storing grids.
+    """Simulate paths in blocks and write the design z in place, storing no grid.
 
     Produces the columns of the per-path reference route (build_design in
     the tests' oracles) on the same driver paths.  Each path range of a
-    block (sde.stream_paths) writes its own rows of the design.  A range's
-    gains are held one row per word, (words, paths): each step adds
-    coord(word) * dS to each row, the same product and sum per element as
-    one (paths, words) update, and the rows are transposed into `dynamic`
-    once per range.  The payoff, then the driver's arguments, are checked
-    before any per-path array: a kind of PAYOFF_KINDS, a finite
-    payoff_params["strike"] for every kind but variance_swap, and no other parameter.
+    block (sde.stream_paths) writes its own rows of z.  A range's gains are
+    held one row per word, (words, paths): each step adds coord(word) * dS
+    to each row, the same product and sum per element as one (paths, words)
+    update, and the rows are transposed into z's dynamic columns once per
+    range.  The static strip and the payoff are written into their columns
+    once every path is walked.  Before any per-path array is allocated, the
+    payoff, the driver's arguments and the run's size are checked: a kind of
+    PAYOFF_KINDS, a finite payoff_params["strike"] for every kind but
+    variance_swap, and no other parameter; and n_paths x (P + 4) floats (z,
+    the terminal price, bracket and time-average, and the payoff) must fit
+    this host's physical memory.
     """
     if payoff_kind not in PAYOFF_KINDS:
         raise ValueError(f"unknown payoff kind {payoff_kind!r}; choose from {PAYOFF_KINDS}")
@@ -207,6 +239,10 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
     n_low, m = basis.residual_window
     dyn_words = all_words(params.dim, basis.integrand_depth)
     res_words = _window_words(params.dim, n_low, m)
+    strikes = basis.static_strikes
+    dyn = slice(1, 1 + len(dyn_words))
+    stat = slice(dyn.stop, dyn.stop + (DEFAULT_STRIKES if strikes is None else len(strikes)))
+    res = slice(stat.stop, stat.stop + len(res_words))
 
     def walk(paths: PathBlock) -> None:
         nb = paths.size
@@ -220,28 +256,29 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
                 gain += paths.sig.coord(word) * ds
             avg += 0.5 * (s_prev + s_new) * paths.dt[k]
             s_prev = s_new
-        sl = slice(paths.offset, paths.offset + nb)
-        dynamic[sl] = gains.T
-        residual[sl] = paths.sig.coords(res_words)
-        terminal[sl] = s_prev
-        bracket[sl] = paths.qv
-        asian[sl] = avg / params.horizon
+        rows = slice(paths.offset, paths.offset + nb)
+        z[rows, dyn] = gains.T
+        for col, word in enumerate(res_words, res.start):  # no (paths, words) temporary
+            z[rows, col] = paths.sig.coord(word)
+        terminal[rows] = s_prev
+        bracket[rows] = paths.qv
+        asian[rows] = avg / params.horizon
 
     ranges = stream_paths(params, n_paths, seed, walk, dyn_words + res_words)
+    columns = res.stop + 1
+    if n_paths * (columns + 4) * 8 > physical_memory():
+        raise ValueError(f"{n_paths} paths x {columns + 4} columns of floats are more than "
+                         "this host's memory can hold")
     # each range writes its own rows
-    dynamic = np.zeros((n_paths, len(dyn_words)))
-    residual = np.zeros((n_paths, len(res_words)))
-    terminal = np.zeros(n_paths)
-    bracket = np.zeros(n_paths)
-    asian = np.zeros(n_paths)
+    z = np.empty((n_paths, columns))
+    terminal, bracket, asian = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
     for _ in ranges:
         pass
-    strikes = basis.static_strikes if basis.static_strikes is not None else default_strikes(terminal)
-    static, labels = _static_block(terminal, strikes)
-    design = HedgeDesign(dyn_words, labels, res_words, dynamic, static,
-                         residual, terminal)
-    x = _settle(payoff_kind, payoff_params, terminal, bracket, asian)
-    return HedgeDataset(design, x)
+    z[:, 0] = 1.0
+    labels = _static_block(terminal, default_strikes(terminal) if strikes is None else strikes,
+                           z[:, stat])
+    z[:, -1] = _settle(payoff_kind, payoff_params, terminal, bracket, asian)
+    return HedgeDataset(HedgeDesign(dyn_words, labels, res_words, z, terminal))
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +286,27 @@ def simulate_hedge_dataset(params: SigVolParams, basis: HedgeBasis, payoff_kind:
 # ---------------------------------------------------------------------------
 
 
-def _factor(x: np.ndarray, design: HedgeDesign) -> tuple[np.ndarray, np.ndarray]:
-    """The n x P matrix z = [1 | dynamic | static | residual | x] and its R factor."""
-    z = np.column_stack([np.ones(design.n), design.dynamic, design.static, design.residual, x])
-    return z, np.linalg.qr(z, mode="r")
+def _factor(x: np.ndarray, design: HedgeDesign) -> np.ndarray:
+    """The R factor of [1 | dynamic | static | residual | x], x in place of z's last column.
+
+    Tall-skinny QR in row order: each ROW_CHUNK-row chunk is factored on its
+    own and its R merged into the running one, R <- qr([R; qr(chunk).R]).R,
+    so numpy's QR copies one chunk, never z.  Up to ROW_CHUNK rows this is
+    the QR of z itself.  Merging a chunk's R, not its rows, keeps the solves
+    within the rounding of one QR of z: stacking R on the raw rows drifted
+    from the tall solves by about one unit in 1e12 per chunk.
+    """
+    z = design.z
+    n, p = z.shape
+    chunk = np.empty((min(n, ROW_CHUNK), p))
+    r = None
+    for lo in range(0, n, ROW_CHUNK):
+        rows = chunk[: min(ROW_CHUNK, n - lo)]
+        rows[:] = z[lo : lo + len(rows)]
+        rows[:, -1] = x[lo : lo + len(rows)]
+        r_chunk = np.linalg.qr(rows, mode="r")
+        r = r_chunk if r is None else np.linalg.qr(np.vstack([r, r_chunk]), mode="r")
+    return r
 
 
 def gkw_project(x: np.ndarray, design: HedgeDesign, basis: HedgeBasis,
@@ -264,15 +318,20 @@ def gkw_project(x: np.ndarray, design: HedgeDesign, basis: HedgeBasis,
     null and dependent quotient classes (one representative per class) and
     solve the quotient Gram normal equations; (4) measure the final
     remainder.  Non-constant columns are centred, so the constant
-    coefficient returned as price is the sample mean of X.
+    coefficient returned as price is the sample mean of X.  x, one value a
+    path, takes the place of the design's own payoff column.
     """
-    z, r = _factor(np.asarray(x, dtype=float), design)
-    return _project(z, r, list(range(len(design.dyn_words))), design, basis, weight)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (design.n,):
+        raise ValueError(f"payoff sample of shape {x.shape} for a design of {design.n} paths")
+    return _project(x, _factor(x, design), list(range(len(design.dyn_words))), design, basis,
+                    weight)
 
 
-def _project(z: np.ndarray, r_full: np.ndarray, dyn_keep: list[int], design: HedgeDesign,
+def _project(x: np.ndarray, r_full: np.ndarray, dyn_keep: list[int], design: HedgeDesign,
              basis: HedgeBasis, weight: Weight | None) -> GKWResult:
-    """gkw_project on the dynamic columns dyn_keep, read from the R factor of z."""
+    """gkw_project on the dynamic columns dyn_keep, read from r_full = _factor(x, design)."""
+    z = design.z
     n = z.shape[0]
     n_dyn, n_stat, n_res = len(design.dyn_words), len(design.static_labels), len(design.res_words)
     p_base = 1 + len(dyn_keep) + n_stat
@@ -334,15 +393,17 @@ def _project(z: np.ndarray, r_full: np.ndarray, dyn_keep: list[int], design: Hed
     remainder = eps_hat - quot[:, keep] @ c
     residual_norm = math.sqrt(float(remainder @ remainder) / n)
 
-    # (4) the per-path remainder X - g0 - sum_j (z_j - mean_j) g_j - sum_i c_i res_i
-    # is one matvec with z, for the sampling error of residual_norm
+    # (4) the per-path remainder x - g0 - sum_j (z_j - mean_j) g_j - sum_i c_i res_i
+    # is one matvec with z, for the sampling error of residual_norm; x stands in
+    # for z's last column, whose weight is 1, so its term is 0.0 for z's own payoff
     g = beta - theta[:, keep] @ c
     w = np.zeros(z.shape[1])
     w[cols[:p_base]] = -g
     w[0] += means @ g[1:]
     w[[cols[p_base + i] for i in keep]] = -c
     w[-1] = 1.0
-    se_rn_sq = float(np.std((z @ w) ** 2, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    per_path = z @ w + (x - z[:, -1])
+    se_rn_sq = float(np.std(per_path**2, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
     residual_norm_se = se_rn_sq / (2.0 * residual_norm) if residual_norm > 0.0 else 0.0
     payoff_l2 = math.sqrt(float(r_full[:, -1] @ r_full[:, -1]) / n)
     kappa_bound = None
@@ -415,11 +476,11 @@ def depth_scan(params: SigVolParams, payoff_kind: str, payoff_params: dict,
     full_basis = replace(basis, integrand_depth=max(depths[-1], basis.integrand_depth))
     data = simulate_hedge_dataset(params, full_basis, payoff_kind, payoff_params,
                                   n_paths, seed)
-    design = data.design
-    z, r = _factor(data.payoffs, design)
+    design, x = data.design, data.payoffs
+    r = _factor(x, design)
     rows = []
     for depth in depths:
         keep = [i for i, w in enumerate(design.dyn_words) if len(w) <= depth]
-        result = _project(z, r, keep, design, full_basis, None)
+        result = _project(x, r, keep, design, full_basis, None)
         rows.append(DepthScanRow(depth, result.residual_norm, result.residual_norm_se))
     return rows

@@ -44,6 +44,11 @@ T, R = TypeVar("T"), TypeVar("R")
 # ---------------------------------------------------------------------------
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory on this host: what no run may plan to hold more than."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def all_words(d: int, max_len: int) -> list[Word]:
     """Every word over {0..d} with length <= max_len, in canonical order, or a ValueError when
     their list cannot fit in this host's physical memory: each word but the empty one is a tuple
@@ -51,7 +56,7 @@ def all_words(d: int, max_len: int) -> list[Word]:
     if max_len * math.log2(d + 1) < 256:
         count = ((d + 1) ** (max_len + 1) - 1) // d
         least = (count - 1) * (sys.getsizeof((0,)) + struct.calcsize("P"))
-        fits = least <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        fits = least <= physical_memory()
     else:  # no host holds 2**256 words, and their exact count is slow to compute
         count, fits = f"about 10^{(max_len + 1) * math.log10(d + 1) - math.log10(d):.0f}", False
     if not fits:

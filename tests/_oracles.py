@@ -74,7 +74,6 @@ from sigvol.hedging import (
     DegenerateGram,
     GKWResult,
     HedgeBasis,
-    HedgeDesign,
     _static_block,
     _window_words,
     default_strikes,
@@ -271,7 +270,25 @@ def sparse_signatures(values: np.ndarray, trunc: int) -> list[GradedTensor]:
     return out
 
 
-def build_design(dataset, basis: HedgeBasis, trunc: int) -> HedgeDesign:
+@dataclass
+class DesignColumns:
+    """The hedging design as separate column groups, one row per path: the reference routes'
+    form, which sigvol.hedging.HedgeDesign holds as views of one array."""
+
+    dyn_words: list
+    static_labels: list
+    res_words: list
+    dynamic: np.ndarray
+    static: np.ndarray
+    residual: np.ndarray
+    terminal_price: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.dynamic.shape[0]
+
+
+def build_design(dataset, basis: HedgeBasis, trunc: int) -> DesignColumns:
     """Per-path reference route for the hedging design, from (price row, signatures) pairs.
 
     Each path's signatures are sparse_signatures(path, trunc), or tensors of
@@ -301,21 +318,22 @@ def build_design(dataset, basis: HedgeBasis, trunc: int) -> HedgeDesign:
             residual[i, c] = sigs[-1][word]
         terminal[i] = price[-1]
     strikes = basis.static_strikes if basis.static_strikes is not None else default_strikes(terminal)
-    static, labels = _static_block(terminal, strikes)
-    return HedgeDesign(dyn_words, labels, res_words, dynamic, static, residual, terminal)
+    static = np.empty((n, len(strikes)))
+    labels = _static_block(terminal, strikes, static)
+    return DesignColumns(dyn_words, labels, res_words, dynamic, static, residual, terminal)
 
 
-def base_matrix(design: HedgeDesign) -> np.ndarray:
+def base_matrix(design) -> np.ndarray:
     """[1 | dynamic | static], the regressors of the payoff's first projection step."""
     return np.hstack([np.ones((design.n, 1)), design.dynamic, design.static])
 
 
-def restrict_depth(design: HedgeDesign, depth: int) -> HedgeDesign:
+def restrict_depth(design, depth: int) -> DesignColumns:
     """The design with the dynamic columns of words longer than depth removed."""
     keep = [i for i, w in enumerate(design.dyn_words) if len(w) <= depth]
-    return HedgeDesign([design.dyn_words[i] for i in keep], design.static_labels,
-                       design.res_words, design.dynamic[:, keep], design.static,
-                       design.residual, design.terminal_price)
+    return DesignColumns([design.dyn_words[i] for i in keep], design.static_labels,
+                         design.res_words, design.dynamic[:, keep], design.static,
+                         design.residual, design.terminal_price)
 
 
 def ridge_lstsq(a: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -335,7 +353,7 @@ def default_ridge(mat: np.ndarray) -> float:
     return RIDGE_SCALE * float((mat * mat).sum()) / n / p
 
 
-def gkw_project_tall(x, design: HedgeDesign, basis: HedgeBasis, weight=None) -> GKWResult:
+def gkw_project_tall(x, design, basis: HedgeBasis, weight=None) -> GKWResult:
     """Reference route for gkw_project: tall ridge solves on the centred n-row design.
 
     Regresses X and the residual columns on the centred [1 | dynamic | static]

@@ -347,6 +347,20 @@ class TestValidation:
         assert (code, out, err) == (1, "status=invalid\n", f"error: {error}\n")
         assert os.listdir(out_dir) == []
 
+    @pytest.mark.parametrize("payoff", ["call:K=1,strike=1.2", "call:K=1,K=1.2",
+                                        {"kind": "call", "K": 1, "strike": 1.2}],
+                             ids=["K-and-strike", "K-twice", "object-K-and-strike"])
+    def test_payoff_parameter_given_twice_rejected(self, tmp_path, capsys, payoff):
+        # each used to run as call:K=1.2, the last value given
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({"model": "first_order", "seed": 1, "paths": 50,
+                                        "steps": 4, "payoff": payoff}))
+        code = execute(["hedge", "--config", str(cfg_path), "--out", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "status=invalid\n",
+                                    "error: payoff call gives the parameter 'strike' twice\n")
+        assert os.listdir(out_dir) == []
+
     @pytest.mark.parametrize("setting", ['"seed": 1.9', '"paths": 1e400', '"steps": true',
                                          '"seed": "1"'],
                              ids=["seed-fraction", "paths-overflow", "steps-bool", "seed-string"])
@@ -483,6 +497,18 @@ class TestValidation:
         # time grid, the run's first allocation, makes that fail at once on any host
         assert_invalid(capped("simulate", "--model", "first_order", "--seed", "1", "--paths", "16384",
                               "--steps", "100000000", "--out", str(tmp_path)))
+
+    @pytest.mark.parametrize("command", ["hedge", "depth-report"])
+    def test_hedge_design_too_large_to_hold(self, tmp_path, command):
+        # 10**13 paths of 28 per-path floats (P = 24 design columns at depth 2 plus 4) are
+        # rejected before any block is drawn or array allocated; the cap turns a regression
+        # into a fast failure, not a host out of memory
+        proc = capped(command, "--model", "first_order", "--seed", "1", "--paths", str(10**13),
+                      "--out", str(tmp_path))
+        assert_invalid(proc)
+        assert proc.stderr == (f"error: {10**13} paths x 28 columns of floats are more than "
+                               "this host's memory can hold\n")
+        assert os.listdir(tmp_path) == []
 
     def test_word_list_too_large_to_hold(self, tmp_path):
         # words up to length 62 over two letters already number 2**63 - 1, so their int64

@@ -1,12 +1,18 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sigvol.algebra import GradedTensor, Weight, shuffle_product
 from sigvol.hedging import (
+    ROW_CHUNK,
     DegenerateGram,
     HedgeBasis,
+    HedgeDesign,
+    _factor,
+    _project,
     default_strikes,
     depth_scan,
     gkw_project,
@@ -242,12 +248,12 @@ class TestGkwProject:
         design = data.design
         # duplicate a residual column to force quotient dependence, then
         # defeat the drop step with an extreme tolerance via ridge=0 and a
-        # doctored window: easiest route is two identical words requested
-        import copy
-
-        doctored = copy.deepcopy(design)
-        doctored.residual = np.column_stack([doctored.residual, doctored.residual[:, -1]])
-        doctored.res_words = doctored.res_words + [doctored.res_words[-1]]
+        # doctored window: easiest route is two identical words requested;
+        # z's last two columns are the last residual word and the payoff
+        doctored = HedgeDesign(design.dyn_words, design.static_labels,
+                               design.res_words + [design.res_words[-1]],
+                               np.column_stack([design.z[:, :-1], design.z[:, -2:]]),
+                               design.terminal_price)
         import sigvol.hedging as H
 
         old = H.DROP_TOL
@@ -260,13 +266,8 @@ class TestGkwProject:
 
     def test_undersampled_warning(self, bs_dataset):
         _, _, basis, data = bs_dataset
-        import copy
-
-        tiny = copy.deepcopy(restrict_depth(data.design, 2))
-        tiny.dynamic = tiny.dynamic[:40]
-        tiny.static = tiny.static[:40]
-        tiny.residual = tiny.residual[:40]
-        tiny.terminal_price = tiny.terminal_price[:40]
+        tiny = dataclasses.replace(data.design, z=data.design.z[:40],
+                                   terminal_price=data.design.terminal_price[:40])
         with pytest.warns(RuntimeWarning):
             gkw_project(data.payoffs[:40], tiny, basis)
 
@@ -318,6 +319,10 @@ TALL_CASES = [pytest.param(kind, pay, ridge, 2000, id=f"{kind}-{name}")
 # the default 1e-8 one leaves a near-interpolating fit here, whose remainder (1e-5 of
 # X) neither route holds to 1e-9 relative
 TALL_CASES.append(pytest.param("asian", {"strike": 1.0}, 1e-4, 30, id="undersampled"))
+# 12289 paths: R merged from four ROW_CHUNK-row chunks, the last of one row
+TALL_CASES += [pytest.param(kind, pay, ridge, 3 * ROW_CHUNK + 1, id=f"{kind}-{name}-chunks")
+               for kind, pay in PAYOFFS
+               for name, ridge in (("default", None), ("explicit", 1e-4), ("zero", 0.0))]
 
 
 @pytest.mark.filterwarnings("ignore:only .* samples:RuntimeWarning")
@@ -336,6 +341,41 @@ def test_one_factor_matches_tall_solves(kind, pay, ridge, n_paths):
         want = gkw_project_tall(data.payoffs, restrict_depth(data.design, row.depth), basis)
         assert row.residual_norm == pytest.approx(want.residual_norm, rel=1e-12, abs=0.0)
         assert row.se == pytest.approx(want.residual_norm_se, rel=se_rel_tol(want))
+
+
+@pytest.mark.parametrize("n", [ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 3 * ROW_CHUNK + 1])
+def test_chunked_factor_is_the_r_of_z(n):
+    # one chunk up to ROW_CHUNK rows, the QR of z itself; then one merge a chunk.  z is
+    # well conditioned: a simulated design is rank deficient, and the trailing rows of its
+    # R are rounding in any route.  x takes the place of z's last column
+    rng = np.random.default_rng(n)
+    z, x = rng.standard_normal((n, 40)), rng.standard_normal(n)
+    got = _factor(x, HedgeDesign([], [], [], z, z[:, 1]))  # _factor reads z alone
+    want = np.linalg.qr(np.column_stack([z[:, :-1], x]), mode="r")
+    signs = np.sign(np.diag(got)) * np.sign(np.diag(want))
+    assert np.max(np.abs(signs[:, None] * got - want)) <= 1e-12 * np.max(np.abs(want))
+    if n <= ROW_CHUNK:
+        assert np.array_equal(got, want)
+
+
+def test_depth_scan_solves_hold_no_copy_of_z():
+    # hedge_depth_scan's design, P = 40: the factor and four projections allocate a chunk
+    # and its QR copy, not the n x P copies of z the factor once made
+    pre, params = make_params("first_order", steps=16)
+    basis = HedgeBasis(3, (3, 4))
+    data = simulate_hedge_dataset(params, basis, "asian", {"strike": 1.0}, 20000, seed=1)
+    design, x = data.design, data.payoffs
+    assert design.z.shape == (20000, 40)
+    tracemalloc.start()
+    try:
+        r = _factor(x, design)
+        for depth in range(4):
+            keep = [i for i, w in enumerate(design.dyn_words) if len(w) <= depth]
+            _project(x, r, keep, design, basis, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < design.z.nbytes / 2
 
 
 def res_remainder(res, data):
